@@ -10,11 +10,10 @@ propagator cross-checks every closed-form result.
 from ._version import __version__
 from .errors import (
     ConfigError,
-    DegenerateFrequencyError,
     DimensionLimitError,
+    NumericalError,
     OptogravError,
     ParameterError,
-    QuadratureError,
     ToleranceError,
     TruncationError,
 )
@@ -45,7 +44,6 @@ from .oracle import (
     DensityMatrix,
     HilbertSpec,
     Propagator,
-    QuadratureSpec,
     StateVector,
     build_hamiltonian,
     closed_form_state,
@@ -65,10 +63,9 @@ __all__ = [
     "OptogravError",
     "ConfigError",
     "ParameterError",
-    "DegenerateFrequencyError",
     "DimensionLimitError",
     "TruncationError",
-    "QuadratureError",
+    "NumericalError",
     "ToleranceError",
     "PhysicalParams",
     "DerivedCouplings",
@@ -92,7 +89,6 @@ __all__ = [
     "HilbertSpec",
     "StateVector",
     "DensityMatrix",
-    "QuadratureSpec",
     "Propagator",
     "build_hamiltonian",
     "initial_state",

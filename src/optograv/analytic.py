@@ -2,10 +2,16 @@
 
 Covers the exactly solvable gravity-free evolution (conditional coherent
 trajectories of each rod and the resulting interference visibility), the
-first-order-in-gamma visibility of the coupled system in both its quadrature
-and closed forms, the thermal-mixture visibility, the revived-peak width
-estimate, and the perturbative linear entropy (which borrows operator
-machinery from :mod:`optograv.oracle`).
+first-order-in-gamma visibility of the coupled system, the thermal-mixture
+visibility, the revived-peak width estimate, and the perturbative linear
+entropy (which borrows operator machinery from :mod:`optograv.oracle`).
+
+Every first-order time integral goes through one exact integrator: each
+mode's frame-rotated coupling factor is a fixed table of coefficients over
+the operators (a^dag, a, 1) and the exponentials exp(-i*omega*s), 1,
+exp(+i*omega*s) (:func:`mode_factor_coefficients`), so an integral over
+s in [-t, 0] reduces to the closed-form exponential integrals of
+:func:`exponential_integrals`.
 
 Conventions: the photon of each cavity is a two-path qubit; "visibility" is
 twice the magnitude of the off-diagonal element of its reduced density
@@ -16,15 +22,13 @@ an O(gamma^2) artifact; traces carry a flag instead of raising.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .config import fingerprint, fingerprint_params
 from .constants import K_BOLTZMANN
-from .errors import DegenerateFrequencyError, ParameterError
+from .errors import ParameterError
 from .params import (
     UNITS_SI,
     DerivedCouplings,
@@ -33,20 +37,16 @@ from .params import (
     without_gravity,
 )
 
-#: Relative frequency splitting below which the closed first-order formula
-#: is refused (its denominator omega_a**2 - omega_b**2 degenerates).
-DEGENERATE_SPLIT = 1e-9
-
 #: Values may exceed 1 by this much before a trace is flagged unphysical.
 UNITY_SLACK = 1e-9
 
 METHOD_UNCOUPLED = "uncoupled"
 METHOD_FIRST_ORDER_CLOSED = "first_order_closed"
-METHOD_FIRST_ORDER_INTEGRAL = "first_order_integral"
 METHOD_SHIFT_PREFIX = "shift_"
-METHOD_ORACLE = "oracle_exact"
 METHOD_THERMAL = "thermal"
-METHOD_THERMAL_MC = "thermal_montecarlo"
+
+#: Exponents of the columns of a mode-factor coefficient table.
+_SIGMA = np.array([-1.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -196,65 +196,64 @@ def visibility_uncoupled(
     )
 
 
-def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times, form="closed"):
+def mode_factor_coefficients(lam: float, bit: int) -> np.ndarray:
+    """Coefficient table of one mode's frame-rotated coupling factor
+
+        e^{i*omega*s} a^dag + e^{-i*omega*s} a + 2*lam*bit*(1 - cos(omega*s)).
+
+    Rows are the operators (a^dag, a, 1); columns the exponentials
+    e^{-i*omega*s}, 1, e^{+i*omega*s}.  ``bit`` is the photon occupation of
+    the mode's cavity path.
+    """
+    table = np.zeros((3, 3))
+    table[0, 2] = 1.0
+    table[1, 0] = 1.0
+    table[2] = lam * bit * np.array([-1.0, 2.0, -1.0])
+    return table
+
+
+def exponential_integrals(omega_a: float, omega_b: float, times) -> np.ndarray:
+    """W[..., k, l] = integral over s in [-t, 0] of
+    exp(i*(sigma_k*omega_a + sigma_l*omega_b)*s), sigma = (-1, 0, +1).
+
+    Evaluated as t*expm1(z)/z with z = -i*(sigma_k*omega_a + sigma_l*omega_b)*t,
+    and t where the frequency vanishes, so equal or near-equal mode
+    frequencies need no special case.  Shape ``times.shape + (3, 3)``.
+    """
+    t = np.asarray(times, dtype=float)[..., None, None]
+    z = -1j * (_SIGMA[:, None] * omega_a + _SIGMA[None, :] * omega_b) * t
+    zero = z == 0.0
+    return np.where(zero, t, t * np.expm1(z) / np.where(zero, 1.0, z))
+
+
+def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times):
     """The real bracket x(t) with V1 = V0 * |1 + i*x(t)|, to first order in gamma.
 
-    ``form="closed"`` evaluates the antiderivative (requires
-    non-degenerate frequencies and real beta_M); ``form="integral"``
-    evaluates the underlying time integral by adaptive quadrature and also
-    handles complex beta_M and degenerate frequencies.
+    x(t) = gamma * integral over s in [-t, 0] of the cavity-c path difference
+    of the mode-a factor, 2*lam_m*(1 - cos(omega_a*s)), times the mode-b
+    factor's expectation averaged over the two rod-M branches.  Exact for
+    any frequencies and any complex beta_M.
     """
     times = _check_times(times)
-    lam_m, lam_M = dc.lambda_m, dc.lambda_M
-    omega_a, omega_b = dc.omega_a, dc.omega_b
-    gamma = dc.gamma
-    beta_M = complex(p.beta_M)
-    if form == "closed":
-        if abs(omega_a - omega_b) < DEGENERATE_SPLIT * abs(omega_a):
-            raise DegenerateFrequencyError(
-                "closed form is singular for |omega_a - omega_b| < "
-                f"{DEGENERATE_SPLIT:g}*omega_a; use form='integral'"
-            )
-        if beta_M.imag != 0.0:
-            raise ParameterError(
-                "closed form assumes a real beta_M; use form='integral' "
-                "for complex amplitudes"
-            )
-        b = beta_M.real
-        sin_a = np.sin(omega_a * times)
-        sin_b = np.sin(omega_b * times)
-        osc = sin_b / omega_b - (omega_a * sin_a - omega_b * sin_b) / (
-            omega_a**2 - omega_b**2
-        )
-        secular = times - sin_a / omega_a
-        return 2.0 * gamma * lam_m * ((2.0 * b - lam_M) * osc + lam_M * secular)
-    if form != "integral":
-        raise ParameterError(f"form must be 'closed' or 'integral', got {form!r}")
-
-    def integrand(u, t):
-        envelope = 1.0 - math.cos(omega_a * (u - t))
-        drive = 2.0 * (beta_M * complex(math.cos(omega_b * u), -math.sin(omega_b * u))).real
-        return envelope * (drive + lam_M * (1.0 - math.cos(omega_b * u)))
-
-    out = np.empty_like(times)
-    with warnings.catch_warnings():
-        # Near-zero integrals trip quad's roundoff heuristic; the absolute
-        # tolerance below is already at the precision floor.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for i, t in enumerate(times):
-            if t == 0.0:
-                out[i] = 0.0
-                continue
-            value, _ = quad(
-                integrand, 0.0, t, args=(t,), epsabs=1e-13, epsrel=1e-12, limit=400
-            )
-            out[i] = value
-    return 2.0 * gamma * lam_m * out
+    lam_M, omega_b = dc.lambda_M, dc.omega_b
+    tables_a = [mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)]
+    # The cavity-c path changes only the identity row of the mode-a factor.
+    diff_a = (tables_a[1] - tables_a[0])[2]
+    # Rod-M branch amplitudes phi_q at each time; <a^dag>, <a>, <1> in each.
+    rot = np.exp(-1j * omega_b * times)
+    phi0 = complex(p.beta_M) * rot
+    phi1 = phi0 + lam_M * (1.0 - rot)
+    drive_b = 0.5 * sum(
+        np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
+        @ mode_factor_coefficients(lam_M, bit)
+        for bit, phi in ((0, phi0), (1, phi1))
+    )
+    weights = exponential_integrals(dc.omega_a, omega_b, times)
+    x = np.einsum("k,tkl,tl->t", diff_a, weights, drive_b)
+    return dc.gamma * x.real
 
 
-def visibility_first_order(
-    dc: DerivedCouplings, p: PhysicalParams, times, form="closed"
-) -> VisibilityTrace:
+def visibility_first_order(dc: DerivedCouplings, p: PhysicalParams, times) -> VisibilityTrace:
     """Visibility of the rod-m cavity with the gravitational coupling treated
     to first order: V1(t) = exp(-lam_m**2*(1-cos(omega_a*t))) * |1 + i*x(t)|.
 
@@ -262,20 +261,17 @@ def visibility_first_order(
     the state correction is first order.
     """
     times = _check_times(times)
-    x = first_order_bracket(dc, p, times, form=form)
+    x = first_order_bracket(dc, p, times)
     envelope = np.exp(-(dc.lambda_m**2) * (1.0 - np.cos(dc.omega_a * times)))
-    method = METHOD_FIRST_ORDER_CLOSED if form == "closed" else METHOD_FIRST_ORDER_INTEGRAL
     return VisibilityTrace(
         times=times,
         values=envelope * np.hypot(1.0, x),
-        method=method,
-        params_fingerprint=_trace_fingerprint(dc, p, {"form": form}),
+        method=METHOD_FIRST_ORDER_CLOSED,
+        params_fingerprint=_trace_fingerprint(dc, p, {"form": "closed"}),
     )
 
 
-def visibility_shift(
-    dc: DerivedCouplings, p: PhysicalParams, times, form="closed"
-) -> VisibilityTrace:
+def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> VisibilityTrace:
     """Gravitational change of the rod-m visibility pattern, V1 - V0.
 
     The reference V0 is the fully uncoupled pattern (couplings re-derived
@@ -285,14 +281,14 @@ def visibility_shift(
     correction remains.
     """
     times = _check_times(times)
-    v1 = visibility_first_order(dc, p, times, form=form)
+    v1 = visibility_first_order(dc, p, times)
     dc0 = derive_couplings(without_gravity(p)) if p.units == UNITS_SI else dc
     v0 = visibility_uncoupled(dc0, p, "m", times)
     return VisibilityTrace(
         times=times,
         values=v1.values - v0.values,
-        method=METHOD_SHIFT_PREFIX + form,
-        params_fingerprint=_trace_fingerprint(dc, p, {"shift_form": form}),
+        method=METHOD_SHIFT_PREFIX + "closed",
+        params_fingerprint=_trace_fingerprint(dc, p, {"shift_form": "closed"}),
     )
 
 
@@ -337,7 +333,6 @@ def linear_entropy_first_order(
     p: PhysicalParams,
     t: float,
     spec=None,
-    quadrature=None,
 ) -> float:
     """Perturbative linear entropy between the two rod-cavity systems.
 
@@ -348,8 +343,8 @@ def linear_entropy_first_order(
     operator algebra runs on the truncated Fock space supplied by the
     exact-propagation layer.
 
-    Non-negative up to quadrature tolerance (it is 2*gamma**2 times a
-    squared norm); agrees with the exact propagated entropy through second
+    Non-negative by construction (it is 2*gamma**2 times a squared norm,
+    evaluated as one); agrees with the exact propagated entropy through second
     order in gamma.
     """
     if t < 0:
@@ -358,7 +353,5 @@ def linear_entropy_first_order(
         return 0.0
     from . import oracle
 
-    coefficient, _diag = oracle.entropy_expectations(
-        dc, p, spec=spec, t=t, quadrature=quadrature
-    )
+    coefficient, _diag = oracle.entropy_expectations(dc, p, spec=spec, t=t)
     return 2.0 * dc.gamma**2 * coefficient

@@ -8,7 +8,7 @@ verification suite), ``feasibility`` (quality-factor/temperature frontier),
 Monte-Carlo average).
 
 Exit codes: 0 success, 1 user/config error, 2 tolerance failure,
-3 numerical non-convergence.  Every output embeds a provenance header
+3 numerical failure.  Every output embeds a provenance header
 (config fingerprint, seed, version) and identical inputs reproduce
 byte-identical files.
 """
@@ -27,10 +27,9 @@ from ._version import __version__
 from .config import fingerprint_params, load_params, load_scan_plan
 from .errors import (
     ConfigError,
-    DegenerateFrequencyError,
     DimensionLimitError,
+    NumericalError,
     ParameterError,
-    QuadratureError,
     ToleranceError,
     TruncationError,
 )
@@ -43,8 +42,8 @@ from .params import (
     without_gravity,
 )
 
-_USER_ERRORS = (ConfigError, ParameterError, DegenerateFrequencyError)
-_NUMERICAL_ERRORS = (TruncationError, QuadratureError, DimensionLimitError, np.linalg.LinAlgError)
+_USER_ERRORS = (ConfigError, ParameterError)
+_NUMERICAL_ERRORS = (TruncationError, NumericalError, DimensionLimitError, np.linalg.LinAlgError)
 
 #: Verification tolerances used by the ``oracle`` subcommand.
 EQUIVALENCE_TOL = 1e-8

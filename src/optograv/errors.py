@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit-code contract:
 user/config problems -> 1, tolerance failures -> 2, numerical
-non-convergence (truncation, quadrature, eigensolver) -> 3.
+failures (inadequate truncation, dimension guard, lost norm, eigensolver)
+-> 3.
 """
 
 
@@ -18,11 +19,6 @@ class ParameterError(OptogravError):
     """Physically invalid parameter value; message names the offending field."""
 
 
-class DegenerateFrequencyError(OptogravError):
-    """Closed-form first-order visibility requested at (near-)equal mode
-    frequencies; the quadrature form handles that regime."""
-
-
 class DimensionLimitError(OptogravError):
     """Requested Hilbert-space dimension exceeds the desk-scale guard."""
 
@@ -35,8 +31,9 @@ class TruncationError(OptogravError):
         self.suggested_n_max = suggested_n_max
 
 
-class QuadratureError(OptogravError):
-    """Time-integral refinement failed to converge; carries diagnostics."""
+class NumericalError(OptogravError):
+    """A numerical invariant failed (e.g. propagation lost the state's norm);
+    carries the measured values in ``diagnostics``."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -18,20 +18,13 @@ from both routes are directly comparable.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic
 from .constants import HBAR
-from .errors import (
-    DimensionLimitError,
-    OptogravError,
-    ParameterError,
-    QuadratureError,
-    TruncationError,
-)
+from .errors import DimensionLimitError, NumericalError, ParameterError, TruncationError
 from .params import DerivedCouplings, PhysicalParams, derive_couplings
 
 LABELS = ("photon_c", "photon_d", "mode_a", "mode_b")
@@ -43,16 +36,6 @@ MAX_TOTAL_DIM = 2**16
 TAIL_TOL = 1e-12
 
 _NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre refinement policy: double the node count until two
-    successive results agree to ``rel_tol``, give up at ``max_nodes``."""
-
-    start_nodes: int = 32
-    max_nodes: int = 4096
-    rel_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -320,6 +303,16 @@ def build_hamiltonian(
     ).full()
 
 
+def _check_norm(psi0: StateVector, state: StateVector):
+    before, after = psi0.norm(), state.norm()
+    if abs(after - before) > _NORM_TOL:
+        raise NumericalError(
+            f"propagation failed to preserve the norm to {_NORM_TOL:g}: "
+            f"{before!r} before, {after!r} after",
+            diagnostics={"norm_before": before, "norm_after": after, "time": state.time},
+        )
+
+
 class Propagator:
     """exp(-i*H*t) evaluator from one eigendecomposition per sector block.
 
@@ -354,8 +347,7 @@ class Propagator:
                 self.spec.dim_a, self.spec.dim_b
             )
         state = StateVector(amplitudes=out.reshape(-1), spec=self.spec, time=t)
-        if abs(state.norm() - psi0.norm()) > _NORM_TOL:
-            raise OptogravError("propagation failed to preserve the norm to 1e-10")
+        _check_norm(psi0, state)
         return state
 
 
@@ -374,8 +366,7 @@ def propagate(H: np.ndarray, psi0: StateVector, t: float, hbar: float = HBAR) ->
     w, v = np.linalg.eigh(H / hbar)
     amp = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.amplitudes))
     state = StateVector(amplitudes=amp, spec=psi0.spec, time=t)
-    if abs(state.norm() - psi0.norm()) > _NORM_TOL:
-        raise OptogravError("propagation failed to preserve the norm to 1e-10")
+    _check_norm(psi0, state)
     return state
 
 
@@ -454,52 +445,27 @@ def _axes_for(labels) -> list[int]:
     return axes
 
 
-def reduce(state, keep) -> DensityMatrix:
-    """Partial trace onto the subsystems named in ``keep``.
+def reduce(state: StateVector, keep) -> DensityMatrix:
+    """Partial trace of a pure state onto the subsystems named in ``keep``.
 
-    Accepts a :class:`StateVector` or a :class:`DensityMatrix` over the full
-    space.  ``keep`` must be a non-empty proper subset of the four labels;
-    the result's row ordering follows the fixed tensor order.
+    ``keep`` must be a non-empty proper subset of the four labels; the
+    result's row ordering follows the fixed tensor order.
     """
+    if not isinstance(state, StateVector):
+        raise ParameterError(f"can only reduce a StateVector, got {type(state).__name__}")
     keep = tuple(keep)
     axes = _axes_for(keep)
     if not axes or len(axes) == len(LABELS):
         raise ParameterError("keep must be a non-empty proper subset of the subsystems")
     order = sorted(axes)
     ordered_labels = tuple(LABELS[i] for i in order)
-    if isinstance(state, StateVector):
-        dims = state.spec.dims
-        rest = [i for i in range(4) if i not in order]
-        tensor = state.as_tensor().transpose(order + rest)
-        keep_dim = int(np.prod([dims[i] for i in order]))
-        mat = tensor.reshape(keep_dim, -1)
-        rho = mat @ mat.conj().T
-        return DensityMatrix(matrix=rho, subsystem_labels=ordered_labels)
-    if isinstance(state, DensityMatrix):
-        if state.subsystem_labels != LABELS:
-            raise ParameterError("can only reduce a density matrix over the full space")
-        dims = None
-        side = state.matrix.shape[0]
-        # Infer mode dimensions: 4 * d_a * d_b with the qubits fixed.
-        rest_dim = side // 4
-        root = int(round(math.sqrt(rest_dim)))
-        if 4 * root * root != side:
-            raise ParameterError("cannot infer mode dimensions from a non-square layout")
-        dims = (2, 2, root, root)
-        tensor = state.matrix.reshape(dims + dims)
-        letters = "abcdefgh"
-        row = list(letters[:4])
-        col = list(letters[4:8])
-        for i in range(4):
-            if i not in order:
-                col[i] = row[i]
-        out_rows = "".join(row[i] for i in order)
-        out_cols = "".join(col[i] for i in order)
-        subscript = "".join(row) + "".join(col) + "->" + out_rows + out_cols
-        keep_dim = int(np.prod([dims[i] for i in order]))
-        rho = np.einsum(subscript, tensor).reshape(keep_dim, keep_dim)
-        return DensityMatrix(matrix=rho, subsystem_labels=ordered_labels)
-    raise ParameterError(f"cannot reduce object of type {type(state).__name__}")
+    dims = state.spec.dims
+    rest = [i for i in range(4) if i not in order]
+    tensor = state.as_tensor().transpose(order + rest)
+    keep_dim = int(np.prod([dims[i] for i in order]))
+    mat = tensor.reshape(keep_dim, -1)
+    rho = mat @ mat.conj().T
+    return DensityMatrix(matrix=rho, subsystem_labels=ordered_labels)
 
 
 def off_diagonal_exact(psi: StateVector, cavity: str = "c") -> complex:
@@ -537,14 +503,18 @@ def linear_entropy_exact(psi: StateVector, system1=("photon_c", "mode_a")) -> fl
     return float(1.0 - np.sum(s**4))
 
 
-def _mode_factor(dim, lam, omega, s, occupancy):
-    """e^{i*omega*s} a^dag + e^{-i*omega*s} a + 2*lam*occupancy*(1-cos(omega*s))."""
+def _mode_operators(dim: int) -> np.ndarray:
+    """The operators (a^dag, a, 1) that index the rows of a coefficient table
+    (:func:`analytic.mode_factor_coefficients`), stacked as (3, dim, dim)."""
     a = destroy_op(dim)
+    return np.stack([a.T, a, np.eye(dim)])
+
+
+def _mode_factor(ops, lam, omega, s, bit):
+    """One mode's frame-rotated coupling factor at time offset s."""
     phase = complex(math.cos(omega * s), math.sin(omega * s))
-    out = phase * a.T + np.conj(phase) * a
-    if occupancy:
-        out = out + (2.0 * lam * occupancy * (1.0 - math.cos(omega * s))) * np.eye(dim)
-    return out
+    exponentials = np.array([np.conj(phase), 1.0, phase])
+    return np.tensordot(analytic.mode_factor_coefficients(lam, bit) @ exponentials, ops, 1)
 
 
 def interaction_generator_closed(
@@ -552,12 +522,9 @@ def interaction_generator_closed(
 ) -> SectorOperator:
     """Closed-form frame-rotated coupling generator at time offset s,
     stripped of the hbar*gamma prefactor (it factors out exactly)."""
-    factors_a = {
-        p_bit: _mode_factor(spec.dim_a, dc.lambda_m, dc.omega_a, s, p_bit) for p_bit in (0, 1)
-    }
-    factors_b = {
-        q_bit: _mode_factor(spec.dim_b, dc.lambda_M, dc.omega_b, s, q_bit) for q_bit in (0, 1)
-    }
+    ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
+    factors_a = {bit: _mode_factor(ops_a, dc.lambda_m, dc.omega_a, s, bit) for bit in (0, 1)}
+    factors_b = {bit: _mode_factor(ops_b, dc.lambda_M, dc.omega_b, s, bit) for bit in (0, 1)}
     blocks = {
         (p_bit, q_bit): np.kron(factors_a[p_bit], factors_b[q_bit])
         for p_bit, q_bit in _SECTORS
@@ -632,9 +599,17 @@ def interaction_picture_check(
     return InteractionPictureResidual(dc, p, spec, margin=margin).residual(t)
 
 
-def _legendre_nodes(t: float, nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * t * (x + 1.0), 0.5 * t * w
+def _integrated_coefficients(dc: DerivedCouplings, t: float) -> dict:
+    """Per sector (p, q), the 3x3 coefficients M[i, j] of O_i (x) O_j, with O
+    the operators (a^dag, a, 1), in the time integral over s in [-t, 0] of
+    the gamma-stripped frame-rotated coupling generator."""
+    weights = analytic.exponential_integrals(dc.omega_a, dc.omega_b, t)
+    tables_a = [analytic.mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)]
+    tables_b = [analytic.mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)]
+    return {
+        (p_bit, q_bit): tables_a[p_bit] @ weights @ tables_b[q_bit].T
+        for p_bit, q_bit in _SECTORS
+    }
 
 
 def dyson_first_order_state(
@@ -642,67 +617,25 @@ def dyson_first_order_state(
     p: PhysicalParams,
     spec: HilbertSpec,
     t: float,
-    quadrature: QuadratureSpec | None = None,
 ) -> StateVector:
     """First-order state correction: psi_exact(t) ~ psi0(t) + correction + O(gamma^2).
 
     correction = -i*gamma * integral over t' in [0, t] of the frame-rotated
     coupling generator at offset t'-t applied to the gravity-free state
-    psi0(t).  Linear in gamma by construction.  Gauss-Legendre with node
-    doubling; raises :class:`QuadratureError` if two refinements keep
-    disagreeing at ``max_nodes``.
+    psi0(t).  Linear in gamma by construction; the time integral is exact.
     """
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t!r}")
-    quadrature = quadrature or QuadratureSpec()
-    base = closed_form_state(dc, p, spec, t)
-    tensor = base.as_tensor()
-    a_dag_a = destroy_op(spec.dim_a).T
-    a_a = destroy_op(spec.dim_a)
-    a_dag_b = destroy_op(spec.dim_b).T
-    a_b = destroy_op(spec.dim_b)
-
-    def accumulate(nodes: int) -> np.ndarray:
-        points, weights = _legendre_nodes(t, nodes)
-        acc = np.zeros(spec.dims, dtype=complex)
-        for tp, wk in zip(points, weights):
-            s = tp - t
-            phase_a = complex(math.cos(dc.omega_a * s), math.sin(dc.omega_a * s))
-            phase_b = complex(math.cos(dc.omega_b * s), math.sin(dc.omega_b * s))
-            fa = {
-                p_bit: phase_a * a_dag_a
-                + np.conj(phase_a) * a_a
-                + (2.0 * dc.lambda_m * p_bit * (1.0 - math.cos(dc.omega_a * s)))
-                * np.eye(spec.dim_a)
-                for p_bit in (0, 1)
-            }
-            fb = {
-                q_bit: phase_b * a_dag_b
-                + np.conj(phase_b) * a_b
-                + (2.0 * dc.lambda_M * q_bit * (1.0 - math.cos(dc.omega_b * s)))
-                * np.eye(spec.dim_b)
-                for q_bit in (0, 1)
-            }
-            for p_bit, q_bit in _SECTORS:
-                acc[p_bit, q_bit] += wk * (fa[p_bit] @ tensor[p_bit, q_bit] @ fb[q_bit].T)
-        return acc
-
-    nodes = quadrature.start_nodes
-    current = accumulate(nodes)
-    while True:
-        nodes *= 2
-        refined = accumulate(nodes)
-        delta = float(np.linalg.norm(refined - current))
-        scale = float(np.linalg.norm(refined))
-        if delta <= quadrature.rel_tol * max(scale, 1e-300) or scale == 0.0:
-            break
-        if nodes >= quadrature.max_nodes:
-            raise QuadratureError(
-                f"first-order correction did not converge at {nodes} nodes",
-                diagnostics={"nodes": nodes, "delta": delta, "norm": scale},
-            )
-        current = refined
-    amp = (-1j * dc.gamma) * refined.reshape(-1)
+    tensor = closed_form_state(dc, p, spec, t).as_tensor()
+    ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
+    coefficients = _integrated_coefficients(dc, t)
+    out = np.empty(spec.dims, dtype=complex)
+    for p_bit, q_bit in _SECTORS:
+        # sum_ij M[i, j] O_i X O_j^T for the sector's (dim_a, dim_b) amplitudes X.
+        left = np.einsum("ij,iab,bc->jac", coefficients[(p_bit, q_bit)], ops_a,
+                         tensor[p_bit, q_bit])
+        out[p_bit, q_bit] = np.einsum("jac,jdc->ad", left, ops_b)
+    amp = (-1j * dc.gamma) * out.reshape(-1)
     return StateVector(amplitudes=amp, spec=spec, time=t)
 
 
@@ -723,103 +656,57 @@ def _system_branches(dc, p, spec, t):
     return sys1, sys2
 
 
+def _projected_family(branches, ops) -> np.ndarray:
+    """Columns |bit> (x) O_i branches[bit] of one system, bit-major over
+    bit in (0, 1) and O_i in ``ops``, projected orthogonal to the system's
+    own state sum_bit |bit> (x) branches[bit]."""
+    dim = ops.shape[1]
+    family = np.zeros((2 * dim, 6), dtype=complex)
+    for bit in (0, 1):
+        family[bit * dim : (bit + 1) * dim, 3 * bit : 3 * bit + 3] = (ops @ branches[bit]).T
+    psi = np.concatenate(branches)
+    return family - np.outer(psi, psi.conj() @ family)
+
+
 def entropy_expectations(
     dc: DerivedCouplings,
     p: PhysicalParams,
     t: float,
     spec: HilbertSpec | None = None,
-    quadrature: QuadratureSpec | None = None,
 ) -> tuple[float, dict]:
     """Entangling coefficient of the first-order perturbation.
 
     With A the gamma-stripped, Hermitian time integral of the frame-rotated
-    coupling generator and psi = psi_1 x psi_2 the gravity-free product
-    state at time t, returns
+    coupling generator, psi = psi_1 x psi_2 the gravity-free product state
+    at time t and P_k the projector onto psi_k, returns
 
-        ||A psi||^2 - ||<psi_2|A|psi_2> psi_1||^2
-                    - ||<psi_1|A|psi_1> psi_2||^2 + <A>^2,
+        ||(1 - P_1)(1 - P_2) A psi||^2,
 
     the squared norm of the component of A*psi orthogonal to both pure
     factors.  Only that doubly-orthogonal component entangles: the partial
     expectations move a single subsystem and the mean is a phase.  Dropping
     the system-1 projection (tempting, since the reduced state of system 1
-    is the target) overestimates the entropy at leading order.  Node count
-    doubles until the coefficient is stable to ``rel_tol`` (default 1e-6).
+    is the target) overestimates the entropy at leading order.
+
+    A*psi = sum K[(p, i), (q, j)] u_(p,i) (x) v_(q,j) with u_(p,i) =
+    |p> (x) O_i psi_1[p] (O in (a^dag, a, 1)), likewise v, and K the 6x6
+    integrated sector coefficients; the projected vector is therefore
+    U K V^T with the projected families U and V, and its squared Frobenius
+    norm is non-negative by construction.  The integral is exact, so the
+    returned diagnostics report zero quadrature nodes.
     """
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t!r}")
     if spec is None:
         spec = default_spec(p, dc)
-    quadrature = quadrature or QuadratureSpec(rel_tol=1e-6)
     sys1, sys2 = _system_branches(dc, p, spec, t)
-    a_dag_a = destroy_op(spec.dim_a).T
-    a_a = destroy_op(spec.dim_a)
-    a_dag_b = destroy_op(spec.dim_b).T
-    a_b = destroy_op(spec.dim_b)
-
-    def coefficient(nodes: int):
-        points, weights = _legendre_nodes(t, nodes)
-        full = {key: np.zeros((spec.dim_a, spec.dim_b), dtype=complex) for key in _SECTORS}
-        part1 = [np.zeros(spec.dim_a, dtype=complex) for _ in (0, 1)]
-        part2 = [np.zeros(spec.dim_b, dtype=complex) for _ in (0, 1)]
-        mean = 0.0
-        for tp, wk in zip(points, weights):
-            s = tp - t
-            phase_a = complex(math.cos(dc.omega_a * s), math.sin(dc.omega_a * s))
-            phase_b = complex(math.cos(dc.omega_b * s), math.sin(dc.omega_b * s))
-            fa_vecs, fb_vecs = {}, {}
-            g_a = 0.0
-            for p_bit in (0, 1):
-                shift = 2.0 * dc.lambda_m * p_bit * (1.0 - math.cos(dc.omega_a * s))
-                fa_vecs[p_bit] = (
-                    phase_a * (a_dag_a @ sys1[p_bit])
-                    + np.conj(phase_a) * (a_a @ sys1[p_bit])
-                    + shift * sys1[p_bit]
-                )
-                g_a += np.vdot(sys1[p_bit], fa_vecs[p_bit]).real
-            g_b = 0.0
-            for q_bit in (0, 1):
-                shift = 2.0 * dc.lambda_M * q_bit * (1.0 - math.cos(dc.omega_b * s))
-                fb_vecs[q_bit] = (
-                    phase_b * (a_dag_b @ sys2[q_bit])
-                    + np.conj(phase_b) * (a_b @ sys2[q_bit])
-                    + shift * sys2[q_bit]
-                )
-                g_b += np.vdot(sys2[q_bit], fb_vecs[q_bit]).real
-            for p_bit, q_bit in _SECTORS:
-                full[(p_bit, q_bit)] += wk * np.outer(fa_vecs[p_bit], fb_vecs[q_bit])
-            for p_bit in (0, 1):
-                part1[p_bit] += (wk * g_b) * fa_vecs[p_bit]
-            for q_bit in (0, 1):
-                part2[q_bit] += (wk * g_a) * fb_vecs[q_bit]
-            mean += wk * g_a * g_b
-        norm_full = sum(float(np.sum(np.abs(block) ** 2)) for block in full.values())
-        norm_part1 = sum(float(np.sum(np.abs(vec) ** 2)) for vec in part1)
-        norm_part2 = sum(float(np.sum(np.abs(vec) ** 2)) for vec in part2)
-        return norm_full - norm_part1 - norm_part2 + mean * mean, norm_full
-
-    nodes = quadrature.start_nodes
-    coeff, scale = coefficient(nodes)
-    while True:
-        nodes *= 2
-        coeff_new, scale_new = coefficient(nodes)
-        delta = abs(coeff_new - coeff)
-        # The coefficient is a difference of like-sized norms; once the
-        # change drops below the cancellation floor of that difference the
-        # refinement has converged for all practical purposes.
-        floor = max(quadrature.rel_tol * abs(coeff_new), 1e-14 * abs(scale_new))
-        if delta <= floor or (scale_new == 0.0 and delta == 0.0):
-            return float(coeff_new), {
-                "nodes": nodes,
-                "delta": float(delta),
-                "scale": float(scale_new),
-            }
-        if nodes >= quadrature.max_nodes:
-            raise QuadratureError(
-                f"entropy quadrature did not converge at {nodes} nodes",
-                diagnostics={"nodes": nodes, "delta": delta, "coefficient": coeff_new},
-            )
-        coeff, scale = coeff_new, scale_new
+    coupling = np.zeros((6, 6), dtype=complex)
+    for (p_bit, q_bit), block in _integrated_coefficients(dc, t).items():
+        coupling[3 * p_bit : 3 * p_bit + 3, 3 * q_bit : 3 * q_bit + 3] = block
+    u = _projected_family(sys1, _mode_operators(spec.dim_a))
+    v = _projected_family(sys2, _mode_operators(spec.dim_b))
+    coefficient = float(np.linalg.norm(u @ coupling @ v.T)) ** 2
+    return coefficient, {"nodes": 0}
 
 
 def thermal_visibility_montecarlo(
@@ -874,31 +761,3 @@ def thermal_visibility_montecarlo(
     resampled = 2.0 * np.abs(elements[indices].mean(axis=1))
     std_error = float(resampled.std(ddof=1))
     return float(mean_vis), std_error
-
-
-_MATRIX_MAGIC = b"OGMX"
-
-
-def dump_matrix(path, matrix: np.ndarray):
-    """Write a matrix as: magic "OGMX", rows and cols as little-endian
-    uint64, then row-major (real, imag) little-endian float64 pairs."""
-    m = np.ascontiguousarray(np.asarray(matrix, dtype=complex))
-    if m.ndim != 2:
-        raise ParameterError("dump_matrix expects a 2-d matrix")
-    interleaved = np.empty((m.shape[0], m.shape[1], 2), dtype="<f8")
-    interleaved[:, :, 0] = m.real
-    interleaved[:, :, 1] = m.imag
-    with open(path, "wb") as fh:
-        fh.write(_MATRIX_MAGIC)
-        fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        fh.write(interleaved.tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MATRIX_MAGIC:
-            raise ParameterError(f"not a matrix container: bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, cols, 2)
-        return (data[:, :, 0] + 1j * data[:, :, 1]).astype(complex)

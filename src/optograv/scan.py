@@ -218,11 +218,6 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         diagnostics["truncation_delta"] = abs(
             oracle.visibility_exact(state, "c") - oracle.visibility_exact(psi_big, "c")
         )
-        if dc.gamma != 0.0 and t > 0.0:
-            _, quad_diag = oracle.entropy_expectations(dc, p, t, spec=spec)
-            diagnostics["quadrature_delta"] = 2.0 * dc.gamma**2 * quad_diag["delta"]
-        else:
-            diagnostics["quadrature_delta"] = 0.0
     return values, diagnostics
 
 
@@ -235,9 +230,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     produce byte-identical emissions.
     """
     axis_names = tuple(name for name, _ in plan.axes)
-    diagnostic_names = ("error",) + (
-        ("truncation_delta", "quadrature_delta") if plan.oracle_enabled else ()
-    )
+    diagnostic_names = ("error",) + (("truncation_delta",) if plan.oracle_enabled else ())
     rows = []
     value_lists = [values for _, values in plan.axes]
     for combo in itertools.product(*value_lists):
@@ -396,22 +389,14 @@ class ConvergenceReport:
     times: tuple
     visibility_table: dict
     max_visibility_delta: float
-    entropy_quadrature_delta: float
-    entropy_nodes: int
     passed: bool
 
 
-def convergence_audit(
-    p: PhysicalParams,
-    n_max_ladder,
-    times=None,
-    entropy_time: float | None = None,
-) -> ConvergenceReport:
-    """Re-evaluate the headline observables on a truncation ladder.
+def convergence_audit(p: PhysicalParams, n_max_ladder, times=None) -> ConvergenceReport:
+    """Re-evaluate the exact visibility on a truncation ladder.
 
     Reports the largest change of the exact visibility between successive
-    truncations (pass threshold 1e-9) and the final node-doubling change of
-    the perturbative-entropy quadrature (threshold 1e-8).
+    truncations (pass threshold 1e-9).
     """
     n_max_ladder = tuple(int(n) for n in n_max_ladder)
     if len(n_max_ladder) < 2 or any(b <= a for a, b in zip(n_max_ladder, n_max_ladder[1:])):
@@ -435,21 +420,10 @@ def convergence_audit(
         for a, b in zip(table[lo], table[hi])
     ]
     max_delta = max(deltas)
-    if entropy_time is None:
-        entropy_time = 0.75 * period
-    if dc.gamma != 0.0 and entropy_time > 0.0:
-        spec = oracle.HilbertSpec(n_max_ladder[-1], n_max_ladder[-1])
-        _, diag = oracle.entropy_expectations(dc, p, entropy_time, spec=spec)
-        quad_delta = 2.0 * dc.gamma**2 * diag["delta"]
-        quad_nodes = diag["nodes"]
-    else:
-        quad_delta, quad_nodes = 0.0, 0
     return ConvergenceReport(
         n_max_ladder=n_max_ladder,
         times=times,
         visibility_table=table,
         max_visibility_delta=max_delta,
-        entropy_quadrature_delta=quad_delta,
-        entropy_nodes=quad_nodes,
-        passed=(max_delta < 1e-9) and (quad_delta < 1e-8),
+        passed=max_delta < 1e-9,
     )

@@ -1,6 +1,7 @@
 """Closed-form trajectories, visibility patterns, thermal law, entropy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import optograv as og
 from optograv import oracle
-from optograv.errors import DegenerateFrequencyError, ParameterError, QuadratureError
+from optograv.errors import ParameterError
 
 from test_params import VISIBILITY_MINIMUM
 
@@ -104,50 +105,53 @@ class TestVisibilityFirstOrder:
         assert np.array_equal(first, plain)
 
     def test_closed_and_integral_forms_agree(self):
+        """The exact bracket against adaptive quadrature of its integral,
+        over random couplings including complex beta_M and near-equal
+        frequencies."""
+        from scipy.integrate import IntegrationWarning, quad
+
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(200):
             p = og.dimensionless_params(
                 gamma=rng.uniform(-0.05, 0.05),
                 omega_a=rng.uniform(0.5, 2.0),
-                omega_b=rng.uniform(0.5, 2.0) * rng.uniform(0.3, 0.9),
+                omega_b=rng.uniform(0.5, 2.0) * rng.uniform(0.3, 1.0),
                 lambda_m=rng.uniform(0.0, 1.0),
                 lambda_M=rng.uniform(0.0, 1.0),
                 beta_m=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                beta_M=complex(rng.uniform(-2, 2)),
+                beta_M=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
             )
             dc = og.derive_couplings(p)
-            if abs(dc.omega_a - dc.omega_b) < 0.05 * dc.omega_a:
-                continue
             t = rng.uniform(0.1, 15.0)
-            closed = og.visibility_first_order(dc, p, [t], form="closed").values[0]
-            integral = og.visibility_first_order(dc, p, [t], form="integral").values[0]
+
+            def integrand(u):
+                envelope = 1.0 - math.cos(dc.omega_a * (u - t))
+                drive = 2.0 * (p.beta_M * np.exp(-1j * dc.omega_b * u)).real
+                return envelope * (drive + dc.lambda_M * (1.0 - math.cos(dc.omega_b * u)))
+
+            with warnings.catch_warnings():
+                # Near-zero integrals trip quad's roundoff heuristic; the
+                # absolute tolerance is already at the precision floor.
+                warnings.simplefilter("ignore", IntegrationWarning)
+                x = 2.0 * dc.gamma * dc.lambda_m * quad(
+                    integrand, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=400
+                )[0]
+            envelope = math.exp(-(dc.lambda_m**2) * (1.0 - math.cos(dc.omega_a * t)))
+            integral = envelope * math.hypot(1.0, x)
+            closed = og.visibility_first_order(dc, p, [t]).values[0]
             worst = max(worst, abs(closed - integral) / abs(integral))
         assert worst < 1e-10
-
-    def test_closed_form_refuses_degenerate_frequencies(self):
-        p = og.dimensionless_params(gamma=1e-3, omega_a=1.0, omega_b=1.0)
-        dc = og.derive_couplings(p)
-        with pytest.raises(DegenerateFrequencyError, match="integral"):
-            og.visibility_first_order(dc, p, [1.0], form="closed")
 
     def test_integral_form_brackets_degenerate_limit(self):
         values = {}
         for eps in (-1e-6, 0.0, 1e-6):
             p = og.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0 + eps)
             dc = og.derive_couplings(p)
-            values[eps] = og.visibility_first_order(dc, p, [7.3], form="integral").values[0]
+            values[eps] = og.visibility_first_order(dc, p, [7.3]).values[0]
         assert all(math.isfinite(v) for v in values.values())
         lo, hi = sorted((values[-1e-6], values[1e-6]))
         assert lo - 1e-12 <= values[0.0] <= hi + 1e-12
-
-    def test_closed_form_refuses_complex_beta(self):
-        p = og.dimensionless_params(gamma=1e-3, beta_M=1.0 + 0.5j)
-        dc = og.derive_couplings(p)
-        with pytest.raises(ParameterError, match="integral"):
-            og.visibility_first_order(dc, p, [1.0], form="closed")
-        value = og.visibility_first_order(dc, p, [1.0], form="integral").values[0]
-        assert math.isfinite(value)
 
     def test_magnitude_shift_scales_as_gamma_squared(self):
         t = 9.1
@@ -255,15 +259,6 @@ class TestLinearEntropyFirstOrder:
         for frac in (0.2, 0.5, 0.8, 1.0):
             s = og.linear_entropy_first_order(dc, p, frac * period_of(dc), spec=spec)
             assert s >= -1e-12
-
-    def test_quadrature_failure_is_reported(self, boosted_params, boosted_couplings):
-        quadrature = og.QuadratureSpec(start_nodes=1, max_nodes=2, rel_tol=1e-14)
-        with pytest.raises(QuadratureError) as excinfo:
-            og.linear_entropy_first_order(
-                boosted_couplings, boosted_params, 11.0,
-                spec=og.HilbertSpec(16, 16), quadrature=quadrature,
-            )
-        assert "nodes" in excinfo.value.diagnostics
 
 
 class TestVisibilityTrace:

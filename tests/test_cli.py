@@ -1,10 +1,13 @@
 """End-to-end subcommand behaviour, exit codes, and output determinism."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from optograv import oracle
 from optograv.cli import main
 
 from test_params import T_MAX_AT_Q1E7, VISIBILITY_MINIMUM
@@ -147,6 +150,20 @@ class TestOracleCommand:
         assert code == 3
         assert "tail mass" in err
 
+    def test_lost_norm_exits_numerical(self, capsys, monkeypatch, reference_config):
+        build = oracle.Propagator.__init__
+
+        def corrupted(self, op):
+            build(self, op)
+            self._eigs = {key: (w, 1.5 * v) for key, (w, v) in self._eigs.items()}
+
+        monkeypatch.setattr(oracle.Propagator, "__init__", corrupted)
+        code, _, err = run(capsys, "oracle", "--params", str(reference_config),
+                           "--n-max", "30", "--equivalence-points", "2",
+                           "--residual-times", "1")
+        assert code == 3
+        assert "norm" in err
+
     def test_passes_at_adequate_truncation(self, capsys, reference_config):
         code, out, _ = run(capsys, "oracle", "--params", str(reference_config),
                            "--n-max", "30", "--equivalence-points", "8",
@@ -261,3 +278,10 @@ class TestDeterminism:
                          "0.5", "--mc-samples", "500", "--seed", "9",
                          "--out", str(out)]) == 0
         assert th_a.read_bytes() == th_b.read_bytes()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, optograv.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

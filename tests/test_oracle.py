@@ -201,19 +201,19 @@ class TestReduceAndMeasures:
         purity = og.reduce(psi, ["photon_c"]).purity()
         assert purity == pytest.approx((1.0 + v * v) / 2.0, rel=1e-10)
 
-    def test_density_matrix_route_matches_state_route(self):
-        p, dc, spec = small_setup(gamma=1e-2, n_max=16)
-        psi = og.Propagator(oracle.hamiltonian_blocks(dc, p, spec)).evolve(
-            og.initial_state(p, spec), 2.0
-        )
+    def test_reduce_takes_state_vectors_only(self):
+        spec = og.HilbertSpec(3, 8)
+        p = og.dimensionless_params(gamma=1e-2, lambda_m=0.0, lambda_M=0.0,
+                                    beta_m=0.0, beta_M=0.0)
+        psi = og.initial_state(p, spec)
+        assert og.reduce(psi, ["mode_a"]).matrix.shape == (4, 4)
+        assert og.reduce(psi, ["photon_c", "mode_b"]).matrix.shape == (18, 18)
         full = oracle.DensityMatrix(
             matrix=np.outer(psi.amplitudes, psi.amplitudes.conj()),
             subsystem_labels=oracle.LABELS,
         )
-        for keep in (["photon_c"], ["photon_c", "mode_a"], ["mode_a", "mode_b"]):
-            a = og.reduce(psi, keep).matrix
-            b = og.reduce(full, keep).matrix
-            assert np.allclose(a, b, atol=1e-12)
+        with pytest.raises(ParameterError, match="StateVector"):
+            og.reduce(full, ["mode_a"])
 
     def test_reduce_rejects_bad_labels(self):
         p, dc, spec = small_setup(beta_m=0.0, beta_M=0.0, n_max=4)
@@ -362,23 +362,6 @@ class TestThermalMonteCarlo:
         with pytest.raises(ParameterError):
             og.thermal_visibility_montecarlo(ref_couplings, ref_params, None, 1.0,
                                              1e-3, 50, seed=1)
-
-
-class TestMatrixContainer:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        matrix = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-        path = tmp_path / "matrix.ogmx"
-        oracle.dump_matrix(path, matrix)
-        loaded = oracle.load_matrix(path)
-        assert loaded.shape == (5, 7)
-        assert np.array_equal(loaded, matrix)
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.ogmx"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ParameterError):
-            oracle.load_matrix(path)
 
 
 class TestClosedFormState:
