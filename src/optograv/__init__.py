@@ -45,13 +45,11 @@ from .oracle import (
     HilbertSpec,
     Propagator,
     StateVector,
-    build_hamiltonian,
     closed_form_state,
     dyson_first_order_state,
     initial_state,
     interaction_picture_check,
     linear_entropy_exact,
-    propagate,
     reduce,
     thermal_visibility_montecarlo,
     visibility_exact,
@@ -90,10 +88,8 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "Propagator",
-    "build_hamiltonian",
     "initial_state",
     "closed_form_state",
-    "propagate",
     "reduce",
     "visibility_exact",
     "linear_entropy_exact",

@@ -71,9 +71,9 @@ def _add_common(sub, time_grid=False):
         help="override the config's units mode (must match the derived keys)",
     )
     if time_grid:
-        sub.add_argument("--t-start", type=float, default=0.0)
+        sub.add_argument("--t-start", type=float, default=None, help="default: 0")
         sub.add_argument("--t-stop", type=float, default=None, help="default: 3 periods")
-        sub.add_argument("--t-points", type=int, default=2048)
+        sub.add_argument("--t-points", type=int, default=None, help="default: 2048")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,9 +162,9 @@ def _csv_text(provenance: dict, header: list, rows: list) -> str:
 
 def _time_grid(args, dc):
     period = 2.0 * math.pi / dc.omega_a
-    start = args.t_start
+    start = args.t_start if args.t_start is not None else 0.0
     stop = args.t_stop if args.t_stop is not None else 3.0 * period
-    points = args.t_points
+    points = args.t_points if args.t_points is not None else 2048
     if points < 2:
         raise ConfigError("--t-points must be >= 2")
     if not stop > start >= 0.0:
@@ -245,7 +245,7 @@ def cmd_oracle(args) -> int:
     # Gravity-free equivalence: exact propagation against the closed form.
     p0 = without_gravity(p)
     dc0 = derive_couplings(p0)
-    propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc0, p0, spec))
+    propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc0, spec))
     psi0 = oracle.initial_state(p0, spec)
     times = np.linspace(0.0, 2.0 * period, args.equivalence_points)
     closed = analytic.visibility_uncoupled(dc0, p0, "m", times)
@@ -259,7 +259,7 @@ def cmd_oracle(args) -> int:
     )
 
     # Frame-rotation identity on the Fock interior.
-    checker = oracle.InteractionPictureResidual(dc, p, spec)
+    checker = oracle.InteractionPictureResidual(dc, spec)
     residual_times = np.linspace(period / args.residual_times, 2.0 * period,
                                  args.residual_times)
     worst_residual = max(checker.residual(float(t)) for t in residual_times)
@@ -370,8 +370,8 @@ def cmd_scan(args) -> int:
 def cmd_thermal(args) -> int:
     p = _load(args)
     dc = derive_couplings(p)
-    if args.t_stop is None and args.t_points == 2048:
-        # Default: 8 samples across one revival period.
+    if args.t_start is None and args.t_stop is None and args.t_points is None:
+        # No time flag given: 8 samples across one revival period.
         period = 2.0 * math.pi / dc.omega_a
         times = np.linspace(period / 8.0, period, 8)
     else:

@@ -1,4 +1,4 @@
-"""Exact brute-force layer: dense propagation in a truncated Fock basis.
+"""Exact layer: propagation in a truncated Fock basis.
 
 The four-subsystem state lives on (photon-c qubit) x (photon-d qubit) x
 (mode a) x (mode b), in that fixed tensor order.  Each photon is a two-path
@@ -6,8 +6,10 @@ qubit: index 0 is the path that bypasses the cavity, index 1 the path whose
 photon rides inside it, and the dynamics never leaves the one-photon-per-
 cavity sector.  Because the photon operators enter the Hamiltonian only
 through the cavity-path projectors, the Hamiltonian is block diagonal over
-the four path sectors; all heavy linear algebra here works sector-by-sector
-on (n_a+1)*(n_b+1)-dimensional real-symmetric blocks.
+the four path sectors; propagation works sector-by-sector on
+(n_a+1)*(n_b+1)-dimensional real-symmetric blocks.  Each block is assembled
+from per-mode factors: the free part is a Kronecker sum of one Hamiltonian
+per mode and the gravitational coupling a product of the two positions.
 
 Energy offsets proportional to the identity (the constant photon energies)
 are omitted throughout: they contribute a global phase only.  The
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .constants import HBAR
 from .errors import DimensionLimitError, NumericalError, ParameterError, TruncationError
 from .params import DerivedCouplings, PhysicalParams, derive_couplings
 
@@ -209,98 +210,29 @@ class SectorOperator:
     blocks: dict
     spec: HilbertSpec
 
-    def full(self) -> np.ndarray:
-        """Assemble the dense matrix in the fixed tensor ordering."""
-        n = self.spec.total_dim
-        block_dim = self.spec.dim_a * self.spec.dim_b
-        sample = next(iter(self.blocks.values()))
-        out = np.zeros((n, n), dtype=sample.dtype)
-        for p_bit, q_bit in _SECTORS:
-            start = (p_bit * 2 + q_bit) * block_dim
-            out[start : start + block_dim, start : start + block_dim] = self.blocks[
-                (p_bit, q_bit)
-            ]
-        return out
 
-    def apply(self, state: StateVector) -> np.ndarray:
-        """Matrix-vector product, returned as a flat amplitude array."""
-        tensor = state.as_tensor()
-        out = np.empty_like(tensor)
-        block_dim = self.spec.dim_a * self.spec.dim_b
-        for p_bit, q_bit in _SECTORS:
-            vec = tensor[p_bit, q_bit].reshape(block_dim)
-            out[p_bit, q_bit] = (self.blocks[(p_bit, q_bit)] @ vec).reshape(
-                self.spec.dim_a, self.spec.dim_b
-            )
-        return out.reshape(-1)
-
-    def expectation(self, state: StateVector) -> complex:
-        return complex(np.vdot(state.amplitudes, self.apply(state)))
+def _mode_hamiltonian(dim: int, omega: float, lam: float, bit: int) -> np.ndarray:
+    """One mode's free Hamiltonian omega*n - bit*lam*omega*(a^dag + a), with
+    ``bit`` the photon occupation of the mode's cavity path."""
+    return omega * number_op(dim) - bit * (lam * omega) * position_coupling(dim)
 
 
-def hamiltonian_blocks(
-    dc: DerivedCouplings,
-    p: PhysicalParams,
-    spec: HilbertSpec,
-    include_gravity: bool = True,
-    coupled_constants: bool | None = None,
-) -> SectorOperator:
-    """Sector blocks of the Hamiltonian in frequency units (H / hbar).
-
-    ``coupled_constants`` selects between the gravitationally shifted
-    constants (lambda, omega) and the bare ones (Lambda, bare frequencies);
-    it defaults to ``include_gravity``, so the two documented cases are the
-    full interacting Hamiltonian and the gravity-free one.  Passing
-    ``include_gravity=False, coupled_constants=True`` yields the free part
-    of the interacting system, the frame generator of the interaction
-    picture.
+def hamiltonian_blocks(dc: DerivedCouplings, spec: HilbertSpec) -> SectorOperator:
+    """Sector blocks of the Hamiltonian in frequency units (H / hbar):
+    H_a(p) (x) 1 + 1 (x) H_b(q) + gamma * x_a (x) x_b with the constants in
+    ``dc``.  The gravity-free Hamiltonian is this one for the couplings of
+    :func:`~optograv.params.without_gravity` parameters.
     """
-    if coupled_constants is None:
-        coupled_constants = include_gravity
-    bare_a, bare_b, _, _ = p.angular_frequencies()
-    if coupled_constants:
-        omega_a, omega_b = dc.omega_a, dc.omega_b
-        lam_m, lam_M = dc.lambda_m, dc.lambda_M
-    else:
-        omega_a, omega_b = bare_a, bare_b
-        lam_m, lam_M = dc.Lambda_m, dc.Lambda_M
     da, db = spec.dim_a, spec.dim_b
-    num_a = omega_a * number_op(da)
-    num_b = omega_b * number_op(db)
-    x_a = position_coupling(da)
-    x_b = position_coupling(db)
-    eye_a = np.eye(da)
-    eye_b = np.eye(db)
-    free = np.kron(num_a, eye_b) + np.kron(eye_a, num_b)
-    gravity = dc.gamma * np.kron(x_a, x_b) if include_gravity else None
-    blocks = {}
-    for p_bit, q_bit in _SECTORS:
-        block = free.copy()
-        if p_bit:
-            block -= lam_m * omega_a * np.kron(x_a, eye_b)
-        if q_bit:
-            block -= lam_M * omega_b * np.kron(eye_a, x_b)
-        if gravity is not None:
-            block += gravity
-        blocks[(p_bit, q_bit)] = block
+    eye_a, eye_b = np.eye(da), np.eye(db)
+    gravity = dc.gamma * np.kron(position_coupling(da), position_coupling(db))
+    blocks = {
+        (p_bit, q_bit): np.kron(_mode_hamiltonian(da, dc.omega_a, dc.lambda_m, p_bit), eye_b)
+        + np.kron(eye_a, _mode_hamiltonian(db, dc.omega_b, dc.lambda_M, q_bit))
+        + gravity
+        for p_bit, q_bit in _SECTORS
+    }
     return SectorOperator(blocks=blocks, spec=spec)
-
-
-def build_hamiltonian(
-    dc: DerivedCouplings,
-    p: PhysicalParams,
-    spec: HilbertSpec,
-    include_gravity: bool = True,
-    coupled_constants: bool | None = None,
-) -> np.ndarray:
-    """Dense Hamiltonian matrix in energy units (real symmetric).
-
-    Identity energy offsets (constant photon terms) are omitted, so the
-    vacuum expectation value vanishes for every parameter set.
-    """
-    return p.hbar * hamiltonian_blocks(
-        dc, p, spec, include_gravity=include_gravity, coupled_constants=coupled_constants
-    ).full()
 
 
 def _check_norm(psi0: StateVector, state: StateVector):
@@ -351,38 +283,17 @@ class Propagator:
         return state
 
 
-def propagate(H: np.ndarray, psi0: StateVector, t: float, hbar: float = HBAR) -> StateVector:
-    """Evolve ``psi0`` under the dense Hamiltonian ``H`` (energy units).
-
-    One Hermitian eigendecomposition per call; prefer
-    :class:`Propagator` over :func:`hamiltonian_blocks` output when many
-    times are needed.
-    """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t!r}")
-    H = np.asarray(H)
-    if H.shape != (psi0.spec.total_dim, psi0.spec.total_dim):
-        raise ParameterError("Hamiltonian shape does not match the state's space")
-    w, v = np.linalg.eigh(H / hbar)
-    amp = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.amplitudes))
-    state = StateVector(amplitudes=amp, spec=psi0.spec, time=t)
-    _check_norm(psi0, state)
-    return state
-
-
-def coherent_vector(beta: complex, dim: int) -> tuple[np.ndarray, float]:
-    """Truncated, renormalised coherent-state amplitudes and the tail mass
-    that was cut off (before renormalisation)."""
+def coherent_vector(beta: complex, dim: int) -> np.ndarray:
+    """Truncated, renormalised coherent-state amplitudes."""
     beta = complex(beta)
     amps = np.empty(dim, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(beta) ** 2)
     for n in range(1, dim):
         amps[n] = amps[n - 1] * beta / math.sqrt(n)
     kept = float(np.sum(np.abs(amps) ** 2))
-    tail = max(0.0, 1.0 - kept)
     if kept == 0.0:
         raise TruncationError(f"coherent amplitude {abs(beta):.3f} underflows dim {dim}")
-    return amps / math.sqrt(kept), tail
+    return amps / math.sqrt(kept)
 
 
 def initial_state(p: PhysicalParams, spec: HilbertSpec, tail_tol: float = TAIL_TOL) -> StateVector:
@@ -401,8 +312,8 @@ def initial_state(p: PhysicalParams, spec: HilbertSpec, tail_tol: float = TAIL_T
                 suggested_n_max=suggestion,
             )
     qubit = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    coh_a, _ = coherent_vector(p.beta_m, spec.dim_a)
-    coh_b, _ = coherent_vector(p.beta_M, spec.dim_b)
+    coh_a = coherent_vector(p.beta_m, spec.dim_a)
+    coh_b = coherent_vector(p.beta_M, spec.dim_b)
     amp = np.kron(np.kron(np.kron(qubit, qubit), coh_a), coh_b)
     return StateVector(amplitudes=amp, spec=spec, time=0.0)
 
@@ -418,20 +329,28 @@ def closed_form_state(
     """
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t!r}")
-    traj_m = analytic.coherent_trajectories(dc, p, "m", t)
-    traj_M = analytic.coherent_trajectories(dc, p, "M", t)
-    branches_a = (
-        coherent_vector(traj_m.phi0, spec.dim_a)[0],
-        coherent_vector(traj_m.phi1, spec.dim_a)[0] * np.exp(1j * traj_m.phase),
-    )
-    branches_b = (
-        coherent_vector(traj_M.phi0, spec.dim_b)[0],
-        coherent_vector(traj_M.phi1, spec.dim_b)[0] * np.exp(1j * traj_M.phase),
-    )
+    sys1, sys2 = _system_branches(dc, p, spec, t)
     out = np.empty(spec.dims, dtype=complex)
     for p_bit, q_bit in _SECTORS:
-        out[p_bit, q_bit] = 0.5 * np.outer(branches_a[p_bit], branches_b[q_bit])
+        out[p_bit, q_bit] = np.outer(sys1[p_bit], sys2[q_bit])
     return StateVector(amplitudes=out.reshape(-1), spec=spec, time=t)
+
+
+def _system_branches(dc, p, spec, t):
+    """Per-sector vectors of system 1 (photon-c, mode a) and system 2
+    (photon-d, mode b) for the gravity-free product state at time t."""
+    traj_m = analytic.coherent_trajectories(dc, p, "m", t)
+    traj_M = analytic.coherent_trajectories(dc, p, "M", t)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    sys1 = (
+        inv_sqrt2 * coherent_vector(traj_m.phi0, spec.dim_a),
+        inv_sqrt2 * np.exp(1j * traj_m.phase) * coherent_vector(traj_m.phi1, spec.dim_a),
+    )
+    sys2 = (
+        inv_sqrt2 * coherent_vector(traj_M.phi0, spec.dim_b),
+        inv_sqrt2 * np.exp(1j * traj_M.phase) * coherent_vector(traj_M.phi1, spec.dim_b),
+    )
+    return sys1, sys2
 
 
 def _axes_for(labels) -> list[int]:
@@ -517,86 +436,73 @@ def _mode_factor(ops, lam, omega, s, bit):
     return np.tensordot(analytic.mode_factor_coefficients(lam, bit) @ exponentials, ops, 1)
 
 
-def interaction_generator_closed(
-    dc: DerivedCouplings, spec: HilbertSpec, s: float
-) -> SectorOperator:
-    """Closed-form frame-rotated coupling generator at time offset s,
-    stripped of the hbar*gamma prefactor (it factors out exactly)."""
-    ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
-    factors_a = {bit: _mode_factor(ops_a, dc.lambda_m, dc.omega_a, s, bit) for bit in (0, 1)}
-    factors_b = {bit: _mode_factor(ops_b, dc.lambda_M, dc.omega_b, s, bit) for bit in (0, 1)}
-    blocks = {
-        (p_bit, q_bit): np.kron(factors_a[p_bit], factors_b[q_bit])
-        for p_bit, q_bit in _SECTORS
-    }
-    return SectorOperator(blocks=blocks, spec=spec)
-
-
 class InteractionPictureResidual:
     """Compares the numerically frame-rotated coupling against its closed form.
 
-    The rotation exp(i*H0*t) X exp(-i*H0*t) is computed from one
-    eigendecomposition of the free Hamiltonian per sector and reused across
-    times.  Truncation corrupts the Fock levels near the edge (the identity
-    holds only on the untruncated algebra), so the comparison is projected
-    onto the interior n <= n_max - margin of both modes.  The leaked
-    corruption decays factorially in the margin; at couplings ~0.5 a margin
-    of 8 still leaves ~1e-2 relative deviation while 20 reaches ~1e-10,
-    hence the conservative default.  The hbar*gamma prefactor is stripped
-    from both sides, making the residual well defined at gamma = 0.
+    In each sector the free Hamiltonian is a Kronecker sum over the modes and
+    the coupling x_a (x) x_b a product, so the rotation exp(i*H0*t) X
+    exp(-i*H0*t) is the product of the per-mode rotations of x.  Each is
+    computed from one eigendecomposition per mode and photon bit, reused
+    across times.  Truncation corrupts the Fock levels near the edge (the
+    identity holds only on the untruncated algebra), so the comparison is
+    projected onto the interior n <= n_max - margin of both modes.  The
+    leaked corruption decays factorially in the margin; at couplings ~0.5 a
+    margin of 8 still leaves ~1e-2 relative deviation while 20 reaches
+    ~1e-10, hence the conservative default.  The hbar*gamma prefactor is
+    stripped from both sides, making the residual well defined at gamma = 0.
     """
 
-    def __init__(
-        self,
-        dc: DerivedCouplings,
-        p: PhysicalParams,
-        spec: HilbertSpec,
-        margin: int = 20,
-    ):
+    def __init__(self, dc: DerivedCouplings, spec: HilbertSpec, margin: int = 20):
         if margin < 1:
             raise ParameterError("margin must be >= 1")
         if margin >= spec.n_max_a or margin >= spec.n_max_b:
             raise ParameterError("margin must be smaller than both Fock truncations")
-        self.dc, self.p, self.spec, self.margin = dc, p, spec, margin
-        free = hamiltonian_blocks(dc, p, spec, include_gravity=False, coupled_constants=True)
-        coupling = np.kron(position_coupling(spec.dim_a), position_coupling(spec.dim_b))
-        self._eigs = {}
-        self._rotated = {}
-        for key in _SECTORS:
-            w, v = np.linalg.eigh(free.blocks[key])
-            self._eigs[key] = (w, v)
-            self._rotated[key] = v.T @ coupling @ v
-        keep_a = np.arange(spec.dim_a) <= spec.n_max_a - margin
-        keep_b = np.arange(spec.dim_b) <= spec.n_max_b - margin
-        self._interior = np.where(np.kron(keep_a, keep_b))[0]
-        proj = coupling[np.ix_(self._interior, self._interior)]
-        self._denominator = math.sqrt(4.0) * float(np.linalg.norm(proj))
+        self.spec, self.margin = spec, margin
+        self._modes = []
+        interior_norms = []
+        for dim, n_max, omega, lam in (
+            (spec.dim_a, spec.n_max_a, dc.omega_a, dc.lambda_m),
+            (spec.dim_b, spec.n_max_b, dc.omega_b, dc.lambda_M),
+        ):
+            keep = n_max - margin + 1
+            x = position_coupling(dim)
+            eigs = []
+            for bit in (0, 1):
+                w, v = np.linalg.eigh(_mode_hamiltonian(dim, omega, lam, bit))
+                eigs.append((w, v[:keep], v.T @ x @ v))
+            self._modes.append((omega, lam, _mode_operators(dim)[:, :keep, :keep], eigs))
+            interior_norms.append(float(np.linalg.norm(x[:keep, :keep])))
+        self._denominator = 2.0 * interior_norms[0] * interior_norms[1]
+
+    @staticmethod
+    def _mode_pairs(mode, t: float) -> list:
+        """Per photon bit, the interior (numeric, closed-form) rotated x of one mode."""
+        omega, lam, ops, eigs = mode
+        pairs = []
+        for bit, (w, v, rotated) in enumerate(eigs):
+            phases = np.exp(1j * w * t)
+            numeric = (v * phases) @ rotated @ (v * np.conj(phases)).T
+            pairs.append((numeric, _mode_factor(ops, lam, omega, t, bit)))
+        return pairs
 
     def residual(self, t: float) -> float:
         """Interior-projected relative Frobenius deviation at time t."""
-        closed = interaction_generator_closed(self.dc, self.spec, t)
-        idx = self._interior
+        pairs_a, pairs_b = (self._mode_pairs(mode, t) for mode in self._modes)
         total = 0.0
-        for key in _SECTORS:
-            w, v = self._eigs[key]
-            phases = np.exp(1j * w * t)
-            numeric = (v * phases) @ self._rotated[key] @ (v * np.conj(phases)).T
-            delta = (numeric - closed.blocks[key])[np.ix_(idx, idx)]
+        for p_bit, q_bit in _SECTORS:
+            (numeric_a, closed_a), (numeric_b, closed_b) = pairs_a[p_bit], pairs_b[q_bit]
+            delta = np.kron(numeric_a, numeric_b) - np.kron(closed_a, closed_b)
             total += float(np.linalg.norm(delta)) ** 2
         return math.sqrt(total) / self._denominator
 
 
 def interaction_picture_check(
-    dc: DerivedCouplings,
-    p: PhysicalParams,
-    spec: HilbertSpec,
-    t: float,
-    margin: int = 20,
+    dc: DerivedCouplings, spec: HilbertSpec, t: float, margin: int = 20
 ) -> float:
     """One-shot interior residual between the numerically rotated coupling
     generator and its closed form; < 1e-8 at the default margin for
     couplings up to ~0.5."""
-    return InteractionPictureResidual(dc, p, spec, margin=margin).residual(t)
+    return InteractionPictureResidual(dc, spec, margin=margin).residual(t)
 
 
 def _integrated_coefficients(dc: DerivedCouplings, t: float) -> dict:
@@ -637,23 +543,6 @@ def dyson_first_order_state(
         out[p_bit, q_bit] = np.einsum("jac,jdc->ad", left, ops_b)
     amp = (-1j * dc.gamma) * out.reshape(-1)
     return StateVector(amplitudes=amp, spec=spec, time=t)
-
-
-def _system_branches(dc, p, spec, t):
-    """Per-sector vectors of system 1 (photon-c, mode a) and system 2
-    (photon-d, mode b) for the gravity-free product state at time t."""
-    traj_m = analytic.coherent_trajectories(dc, p, "m", t)
-    traj_M = analytic.coherent_trajectories(dc, p, "M", t)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    sys1 = (
-        inv_sqrt2 * coherent_vector(traj_m.phi0, spec.dim_a)[0],
-        inv_sqrt2 * np.exp(1j * traj_m.phase) * coherent_vector(traj_m.phi1, spec.dim_a)[0],
-    )
-    sys2 = (
-        inv_sqrt2 * coherent_vector(traj_M.phi0, spec.dim_b)[0],
-        inv_sqrt2 * np.exp(1j * traj_M.phase) * coherent_vector(traj_M.phi1, spec.dim_b)[0],
-    )
-    return sys1, sys2
 
 
 def _projected_family(branches, ops) -> np.ndarray:
@@ -749,7 +638,7 @@ def thermal_visibility_montecarlo(
             raise ParameterError("method='oracle' requires a HilbertSpec")
         from dataclasses import replace as _replace
 
-        propagator = Propagator(hamiltonian_blocks(dc, p, spec))
+        propagator = Propagator(hamiltonian_blocks(dc, spec))
         elements = np.empty(n_samples, dtype=complex)
         for i, beta in enumerate(betas):
             psi0 = initial_state(_replace(p, beta_m=complex(beta)), spec)

@@ -19,7 +19,7 @@ import numpy as np
 from . import analytic, oracle
 from ._version import __version__
 from .config import fingerprint, fingerprint_params
-from .errors import ParameterError
+from .errors import OptogravError, ParameterError
 from .params import (
     UNITS_DIMENSIONLESS,
     PhysicalParams,
@@ -176,15 +176,15 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     values: dict = {}
     diagnostics: dict = {"error": ""}
     spec = None
-    propagator = None
+    if plan.oracle_enabled:
+        spec = oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max else oracle.default_spec(p, dc)
     psi_t = None
 
     def get_state():
-        nonlocal spec, propagator, psi_t
+        nonlocal psi_t
         if psi_t is None:
-            spec = oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max else oracle.default_spec(p, dc)
             oracle.check_adequacy(spec, dc, p)
-            propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, p, spec))
+            propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, spec))
             psi_t = propagator.evolve(oracle.initial_state(p, spec), t)
         return psi_t
 
@@ -202,17 +202,11 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         elif obs == "entropy_exact":
             values[obs] = oracle.linear_entropy_exact(get_state())
         elif obs == "interaction_residual":
-            if spec is None:
-                spec = (
-                    oracle.HilbertSpec(plan.n_max, plan.n_max)
-                    if plan.n_max
-                    else oracle.default_spec(p, dc)
-                )
-            values[obs] = oracle.interaction_picture_check(dc, p, spec, t)
+            values[obs] = oracle.interaction_picture_check(dc, spec, t)
     if plan.oracle_enabled:
         state = get_state()
         bigger = oracle.HilbertSpec(spec.n_max_a + 8, spec.n_max_b + 8)
-        psi_big = oracle.Propagator(oracle.hamiltonian_blocks(dc, p, bigger)).evolve(
+        psi_big = oracle.Propagator(oracle.hamiltonian_blocks(dc, bigger)).evolve(
             oracle.initial_state(p, bigger), t
         )
         diagnostics["truncation_delta"] = abs(
@@ -224,10 +218,11 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
 def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     """Evaluate the plan's observables on the Cartesian grid.
 
-    Rows keep the axis iteration order (last axis fastest).  Per-row errors
-    are captured in the diagnostics instead of aborting the sweep, and the
-    affected observables become NaN.  Identical (plan, base, seed) re-runs
-    produce byte-identical emissions.
+    Rows keep the axis iteration order (last axis fastest).  Per-row
+    parameter, truncation, numerical and arithmetic errors are captured in
+    the diagnostics instead of aborting the sweep, and the affected
+    observables become NaN; any other exception propagates.  Identical
+    (plan, base, seed) re-runs produce byte-identical emissions.
     """
     axis_names = tuple(name for name, _ in plan.axes)
     diagnostic_names = ("error",) + (("truncation_delta",) if plan.oracle_enabled else ())
@@ -245,7 +240,8 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
             values, diagnostics = _row_values(plan, p_row)
             row["values"] = values
             row["diagnostics"] = diagnostics
-        except Exception as exc:  # captured, never aborts the sweep
+        except (OptogravError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            # A row's bad inputs or numerics never abort the sweep; bugs propagate.
             row["values"] = {obs: float("nan") for obs in plan.observables}
             diagnostics = {"error": f"{type(exc).__name__}: {exc}"}
             for name in diagnostic_names[1:]:
@@ -348,7 +344,7 @@ def scaling_study(
     for g in gammas:
         p_g = replace(base, direct_gamma=g)
         dc = derive_couplings(p_g)
-        propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, p_g, spec))
+        propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, spec))
         psi_exact = propagator.evolve(oracle.initial_state(p_g, spec), t)
         psi1 = oracle.dyson_first_order_state(dc, p_g, spec, t)
         state_res.append(
@@ -409,7 +405,7 @@ def convergence_audit(p: PhysicalParams, n_max_ladder, times=None) -> Convergenc
     table = {}
     for n_max in n_max_ladder:
         spec = oracle.HilbertSpec(n_max, n_max)
-        propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, p, spec))
+        propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, spec))
         psi0 = oracle.initial_state(p, spec)
         table[n_max] = tuple(
             oracle.visibility_exact(propagator.evolve(psi0, t), "c") for t in times

@@ -1,0 +1,140 @@
+"""Dense reference routes for the factored Fock-space layer (test-only).
+
+The library builds every sector Hamiltonian from per-mode factors and
+computes the frame-rotation residual from per-mode eigendecompositions.
+This module keeps the dense routes they replaced, as independent
+cross-checks:
+
+- ``hamiltonian_blocks``: the sector assembly with the gravity and
+  coupled-constant switches, summing full-size Kronecker terms;
+- ``full``, ``propagate`` and ``expectation``: the dense matrix of a
+  sector operator, propagation by one eigendecomposition of it, and
+  expectation values through it;
+- ``DenseInteractionResidual``: the frame-rotation residual from one
+  eigendecomposition per (n_a+1)*(n_b+1)-dimensional sector block, against
+  the closed-form generator written out from its definition.
+"""
+
+import math
+
+import numpy as np
+
+from optograv import oracle
+
+SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def hamiltonian_blocks(dc, p, spec, include_gravity=True, coupled_constants=None):
+    """Sector blocks (H / hbar) keyed by (p, q).
+
+    ``coupled_constants`` (default: ``include_gravity``) selects the
+    gravitationally shifted constants (lambda, omega) over the bare ones
+    (Lambda, bare frequencies); ``include_gravity=False,
+    coupled_constants=True`` is the free part of the interacting system.
+    """
+    if coupled_constants is None:
+        coupled_constants = include_gravity
+    bare_a, bare_b, _, _ = p.angular_frequencies()
+    if coupled_constants:
+        omega_a, omega_b = dc.omega_a, dc.omega_b
+        lam_m, lam_M = dc.lambda_m, dc.lambda_M
+    else:
+        omega_a, omega_b = bare_a, bare_b
+        lam_m, lam_M = dc.Lambda_m, dc.Lambda_M
+    da, db = spec.dim_a, spec.dim_b
+    num_a = omega_a * oracle.number_op(da)
+    num_b = omega_b * oracle.number_op(db)
+    x_a = oracle.position_coupling(da)
+    x_b = oracle.position_coupling(db)
+    eye_a = np.eye(da)
+    eye_b = np.eye(db)
+    free = np.kron(num_a, eye_b) + np.kron(eye_a, num_b)
+    gravity = dc.gamma * np.kron(x_a, x_b) if include_gravity else None
+    blocks = {}
+    for p_bit, q_bit in SECTORS:
+        block = free.copy()
+        if p_bit:
+            block -= lam_m * omega_a * np.kron(x_a, eye_b)
+        if q_bit:
+            block -= lam_M * omega_b * np.kron(eye_a, x_b)
+        if gravity is not None:
+            block += gravity
+        blocks[(p_bit, q_bit)] = block
+    return blocks
+
+
+def full(blocks, spec) -> np.ndarray:
+    """Dense matrix of sector blocks in the fixed tensor ordering."""
+    block_dim = spec.dim_a * spec.dim_b
+    out = np.zeros((spec.total_dim, spec.total_dim))
+    for p_bit, q_bit in SECTORS:
+        start = (p_bit * 2 + q_bit) * block_dim
+        out[start : start + block_dim, start : start + block_dim] = blocks[(p_bit, q_bit)]
+    return out
+
+
+def propagate(h, psi0, t) -> np.ndarray:
+    """Amplitudes of exp(-i*h*t) psi0 for a dense Hermitian h (frequency units)."""
+    w, v = np.linalg.eigh(h)
+    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.amplitudes))
+
+
+def expectation(blocks, state) -> complex:
+    return complex(np.vdot(state.amplitudes, full(blocks, state.spec) @ state.amplitudes))
+
+
+def mode_factor(dim, lam, omega, s, bit):
+    """e^{i*omega*s} a^dag + e^{-i*omega*s} a + 2*lam*bit*(1 - cos(omega*s))."""
+    a = oracle.destroy_op(dim)
+    return (
+        np.exp(1j * omega * s) * a.T
+        + np.exp(-1j * omega * s) * a
+        + 2.0 * lam * bit * (1.0 - math.cos(omega * s)) * np.eye(dim)
+    )
+
+
+def interaction_generator_closed(dc, spec, s):
+    """Closed-form frame-rotated coupling generator per sector at offset s,
+    stripped of the hbar*gamma prefactor."""
+    return {
+        (p_bit, q_bit): np.kron(
+            mode_factor(spec.dim_a, dc.lambda_m, dc.omega_a, s, p_bit),
+            mode_factor(spec.dim_b, dc.lambda_M, dc.omega_b, s, q_bit),
+        )
+        for p_bit, q_bit in SECTORS
+    }
+
+
+class DenseInteractionResidual:
+    """Interior-projected relative Frobenius deviation of exp(i*H0*t) X
+    exp(-i*H0*t) from its closed form, with X = x_a (x) x_b, H0 the free part
+    of each sector block and the interior n <= n_max - margin of both modes."""
+
+    def __init__(self, dc, p, spec, margin=20):
+        self.dc, self.spec = dc, spec
+        free = hamiltonian_blocks(dc, p, spec, include_gravity=False, coupled_constants=True)
+        coupling = np.kron(oracle.position_coupling(spec.dim_a),
+                           oracle.position_coupling(spec.dim_b))
+        self._eigs = {}
+        self._rotated = {}
+        for key in SECTORS:
+            w, v = np.linalg.eigh(free[key])
+            self._eigs[key] = (w, v)
+            self._rotated[key] = v.T @ coupling @ v
+        keep_a = np.arange(spec.dim_a) <= spec.n_max_a - margin
+        keep_b = np.arange(spec.dim_b) <= spec.n_max_b - margin
+        self._interior = np.where(np.kron(keep_a, keep_b))[0]
+        proj = coupling[np.ix_(self._interior, self._interior)]
+        self._denominator = math.sqrt(4.0) * float(np.linalg.norm(proj))
+
+    def residual(self, t):
+        closed = interaction_generator_closed(self.dc, self.spec, t)
+        idx = self._interior
+        total = 0.0
+        for key in SECTORS:
+            w, v = self._eigs[key]
+            phases = np.exp(1j * w * t)
+            numeric = (v * phases) @ self._rotated[key] @ (v * np.conj(phases)).T
+            delta = (numeric - closed[key])[np.ix_(idx, idx)]
+            total += float(np.linalg.norm(delta)) ** 2
+        return math.sqrt(total) / self._denominator

@@ -54,7 +54,7 @@ def spec30():
 def uncoupled_propagator(ref_params, spec30):
     p0 = og.without_gravity(ref_params)
     dc0 = og.derive_couplings(p0)
-    blocks = oracle.hamiltonian_blocks(dc0, p0, spec30)
+    blocks = oracle.hamiltonian_blocks(dc0, spec30)
     return p0, dc0, og.Propagator(blocks), og.initial_state(p0, spec30)
 
 
@@ -156,7 +156,7 @@ def test_criterion_05_exact_vs_closed_form(capsys, uncoupled_propagator):
 
 def test_criterion_06_frame_rotation_identity(capsys, ref_params, ref_couplings, spec30):
     start = time.perf_counter()
-    checker = oracle.InteractionPictureResidual(ref_couplings, ref_params, spec30)
+    checker = oracle.InteractionPictureResidual(ref_couplings, spec30)
     period = 2.0 * math.pi / ref_couplings.omega_a
     times = np.linspace(period / 16.0, 2.0 * period, 16)
     worst = max(checker.residual(float(t)) for t in times)
@@ -221,14 +221,14 @@ def test_criterion_09_gravitational_entanglement(capsys, boosted_params,
 
     p0 = og.without_gravity(boosted_params)
     dc0 = og.derive_couplings(p0)
-    prop0 = og.Propagator(oracle.hamiltonian_blocks(dc0, p0, spec))
+    prop0 = og.Propagator(oracle.hamiltonian_blocks(dc0, spec))
     psi0 = og.initial_state(p0, spec)
     max_uncoupled = max(
         og.linear_entropy_exact(prop0.evolve(psi0, float(f * period)))
         for f in fractions
     )
 
-    prop = og.Propagator(oracle.hamiltonian_blocks(boosted_couplings, boosted_params, spec))
+    prop = og.Propagator(oracle.hamiltonian_blocks(boosted_couplings, spec))
     entropies = [
         og.linear_entropy_exact(prop.evolve(psi0, float(f * period))) for f in fractions
     ]

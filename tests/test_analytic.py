@@ -47,7 +47,7 @@ class TestCoherentTrajectories:
                                     beta_m=0.8 + 0.3j)
         dc = og.derive_couplings(p)
         spec = og.HilbertSpec(24, 24)
-        prop = og.Propagator(oracle.hamiltonian_blocks(dc, p, spec))
+        prop = og.Propagator(oracle.hamiltonian_blocks(dc, spec))
         t = 0.37 * period_of(dc)
         psi = prop.evolve(og.initial_state(p, spec), t)
         tensor = psi.as_tensor()

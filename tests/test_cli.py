@@ -242,6 +242,31 @@ class TestThermalCommand:
         for row in rows:
             assert float(row[4]) < 5.0
 
+    def test_default_grid_is_eight_points_in_one_period(self, capsys, reference_config):
+        code, out, _ = run(capsys, "thermal", "--params", str(reference_config),
+                           "--mc-samples", "100")
+        assert code == 0
+        _, rows = parse_csv(out)
+        period = float(rows[-1][0])
+        assert len(rows) == 8
+        assert float(rows[0][0]) == pytest.approx(period / 8.0, rel=1e-12)
+
+    def test_explicit_t_points_2048_is_honoured(self, capsys, reference_config):
+        code, out, _ = run(capsys, "thermal", "--params", str(reference_config),
+                           "--mc-samples", "100", "--t-points", "2048")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 2048
+        assert float(rows[0][0]) == 0.0
+
+    def test_t_start_without_t_stop_is_honoured(self, capsys, reference_config):
+        code, out, _ = run(capsys, "thermal", "--params", str(reference_config),
+                           "--mc-samples", "100", "--t-start", "1e-4")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 2048
+        assert float(rows[0][0]) == 1e-4
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path, reference_config):

@@ -1,0 +1,73 @@
+"""The factored Fock layer against the dense routes it replaced.
+
+``oracle.hamiltonian_blocks`` assembles each sector from per-mode
+Hamiltonians and must reproduce the dense assembly bit for bit.
+``oracle.InteractionPictureResidual`` rotates the coupling per mode and must
+match the dense per-sector residual (``dense_reference``) to 1e-13 absolute.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import optograv as og
+from optograv import oracle
+from optograv.config import load_params
+
+import dense_reference
+
+ATOL = 1e-13
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _period_grid(count):
+    """Residual times of the oracle check: ``count`` points up to two periods."""
+    return lambda period: np.linspace(period / count, 2.0 * period, count)
+
+
+def _boosted():
+    return og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
+
+
+#: name -> (parameters, spec, margin, times as a function of the period)
+CASES = {
+    "si_reference": (og.reference_params, og.HilbertSpec(30, 30), 20, _period_grid(16)),
+    "dimensionless": (lambda: load_params(CONFIGS / "dimensionless.cfg"),
+                      og.HilbertSpec(30, 30), 20, _period_grid(8)),
+    "margin_6": (_boosted, og.HilbertSpec(24, 24), 6, lambda period: (0.0, 1.0, 4.0)),
+    "margin_12": (_boosted, og.HilbertSpec(24, 24), 12, lambda period: (0.0, 1.0, 4.0)),
+    "margin_18": (_boosted, og.HilbertSpec(24, 24), 18, lambda period: (0.0, 1.0, 4.0)),
+    "asymmetric_spec": (lambda: load_params(CONFIGS / "dimensionless.cfg"),
+                        og.HilbertSpec(12, 27), 5, lambda period: (0.3 * period, 1.3 * period)),
+    "lambda_zero": (lambda: og.dimensionless_params(gamma=0.3, lambda_m=0.0, lambda_M=0.0),
+                    og.HilbertSpec(16, 16), 4, lambda period: (1.0, period, 2.5 * period)),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    make_params, spec, margin, times = CASES[request.param]
+    p = make_params()
+    dc = og.derive_couplings(p)
+    return p, dc, spec, margin, times(2.0 * math.pi / dc.omega_a)
+
+
+def test_hamiltonian_blocks_equal_dense_assembly(case):
+    p, dc, spec, _, _ = case
+    factored = oracle.hamiltonian_blocks(dc, spec).blocks
+    dense = dense_reference.hamiltonian_blocks(dc, p, spec)
+    assert factored.keys() == dense.keys()
+    for key, block in dense.items():
+        assert factored[key].dtype == block.dtype
+        assert np.array_equal(factored[key], block), key
+
+
+def test_factored_residual_matches_dense_residual(case):
+    p, dc, spec, margin, times = case
+    factored = oracle.InteractionPictureResidual(dc, spec, margin=margin)
+    dense = dense_reference.DenseInteractionResidual(dc, p, spec, margin=margin)
+    for t in times:
+        assert factored.residual(float(t)) == pytest.approx(dense.residual(float(t)), abs=ATOL)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import optograv as og
+from optograv import scan
 from optograv.errors import ParameterError
 
 
@@ -94,6 +95,23 @@ class TestRunScan:
         assert "ParameterError" in result.rows[1]["diagnostics"]["error"]
         assert math.isnan(result.rows[1]["values"]["delta_T"])
         assert result.rows[2]["diagnostics"]["error"] == ""
+
+    def test_arithmetic_row_errors_are_captured(self, ref_params):
+        # |beta_m| = 1e300 overflows the truncation rule of the entropy's spec.
+        plan = small_plan(axes=(("beta_m", (1.0, 1e300)),), observables=("entropy",),
+                          observable_time=1e-3)
+        result = og.run_scan(plan, ref_params)
+        assert result.rows[0]["diagnostics"]["error"] == ""
+        assert result.rows[1]["diagnostics"]["error"].startswith("OverflowError")
+        assert math.isnan(result.rows[1]["values"]["entropy"])
+
+    def test_programming_errors_propagate(self, ref_params, monkeypatch):
+        def broken(p):
+            raise TypeError("broken coupling derivation")
+
+        monkeypatch.setattr(scan, "derive_couplings", broken)
+        with pytest.raises(TypeError, match="broken coupling derivation"):
+            og.run_scan(small_plan(axes=(("separation_h", (1e-8,)),)), ref_params)
 
     def test_oracle_diagnostics_present(self):
         p = og.dimensionless_params(gamma=1e-2, lambda_m=0.2, lambda_M=0.15)
