@@ -184,8 +184,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         nonlocal psi_t
         if psi_t is None:
             oracle.check_adequacy(spec, dc, p)
-            propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, spec))
-            psi_t = propagator.evolve(oracle.initial_state(p, spec), t)
+            psi_t = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), [t])[0]
         return psi_t
 
     for obs in plan.observables:
@@ -206,9 +205,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     if plan.oracle_enabled:
         state = get_state()
         bigger = oracle.HilbertSpec(spec.n_max_a + 8, spec.n_max_b + 8)
-        psi_big = oracle.Propagator(oracle.hamiltonian_blocks(dc, bigger)).evolve(
-            oracle.initial_state(p, bigger), t
-        )
+        psi_big = oracle.Propagator(dc, bigger).evolve(oracle.initial_state(p, bigger), [t])[0]
         diagnostics["truncation_delta"] = abs(
             oracle.visibility_exact(state, "c") - oracle.visibility_exact(psi_big, "c")
         )
@@ -344,8 +341,7 @@ def scaling_study(
     for g in gammas:
         p_g = replace(base, direct_gamma=g)
         dc = derive_couplings(p_g)
-        propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, spec))
-        psi_exact = propagator.evolve(oracle.initial_state(p_g, spec), t)
+        psi_exact = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p_g, spec), [t])[0]
         psi1 = oracle.dyson_first_order_state(dc, p_g, spec, t)
         state_res.append(
             float(np.linalg.norm(psi_exact.amplitudes - psi0_t.amplitudes - psi1.amplitudes))
@@ -405,11 +401,8 @@ def convergence_audit(p: PhysicalParams, n_max_ladder, times=None) -> Convergenc
     table = {}
     for n_max in n_max_ladder:
         spec = oracle.HilbertSpec(n_max, n_max)
-        propagator = oracle.Propagator(oracle.hamiltonian_blocks(dc, spec))
-        psi0 = oracle.initial_state(p, spec)
-        table[n_max] = tuple(
-            oracle.visibility_exact(propagator.evolve(psi0, t), "c") for t in times
-        )
+        states = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), times)
+        table[n_max] = tuple(oracle.visibility_exact(psi, "c") for psi in states)
     deltas = [
         abs(a - b)
         for lo, hi in zip(n_max_ladder, n_max_ladder[1:])

@@ -1,11 +1,16 @@
 """Dense reference routes for the factored Fock-space layer (test-only).
 
-The library builds every sector Hamiltonian from per-mode factors and
-computes the frame-rotation residual from per-mode eigendecompositions.
-This module keeps the dense routes they replaced, as independent
-cross-checks:
+The library applies every sector Hamiltonian through its per-mode factors,
+propagates by a Chebyshev expansion and computes the frame-rotation
+residual from per-mode eigendecompositions.  This module keeps the dense
+routes they replaced, as independent cross-checks:
 
-- ``hamiltonian_blocks``: the sector assembly with the gravity and
+- ``hamiltonian_blocks`` and ``SectorOperator``: each sector block
+  assembled from the per-mode Hamiltonians as
+  H_a(p) (x) 1 + 1 (x) H_b(q) + gamma * x_a (x) x_b;
+- ``EighPropagator``: exp(-i*H*t) from one eigendecomposition per sector
+  block, shared between identical blocks;
+- ``switched_blocks``: the older sector assembly with the gravity and
   coupled-constant switches, summing full-size Kronecker terms;
 - ``full``, ``propagate`` and ``expectation``: the dense matrix of a
   sector operator, propagation by one eigendecomposition of it, and
@@ -16,6 +21,7 @@ cross-checks:
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +30,62 @@ from optograv import oracle
 SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def hamiltonian_blocks(dc, p, spec, include_gravity=True, coupled_constants=None):
+@dataclass(frozen=True)
+class SectorOperator:
+    """Operator block diagonal over the four photon-path sectors:
+    ``blocks[(p, q)]`` acts on the (mode a) x (mode b) factor of the sector
+    with cavity-path occupations p and q, in frequency units."""
+
+    blocks: dict
+    spec: oracle.HilbertSpec
+
+
+def hamiltonian_blocks(dc, spec) -> SectorOperator:
+    """Sector blocks of H / hbar from the per-mode factors of ``oracle``."""
+    da, db = spec.dim_a, spec.dim_b
+    eye_a, eye_b = np.eye(da), np.eye(db)
+    gravity = dc.gamma * np.kron(oracle.position_coupling(da), oracle.position_coupling(db))
+    blocks = {
+        (p_bit, q_bit): np.kron(oracle._mode_hamiltonian(da, dc.omega_a, dc.lambda_m, p_bit),
+                                eye_b)
+        + np.kron(eye_a, oracle._mode_hamiltonian(db, dc.omega_b, dc.lambda_M, q_bit))
+        + gravity
+        for p_bit, q_bit in SECTORS
+    }
+    return SectorOperator(blocks=blocks, spec=spec)
+
+
+class EighPropagator:
+    """exp(-i*H*t) from one eigendecomposition per sector block; identical
+    blocks (e.g. both cavity-c sectors when lambda_m = 0) share one."""
+
+    def __init__(self, op: SectorOperator):
+        self.spec = op.spec
+        self._eigs = {}
+        done = []
+        for key in SECTORS:
+            block = op.blocks[key]
+            shared = next((k for k, b in done if np.array_equal(b, block)), None)
+            if shared is not None:
+                self._eigs[key] = self._eigs[shared]
+            else:
+                self._eigs[key] = np.linalg.eigh(block)
+                done.append((key, block))
+
+    def evolve(self, psi0, t):
+        """The state at time t, as an ``oracle.StateVector``."""
+        tensor = psi0.as_tensor()
+        out = np.empty(self.spec.dims, dtype=complex)
+        for p_bit, q_bit in SECTORS:
+            w, v = self._eigs[(p_bit, q_bit)]
+            vec = tensor[p_bit, q_bit].reshape(-1)
+            out[p_bit, q_bit] = (v @ (np.exp(-1j * w * t) * (v.T @ vec))).reshape(
+                self.spec.dim_a, self.spec.dim_b
+            )
+        return oracle.StateVector(amplitudes=out.reshape(-1), spec=self.spec, time=t)
+
+
+def switched_blocks(dc, p, spec, include_gravity=True, coupled_constants=None):
     """Sector blocks (H / hbar) keyed by (p, q).
 
     ``coupled_constants`` (default: ``include_gravity``) selects the
@@ -112,7 +173,7 @@ class DenseInteractionResidual:
 
     def __init__(self, dc, p, spec, margin=20):
         self.dc, self.spec = dc, spec
-        free = hamiltonian_blocks(dc, p, spec, include_gravity=False, coupled_constants=True)
+        free = switched_blocks(dc, p, spec, include_gravity=False, coupled_constants=True)
         coupling = np.kron(oracle.position_coupling(spec.dim_a),
                            oracle.position_coupling(spec.dim_b))
         self._eigs = {}

@@ -54,8 +54,7 @@ def spec30():
 def uncoupled_propagator(ref_params, spec30):
     p0 = og.without_gravity(ref_params)
     dc0 = og.derive_couplings(p0)
-    blocks = oracle.hamiltonian_blocks(dc0, spec30)
-    return p0, dc0, og.Propagator(blocks), og.initial_state(p0, spec30)
+    return p0, dc0, og.Propagator(dc0, spec30), og.initial_state(p0, spec30)
 
 
 @pytest.fixture(scope="session")
@@ -143,8 +142,8 @@ def test_criterion_05_exact_vs_closed_form(capsys, uncoupled_propagator):
     times = np.linspace(0.0, 2.0 * period, 128)
     closed = og.visibility_uncoupled(dc0, p0, "m", times).values
     worst = 0.0
-    for t, v_closed in zip(times, closed):
-        v_exact = og.visibility_exact(propagator.evolve(psi0, float(t)), "c")
+    for psi, v_closed in zip(propagator.evolve(psi0, times), closed):
+        v_exact = og.visibility_exact(psi, "c")
         worst = max(worst, abs(v_exact - float(v_closed)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 120.0
@@ -221,17 +220,14 @@ def test_criterion_09_gravitational_entanglement(capsys, boosted_params,
 
     p0 = og.without_gravity(boosted_params)
     dc0 = og.derive_couplings(p0)
-    prop0 = og.Propagator(oracle.hamiltonian_blocks(dc0, spec))
+    prop0 = og.Propagator(dc0, spec)
     psi0 = og.initial_state(p0, spec)
     max_uncoupled = max(
-        og.linear_entropy_exact(prop0.evolve(psi0, float(f * period)))
-        for f in fractions
+        og.linear_entropy_exact(psi) for psi in prop0.evolve(psi0, fractions * period)
     )
 
-    prop = og.Propagator(oracle.hamiltonian_blocks(boosted_couplings, spec))
-    entropies = [
-        og.linear_entropy_exact(prop.evolve(psi0, float(f * period))) for f in fractions
-    ]
+    prop = og.Propagator(boosted_couplings, spec)
+    entropies = [og.linear_entropy_exact(psi) for psi in prop.evolve(psi0, fractions * period)]
     growth_window = [s for f, s in zip(fractions, entropies) if f <= 0.75]
     # Strict growth holds through three quarters of the period; close to the
     # full revival the systems partially disentangle again, so the criterion

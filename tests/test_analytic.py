@@ -47,9 +47,9 @@ class TestCoherentTrajectories:
                                     beta_m=0.8 + 0.3j)
         dc = og.derive_couplings(p)
         spec = og.HilbertSpec(24, 24)
-        prop = og.Propagator(oracle.hamiltonian_blocks(dc, spec))
+        prop = og.Propagator(dc, spec)
         t = 0.37 * period_of(dc)
-        psi = prop.evolve(og.initial_state(p, spec), t)
+        psi = prop.evolve(og.initial_state(p, spec), [t])[0]
         tensor = psi.as_tensor()
         lower = oracle.destroy_op(spec.dim_a)
         traj = og.coherent_trajectories(dc, p, "m", t)

@@ -1,0 +1,159 @@
+"""The Chebyshev propagator against the eigendecomposition route it replaced.
+
+``oracle.Propagator`` applies each sector Hamiltonian through its per-mode
+factors and expands exp(-i*H*t) in Chebyshev polynomials; the test-only
+``dense_reference.EighPropagator`` diagonalises every dense sector block.
+Both must agree to 1e-12 absolute per amplitude.
+"""
+
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_reference
+import optograv as og
+from optograv import oracle
+from optograv.config import load_params
+from optograv.errors import ParameterError
+
+ATOL = 1e-12
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def dimensionless_config():
+    return load_params(CONFIGS / "dimensionless.cfg")
+
+
+def random_state(spec, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=spec.total_dim) + 1j * rng.normal(size=spec.total_dim)
+    return oracle.StateVector(amplitudes=amp / np.linalg.norm(amp), spec=spec)
+
+
+def assert_matches_reference(dc, spec, psi0, times):
+    reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(dc, spec))
+    states = og.Propagator(dc, spec).evolve(psi0, times)
+    assert len(states) == len(times)
+    for t, psi in zip(times, states):
+        assert psi.time == float(t)
+        expected = reference.evolve(psi0, float(t)).amplitudes
+        assert np.max(np.abs(psi.amplitudes - expected)) <= ATOL, t
+
+
+@pytest.mark.parametrize("n_max", [28, 36])
+@pytest.mark.parametrize("gamma", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
+def test_sweep_rows(n_max, gamma):
+    p = replace(dimensionless_config(), direct_gamma=gamma)
+    dc = og.derive_couplings(p)
+    spec = og.HilbertSpec(n_max, n_max)
+    assert_matches_reference(dc, spec, og.initial_state(p, spec), [1.3 * 2.0 * math.pi])
+
+
+@pytest.mark.parametrize("gravity", [True, False])
+def test_oracle_equivalence_times(gravity):
+    p = dimensionless_config()
+    if not gravity:
+        p = og.without_gravity(p)
+    dc = og.derive_couplings(p)
+    spec = og.HilbertSpec(30, 30)
+    times = np.linspace(0.0, 2.0 * 2.0 * math.pi / dc.omega_a, 48)
+    assert_matches_reference(dc, spec, og.initial_state(p, spec), times)
+
+
+def test_si_reference_criterion_5_times(ref_params, ref_couplings):
+    spec = og.HilbertSpec(30, 30)
+    times = np.linspace(0.0, 2.0 * 2.0 * math.pi / ref_couplings.omega_a, 128)
+    assert_matches_reference(ref_couplings, spec, og.initial_state(ref_params, spec), times)
+
+
+def test_asymmetric_spec_on_a_generic_state():
+    dc = og.derive_couplings(dimensionless_config())
+    spec = og.HilbertSpec(12, 27)
+    assert_matches_reference(dc, spec, random_state(spec, 3), [0.3, 2.9, 1.3 * 2.0 * math.pi])
+
+
+def test_lambda_zero_gives_pure_phases():
+    p = og.dimensionless_params(gamma=0.0, lambda_m=0.0, lambda_M=0.0)
+    dc = og.derive_couplings(p)
+    spec = og.HilbertSpec(16, 21)
+    psi0 = random_state(spec, 5)
+    times = [0.7, 2.31, 19.0]
+    na = np.arange(spec.dim_a)[:, None]
+    nb = np.arange(spec.dim_b)[None, :]
+    for t, psi in zip(times, og.Propagator(dc, spec).evolve(psi0, times)):
+        phases = np.exp(-1j * (dc.omega_a * na + dc.omega_b * nb) * t)
+        expected = psi0.as_tensor() * phases
+        assert np.max(np.abs(psi.as_tensor() - expected)) <= ATOL
+    assert_matches_reference(dc, spec, psi0, times)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    gamma=st.floats(-0.05, 0.05),
+    lam=st.floats(0.0, 0.6),
+    t=st.floats(0.0, 20.0),
+)
+def test_random_couplings_and_times(gamma, lam, t):
+    p = og.dimensionless_params(gamma=gamma, lambda_m=lam, lambda_M=0.8 * lam)
+    dc = og.derive_couplings(p)
+    spec = og.HilbertSpec(16, 16)
+    assert_matches_reference(dc, spec, og.initial_state(p, spec), [t, -t])
+
+
+def test_one_batched_call_equals_one_call_per_time():
+    p = dimensionless_config()
+    dc = og.derive_couplings(p)
+    spec = og.HilbertSpec(24, 24)
+    psi0 = og.initial_state(p, spec)
+    propagator = og.Propagator(dc, spec)
+    times = [0.0, 0.4, 5.0, 12.5, 3.3]
+    batched = propagator.evolve(psi0, times)
+    for t, psi in zip(times, batched):
+        (single,) = propagator.evolve(psi0, [t])
+        assert np.max(np.abs(psi.amplitudes - single.amplitudes)) <= 1e-14
+
+
+def test_time_zero_is_the_identity():
+    p = dimensionless_config()
+    dc = og.derive_couplings(p)
+    spec = og.HilbertSpec(20, 20)
+    psi0 = random_state(spec, 11)
+    for times in ([0.0], [0.0, 9.0]):
+        psi = og.Propagator(dc, spec).evolve(psi0, times)[0]
+        assert np.array_equal(psi.amplitudes, psi0.amplitudes)
+
+
+def test_lambda_m_zero_keeps_cavity_c_sectors_bitwise_equal():
+    p = og.dimensionless_params(gamma=2e-2, lambda_m=0.0, lambda_M=0.4)
+    dc = og.derive_couplings(p)
+    spec = og.HilbertSpec(20, 24)
+    for psi in og.Propagator(dc, spec).evolve(og.initial_state(p, spec), [1.0, 3.3, 17.0]):
+        tensor = psi.as_tensor()
+        for q_bit in (0, 1):
+            assert tensor[0, q_bit].tobytes() == tensor[1, q_bit].tobytes()
+
+
+@pytest.mark.parametrize("times", [[], [[1.0, 2.0]], [1.0, float("nan")], [float("inf")]])
+def test_times_must_be_a_finite_one_dimensional_sequence(times):
+    p = dimensionless_config()
+    spec = og.HilbertSpec(4, 4)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    with pytest.raises(ParameterError, match="times"):
+        propagator.evolve(og.initial_state(p, spec, tail_tol=1e-2), times)
+
+
+@pytest.mark.parametrize("z", [1e-9, 0.3, 7.0, 140.0, 421.0])
+def test_bessel_coefficients_against_mpmath(z):
+    values = oracle._bessel_series(np.array([z]))[0]
+    assert z < len(values) < z + 12.0 * z ** (1.0 / 3.0) + 40
+    assert 2.0 * abs(values[-1]) >= oracle._SERIES_TOL
+    for k in range(0, len(values), 3):
+        assert values[k] == pytest.approx(float(mpmath.besselj(k, z)), abs=1e-15)
+    assert 2.0 * float(abs(mpmath.besselj(len(values), z))) < oracle._SERIES_TOL

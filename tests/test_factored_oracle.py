@@ -1,7 +1,8 @@
 """The factored Fock layer against the dense routes it replaced.
 
-``oracle.hamiltonian_blocks`` assembles each sector from per-mode
-Hamiltonians and must reproduce the dense assembly bit for bit.
+``dense_reference.hamiltonian_blocks`` assembles each sector from the
+per-mode Hamiltonians of ``oracle`` and must reproduce the older switched
+assembly bit for bit.
 ``oracle.InteractionPictureResidual`` rotates the coupling per mode and must
 match the dense per-sector residual (``dense_reference``) to 1e-13 absolute.
 """
@@ -57,8 +58,8 @@ def case(request):
 
 def test_hamiltonian_blocks_equal_dense_assembly(case):
     p, dc, spec, _, _ = case
-    factored = oracle.hamiltonian_blocks(dc, spec).blocks
-    dense = dense_reference.hamiltonian_blocks(dc, p, spec)
+    factored = dense_reference.hamiltonian_blocks(dc, spec).blocks
+    dense = dense_reference.switched_blocks(dc, p, spec)
     assert factored.keys() == dense.keys()
     for key, block in dense.items():
         assert factored[key].dtype == block.dtype

@@ -6,8 +6,8 @@ import math
 import pytest
 
 import optograv as og
-from optograv import scan
-from optograv.errors import ParameterError
+from optograv import oracle, scan
+from optograv.errors import DimensionLimitError, ParameterError
 
 
 def small_plan(**kwargs):
@@ -96,14 +96,33 @@ class TestRunScan:
         assert math.isnan(result.rows[1]["values"]["delta_T"])
         assert result.rows[2]["diagnostics"]["error"] == ""
 
-    def test_arithmetic_row_errors_are_captured(self, ref_params):
-        # |beta_m| = 1e300 overflows the truncation rule of the entropy's spec.
+    def test_arithmetic_row_errors_are_captured(self, ref_params, monkeypatch):
+        derive = scan.derive_couplings
+
+        def overflowing(p):
+            if p.separation_h > 1e-8:
+                raise OverflowError("coupling overflow")
+            return derive(p)
+
+        monkeypatch.setattr(scan, "derive_couplings", overflowing)
+        plan = small_plan(axes=(("separation_h", (1e-8, 2e-8)),), observables=("delta_T",))
+        result = og.run_scan(plan, ref_params)
+        assert result.rows[0]["diagnostics"]["error"] == ""
+        assert result.rows[1]["diagnostics"]["error"].startswith("OverflowError")
+        assert math.isnan(result.rows[1]["values"]["delta_T"])
+
+    def test_huge_amplitude_names_dimension_limit(self, ref_params):
+        # |beta_m| = 1e300 has no Fock truncation for the entropy's spec.
         plan = small_plan(axes=(("beta_m", (1.0, 1e300)),), observables=("entropy",),
                           observable_time=1e-3)
         result = og.run_scan(plan, ref_params)
         assert result.rows[0]["diagnostics"]["error"] == ""
-        assert result.rows[1]["diagnostics"]["error"].startswith("OverflowError")
+        error = result.rows[1]["diagnostics"]["error"]
+        assert error.startswith("DimensionLimitError") and "1e+300" in error
         assert math.isnan(result.rows[1]["values"]["entropy"])
+        for amplitude in (1e300, float("inf"), float("nan"), 1e4):
+            with pytest.raises(DimensionLimitError, match="amplitude"):
+                oracle.suggested_n_max(amplitude, 0.0)
 
     def test_programming_errors_propagate(self, ref_params, monkeypatch):
         def broken(p):
