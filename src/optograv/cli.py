@@ -162,6 +162,17 @@ def _csv_text(provenance: dict, header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_table(args, provenance: dict, header: list, records: list):
+    """Records (tuples of strings and floats) as JSON rows, or as CSV with
+    each float written by ``repr``."""
+    if args.format == "json":
+        _emit_json(args, {"rows": [dict(zip(header, r)) for r in records],
+                          "provenance": provenance})
+    else:
+        rows = [[v if isinstance(v, str) else repr(v) for v in r] for r in records]
+        _emit(args, _csv_text(provenance, header, rows))
+
+
 def _time_grid(args, dc):
     period = 2.0 * math.pi / dc.omega_a
     start = args.t_start if args.t_start is not None else 0.0
@@ -323,7 +334,6 @@ def cmd_feasibility(args) -> int:
     q_values = _parse_float_list(args.q_values, "--q-values")
     t_values = _parse_float_list(args.t_values, "--t-values")
     gamma_a_placeholder = dc.omega_a  # Q = 1 damping; only ratios matter below
-    rows = []
     entries = []
     for q in q_values:
         t_max = feasibility_bound(p, Q=q)
@@ -333,24 +343,9 @@ def cmd_feasibility(args) -> int:
         q_req = feasibility_bound(p, T=t)
         env = thermal_env(p, t, gamma_a_placeholder)
         entries.append(("T", t, q_req, t, env.nbar, analytic.revival_peak_width(dc, p, t)))
-    for kind, given, q, t, nbar, width in entries:
-        rows.append([kind, repr(float(given)), repr(float(q)), repr(float(t)),
-                     repr(float(nbar)), repr(float(width))])
-    provenance = _provenance(p, args)
+    records = [(kind, *(float(v) for v in values)) for kind, *values in entries]
     header = ["given", "given_value", "Q", "T_kelvin", "nbar", "peak_width_rad"]
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"given": r[0], "given_value": float(r[1]), "Q": float(r[2]),
-                 "T_kelvin": float(r[3]), "nbar": float(r[4]),
-                 "peak_width_rad": float(r[5])}
-                for r in rows
-            ],
-            "provenance": provenance,
-        }
-        _emit_json(args, payload)
-    else:
-        _emit(args, _csv_text(provenance, header, rows))
+    _emit_table(args, _provenance(p, args), header, records)
     return 0
 
 
@@ -388,32 +383,18 @@ def cmd_thermal(args) -> int:
             oracle.suggested_n_max(boost, dc.lambda_m),
             oracle.suggested_n_max(abs(p.beta_M), dc.lambda_M),
         )
-    law = analytic.thermal_visibility(dc, p, nbar, times)
-    rows = []
-    for t, expected in zip(times, law.values):
-        mean, err = oracle.thermal_visibility_montecarlo(
-            dc, p, spec, nbar, float(t), args.mc_samples, args.seed,
-            method=args.mc_method,
-        )
-        distance = abs(mean - float(expected)) / err if err > 0 else 0.0
-        rows.append([repr(float(t)), repr(float(expected)), repr(float(mean)),
-                     repr(float(err)), repr(float(distance))])
+    law = analytic.thermal_visibility(dc, p, nbar, times).values.tolist()
+    means, errors = oracle.thermal_visibility_montecarlo(
+        dc, p, spec, nbar, times, args.mc_samples, args.seed, method=args.mc_method
+    )
+    records = [
+        (t, expected, mean, err, abs(mean - expected) / err if err > 0 else 0.0)
+        for t, expected, mean, err in zip(times.tolist(), law, means.tolist(), errors.tolist())
+    ]
     provenance = _provenance(p, args, nbar=repr(float(nbar)), mc_samples=args.mc_samples,
                              mc_method=args.mc_method)
     header = ["t_seconds", "thermal_law", "mc_mean", "mc_std_error", "sigma_distance"]
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"t_seconds": float(r[0]), "thermal_law": float(r[1]),
-                 "mc_mean": float(r[2]), "mc_std_error": float(r[3]),
-                 "sigma_distance": float(r[4])}
-                for r in rows
-            ],
-            "provenance": provenance,
-        }
-        _emit_json(args, payload)
-    else:
-        _emit(args, _csv_text(provenance, header, rows))
+    _emit_table(args, provenance, header, records)
     return 0
 
 

@@ -224,6 +224,9 @@ _INTERVAL_PAD = 1e-12
 #: Bytes of Chebyshev vectors held for one batched accumulation.
 _CHUNK_BYTES = 8 << 20
 
+#: Bytes of evolved amplitudes accumulated for one slice of times.
+_SLICE_BYTES = 32 << 20
+
 #: (-i)^k for k mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
@@ -232,6 +235,14 @@ def _mode_hamiltonian(dim: int, omega: float, lam: float, bit: int) -> np.ndarra
     """One mode's free Hamiltonian omega*n - bit*lam*omega*(a^dag + a), with
     ``bit`` the photon occupation of the mode's cavity path."""
     return omega * number_op(dim) - bit * (lam * omega) * position_coupling(dim)
+
+
+def _as_times(times) -> np.ndarray:
+    """``times`` as a float array; refused unless non-empty, 1-D and finite."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ParameterError("times must be a non-empty 1-D sequence of finite values")
+    return times
 
 
 def _check_norms(before: np.ndarray, after: np.ndarray, times: np.ndarray):
@@ -354,12 +365,34 @@ class Propagator:
         weights = np.where(order == 0, 1.0, 2.0) * powers * bessel
         return weights * np.exp(-1j * self._center[:, :, None] * times)[..., None]
 
-    def _propagate(self, tensors: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Amplitudes (T, B, 2, 2, dim_a, dim_b) of exp(-i*H*t) applied to each
-        of the B initial tensors (B, 2, 2, dim_a, dim_b) at each time."""
-        batch, _, _, da, db = tensors.shape
-        x0 = np.ascontiguousarray(tensors.transpose(1, 2, 3, 0, 4), dtype=complex)
-        x0 = x0.reshape(2, 2, da, batch * db)
+    def _norms(self, x: np.ndarray, batch: int) -> np.ndarray:
+        """(S, B) norms of B stacked states at S times, without temporaries."""
+        v = x.view(float).reshape(2, 2, -1, self.spec.dim_a, batch, 2 * self.spec.dim_b)
+        return np.sqrt(np.einsum("pqtabd,pqtabd->tb", v, v))
+
+    def _propagate(self, x0: np.ndarray, times: np.ndarray):
+        """Yield (i, amplitudes (2, 2, dim_a, B, dim_b) at times[i]) for the B
+        states stacked in x0 (2, 2, dim_a, B*dim_b), computed over slices of
+        the sorted times of at most _SLICE_BYTES, each started from the last
+        state of the one before."""
+        x0 = np.ascontiguousarray(x0, dtype=complex)
+        batch = x0.shape[-1] // self.spec.dim_b
+        before = self._norms(x0, batch)[0]
+        order = np.argsort(times, kind="stable")
+        size = max(1, _SLICE_BYTES // x0.nbytes)
+        start = 0.0
+        for first in range(0, times.size, size):
+            if first:
+                x0, start = out[:, :, -1].reshape(x0.shape).copy(), times[positions[-1]]
+                del out  # as consumers drop theirs, so that one slice is held at a time
+            positions = order[first : first + size]
+            out = self._series(x0, times[positions] - start)
+            _check_norms(before, self._norms(out, batch), times[positions])
+            out = out.reshape(2, 2, len(positions), self.spec.dim_a, batch, -1)
+            yield from zip(positions, np.moveaxis(out, 2, 0))
+
+    def _series(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Amplitudes (2, 2, T, dim_a*B*dim_b) of exp(-i*H*t) x0 at each time."""
         coefficients = self._coefficients(times)
         terms = coefficients.shape[-1]
         # T_k(Ht) x0 cycles through `chunk` ring slots (the recursion reads the
@@ -380,21 +413,16 @@ class Propagator:
                 ring[:, :, slot] -= ring[:, :, (k - 2) % chunk]
             if slot == chunk - 1 or k == terms - 1:
                 out += coefficients[..., k - slot : k + 1] @ flat[:, :, : slot + 1]
-        out = out.reshape(2, 2, times.size, da, batch, db).transpose(2, 4, 0, 1, 3, 5)
-        before = np.sqrt(np.sum(np.abs(tensors) ** 2, axis=(1, 2, 3, 4)))
-        _check_norms(before, np.sqrt(np.sum(np.abs(out) ** 2, axis=(2, 3, 4, 5))), times)
         return out
 
     def evolve(self, psi0: StateVector, times) -> list[StateVector]:
         """Propagate a t=0 state to each of ``times`` (a 1-D sequence)."""
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-            raise ParameterError("times must be a non-empty 1-D sequence of finite values")
-        out = self._propagate(psi0.as_tensor()[None], times)
-        return [
-            StateVector(amplitudes=amp.reshape(-1), spec=self.spec, time=float(t))
-            for amp, t in zip(out[:, 0], times)
-        ]
+        times = _as_times(times)
+        states = [None] * times.size
+        for i, amp in self._propagate(psi0.as_tensor(), times):
+            states[i] = StateVector(amplitudes=amp.reshape(-1), spec=self.spec,
+                                    time=float(times[i]))
+        return states
 
 
 def coherent_vector(beta: complex, dim: int) -> np.ndarray:
@@ -472,15 +500,21 @@ def _system_branches(dc, p, spec, t):
     return sys1, sys2
 
 
-def _axes_for(labels) -> list[int]:
-    axes = []
+def _bipartition(state: StateVector, labels, name: str):
+    """The amplitudes of ``state`` as a matrix whose rows index the named
+    subsystems (in the fixed tensor order), and those subsystems' labels."""
     for label in labels:
         if label not in LABELS:
             raise ParameterError(f"unknown subsystem label {label!r}; valid: {LABELS}")
-        axes.append(LABELS.index(label))
-    if len(set(axes)) != len(axes):
+    if len(set(labels)) != len(labels):
         raise ParameterError("duplicate subsystem labels")
-    return axes
+    if not labels or len(labels) == len(LABELS):
+        raise ParameterError(f"{name} must be a non-empty proper subset of the subsystems")
+    order = sorted(LABELS.index(label) for label in labels)
+    rest = [i for i in range(4) if i not in order]
+    keep_dim = int(np.prod([state.spec.dims[i] for i in order]))
+    matrix = state.as_tensor().transpose(order + rest).reshape(keep_dim, -1)
+    return matrix, tuple(LABELS[i] for i in order)
 
 
 def reduce(state: StateVector, keep) -> DensityMatrix:
@@ -491,19 +525,8 @@ def reduce(state: StateVector, keep) -> DensityMatrix:
     """
     if not isinstance(state, StateVector):
         raise ParameterError(f"can only reduce a StateVector, got {type(state).__name__}")
-    keep = tuple(keep)
-    axes = _axes_for(keep)
-    if not axes or len(axes) == len(LABELS):
-        raise ParameterError("keep must be a non-empty proper subset of the subsystems")
-    order = sorted(axes)
-    ordered_labels = tuple(LABELS[i] for i in order)
-    dims = state.spec.dims
-    rest = [i for i in range(4) if i not in order]
-    tensor = state.as_tensor().transpose(order + rest)
-    keep_dim = int(np.prod([dims[i] for i in order]))
-    mat = tensor.reshape(keep_dim, -1)
-    rho = mat @ mat.conj().T
-    return DensityMatrix(matrix=rho, subsystem_labels=ordered_labels)
+    mat, labels = _bipartition(state, tuple(keep), "keep")
+    return DensityMatrix(matrix=mat @ mat.conj().T, subsystem_labels=labels)
 
 
 def off_diagonal_exact(psi: StateVector, cavity: str = "c") -> complex:
@@ -529,14 +552,7 @@ def linear_entropy_exact(psi: StateVector, system1=("photon_c", "mode_a")) -> fl
     the reshaped amplitude matrix, which is numerically stabler than forming
     the reduced matrix first.
     """
-    axes = _axes_for(system1)
-    if not axes or len(axes) == len(LABELS):
-        raise ParameterError("system1 must be a non-empty proper subset of the subsystems")
-    order = sorted(axes)
-    rest = [i for i in range(4) if i not in order]
-    dims = psi.spec.dims
-    keep_dim = int(np.prod([dims[i] for i in order]))
-    mat = psi.as_tensor().transpose(order + rest).reshape(keep_dim, -1)
+    mat, _ = _bipartition(psi, tuple(system1), "system1")
     s = np.linalg.svd(mat, compute_uv=False)
     return float(1.0 - np.sum(s**4))
 
@@ -717,61 +733,88 @@ def entropy_expectations(
     return coefficient, {"nodes": 0}
 
 
+#: Bytes of resampled elements gathered at once by the bootstrap (its
+#: indices are in range, and mode "clip" skips the checked, buffered take).
+_GATHER_BYTES = 1 << 20
+
+
+def _oracle_elements(dc, p, spec, betas, times):
+    """Yield (position, every sample's path-coherence element) per time.
+
+    A sample's state is linear in its rod-m amplitudes c, so its element is
+    c^T G conj(c), G[n, m] the coherence between the evolved states that
+    start with rod m in levels n and m."""
+    amplitudes = np.array([_coherent_input("a", beta, spec.dim_a, TAIL_TOL) for beta in betas])
+    rest = initial_state(replace(p, beta_m=0.0), spec).as_tensor()[:, :, 0]
+    levels = np.einsum("an,pqb->pqanb", np.eye(spec.dim_a), rest).reshape(2, 2, spec.dim_a, -1)
+    evolved = Propagator(dc, spec)._propagate(levels, times)
+    del levels  # held by the propagation alone, which drops it after the first slice
+    for i, state in evolved:
+        cavity = state[1].transpose(2, 0, 1, 3).reshape(spec.dim_a, -1)
+        bypass = state[0].transpose(2, 0, 1, 3).reshape(spec.dim_a, -1)
+        del state  # so that the propagation frees each slice once past it
+        yield i, np.einsum("sn,nm,sm->s", amplitudes, cavity @ bypass.conj().T, amplitudes.conj())
+
+
 def thermal_visibility_montecarlo(
     dc: DerivedCouplings,
     p: PhysicalParams,
     spec: HilbertSpec | None,
     nbar: float,
-    t: float,
+    times,
     n_samples: int,
     seed: int,
     method: str = "closedform",
     bootstrap_resamples: int = 200,
-) -> tuple[float, float]:
-    """Monte-Carlo thermal visibility of the rod-m cavity.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo thermal visibility of the rod-m cavity at each of ``times``.
 
     Samples rod-m amplitudes beta from the circular complex Gaussian with
     E|beta|^2 = nbar (two independent normal draws of standard deviation
     sqrt(nbar/2) from ``numpy.random.default_rng(seed)``, real part first),
     averages the complex path-coherence element over the samples, and
-    returns (2*|mean|, bootstrap standard error).
+    returns arrays of 2*|mean| and of its bootstrap standard error, one
+    entry per time.  The samples, then the bootstrap indices, are drawn once
+    and serve every time; each time's bootstrap is streamed, gathering a
+    bounded chunk of index rows at a time, so memory does not grow with the
+    number of times.
 
     ``method="closedform"`` evolves each sample with the exactly solvable
     gravity-free dynamics (exact when gamma = 0); ``method="oracle"``
     propagates in the truncated basis under the full Hamiltonian carried by
     ``dc`` and needs ``spec``: one batched propagation of the states with
-    rod m in each Fock level serves every sample.
+    rod m in each Fock level serves every sample and time.
     """
+    times = _as_times(times)
+    if np.any(times < 0):
+        raise ParameterError(f"times must be >= 0, got {times.min()!r}")
     if n_samples < 100:
         raise ParameterError(f"n_samples must be >= 100, got {n_samples}")
+    if bootstrap_resamples < 2:
+        raise ParameterError(f"bootstrap_resamples must be >= 2, got {bootstrap_resamples}")
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t!r}")
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
     if method == "closedform":
-        elements = analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
-    elif method == "oracle":
-        if spec is None:
-            raise ParameterError("method='oracle' requires a HilbertSpec")
-        # A sample's state is linear in its rod-m amplitudes c, so its
-        # path-coherence element is c^T G conj(c), G[n, m] the coherence
-        # between the evolved states that start with rod m in levels n and m.
-        amplitudes = np.array([_coherent_input("a", beta, spec.dim_a, TAIL_TOL)
-                               for beta in betas])
-        rest = initial_state(replace(p, beta_m=0.0), spec).as_tensor()[:, :, :1]
-        levels = np.eye(spec.dim_a)[:, None, None, :, None] * rest[None]
-        evolved = Propagator(dc, spec)._propagate(levels, np.array([float(t)]))[0]
-        cavity = evolved[:, 1].reshape(spec.dim_a, -1)
-        bypass = evolved[:, 0].reshape(spec.dim_a, -1)
-        gram = cavity @ bypass.conj().T
-        elements = np.einsum("sn,nm,sm->s", amplitudes, gram, amplitudes.conj())
+        per_time = enumerate(analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
+                             for t in times.tolist())
+    elif method == "oracle" and spec is not None:
+        per_time = _oracle_elements(dc, p, spec, betas, times)
     else:
-        raise ParameterError(f"method must be 'closedform' or 'oracle', got {method!r}")
-    mean_vis = 2.0 * abs(elements.mean())
-    indices = rng.integers(0, n_samples, size=(bootstrap_resamples, n_samples))
-    resampled = 2.0 * np.abs(elements[indices].mean(axis=1))
-    std_error = float(resampled.std(ddof=1))
-    return float(mean_vis), std_error
+        raise ParameterError(f"method must be 'closedform' or 'oracle' (which needs a "
+                             f"HilbertSpec), got {method!r} with spec {spec!r}")
+    indices = rng.integers(0, n_samples, size=(bootstrap_resamples, n_samples), dtype=np.int32)
+    chunk = max(1, _GATHER_BYTES // (16 * n_samples))
+    gathered = np.empty((min(chunk, bootstrap_resamples), n_samples), dtype=complex)
+    resampled = np.empty(bootstrap_resamples, dtype=complex)
+    means, std_errors = np.empty(times.size), np.empty(times.size)
+    for i, elements in per_time:
+        means[i] = 2.0 * abs(elements.mean())
+        for first in range(0, bootstrap_resamples, chunk):
+            rows = indices[first : first + chunk]
+            np.take(elements, rows, mode="clip", out=gathered[: len(rows)])
+            resampled[first : first + len(rows)] = gathered[: len(rows)].mean(axis=1)
+        std_errors[i] = (2.0 * np.abs(resampled)).std(ddof=1)
+    return means, std_errors

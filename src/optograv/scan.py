@@ -102,13 +102,6 @@ class ScanPlan:
         if self.oracle_enabled and self.observable_time is None:
             raise ParameterError("oracle_enabled scans need a 't' value for diagnostics")
 
-    @property
-    def grid_size(self) -> int:
-        size = 1
-        for _, values in self.axes:
-            size *= len(values)
-        return size
-
     def as_dict(self) -> dict:
         return {
             "axes": [[name, list(values)] for name, values in self.axes],

@@ -17,15 +17,21 @@ routes they replaced, as independent cross-checks:
   expectation values through it;
 - ``DenseInteractionResidual``: the frame-rotation residual from one
   eigendecomposition per (n_a+1)*(n_b+1)-dimensional sector block, against
-  the closed-form generator written out from its definition.
+  the closed-form generator written out from its definition;
+- ``thermal_visibility_montecarlo_per_time``: the thermal Monte-Carlo
+  average at one time per call, re-seeding the generator, redrawing the
+  samples and every bootstrap index, and gathering all resamples at once,
+  as the library did before it served every time from one draw.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from optograv import oracle
+from optograv import analytic, oracle
+from optograv.errors import ParameterError
+from optograv.oracle import TAIL_TOL, _coherent_input, initial_state
 
 SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -199,3 +205,67 @@ class DenseInteractionResidual:
             delta = (numeric - closed[key])[np.ix_(idx, idx)]
             total += float(np.linalg.norm(delta)) ** 2
         return math.sqrt(total) / self._denominator
+
+
+def per_time_propagate(dc, spec, tensors, times):
+    """Amplitudes (T, B, 2, 2, dim_a, dim_b) of exp(-i*H*t) applied to each of
+    the B initial tensors (B, 2, 2, dim_a, dim_b) at each time: the layout the
+    per-time reference below was written against, from the library's
+    Chebyshev propagation."""
+    batch, _, _, da, db = tensors.shape
+    x0 = tensors.transpose(1, 2, 3, 0, 4).reshape(2, 2, da, batch * db)
+    out = np.empty((len(times), batch, 2, 2, da, db), dtype=complex)
+    for i, amp in oracle.Propagator(dc, spec)._propagate(x0, np.asarray(times)):
+        out[i] = amp.transpose(3, 0, 1, 2, 4)
+    return out
+
+
+def thermal_visibility_montecarlo_per_time(
+    dc,
+    p,
+    spec,
+    nbar: float,
+    t: float,
+    n_samples: int,
+    seed: int,
+    method: str = "closedform",
+    bootstrap_resamples: int = 200,
+) -> tuple[float, float]:
+    """Monte-Carlo thermal visibility of the rod-m cavity at one time.
+
+    The library's former function, kept verbatim but for its propagation
+    call, which goes through :func:`per_time_propagate`.
+    """
+    if n_samples < 100:
+        raise ParameterError(f"n_samples must be >= 100, got {n_samples}")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
+    if t < 0:
+        raise ParameterError(f"t must be >= 0, got {t!r}")
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(nbar / 2.0)
+    betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
+    if method == "closedform":
+        elements = analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
+    elif method == "oracle":
+        if spec is None:
+            raise ParameterError("method='oracle' requires a HilbertSpec")
+        # A sample's state is linear in its rod-m amplitudes c, so its
+        # path-coherence element is c^T G conj(c), G[n, m] the coherence
+        # between the evolved states that start with rod m in levels n and m.
+        amplitudes = np.array([_coherent_input("a", beta, spec.dim_a, TAIL_TOL)
+                               for beta in betas])
+        rest = initial_state(replace(p, beta_m=0.0), spec).as_tensor()[:, :, :1]
+        levels = np.eye(spec.dim_a)[:, None, None, :, None] * rest[None]
+        evolved = per_time_propagate(dc, spec, levels, np.array([float(t)]))[0]
+        cavity = evolved[:, 1].reshape(spec.dim_a, -1)
+        bypass = evolved[:, 0].reshape(spec.dim_a, -1)
+        gram = cavity @ bypass.conj().T
+        elements = np.einsum("sn,nm,sm->s", amplitudes, gram, amplitudes.conj())
+    else:
+        raise ParameterError(f"method must be 'closedform' or 'oracle', got {method!r}")
+    mean_vis = 2.0 * abs(elements.mean())
+    indices = rng.integers(0, n_samples, size=(bootstrap_resamples, n_samples))
+    resampled = 2.0 * np.abs(elements[indices].mean(axis=1))
+    std_error = float(resampled.std(ddof=1))
+    return float(mean_vis), std_error

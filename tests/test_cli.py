@@ -301,9 +301,10 @@ class TestDeterminism:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # Nothing the propagator could pull in at call time loads at import.
-    code = ("import sys, optograv.cli; "
-            "print(sorted(m for m in ('scipy', 'numpy.fft') if m in sys.modules))")
+    # Nothing the propagator or the Monte Carlo could pull in at call time
+    # loads at import.
+    code = ("import sys, optograv.cli; print(sorted(m for m in "
+            "('scipy', 'numpy.fft', 'numpy.random') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"

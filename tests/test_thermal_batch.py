@@ -1,0 +1,141 @@
+"""The batched thermal Monte Carlo against its former one-time-per-call form.
+
+``oracle.thermal_visibility_montecarlo`` draws the samples and the bootstrap
+indices once and serves every time, streaming each time's bootstrap through
+a bounded gather buffer; ``dense_reference.thermal_visibility_montecarlo_per_time``
+re-seeds, redraws and gathers every resample at once for each time.  The
+closed-form method must agree bit for bit, the oracle method to 1e-12.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import dense_reference
+import optograv as og
+from optograv import oracle
+from optograv.errors import ParameterError
+
+from test_oracle import small_setup
+
+ORACLE_ATOL = 1e-12
+
+
+def period(dc):
+    return 2.0 * math.pi / dc.omega_a
+
+
+def per_time(dc, p, spec, nbar, times, n_samples, seed, **kwargs):
+    rows = [dense_reference.thermal_visibility_montecarlo_per_time(
+        dc, p, spec, nbar, float(t), n_samples, seed, **kwargs) for t in times]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+def assert_bitwise(batched, reference):
+    for got, want in zip(batched, reference):
+        assert np.array_equal(got, want)
+
+
+class TestClosedFormBitwise:
+    @pytest.mark.parametrize("seed", [0, 5, 20240817])
+    @pytest.mark.parametrize("nbar", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("n_samples", [100, 10000])
+    def test_matches_per_time_calls(self, ref_params, ref_couplings, seed, nbar, n_samples):
+        # One revival period in 8 steps (the `thermal` default grid): the
+        # last time is the revival, where the standard error is exactly 0.
+        times = np.linspace(period(ref_couplings) / 8.0, period(ref_couplings), 8)
+        batched = og.thermal_visibility_montecarlo(
+            ref_couplings, ref_params, None, nbar, times, n_samples, seed)
+        assert_bitwise(batched, per_time(ref_couplings, ref_params, None, nbar, times,
+                                         n_samples, seed))
+
+    @pytest.mark.parametrize("n_samples", [100, 10000])
+    def test_partial_gather_chunks(self, ref_params, ref_couplings, monkeypatch, n_samples):
+        # Seven resamples per gather and 37 resamples: five full chunks and
+        # a partial one, over a grid from t = 0 past the revival.
+        monkeypatch.setattr(oracle, "_GATHER_BYTES", 16 * n_samples * 7)
+        T = period(ref_couplings)
+        times = [0.0, 0.37 * T, T, 2.0 * T, 2.6 * T]
+        batched = og.thermal_visibility_montecarlo(
+            ref_couplings, ref_params, None, 1.0, times, n_samples, 3, bootstrap_resamples=37)
+        assert_bitwise(batched, per_time(ref_couplings, ref_params, None, 1.0, times,
+                                         n_samples, 3, bootstrap_resamples=37))
+
+    def test_revival_error_is_exactly_zero(self, ref_params, ref_couplings):
+        _, errors = og.thermal_visibility_montecarlo(
+            ref_couplings, ref_params, None, 1.0, [period(ref_couplings)], 10000, 0)
+        assert errors[0] == 0.0
+
+
+class TestOracleBatch:
+    TIMES = [7.0, 0.5, 2.0 * math.pi, 2.2]  # unsorted, with the revival of omega_a = 1
+
+    @pytest.mark.parametrize("slice_bytes", [None, 1])
+    def test_matches_per_time_calls(self, monkeypatch, slice_bytes):
+        p, dc, spec = small_setup(gamma=5e-3, lambda_m=0.3, lambda_M=0.2, n_max=20)
+        reference = per_time(dc, p, spec, 0.4, self.TIMES, 150, 17, method="oracle")
+        if slice_bytes is not None:  # one time per slice, each from the one before
+            monkeypatch.setattr(oracle, "_SLICE_BYTES", slice_bytes)
+        means, errors = og.thermal_visibility_montecarlo(
+            dc, p, spec, 0.4, self.TIMES, 150, 17, method="oracle")
+        assert np.max(np.abs(means - reference[0])) <= ORACLE_ATOL
+        assert np.max(np.abs(errors - reference[1])) <= ORACLE_ATOL
+
+
+class TestTimeSlices:
+    def test_slices_respect_the_budget_and_keep_the_order(self, monkeypatch):
+        p, dc, spec = small_setup(gamma=5e-3, lambda_m=0.3, lambda_M=0.2, n_max=14)
+        psi0 = og.initial_state(p, spec)
+        times = [3.0, 0.0, 9.5, 1.25, 6.0, 0.4, 12.0, 4.4]
+        whole = og.Propagator(dc, spec).evolve(psi0, times)
+        budget = 3 * psi0.amplitudes.nbytes
+        monkeypatch.setattr(oracle, "_SLICE_BYTES", budget)
+        prop = og.Propagator(dc, spec)
+        accumulated = []
+        series = prop._series
+
+        def spy(x0, slice_times):
+            out = series(x0, slice_times)
+            accumulated.append((slice_times.size, out.nbytes))
+            return out
+
+        monkeypatch.setattr(prop, "_series", spy)
+        sliced = prop.evolve(psi0, times)
+        assert [size for size, _ in accumulated] == [3, 3, 2]
+        assert all(nbytes <= budget for _, nbytes in accumulated)
+        for a, b, t in zip(sliced, whole, times):
+            assert a.time == t
+            assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-13
+
+
+class TestIndexDraw:
+    @pytest.mark.parametrize("seed", [0, 5, 20240817])
+    @pytest.mark.parametrize("n_samples", [100, 10000])
+    def test_int32_draw_equals_default_draw(self, seed, n_samples):
+        draws = []
+        for dtype in (np.int64, np.int32):
+            rng = np.random.default_rng(seed)
+            rng.normal(size=2 * n_samples)
+            draws.append(rng.integers(0, n_samples, size=(200, n_samples), dtype=dtype))
+        assert np.array_equal(draws[0], draws[1])
+
+
+class TestValidation:
+    @pytest.mark.parametrize("times", [[], [[1e-3]], [float("nan")], [float("inf")],
+                                       [1e-3, -1e-3], 1e-3])
+    def test_rejects_bad_times(self, ref_params, ref_couplings, times):
+        with pytest.raises(ParameterError):
+            og.thermal_visibility_montecarlo(ref_couplings, ref_params, None, 1.0, times,
+                                             500, seed=1)
+
+    @pytest.mark.parametrize("resamples", [1, 0])
+    def test_rejects_too_few_resamples(self, ref_params, ref_couplings, resamples):
+        with pytest.raises(ParameterError):
+            og.thermal_visibility_montecarlo(ref_couplings, ref_params, None, 1.0, [1e-3],
+                                             500, seed=1, bootstrap_resamples=resamples)
+
+    def test_oracle_method_needs_a_spec(self, ref_params, ref_couplings):
+        with pytest.raises(ParameterError):
+            og.thermal_visibility_montecarlo(ref_couplings, ref_params, None, 1.0, [1e-3],
+                                             500, seed=1, method="oracle")
