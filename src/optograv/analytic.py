@@ -4,7 +4,8 @@ Covers the exactly solvable gravity-free evolution (conditional coherent
 trajectories of each rod and the resulting interference visibility), the
 first-order-in-gamma visibility of the coupled system, the thermal-mixture
 visibility, the revived-peak width estimate, and the perturbative linear
-entropy (which borrows operator machinery from :mod:`optograv.oracle`).
+entropy, which is exact in a four-dimensional coherent basis per system and
+needs no Fock truncation.
 
 Every first-order time integral goes through one exact integrator: each
 mode's frame-rotated coupling factor is a fixed table of coefficients over
@@ -47,6 +48,9 @@ METHOD_THERMAL = "thermal"
 
 #: Exponents of the columns of a mode-factor coefficient table.
 _SIGMA = np.array([-1.0, 0.0, 1.0])
+
+#: Times per block of the first-order entropy, which bounds its temporaries.
+_ENTROPY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -216,14 +220,15 @@ def exponential_integrals(omega_a: float, omega_b: float, times) -> np.ndarray:
     """W[..., k, l] = integral over s in [-t, 0] of
     exp(i*(sigma_k*omega_a + sigma_l*omega_b)*s), sigma = (-1, 0, +1).
 
-    Evaluated as t*expm1(z)/z with z = -i*(sigma_k*omega_a + sigma_l*omega_b)*t,
-    and t where the frequency vanishes, so equal or near-equal mode
-    frequencies need no special case.  Shape ``times.shape + (3, 3)``.
+    Evaluated as t*(expm1(z)/z) with z = -i*(sigma_k*omega_a + sigma_l*omega_b)*t,
+    the ratio taken as 1 where |z| < 1e-150 (it rounds to 1 there), so
+    equal or near-equal mode frequencies and tiny times need no special
+    case.  Shape ``times.shape + (3, 3)``.
     """
     t = np.asarray(times, dtype=float)[..., None, None]
     z = -1j * (_SIGMA[:, None] * omega_a + _SIGMA[None, :] * omega_b) * t
-    zero = z == 0.0
-    return np.where(zero, t, t * np.expm1(z) / np.where(zero, 1.0, z))
+    small = np.abs(z) < 1e-150
+    return t * np.where(small, 1.0, np.expm1(z) / np.where(small, 1.0, z))
 
 
 def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times):
@@ -328,30 +333,61 @@ def revival_peak_width(dc: DerivedCouplings, p: PhysicalParams, temperature_T: f
     return 1.0 / (dc.lambda_m * math.sqrt(ratio + 2.0))
 
 
-def linear_entropy_first_order(
-    dc: DerivedCouplings,
-    p: PhysicalParams,
-    t: float,
-    spec=None,
-) -> float:
-    """Perturbative linear entropy between the two rod-cavity systems.
+def integrated_coefficients(dc: DerivedCouplings, times) -> np.ndarray:
+    """K[..., 3*p + i, 3*q + j], shape ``times.shape + (6, 6)``: the
+    coefficient of O_i (x) O_j, with O the operators (a^dag, a, 1), in the
+    sector-(p, q) time integral over s in [-t, 0] of the gamma-stripped
+    frame-rotated coupling generator."""
+    weights = exponential_integrals(dc.omega_a, dc.omega_b, times)
+    tables_a = np.array([mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)])
+    tables_b = np.array([mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)])
+    k = np.einsum("pik,...kl,qjl->...piqj", tables_a, weights, tables_b)
+    return k.reshape(k.shape[:-4] + (6, 6))
 
-    S = 2*gamma**2 times the entangling coefficient of the first-order
-    perturbation: the squared norm of the component of A|psi> orthogonal
-    to both pure factors of the gravity-free product state, with A the
-    gamma-stripped time integral of the interaction generator.  The
-    operator algebra runs on the truncated Fock space supplied by the
-    exact-propagation layer.
 
-    Non-negative by construction (it is 2*gamma**2 times a squared norm,
-    evaluated as one); agrees with the exact propagated entropy through second
-    order in gamma.
+def _projected_family(lam: float, omega: float, times: np.ndarray) -> np.ndarray:
+    """One system's family {a^dag psi[p], a psi[p], psi[p]} (column 3*p + i,
+    p the photon bit) projected orthogonal to its state psi, shape (T, 4, 6).
+
+    Up to phases, psi[p] = |p>|phi_p>/sqrt(2) and a^dag|phi> = phi*|phi> +
+    D(phi)|1>, so the columns lie in the orthonormal span (|0>|phi_0>,
+    |1>|phi_1>, |0>D(phi_0)|1>, |1>D(phi_1)|1>), where psi = (1, 1, 0, 0)/sqrt(2).
+    The rod's input amplitude shifts phi_0 and phi_1 alike, adding multiples
+    of the identity columns to the a^dag and a columns; the tables' a^dag and
+    a rows do not depend on the bit, so that adds a multiple of psi, which the
+    projection removes.  Hence phi_0 = 0 and phi_1 = lam*(1 - exp(-i*omega*t)).
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t!r}")
-    if dc.gamma == 0.0 or t == 0.0:
-        return 0.0
-    from . import oracle
+    phi = lam * (1.0 - np.exp(-1j * omega * times))
+    family = np.zeros((times.size, 4, 6), dtype=complex)
+    family[:, 0, 2] = 1.0
+    family[:, 1, 3], family[:, 1, 4], family[:, 1, 5] = phi.conj(), phi, 1.0
+    family[:, 2, 0] = family[:, 3, 3] = 1.0
+    family /= math.sqrt(2.0)
+    family[:, :2] -= 0.5 * (family[:, 0] + family[:, 1])[:, None]
+    return family
 
-    coefficient, _diag = oracle.entropy_expectations(dc, p, spec=spec, t=t)
-    return 2.0 * dc.gamma**2 * coefficient
+
+def linear_entropy_first_order(dc: DerivedCouplings, times) -> np.ndarray:
+    """Perturbative linear entropy between the two rod-cavity systems at each
+    of ``times``; exact, non-negative and independent of the rods' input
+    amplitudes.
+
+    S = 2*gamma**2 ||(1 - P_1)(1 - P_2) A psi||^2, with psi = psi_1 x psi_2
+    the gravity-free product state, P_k the projector onto psi_k and A the
+    gamma-stripped time integral of the frame-rotated coupling generator:
+    only the component of A*psi orthogonal to both factors entangles, and
+    dropping either projection overestimates S at leading order.  As
+    A*psi = sum K[(p, i), (q, j)] u_(p,i) (x) v_(q,j) with u_(p,i) =
+    |p> (x) O_i psi_1[p], O in (a^dag, a, 1), likewise v, and K the
+    :func:`integrated_coefficients`, the projected vector is U K V^T with U
+    and V from :func:`_projected_family`.
+    """
+    times = _check_times(times)
+    out = np.empty(times.size)
+    for first in range(0, times.size, _ENTROPY_BLOCK):
+        block = times[first : first + _ENTROPY_BLOCK]
+        u = _projected_family(dc.lambda_m, dc.omega_a, block)
+        v = _projected_family(dc.lambda_M, dc.omega_b, block)
+        projected = np.einsum("tai,tij,tbj->tab", u, integrated_coefficients(dc, block), v)
+        out[first : first + block.size] = np.sum(np.abs(projected) ** 2, axis=(1, 2))
+    return 2.0 * dc.gamma**2 * out

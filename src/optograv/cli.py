@@ -220,7 +220,7 @@ def cmd_figure(args) -> int:
         rows = [list(r) for r in trace.to_csv_rows()]
         payload = trace.to_json_dict()
     else:  # fig3: entanglement growth, time in revival periods
-        values = [analytic.linear_entropy_first_order(dc, p, float(t)) for t in times]
+        values = analytic.linear_entropy_first_order(dc, times)
         header = ["t_periods", "value", "method"]
         rows = [
             [repr(float(t / period)), repr(float(v)), "first_order_entropy"]

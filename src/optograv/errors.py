@@ -20,7 +20,8 @@ class ParameterError(OptogravError):
 
 
 class DimensionLimitError(OptogravError):
-    """Requested Hilbert-space dimension exceeds the desk-scale guard."""
+    """Requested Hilbert-space dimension, or the Chebyshev tables of one
+    propagation, exceed their desk-scale guard."""
 
 
 class TruncationError(OptogravError):

@@ -230,6 +230,10 @@ _SLICE_BYTES = 32 << 20
 #: (-i)^k for k mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
+#: Budget for the Bessel and coefficient tables of one recursion, which
+#: hold about _TABLE_ENTRY_BYTES per (sector, time, term) entry at once.
+_TABLE_BYTES, _TABLE_ENTRY_BYTES = 1 << 30, 64
+
 
 def _mode_hamiltonian(dim: int, omega: float, lam: float, bit: int) -> np.ndarray:
     """One mode's free Hamiltonian omega*n - bit*lam*omega*(a^dag + a), with
@@ -259,6 +263,31 @@ def _check_norms(before: np.ndarray, after: np.ndarray, times: np.ndarray):
         )
 
 
+def _bessel_start(zmax: float) -> int:
+    """Order at which the backward recurrence for arguments up to zmax starts."""
+    return int(zmax + 20.0 * zmax ** (1.0 / 3.0)) + 64
+
+
+def _check_table_bytes(rows: int, radius: float, t_max: float):
+    """Raise :class:`DimensionLimitError`, naming the largest admissible time,
+    unless the tables for ``rows`` (sector, time) pairs of spectral radius up
+    to ``radius`` and times up to ``t_max`` fit :data:`_TABLE_BYTES`."""
+    def fits(t):
+        entries = rows * (_bessel_start(radius * t) + 1) if math.isfinite(radius * t) else math.inf
+        return entries * _TABLE_ENTRY_BYTES <= _TABLE_BYTES
+
+    if fits(t_max):
+        return
+    lo, hi = 0.0, _TABLE_BYTES / (rows * _TABLE_ENTRY_BYTES * radius)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    raise DimensionLimitError(
+        f"the Chebyshev tables of one recursion over {rows // 4} time(s) up to t = {t_max!r} "
+        f"exceed the budget of {_TABLE_BYTES} bytes; the largest admissible time is {lo!r}"
+    )
+
+
 def _bessel_series(z: np.ndarray) -> np.ndarray:
     """J_k(z) for each z >= 0 of a 1-D array, k from 0 up to the order past
     max(z) beyond which every row's 2|J_k| stays below :data:`_SERIES_TOL`.
@@ -269,7 +298,7 @@ def _bessel_series(z: np.ndarray) -> np.ndarray:
     overflow.
     """
     zmax = float(z.max(initial=0.0))
-    start = int(zmax + 20.0 * zmax ** (1.0 / 3.0)) + 64
+    start = _bessel_start(zmax)
     values = np.zeros((z.size, start + 1))
     # Below 1e-8, J_0 = 1 and J_1 = z/2 to round-off and the rest vanish.
     live = z >= 1e-8
@@ -344,19 +373,22 @@ class Propagator:
         self._x_a = x_a
         self._coupling = (scale * dc.gamma * x_b.T).astype(complex) if dc.gamma else None
 
-    def _apply(self, x: np.ndarray, out: np.ndarray):
+    def _apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         """out = 2*Ht x for sector-stacked amplitudes x of shape
-        (2, 2, dim_a, B*dim_b): row n_a holds the B states side by side."""
+        (2, 2, dim_a, B*dim_b): row n_a holds the B states side by side.
+        ``scratch`` holds two arrays of x's shape, which are overwritten."""
         db = self.spec.dim_b
+        product, mixed = scratch[0].reshape(2, 2, -1, db), scratch[1]
         np.matmul(self._left, x.view(float), out=out.view(float))
         rows = out.reshape(2, 2, -1, db)
-        rows += x.reshape(2, 2, -1, db) @ self._right
+        rows += np.matmul(x.reshape(2, 2, -1, db), self._right, out=product)
         if self._coupling is not None:
-            mixed = (self._x_a @ x.view(float)).view(complex)
-            rows += mixed.reshape(2, 2, -1, db) @ self._coupling
+            np.matmul(self._x_a, x.view(float), out=mixed.view(float))
+            rows += np.matmul(mixed.reshape(2, 2, -1, db), self._coupling, out=product)
 
     def _coefficients(self, times: np.ndarray) -> np.ndarray:
         """(2, 2, T, K) expansion coefficients of every sector and time."""
+        _check_table_bytes(4 * times.size, float(self._radius.max()), float(np.abs(times).max()))
         z = self._radius[:, :, None] * times
         bessel = _bessel_series(np.abs(z).reshape(-1)).reshape(*z.shape, -1)
         order = np.arange(bessel.shape[-1])
@@ -395,24 +427,29 @@ class Propagator:
         """Amplitudes (2, 2, T, dim_a*B*dim_b) of exp(-i*H*t) x0 at each time."""
         coefficients = self._coefficients(times)
         terms = coefficients.shape[-1]
-        # T_k(Ht) x0 cycles through `chunk` ring slots (the recursion reads the
-        # two before it); each filled chunk is folded into every time at once
-        # by one matrix product per sector.
+        # T_k(Ht) x0 cycles through `chunk` contiguous ring slots (the
+        # recursion reads the two before it); each filled chunk is folded into
+        # every time at once by one matrix product per sector.  Both steps and
+        # folds write their products into one buffer.
         chunk = max(3, min(terms, _CHUNK_BYTES // x0.nbytes))
-        ring = np.empty((2, 2, chunk) + x0.shape[2:], dtype=complex)
-        flat = ring.reshape(2, 2, chunk, -1)
+        ring = np.empty((chunk,) + x0.shape, dtype=complex)
+        flat = ring.reshape(chunk, 2, 2, -1).transpose(1, 2, 0, 3)
         out = np.zeros((2, 2, times.size, x0[0, 0].size), dtype=complex)
-        ring[:, :, 0] = x0
+        buffer = np.empty(max(2, times.size) * x0.size, dtype=complex)
+        steps = buffer[: 2 * x0.size].reshape((2,) + x0.shape)
+        folded = buffer[: times.size * x0.size].reshape(out.shape)
+        ring[0] = x0
         for k in range(terms):
             slot = k % chunk
             if k == 1:
-                self._apply(ring[:, :, 0], ring[:, :, 1])
-                ring[:, :, 1] *= 0.5
+                self._apply(ring[0], ring[1], steps)
+                ring[1] *= 0.5
             elif k > 1:
-                self._apply(ring[:, :, (k - 1) % chunk], ring[:, :, slot])
-                ring[:, :, slot] -= ring[:, :, (k - 2) % chunk]
+                self._apply(ring[(k - 1) % chunk], ring[slot], steps)
+                ring[slot] -= ring[(k - 2) % chunk]
             if slot == chunk - 1 or k == terms - 1:
-                out += coefficients[..., k - slot : k + 1] @ flat[:, :, : slot + 1]
+                out += np.matmul(coefficients[..., k - slot : k + 1], flat[:, :, : slot + 1],
+                                 out=folded)
         return out
 
     def evolve(self, psi0: StateVector, times) -> list[StateVector]:
@@ -476,28 +513,17 @@ def closed_form_state(
     """
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t!r}")
-    sys1, sys2 = _system_branches(dc, p, spec, t)
+    # Per photon bit, one branch of each system; each sector is their product.
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    branches = []
+    for rod, dim in (("m", spec.dim_a), ("M", spec.dim_b)):
+        traj = analytic.coherent_trajectories(dc, p, rod, t)
+        branches.append((inv_sqrt2 * coherent_vector(traj.phi0, dim),
+                         inv_sqrt2 * np.exp(1j * traj.phase) * coherent_vector(traj.phi1, dim)))
     out = np.empty(spec.dims, dtype=complex)
     for p_bit, q_bit in _SECTORS:
-        out[p_bit, q_bit] = np.outer(sys1[p_bit], sys2[q_bit])
+        out[p_bit, q_bit] = np.outer(branches[0][p_bit], branches[1][q_bit])
     return StateVector(amplitudes=out.reshape(-1), spec=spec, time=t)
-
-
-def _system_branches(dc, p, spec, t):
-    """Per-sector vectors of system 1 (photon-c, mode a) and system 2
-    (photon-d, mode b) for the gravity-free product state at time t."""
-    traj_m = analytic.coherent_trajectories(dc, p, "m", t)
-    traj_M = analytic.coherent_trajectories(dc, p, "M", t)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    sys1 = (
-        inv_sqrt2 * coherent_vector(traj_m.phi0, spec.dim_a),
-        inv_sqrt2 * np.exp(1j * traj_m.phase) * coherent_vector(traj_m.phi1, spec.dim_a),
-    )
-    sys2 = (
-        inv_sqrt2 * coherent_vector(traj_M.phi0, spec.dim_b),
-        inv_sqrt2 * np.exp(1j * traj_M.phase) * coherent_vector(traj_M.phi1, spec.dim_b),
-    )
-    return sys1, sys2
 
 
 def _bipartition(state: StateVector, labels, name: str):
@@ -640,19 +666,6 @@ def interaction_picture_check(
     return InteractionPictureResidual(dc, spec, margin=margin).residual(t)
 
 
-def _integrated_coefficients(dc: DerivedCouplings, t: float) -> dict:
-    """Per sector (p, q), the 3x3 coefficients M[i, j] of O_i (x) O_j, with O
-    the operators (a^dag, a, 1), in the time integral over s in [-t, 0] of
-    the gamma-stripped frame-rotated coupling generator."""
-    weights = analytic.exponential_integrals(dc.omega_a, dc.omega_b, t)
-    tables_a = [analytic.mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)]
-    tables_b = [analytic.mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)]
-    return {
-        (p_bit, q_bit): tables_a[p_bit] @ weights @ tables_b[q_bit].T
-        for p_bit, q_bit in _SECTORS
-    }
-
-
 def dyson_first_order_state(
     dc: DerivedCouplings,
     p: PhysicalParams,
@@ -669,68 +682,15 @@ def dyson_first_order_state(
         raise ParameterError(f"t must be >= 0, got {t!r}")
     tensor = closed_form_state(dc, p, spec, t).as_tensor()
     ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
-    coefficients = _integrated_coefficients(dc, t)
+    coefficients = analytic.integrated_coefficients(dc, t).reshape(2, 3, 2, 3)
     out = np.empty(spec.dims, dtype=complex)
     for p_bit, q_bit in _SECTORS:
-        # sum_ij M[i, j] O_i X O_j^T for the sector's (dim_a, dim_b) amplitudes X.
-        left = np.einsum("ij,iab,bc->jac", coefficients[(p_bit, q_bit)], ops_a,
+        # sum_ij K[i, j] O_i X O_j^T for the sector's (dim_a, dim_b) amplitudes X.
+        left = np.einsum("ij,iab,bc->jac", coefficients[p_bit, :, q_bit], ops_a,
                          tensor[p_bit, q_bit])
         out[p_bit, q_bit] = np.einsum("jac,jdc->ad", left, ops_b)
     amp = (-1j * dc.gamma) * out.reshape(-1)
     return StateVector(amplitudes=amp, spec=spec, time=t)
-
-
-def _projected_family(branches, ops) -> np.ndarray:
-    """Columns |bit> (x) O_i branches[bit] of one system, bit-major over
-    bit in (0, 1) and O_i in ``ops``, projected orthogonal to the system's
-    own state sum_bit |bit> (x) branches[bit]."""
-    dim = ops.shape[1]
-    family = np.zeros((2 * dim, 6), dtype=complex)
-    for bit in (0, 1):
-        family[bit * dim : (bit + 1) * dim, 3 * bit : 3 * bit + 3] = (ops @ branches[bit]).T
-    psi = np.concatenate(branches)
-    return family - np.outer(psi, psi.conj() @ family)
-
-
-def entropy_expectations(
-    dc: DerivedCouplings,
-    p: PhysicalParams,
-    t: float,
-    spec: HilbertSpec | None = None,
-) -> tuple[float, dict]:
-    """Entangling coefficient of the first-order perturbation.
-
-    With A the gamma-stripped, Hermitian time integral of the frame-rotated
-    coupling generator, psi = psi_1 x psi_2 the gravity-free product state
-    at time t and P_k the projector onto psi_k, returns
-
-        ||(1 - P_1)(1 - P_2) A psi||^2,
-
-    the squared norm of the component of A*psi orthogonal to both pure
-    factors.  Only that doubly-orthogonal component entangles: the partial
-    expectations move a single subsystem and the mean is a phase.  Dropping
-    the system-1 projection (tempting, since the reduced state of system 1
-    is the target) overestimates the entropy at leading order.
-
-    A*psi = sum K[(p, i), (q, j)] u_(p,i) (x) v_(q,j) with u_(p,i) =
-    |p> (x) O_i psi_1[p] (O in (a^dag, a, 1)), likewise v, and K the 6x6
-    integrated sector coefficients; the projected vector is therefore
-    U K V^T with the projected families U and V, and its squared Frobenius
-    norm is non-negative by construction.  The integral is exact, so the
-    returned diagnostics report zero quadrature nodes.
-    """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t!r}")
-    if spec is None:
-        spec = default_spec(p, dc)
-    sys1, sys2 = _system_branches(dc, p, spec, t)
-    coupling = np.zeros((6, 6), dtype=complex)
-    for (p_bit, q_bit), block in _integrated_coefficients(dc, t).items():
-        coupling[3 * p_bit : 3 * p_bit + 3, 3 * q_bit : 3 * q_bit + 3] = block
-    u = _projected_family(sys1, _mode_operators(spec.dim_a))
-    v = _projected_family(sys2, _mode_operators(spec.dim_b))
-    coefficient = float(np.linalg.norm(u @ coupling @ v.T)) ** 2
-    return coefficient, {"nodes": 0}
 
 
 #: Bytes of resampled elements gathered at once by the bootstrap (its

@@ -188,7 +188,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         elif obs == "visibility_shift":
             values[obs] = float(analytic.visibility_shift(dc, p, [t]).values[0])
         elif obs == "entropy":
-            values[obs] = analytic.linear_entropy_first_order(dc, p, t)
+            values[obs] = float(analytic.linear_entropy_first_order(dc, [t])[0])
         elif obs == "visibility_exact":
             values[obs] = oracle.visibility_exact(get_state(), "c")
         elif obs == "entropy_exact":
@@ -343,7 +343,7 @@ def scaling_study(
         v_formula = float(analytic.visibility_first_order(dc, p_g, [t]).values[0])
         vis_res.append(float(abs(v_exact - v_formula)))
         s_exact = oracle.linear_entropy_exact(psi_exact)
-        s_pert = analytic.linear_entropy_first_order(dc, p_g, t, spec=spec)
+        s_pert = float(analytic.linear_entropy_first_order(dc, [t])[0])
         ent_res.append(float(abs(s_exact - s_pert)))
     families = {
         "state": state_res,

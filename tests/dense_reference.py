@@ -21,7 +21,13 @@ routes they replaced, as independent cross-checks:
 - ``thermal_visibility_montecarlo_per_time``: the thermal Monte-Carlo
   average at one time per call, re-seeding the generator, redrawing the
   samples and every bootstrap index, and gathering all resamples at once,
-  as the library did before it served every time from one draw.
+  as the library did before it served every time from one draw;
+- ``entropy_expectations``: the entangling coefficient of the first-order
+  perturbation at one time, from the system families {a^dag psi, a psi,
+  psi} built in the truncated Fock basis, as the library computed it
+  before its closed form in a four-dimensional coherent basis;
+- ``allocating_apply``: one Chebyshev step of ``oracle.Propagator`` with a
+  fresh temporary per matrix product, as before it reused scratch buffers.
 """
 
 import math
@@ -269,3 +275,93 @@ def thermal_visibility_montecarlo_per_time(
     resampled = 2.0 * np.abs(elements[indices].mean(axis=1))
     std_error = float(resampled.std(ddof=1))
     return float(mean_vis), std_error
+
+
+def _system_branches(dc, p, spec, t):
+    """Per-sector vectors of system 1 (photon-c, mode a) and system 2
+    (photon-d, mode b) for the gravity-free product state at time t."""
+    traj_m = analytic.coherent_trajectories(dc, p, "m", t)
+    traj_M = analytic.coherent_trajectories(dc, p, "M", t)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    sys1 = (
+        inv_sqrt2 * oracle.coherent_vector(traj_m.phi0, spec.dim_a),
+        inv_sqrt2 * np.exp(1j * traj_m.phase) * oracle.coherent_vector(traj_m.phi1, spec.dim_a),
+    )
+    sys2 = (
+        inv_sqrt2 * oracle.coherent_vector(traj_M.phi0, spec.dim_b),
+        inv_sqrt2 * np.exp(1j * traj_M.phase) * oracle.coherent_vector(traj_M.phi1, spec.dim_b),
+    )
+    return sys1, sys2
+
+
+def _integrated_coefficients(dc, t: float) -> dict:
+    """Per sector (p, q), the 3x3 coefficients M[i, j] of O_i (x) O_j, with O
+    the operators (a^dag, a, 1), in the time integral over s in [-t, 0] of
+    the gamma-stripped frame-rotated coupling generator."""
+    weights = analytic.exponential_integrals(dc.omega_a, dc.omega_b, t)
+    tables_a = [analytic.mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)]
+    tables_b = [analytic.mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)]
+    return {
+        (p_bit, q_bit): tables_a[p_bit] @ weights @ tables_b[q_bit].T
+        for p_bit, q_bit in SECTORS
+    }
+
+
+def _projected_family(branches, ops) -> np.ndarray:
+    """Columns |bit> (x) O_i branches[bit] of one system, bit-major over
+    bit in (0, 1) and O_i in ``ops``, projected orthogonal to the system's
+    own state sum_bit |bit> (x) branches[bit]."""
+    dim = ops.shape[1]
+    family = np.zeros((2 * dim, 6), dtype=complex)
+    for bit in (0, 1):
+        family[bit * dim : (bit + 1) * dim, 3 * bit : 3 * bit + 3] = (ops @ branches[bit]).T
+    psi = np.concatenate(branches)
+    return family - np.outer(psi, psi.conj() @ family)
+
+
+def entropy_expectations(dc, p, t: float, spec=None) -> tuple[float, dict]:
+    """Entangling coefficient ||(1 - P_1)(1 - P_2) A psi||^2 of the
+    first-order perturbation at time t, in the truncated Fock basis of
+    ``spec`` (default: ``oracle.default_spec``).
+
+    The library's former function, kept verbatim: A*psi = sum K[(p, i),
+    (q, j)] u_(p,i) (x) v_(q,j) with u_(p,i) = |p> (x) O_i psi_1[p],
+    likewise v, and K the 6x6 integrated sector coefficients, so the
+    projected vector is U K V^T with the projected Fock families U and V.
+    """
+    if t < 0:
+        raise ParameterError(f"t must be >= 0, got {t!r}")
+    if spec is None:
+        spec = oracle.default_spec(p, dc)
+    sys1, sys2 = _system_branches(dc, p, spec, t)
+    coupling = np.zeros((6, 6), dtype=complex)
+    for (p_bit, q_bit), block in _integrated_coefficients(dc, t).items():
+        coupling[3 * p_bit : 3 * p_bit + 3, 3 * q_bit : 3 * q_bit + 3] = block
+    u = _projected_family(sys1, oracle._mode_operators(spec.dim_a))
+    v = _projected_family(sys2, oracle._mode_operators(spec.dim_b))
+    coefficient = float(np.linalg.norm(u @ coupling @ v.T)) ** 2
+    return coefficient, {"nodes": 0}
+
+
+def linear_entropy_first_order(dc, p, t: float, spec=None) -> float:
+    """The library's former perturbative linear entropy at one time:
+    2*gamma**2 times :func:`entropy_expectations`, exactly 0 at gamma = 0 or
+    t = 0."""
+    if t < 0:
+        raise ParameterError(f"t must be >= 0, got {t!r}")
+    if dc.gamma == 0.0 or t == 0.0:
+        return 0.0
+    coefficient, _diag = entropy_expectations(dc, p, spec=spec, t=t)
+    return 2.0 * dc.gamma**2 * coefficient
+
+
+def allocating_apply(prop, x, out, scratch=None):
+    """out = 2*Ht x for ``prop``'s sector-stacked amplitudes x, each matrix
+    product into a fresh temporary; ``scratch`` is ignored."""
+    db = prop.spec.dim_b
+    np.matmul(prop._left, x.view(float), out=out.view(float))
+    rows = out.reshape(2, 2, -1, db)
+    rows += x.reshape(2, 2, -1, db) @ prop._right
+    if prop._coupling is not None:
+        mixed = (prop._x_a @ x.view(float)).view(complex)
+        rows += mixed.reshape(2, 2, -1, db) @ prop._coupling

@@ -6,7 +6,9 @@ factors and expands exp(-i*H*t) in Chebyshev polynomials; the test-only
 Both must agree to 1e-12 absolute per amplitude.
 """
 
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import dense_reference
 import optograv as og
 from optograv import oracle
 from optograv.config import load_params
-from optograv.errors import ParameterError
+from optograv.errors import DimensionLimitError, ParameterError
 
 ATOL = 1e-12
 
@@ -157,3 +159,86 @@ def test_bessel_coefficients_against_mpmath(z):
     for k in range(0, len(values), 3):
         assert values[k] == pytest.approx(float(mpmath.besselj(k, z)), abs=1e-15)
     assert 2.0 * float(abs(mpmath.besselj(len(values), z))) < oracle._SERIES_TOL
+
+
+def stacked_states(spec, batch, seed, count=1):
+    """``count`` random sector-stacked states of B = ``batch`` states each,
+    (count, 2, 2, dim_a, B*dim_b), laid out as the slots of the ring in
+    ``Propagator._series``."""
+    rng = np.random.default_rng(seed)
+    shape = (count, 2, 2, spec.dim_a, batch * spec.dim_b)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("gamma", [1e-2, 0.0])
+@pytest.mark.parametrize("n_max, batch", [(30, 8), (28, 1)])
+def test_apply_allocates_no_state_sized_block(gamma, n_max, batch):
+    p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
+    spec = og.HilbertSpec(n_max, n_max)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    ring = stacked_states(spec, batch, 3, count=3)
+    x, out = ring[1], ring[2]
+    scratch = np.empty_like(ring[:2])
+    propagator._apply(x, out, scratch)
+    tracemalloc.start()
+    try:
+        # One recursion step: the operator, then the slot two before.
+        propagator._apply(x, out, scratch)
+        out -= ring[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 16
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_series_holds_only_its_ring_output_and_buffer(count):
+    # No state-sized block beyond the ring of Chebyshev vectors, the output
+    # and the scratch buffer shared by the steps and the folds.
+    p = og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
+    spec = og.HilbertSpec(30, 30)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    x0 = stacked_states(spec, 8, 6)[0]
+    times = np.linspace(4.0, 9.0, count)
+    terms = propagator._coefficients(times).shape[-1]
+    chunk = max(3, min(terms, oracle._CHUNK_BYTES // x0.nbytes))
+    held = (chunk + count + max(2, count)) * x0.nbytes
+    propagator._series(x0, times)
+    tracemalloc.start()
+    try:
+        propagator._series(x0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= peak < held + x0.nbytes / 2
+
+
+@pytest.mark.parametrize("gamma", [1e-2, 0.0])
+def test_series_with_scratch_buffers_equals_allocating_steps(gamma, monkeypatch):
+    p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
+    spec = og.HilbertSpec(30, 30)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    x0 = stacked_states(spec, 5, 4)[0]
+    times = np.array([0.3, 5.0, 17.0, 40.0])
+    buffered = propagator._series(x0, times)
+    monkeypatch.setattr(propagator, "_apply", functools.partial(
+        dense_reference.allocating_apply, propagator))
+    allocating = propagator._series(x0, times)
+    assert np.max(np.abs(buffered - allocating)) <= 1e-15
+
+
+def test_chebyshev_tables_beyond_the_budget_name_the_largest_time():
+    p = dimensionless_config()
+    spec = og.HilbertSpec(4, 4)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    psi0 = og.initial_state(p, spec, tail_tol=1e-2)
+    with pytest.raises(DimensionLimitError, match="largest admissible time") as info:
+        propagator.evolve(psi0, [1e12])
+    t_max = float(str(info.value).rsplit(" ", 1)[-1])
+    radius = float(propagator._radius.max())
+    oracle._check_table_bytes(4, radius, t_max)
+    with pytest.raises(DimensionLimitError):
+        oracle._check_table_bytes(4, radius, t_max * (1.0 + 1e-9))
+    for t in (1e300, -1e12):
+        with pytest.raises(DimensionLimitError, match="largest admissible time"):
+            propagator.evolve(psi0, [0.5, t])

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from optograv import oracle
 from optograv.cli import main
 
 from test_params import T_MAX_AT_Q1E7, VISIBILITY_MINIMUM
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(capsys, *argv):
@@ -158,6 +161,13 @@ class TestOracleCommand:
                            "--residual-times", "1")
         assert code == 3
         assert "norm" in err
+
+    def test_chebyshev_table_budget_exits_numerical(self, capsys):
+        code, _, err = run(capsys, "thermal", "--params", str(CONFIGS / "dimensionless.cfg"),
+                           "--mc-method", "oracle", "--mc-samples", "100", "--nbar", "0.1",
+                           "--t-start", "0", "--t-stop", "1e12", "--t-points", "2")
+        assert code == 3
+        assert "largest admissible time" in err
 
     def test_passes_at_adequate_truncation(self, capsys, reference_config):
         code, out, _ = run(capsys, "oracle", "--params", str(reference_config),

@@ -112,14 +112,20 @@ class TestRunScan:
         assert math.isnan(result.rows[1]["values"]["delta_T"])
 
     def test_huge_amplitude_names_dimension_limit(self, ref_params):
-        # |beta_m| = 1e300 has no Fock truncation for the entropy's spec.
-        plan = small_plan(axes=(("beta_m", (1.0, 1e300)),), observables=("entropy",),
-                          observable_time=1e-3)
+        # |beta_m| = 1e300 has no Fock truncation for the oracle's default spec.
+        plan = small_plan(axes=(("beta_m", (1.0, 1e300)),), observables=("visibility_exact",),
+                          oracle_enabled=True, observable_time=1e-3)
         result = og.run_scan(plan, ref_params)
         assert result.rows[0]["diagnostics"]["error"] == ""
         error = result.rows[1]["diagnostics"]["error"]
         assert error.startswith("DimensionLimitError") and "1e+300" in error
-        assert math.isnan(result.rows[1]["values"]["entropy"])
+        assert math.isnan(result.rows[1]["values"]["visibility_exact"])
+        # The first-order entropy needs no truncation and no input amplitude.
+        plan = small_plan(axes=(("beta_m", (1.0, 1e300)),), observables=("entropy",),
+                          observable_time=1e-3)
+        rows = og.run_scan(plan, ref_params).rows
+        assert rows[1]["diagnostics"]["error"] == ""
+        assert rows[1]["values"]["entropy"] == rows[0]["values"]["entropy"] > 0.0
         for amplitude in (1e300, float("inf"), float("nan"), 1e4):
             with pytest.raises(DimensionLimitError, match="amplitude"):
                 oracle.suggested_n_max(amplitude, 0.0)
