@@ -175,8 +175,8 @@ def _trace_fingerprint(dc, p, extra=None):
 
 def _check_times(times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise ParameterError("times must be >= 0")
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ParameterError("times must be finite and >= 0")
     return times
 
 

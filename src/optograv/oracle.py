@@ -18,6 +18,11 @@ time.  With one BLAS thread, a single time at n_max 28 (36) costs as much
 as the dense per-sector eigendecomposition it replaced only beyond about
 22 (39) revival periods.
 
+The thermal Monte Carlo's oracle method needs no truncation: every sector
+Hamiltonian is one quadratic form plus a linear drive, so coherent inputs
+stay Gaussian and the photon path coherence is an exact displacement
+overlap.
+
 Energy offsets proportional to the identity (the constant photon energies)
 are omitted throughout: they contribute a global phase only.  The
 closed-form reference state below drops the same phase, so state vectors
@@ -27,7 +32,7 @@ from both routes are directly comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,10 +165,6 @@ class StateVector:
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.spec.dims)
 
-    def sector(self, p_bit: int, q_bit: int) -> np.ndarray:
-        """(dim_a, dim_b) view of the photon sector (p_bit, q_bit)."""
-        return self.as_tensor()[p_bit, q_bit]
-
 
 @dataclass
 class DensityMatrix:
@@ -224,9 +225,6 @@ _INTERVAL_PAD = 1e-12
 #: Bytes of Chebyshev vectors held for one batched accumulation.
 _CHUNK_BYTES = 8 << 20
 
-#: Bytes of evolved amplitudes accumulated for one slice of times.
-_SLICE_BYTES = 32 << 20
-
 #: (-i)^k for k mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
@@ -249,17 +247,16 @@ def _as_times(times) -> np.ndarray:
     return times
 
 
-def _check_norms(before: np.ndarray, after: np.ndarray, times: np.ndarray):
-    """Raise unless every evolved norm ``after[t, b]`` matches ``before[b]``."""
-    bad = np.argwhere(~(np.abs(after - before) <= _NORM_TOL))
+def _check_norms(before: float, after: np.ndarray, times: np.ndarray):
+    """Raise unless every evolved norm ``after[t]`` matches ``before``."""
+    bad = np.flatnonzero(~(np.abs(after - before) <= _NORM_TOL))
     if bad.size:
-        i, b = bad[0]
-        norm_before, norm_after = float(before[b]), float(after[i, b])
+        norm_after = float(after[bad[0]])
         raise NumericalError(
             f"propagation failed to preserve the norm to {_NORM_TOL:g}: "
-            f"{norm_before!r} before, {norm_after!r} after",
-            diagnostics={"norm_before": norm_before, "norm_after": norm_after,
-                         "time": float(times[i])},
+            f"{before!r} before, {norm_after!r} after",
+            diagnostics={"norm_before": before, "norm_after": norm_after,
+                         "time": float(times[bad[0]])},
         )
 
 
@@ -375,16 +372,14 @@ class Propagator:
 
     def _apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         """out = 2*Ht x for sector-stacked amplitudes x of shape
-        (2, 2, dim_a, B*dim_b): row n_a holds the B states side by side.
-        ``scratch`` holds two arrays of x's shape, which are overwritten."""
-        db = self.spec.dim_b
-        product, mixed = scratch[0].reshape(2, 2, -1, db), scratch[1]
+        (2, 2, dim_a, dim_b).  ``scratch`` holds two arrays of x's shape,
+        which are overwritten."""
+        product, mixed = scratch
         np.matmul(self._left, x.view(float), out=out.view(float))
-        rows = out.reshape(2, 2, -1, db)
-        rows += np.matmul(x.reshape(2, 2, -1, db), self._right, out=product)
+        out += np.matmul(x, self._right, out=product)
         if self._coupling is not None:
             np.matmul(self._x_a, x.view(float), out=mixed.view(float))
-            rows += np.matmul(mixed.reshape(2, 2, -1, db), self._coupling, out=product)
+            out += np.matmul(mixed, self._coupling, out=product)
 
     def _coefficients(self, times: np.ndarray) -> np.ndarray:
         """(2, 2, T, K) expansion coefficients of every sector and time."""
@@ -397,34 +392,8 @@ class Propagator:
         weights = np.where(order == 0, 1.0, 2.0) * powers * bessel
         return weights * np.exp(-1j * self._center[:, :, None] * times)[..., None]
 
-    def _norms(self, x: np.ndarray, batch: int) -> np.ndarray:
-        """(S, B) norms of B stacked states at S times, without temporaries."""
-        v = x.view(float).reshape(2, 2, -1, self.spec.dim_a, batch, 2 * self.spec.dim_b)
-        return np.sqrt(np.einsum("pqtabd,pqtabd->tb", v, v))
-
-    def _propagate(self, x0: np.ndarray, times: np.ndarray):
-        """Yield (i, amplitudes (2, 2, dim_a, B, dim_b) at times[i]) for the B
-        states stacked in x0 (2, 2, dim_a, B*dim_b), computed over slices of
-        the sorted times of at most _SLICE_BYTES, each started from the last
-        state of the one before."""
-        x0 = np.ascontiguousarray(x0, dtype=complex)
-        batch = x0.shape[-1] // self.spec.dim_b
-        before = self._norms(x0, batch)[0]
-        order = np.argsort(times, kind="stable")
-        size = max(1, _SLICE_BYTES // x0.nbytes)
-        start = 0.0
-        for first in range(0, times.size, size):
-            if first:
-                x0, start = out[:, :, -1].reshape(x0.shape).copy(), times[positions[-1]]
-                del out  # as consumers drop theirs, so that one slice is held at a time
-            positions = order[first : first + size]
-            out = self._series(x0, times[positions] - start)
-            _check_norms(before, self._norms(out, batch), times[positions])
-            out = out.reshape(2, 2, len(positions), self.spec.dim_a, batch, -1)
-            yield from zip(positions, np.moveaxis(out, 2, 0))
-
     def _series(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Amplitudes (2, 2, T, dim_a*B*dim_b) of exp(-i*H*t) x0 at each time."""
+        """Amplitudes (2, 2, T, dim_a*dim_b) of exp(-i*H*t) x0 at each time."""
         coefficients = self._coefficients(times)
         terms = coefficients.shape[-1]
         # T_k(Ht) x0 cycles through `chunk` contiguous ring slots (the
@@ -455,11 +424,11 @@ class Propagator:
     def evolve(self, psi0: StateVector, times) -> list[StateVector]:
         """Propagate a t=0 state to each of ``times`` (a 1-D sequence)."""
         times = _as_times(times)
-        states = [None] * times.size
-        for i, amp in self._propagate(psi0.as_tensor(), times):
-            states[i] = StateVector(amplitudes=amp.reshape(-1), spec=self.spec,
-                                    time=float(times[i]))
-        return states
+        out = self._series(psi0.as_tensor(), times)
+        v = out.view(float)
+        _check_norms(psi0.norm(), np.sqrt(np.einsum("pqtn,pqtn->t", v, v)), times)
+        return [StateVector(amplitudes=out[:, :, i].reshape(-1), spec=self.spec, time=t)
+                for i, t in enumerate(times.tolist())]
 
 
 def coherent_vector(beta: complex, dim: int) -> np.ndarray:
@@ -693,33 +662,56 @@ def dyson_first_order_state(
     return StateVector(amplitudes=amp, spec=spec, time=t)
 
 
+def _gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
+    """Exact photon-c path-coherence element, shape (T, N), with rod m in
+    each coherent state |betas_m[n]> and rod M in |beta_M>, at each time.
+
+    In the quadratures r = (q_a, p_a, q_b, p_b), x = sqrt(2)*q, the sector
+    with cavity-path bits (p, q) has the Hamiltonian r^T M r / 2 +
+    (p*u + q*v)^T M r (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)):
+    one quadratic form about the centre -(p*u + q*v).  Each sector turns its
+    displaced input by the common flow S(t) = exp(J M t) about its own
+    centre, so the element is a sum of displacement overlaps, in which the
+    flow of the common vacuum and its phase cancel:
+
+        1/4 exp(-|w|^2/4 + i b^T J w)
+            sum_q exp(i (u/2 + q v)^T (M u t - J S^-1 u)),
+
+    with w = (1 - S^-1) u and b the input's mean quadratures.  One
+    eigendecomposition of J M serves every time.  The modes are stable only
+    while M is positive definite.
+    """
+    omega_a, omega_b, gamma = dc.omega_a, dc.omega_b, dc.gamma
+    if not omega_a * omega_b > 4.0 * gamma * gamma:
+        raise ParameterError(f"unstable coupled modes: omega_a*omega_b = {omega_a * omega_b!r} "
+                             f"must exceed 4*gamma**2 = {4.0 * gamma * gamma!r}")
+    times = np.asarray(times, dtype=float)
+    m = np.array([[omega_a, 0.0, 2.0 * gamma, 0.0], [0.0, omega_a, 0.0, 0.0],
+                  [2.0 * gamma, 0.0, omega_b, 0.0], [0.0, 0.0, 0.0, omega_b]])
+    j = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    inverse = np.linalg.inv(m)
+    u = -math.sqrt(2.0) * dc.lambda_m * omega_a * inverse[0]
+    v = -math.sqrt(2.0) * dc.lambda_M * omega_b * inverse[2]
+    values, vectors = np.linalg.eig(j @ m)
+    back = (np.exp(-np.multiply.outer(times, values))
+            @ (vectors * np.linalg.solve(vectors, u)).T).real  # S^-1(t) u, (T, 4)
+    w = u - back
+    halves = np.stack([0.5 * u, 0.5 * u + v])
+    phases = np.multiply.outer(times, halves @ m @ u) - back @ (halves @ j).T
+    common = 0.25 * np.exp(1j * phases).sum(axis=1) * np.exp(-0.25 * np.sum(w * w, axis=1))
+    inputs = np.stack(np.broadcast_arrays(np.asarray(betas_m, dtype=complex), complex(beta_M)), -1)
+    b = math.sqrt(2.0) * inputs.view(float)  # (N, 4) mean quadratures
+    return common[:, None] * np.exp(1j * (w @ (b @ j).T))
+
+
 #: Bytes of resampled elements gathered at once by the bootstrap (its
 #: indices are in range, and mode "clip" skips the checked, buffered take).
 _GATHER_BYTES = 1 << 20
 
 
-def _oracle_elements(dc, p, spec, betas, times):
-    """Yield (position, every sample's path-coherence element) per time.
-
-    A sample's state is linear in its rod-m amplitudes c, so its element is
-    c^T G conj(c), G[n, m] the coherence between the evolved states that
-    start with rod m in levels n and m."""
-    amplitudes = np.array([_coherent_input("a", beta, spec.dim_a, TAIL_TOL) for beta in betas])
-    rest = initial_state(replace(p, beta_m=0.0), spec).as_tensor()[:, :, 0]
-    levels = np.einsum("an,pqb->pqanb", np.eye(spec.dim_a), rest).reshape(2, 2, spec.dim_a, -1)
-    evolved = Propagator(dc, spec)._propagate(levels, times)
-    del levels  # held by the propagation alone, which drops it after the first slice
-    for i, state in evolved:
-        cavity = state[1].transpose(2, 0, 1, 3).reshape(spec.dim_a, -1)
-        bypass = state[0].transpose(2, 0, 1, 3).reshape(spec.dim_a, -1)
-        del state  # so that the propagation frees each slice once past it
-        yield i, np.einsum("sn,nm,sm->s", amplitudes, cavity @ bypass.conj().T, amplitudes.conj())
-
-
 def thermal_visibility_montecarlo(
     dc: DerivedCouplings,
     p: PhysicalParams,
-    spec: HilbertSpec | None,
     nbar: float,
     times,
     n_samples: int,
@@ -740,10 +732,9 @@ def thermal_visibility_montecarlo(
     number of times.
 
     ``method="closedform"`` evolves each sample with the exactly solvable
-    gravity-free dynamics (exact when gamma = 0); ``method="oracle"``
-    propagates in the truncated basis under the full Hamiltonian carried by
-    ``dc`` and needs ``spec``: one batched propagation of the states with
-    rod m in each Fock level serves every sample and time.
+    gravity-free dynamics (exact when gamma = 0); ``method="oracle"`` with
+    the full coupled dynamics carried by ``dc`` and rod M in |beta_M>,
+    exactly and without truncation (:func:`_gaussian_coherence`).
     """
     times = _as_times(times)
     if np.any(times < 0):
@@ -758,19 +749,18 @@ def thermal_visibility_montecarlo(
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
     if method == "closedform":
-        per_time = enumerate(analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
-                             for t in times.tolist())
-    elif method == "oracle" and spec is not None:
-        per_time = _oracle_elements(dc, p, spec, betas, times)
+        per_time = (analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
+                    for t in times.tolist())
+    elif method == "oracle":
+        per_time = (_gaussian_coherence(dc, betas, p.beta_M, [t])[0] for t in times.tolist())
     else:
-        raise ParameterError(f"method must be 'closedform' or 'oracle' (which needs a "
-                             f"HilbertSpec), got {method!r} with spec {spec!r}")
+        raise ParameterError(f"method must be 'closedform' or 'oracle', got {method!r}")
     indices = rng.integers(0, n_samples, size=(bootstrap_resamples, n_samples), dtype=np.int32)
     chunk = max(1, _GATHER_BYTES // (16 * n_samples))
     gathered = np.empty((min(chunk, bootstrap_resamples), n_samples), dtype=complex)
     resampled = np.empty(bootstrap_resamples, dtype=complex)
     means, std_errors = np.empty(times.size), np.empty(times.size)
-    for i, elements in per_time:
+    for i, elements in enumerate(per_time):
         means[i] = 2.0 * abs(elements.mean())
         for first in range(0, bootstrap_resamples, chunk):
             rows = indices[first : first + chunk]

@@ -21,7 +21,9 @@ routes they replaced, as independent cross-checks:
 - ``thermal_visibility_montecarlo_per_time``: the thermal Monte-Carlo
   average at one time per call, re-seeding the generator, redrawing the
   samples and every bootstrap index, and gathering all resamples at once,
-  as the library did before it served every time from one draw;
+  as the library did before it served every time from one draw; its
+  oracle method propagates every Fock level of rod m, the truncated
+  reference for the library's exact Gaussian coherence;
 - ``entropy_expectations``: the entangling coefficient of the first-order
   perturbation at one time, from the system families {a^dag psi, a psi,
   psi} built in the truncated Fock basis, as the library computed it
@@ -216,13 +218,14 @@ class DenseInteractionResidual:
 def per_time_propagate(dc, spec, tensors, times):
     """Amplitudes (T, B, 2, 2, dim_a, dim_b) of exp(-i*H*t) applied to each of
     the B initial tensors (B, 2, 2, dim_a, dim_b) at each time: the layout the
-    per-time reference below was written against, from the library's
-    Chebyshev propagation."""
-    batch, _, _, da, db = tensors.shape
-    x0 = tensors.transpose(1, 2, 3, 0, 4).reshape(2, 2, da, batch * db)
-    out = np.empty((len(times), batch, 2, 2, da, db), dtype=complex)
-    for i, amp in oracle.Propagator(dc, spec)._propagate(x0, np.asarray(times)):
-        out[i] = amp.transpose(3, 0, 1, 2, 4)
+    per-time reference below was written against, from one call of the
+    library's ``Propagator.evolve`` per tensor."""
+    propagator = oracle.Propagator(dc, spec)
+    out = np.empty((len(times),) + tensors.shape, dtype=complex)
+    for b, tensor in enumerate(tensors):
+        psi0 = oracle.StateVector(amplitudes=tensor.reshape(-1), spec=spec)
+        for i, state in enumerate(propagator.evolve(psi0, times)):
+            out[i, b] = state.as_tensor()
     return out
 
 
@@ -358,10 +361,7 @@ def linear_entropy_first_order(dc, p, t: float, spec=None) -> float:
 def allocating_apply(prop, x, out, scratch=None):
     """out = 2*Ht x for ``prop``'s sector-stacked amplitudes x, each matrix
     product into a fresh temporary; ``scratch`` is ignored."""
-    db = prop.spec.dim_b
     np.matmul(prop._left, x.view(float), out=out.view(float))
-    rows = out.reshape(2, 2, -1, db)
-    rows += x.reshape(2, 2, -1, db) @ prop._right
+    out += x @ prop._right
     if prop._coupling is not None:
-        mixed = (prop._x_a @ x.view(float)).view(complex)
-        rows += mixed.reshape(2, 2, -1, db) @ prop._coupling
+        out += (prop._x_a @ x.view(float)).view(complex) @ prop._coupling

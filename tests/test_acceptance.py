@@ -195,7 +195,7 @@ def test_criterion_08_thermal_law(capsys, ref_params, ref_couplings):
     for nbar in (0.5, 1.0, 5.0):
         law = og.thermal_visibility(ref_couplings, ref_params, nbar, times).values
         means, errs = og.thermal_visibility_montecarlo(
-            ref_couplings, ref_params, None, nbar, times, 10000,
+            ref_couplings, ref_params, nbar, times, 10000,
             seed=20240817,
         )
         for expected, mean, err in zip(law, means, errs):

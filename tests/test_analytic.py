@@ -19,6 +19,23 @@ def period_of(dc):
     return 2.0 * math.pi / dc.omega_a
 
 
+TIMED_FUNCTIONS = {
+    "visibility_uncoupled": lambda dc, p, times: og.visibility_uncoupled(dc, p, "m", times),
+    "first_order_bracket": og.analytic.first_order_bracket,
+    "visibility_first_order": og.visibility_first_order,
+    "visibility_shift": og.visibility_shift,
+    "thermal_visibility": lambda dc, p, times: og.thermal_visibility(dc, p, 1.0, times),
+    "linear_entropy_first_order": lambda dc, p, times: og.linear_entropy_first_order(dc, times),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3])
+@pytest.mark.parametrize("name", sorted(TIMED_FUNCTIONS))
+def test_times_must_be_finite_and_non_negative(ref_params, ref_couplings, name, bad):
+    with pytest.raises(ParameterError, match="times"):
+        TIMED_FUNCTIONS[name](ref_couplings, ref_params, [1e-3, bad])
+
+
 class TestCoherentTrajectories:
     def test_initial_condition(self, ref_params, ref_couplings):
         traj = og.coherent_trajectories(ref_couplings, ref_params, "m", 0.0)
@@ -209,7 +226,7 @@ class TestThermalVisibility:
         for nbar, ts in ((10.0, [0.15 * T, 0.4 * T]), (2.0, [0.6 * T])):
             law = og.thermal_visibility(ref_couplings, ref_params, nbar, ts).values
             means, errs = og.thermal_visibility_montecarlo(
-                ref_couplings, ref_params, None, nbar, ts, 4000, seed=99
+                ref_couplings, ref_params, nbar, ts, 4000, seed=99
             )
             assert np.all(np.abs(means - law) <= 3.0 * errs + 1e-12)
 

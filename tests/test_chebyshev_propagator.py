@@ -161,22 +161,22 @@ def test_bessel_coefficients_against_mpmath(z):
     assert 2.0 * float(abs(mpmath.besselj(len(values), z))) < oracle._SERIES_TOL
 
 
-def stacked_states(spec, batch, seed, count=1):
-    """``count`` random sector-stacked states of B = ``batch`` states each,
-    (count, 2, 2, dim_a, B*dim_b), laid out as the slots of the ring in
-    ``Propagator._series``."""
+def sector_states(spec, seed, count=1):
+    """``count`` random sector-stacked states (count, 2, 2, dim_a, dim_b),
+    laid out as the slots of the ring in ``Propagator._series``."""
     rng = np.random.default_rng(seed)
-    shape = (count, 2, 2, spec.dim_a, batch * spec.dim_b)
+    shape = (count, 2, 2, spec.dim_a, spec.dim_b)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
-@pytest.mark.parametrize("n_max, batch", [(30, 8), (28, 1)])
-def test_apply_allocates_no_state_sized_block(gamma, n_max, batch):
+@pytest.mark.parametrize("n_max, stretch", [(30, 8), (28, 1)])
+def test_apply_allocates_no_state_sized_block(gamma, n_max, stretch):
+    # Mode b's ladder is `stretch` times as long as mode a's.
     p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
-    spec = og.HilbertSpec(n_max, n_max)
+    spec = og.HilbertSpec(n_max, stretch * (n_max + 1) - 1)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    ring = stacked_states(spec, batch, 3, count=3)
+    ring = sector_states(spec, 3, count=3)
     x, out = ring[1], ring[2]
     scratch = np.empty_like(ring[:2])
     propagator._apply(x, out, scratch)
@@ -196,12 +196,13 @@ def test_series_holds_only_its_ring_output_and_buffer(count):
     # No state-sized block beyond the ring of Chebyshev vectors, the output
     # and the scratch buffer shared by the steps and the folds.
     p = og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
-    spec = og.HilbertSpec(30, 30)
+    spec = og.HilbertSpec(80, 80)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    x0 = stacked_states(spec, 8, 6)[0]
-    times = np.linspace(4.0, 9.0, count)
+    x0 = sector_states(spec, 6)[0]
+    times = np.linspace(1.0, 2.0, count)
     terms = propagator._coefficients(times).shape[-1]
     chunk = max(3, min(terms, oracle._CHUNK_BYTES // x0.nbytes))
+    assert chunk < terms  # the ring wraps
     held = (chunk + count + max(2, count)) * x0.nbytes
     propagator._series(x0, times)
     tracemalloc.start()
@@ -218,7 +219,7 @@ def test_series_with_scratch_buffers_equals_allocating_steps(gamma, monkeypatch)
     p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(30, 30)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    x0 = stacked_states(spec, 5, 4)[0]
+    x0 = sector_states(spec, 4)[0]
     times = np.array([0.3, 5.0, 17.0, 40.0])
     buffered = propagator._series(x0, times)
     monkeypatch.setattr(propagator, "_apply", functools.partial(

@@ -163,9 +163,8 @@ class TestOracleCommand:
         assert "norm" in err
 
     def test_chebyshev_table_budget_exits_numerical(self, capsys):
-        code, _, err = run(capsys, "thermal", "--params", str(CONFIGS / "dimensionless.cfg"),
-                           "--mc-method", "oracle", "--mc-samples", "100", "--nbar", "0.1",
-                           "--t-start", "0", "--t-stop", "1e12", "--t-points", "2")
+        code, _, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
+                           "--scaling-t", "1e12")
         assert code == 3
         assert "largest admissible time" in err
 
@@ -271,6 +270,15 @@ class TestThermalCommand:
         _, rows = parse_csv(out)
         assert len(rows) == 2048
         assert float(rows[0][0]) == 1e-4
+
+    def test_oracle_method_at_large_occupation(self, capsys, reference_config):
+        # The exact coherence needs no Fock ladder for rod m at nbar 1e4.
+        code, out, _ = run(capsys, "thermal", "--params", str(reference_config),
+                           "--mc-method", "oracle", "--mc-samples", "300", "--nbar", "1e4")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 8
+        assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
 
 
 class TestDeterminism:
