@@ -30,7 +30,6 @@ from .params import (
     without_gravity,
 )
 from .analytic import (
-    CoherentTrajectory,
     VisibilityTrace,
     coherent_trajectories,
     linear_entropy_first_order,
@@ -41,20 +40,17 @@ from .analytic import (
     visibility_uncoupled,
 )
 from .oracle import (
-    DensityMatrix,
     HilbertSpec,
     Propagator,
     StateVector,
     closed_form_state,
     dyson_first_order_state,
     initial_state,
-    interaction_picture_check,
     linear_entropy_exact,
-    reduce,
     thermal_visibility_montecarlo,
     visibility_exact,
 )
-from .scan import ScanPlan, ScanResult, convergence_audit, run_scan, scaling_study
+from .scan import ScanPlan, ScanResult, run_scan, scaling_study
 
 __all__ = [
     "__version__",
@@ -75,7 +71,6 @@ __all__ = [
     "feasibility_bound",
     "reference_params",
     "dimensionless_params",
-    "CoherentTrajectory",
     "VisibilityTrace",
     "coherent_trajectories",
     "visibility_uncoupled",
@@ -86,19 +81,15 @@ __all__ = [
     "linear_entropy_first_order",
     "HilbertSpec",
     "StateVector",
-    "DensityMatrix",
     "Propagator",
     "initial_state",
     "closed_form_state",
-    "reduce",
     "visibility_exact",
     "linear_entropy_exact",
-    "interaction_picture_check",
     "dyson_first_order_state",
     "thermal_visibility_montecarlo",
     "ScanPlan",
     "ScanResult",
     "run_scan",
     "scaling_study",
-    "convergence_audit",
 ]

@@ -7,6 +7,10 @@ visibility, the revived-peak width estimate, and the perturbative linear
 entropy, which is exact in a four-dimensional coherent basis per system and
 needs no Fock truncation.
 
+One formula, :func:`coherent_trajectories`, gives every conditional
+coherent amplitude: the photon's off-diagonal element, the rod-M branches
+of the first-order bracket and the oracle's closed-form state all call it.
+
 Every first-order time integral goes through one exact integrator: each
 mode's frame-rotated coupling factor is a fixed table of coefficients over
 the operators (a^dag, a, 1) and the exponentials exp(-i*omega*s), 1,
@@ -53,22 +57,6 @@ _SIGMA = np.array([-1.0, 0.0, 1.0])
 _ENTROPY_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class CoherentTrajectory:
-    """Conditional coherent-state amplitudes of one rod at time t.
-
-    ``phi0`` is the amplitude when the cavity path is empty (free rotation
-    of the initial amplitude), ``phi1`` the displaced amplitude conditioned
-    on the photon being in the cavity, and ``phase`` the accumulated
-    radiation-pressure phase of that branch.
-    """
-
-    phi0: complex
-    phi1: complex
-    phase: float
-    rod_label: str
-
-
 def _rod_constants(dc: DerivedCouplings, p: PhysicalParams, rod: str):
     if rod == "m":
         return p.beta_m, dc.lambda_m, dc.omega_a
@@ -77,25 +65,29 @@ def _rod_constants(dc: DerivedCouplings, p: PhysicalParams, rod: str):
     raise ParameterError(f"rod must be 'm' or 'M', got {rod!r}")
 
 
-def coherent_trajectories(
-    dc: DerivedCouplings, p: PhysicalParams, rod: str, t: float
-) -> CoherentTrajectory:
-    """Conditional trajectories of one rod under its own cavity coupling.
+def coherent_trajectories(beta, lam: float, omega: float, t):
+    """Conditional coherent amplitudes (phi0, phi1, phase) of a rod that
+    starts in |beta>, under its own cavity coupling lam at frequency omega.
 
-    phi0 = beta*exp(-i*omega*t),
-    phi1 = phi0 + lam*(1 - exp(-i*omega*t)),
-    phase = lam**2*(omega*t - sin(omega*t)) + lam*Im[beta*(1 - exp(-i*omega*t))].
+    ``phi0`` is the amplitude when the cavity path is empty (free rotation
+    of beta), ``phi1`` the displaced amplitude conditioned on the photon
+    being in the cavity, and ``phase`` that branch's accumulated
+    radiation-pressure phase:
+
+        phi0 = beta*exp(-i*omega*t),
+        phi1 = phi0 + lam*(1 - exp(-i*omega*t)),
+        phase = lam**2*(omega*t - sin(omega*t)) + lam*Im[beta*(1 - exp(-i*omega*t))].
+
+    Broadcast over ``beta`` and ``t``; times must be finite and >= 0.
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t!r}")
-    beta, lam, omega = _rod_constants(dc, p, rod)
+    t = _check_times(t, ndmin=0)
+    beta = np.asarray(beta, dtype=complex)
     rot = np.exp(-1j * omega * t)
+    alpha = 1.0 - rot
     phi0 = beta * rot
-    phi1 = phi0 + lam * (1.0 - rot)
-    phase = lam * lam * (omega * t - math.sin(omega * t)) + lam * (
-        beta * (1.0 - rot)
-    ).imag
-    return CoherentTrajectory(phi0=complex(phi0), phi1=complex(phi1), phase=float(phase), rod_label=rod)
+    phi1 = phi0 + lam * alpha
+    phase = lam * lam * (omega * t - np.sin(omega * t)) + lam * (beta * alpha).imag
+    return phi0, phi1, phase
 
 
 def photon_offdiagonal(beta, lam, omega, t):
@@ -105,15 +97,10 @@ def photon_offdiagonal(beta, lam, omega, t):
     averaging must average this complex element (its beta-dependent phase is
     what produces the thermal enhancement), never the magnitude alone.
     """
-    beta = np.asarray(beta, dtype=complex)
-    rot = np.exp(-1j * omega * t)
-    alpha = 1.0 - rot
-    phi0 = beta * rot
-    phi1 = phi0 + lam * alpha
+    phi0, phi1, phase = coherent_trajectories(beta, lam, omega, t)
     overlap = np.exp(
         -0.5 * np.abs(phi0) ** 2 - 0.5 * np.abs(phi1) ** 2 + np.conj(phi0) * phi1
     )
-    phase = lam * lam * (omega * t - np.sin(omega * t)) + lam * (beta * alpha).imag
     return 0.5 * np.exp(1j * phase) * overlap
 
 
@@ -173,8 +160,10 @@ def _trace_fingerprint(dc, p, extra=None):
     return fingerprint(payload)
 
 
-def _check_times(times) -> np.ndarray:
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+def _check_times(times, ndmin: int = 1) -> np.ndarray:
+    """``times`` as a float array of at least ``ndmin`` dimensions, refused
+    unless finite and >= 0."""
+    times = np.array(times, dtype=float, ndmin=ndmin)
     if not np.all(np.isfinite(times)) or np.any(times < 0):
         raise ParameterError("times must be finite and >= 0")
     return times
@@ -223,9 +212,9 @@ def exponential_integrals(omega_a: float, omega_b: float, times) -> np.ndarray:
     Evaluated as t*(expm1(z)/z) with z = -i*(sigma_k*omega_a + sigma_l*omega_b)*t,
     the ratio taken as 1 where |z| < 1e-150 (it rounds to 1 there), so
     equal or near-equal mode frequencies and tiny times need no special
-    case.  Shape ``times.shape + (3, 3)``.
+    case.  Shape ``times.shape + (3, 3)``; times must be finite and >= 0.
     """
-    t = np.asarray(times, dtype=float)[..., None, None]
+    t = _check_times(times, ndmin=0)[..., None, None]
     z = -1j * (_SIGMA[:, None] * omega_a + _SIGMA[None, :] * omega_b) * t
     small = np.abs(z) < 1e-150
     return t * np.where(small, 1.0, np.expm1(z) / np.where(small, 1.0, z))
@@ -245,9 +234,7 @@ def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times):
     # The cavity-c path changes only the identity row of the mode-a factor.
     diff_a = (tables_a[1] - tables_a[0])[2]
     # Rod-M branch amplitudes phi_q at each time; <a^dag>, <a>, <1> in each.
-    rot = np.exp(-1j * omega_b * times)
-    phi0 = complex(p.beta_M) * rot
-    phi1 = phi0 + lam_M * (1.0 - rot)
+    phi0, phi1, _ = coherent_trajectories(p.beta_M, lam_M, omega_b, times)
     drive_b = 0.5 * sum(
         np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
         @ mode_factor_coefficients(lam_M, bit)

@@ -247,6 +247,10 @@ def cmd_figure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.equivalence_points < 2:
+        raise ConfigError("--equivalence-points must be >= 2")
+    if args.residual_times < 1:
+        raise ConfigError("--residual-times must be >= 1")
     p = _load(args)
     dc = derive_couplings(p)
     if args.n_max is not None:
@@ -269,7 +273,7 @@ def cmd_oracle(args) -> int:
         stop = start + EQUIVALENCE_SLICE
         for psi, v_closed in zip(propagator.evolve(psi0, times[start:stop]),
                                  closed.values[start:stop]):
-            worst = max(worst, abs(oracle.visibility_exact(psi, "c") - float(v_closed)))
+            worst = max(worst, abs(oracle.visibility_exact(psi) - float(v_closed)))
     checks.append(
         {"name": "gravity_free_equivalence", "measured": worst,
          "allowed": EQUIVALENCE_TOL, "passed": worst < EQUIVALENCE_TOL}

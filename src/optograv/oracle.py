@@ -18,6 +18,11 @@ time.  With one BLAS thread, a single time at n_max 28 (36) costs as much
 as the dense per-sector eigendecomposition it replaced only beyond about
 22 (39) revival periods.
 
+The evolved states are read through the two observables the paper's
+signatures need: photon c's path coherence (:func:`visibility_exact`) and
+the linear entropy of (photon c, mode a) against (photon d, mode b)
+(:func:`linear_entropy_exact`).
+
 The thermal Monte Carlo's oracle method needs no truncation: every sector
 Hamiltonian is one quadratic form plus a linear drive, so coherent inputs
 stay Gaussian and the photon path coherence is an exact displacement
@@ -25,8 +30,9 @@ overlap.
 
 Energy offsets proportional to the identity (the constant photon energies)
 are omitted throughout: they contribute a global phase only.  The
-closed-form reference state below drops the same phase, so state vectors
-from both routes are directly comparable.
+closed-form reference state below, built from
+:func:`analytic.coherent_trajectories`, drops the same phase, so state
+vectors from both routes are directly comparable.
 """
 
 from __future__ import annotations
@@ -39,8 +45,6 @@ import numpy as np
 from . import analytic
 from .errors import DimensionLimitError, NumericalError, ParameterError, TruncationError
 from .params import DerivedCouplings, PhysicalParams, derive_couplings
-
-LABELS = ("photon_c", "photon_d", "mode_a", "mode_b")
 
 #: Desk-scale guard on the total Hilbert-space dimension.
 MAX_TOTAL_DIM = 2**16
@@ -145,7 +149,8 @@ def check_adequacy(spec: HilbertSpec, dc: DerivedCouplings, p: PhysicalParams, t
 
 @dataclass
 class StateVector:
-    """Flat complex amplitudes in the fixed tensor order of :data:`LABELS`."""
+    """Flat complex amplitudes in the fixed tensor order (photon c, photon d,
+    mode a, mode b)."""
 
     amplitudes: np.ndarray
     spec: HilbertSpec
@@ -164,36 +169,6 @@ class StateVector:
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.spec.dims)
-
-
-@dataclass
-class DensityMatrix:
-    """Reduced state over a subset of the subsystems."""
-
-    matrix: np.ndarray
-    subsystem_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError("density matrix must be square")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
-            raise ParameterError("density matrix is not Hermitian to 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise ParameterError("density matrix trace differs from 1 by more than 1e-10")
-        self.matrix = m
-        self.subsystem_labels = tuple(self.subsystem_labels)
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
-
-    def validate(self, eig_floor: float = -1e-10):
-        """Full positivity check (eigenvalues above ``eig_floor``)."""
-        eigs = np.linalg.eigvalsh(self.matrix)
-        if eigs.min() < eig_floor:
-            raise ParameterError(f"density matrix has eigenvalue {eigs.min():.3e} < {eig_floor:g}")
-        return self
 
 
 def destroy_op(dim: int) -> np.ndarray:
@@ -478,76 +453,43 @@ def closed_form_state(
 
     Each photon branch carries its conditional coherent amplitude and
     radiation-pressure phase; the global photon-energy phase is omitted to
-    match the Hamiltonians built here.
+    match the Hamiltonians built here.  ``t`` must be finite and >= 0.
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t!r}")
     # Per photon bit, one branch of each system; each sector is their product.
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     branches = []
-    for rod, dim in (("m", spec.dim_a), ("M", spec.dim_b)):
-        traj = analytic.coherent_trajectories(dc, p, rod, t)
-        branches.append((inv_sqrt2 * coherent_vector(traj.phi0, dim),
-                         inv_sqrt2 * np.exp(1j * traj.phase) * coherent_vector(traj.phi1, dim)))
+    for beta, lam, omega, dim in ((p.beta_m, dc.lambda_m, dc.omega_a, spec.dim_a),
+                                  (p.beta_M, dc.lambda_M, dc.omega_b, spec.dim_b)):
+        phi0, phi1, phase = analytic.coherent_trajectories(beta, lam, omega, t)
+        branches.append((inv_sqrt2 * coherent_vector(phi0, dim),
+                         inv_sqrt2 * np.exp(1j * phase) * coherent_vector(phi1, dim)))
     out = np.empty(spec.dims, dtype=complex)
     for p_bit, q_bit in _SECTORS:
         out[p_bit, q_bit] = np.outer(branches[0][p_bit], branches[1][q_bit])
     return StateVector(amplitudes=out.reshape(-1), spec=spec, time=t)
 
 
-def _bipartition(state: StateVector, labels, name: str):
-    """The amplitudes of ``state`` as a matrix whose rows index the named
-    subsystems (in the fixed tensor order), and those subsystems' labels."""
-    for label in labels:
-        if label not in LABELS:
-            raise ParameterError(f"unknown subsystem label {label!r}; valid: {LABELS}")
-    if len(set(labels)) != len(labels):
-        raise ParameterError("duplicate subsystem labels")
-    if not labels or len(labels) == len(LABELS):
-        raise ParameterError(f"{name} must be a non-empty proper subset of the subsystems")
-    order = sorted(LABELS.index(label) for label in labels)
-    rest = [i for i in range(4) if i not in order]
-    keep_dim = int(np.prod([state.spec.dims[i] for i in order]))
-    matrix = state.as_tensor().transpose(order + rest).reshape(keep_dim, -1)
-    return matrix, tuple(LABELS[i] for i in order)
-
-
-def reduce(state: StateVector, keep) -> DensityMatrix:
-    """Partial trace of a pure state onto the subsystems named in ``keep``.
-
-    ``keep`` must be a non-empty proper subset of the four labels; the
-    result's row ordering follows the fixed tensor order.
-    """
-    if not isinstance(state, StateVector):
-        raise ParameterError(f"can only reduce a StateVector, got {type(state).__name__}")
-    mat, labels = _bipartition(state, tuple(keep), "keep")
-    return DensityMatrix(matrix=mat @ mat.conj().T, subsystem_labels=labels)
-
-
-def off_diagonal_exact(psi: StateVector, cavity: str = "c") -> complex:
-    """Complex photon path-coherence element <cavity-branch| rho |bypass-branch>."""
+def off_diagonal_exact(psi: StateVector) -> complex:
+    """Complex photon-c path-coherence element <cavity-branch| rho |bypass-branch>."""
     tensor = psi.as_tensor()
-    if cavity == "c":
-        return complex(np.sum(tensor[1] * np.conj(tensor[0])))
-    if cavity == "d":
-        return complex(np.sum(tensor[:, 1] * np.conj(tensor[:, 0])))
-    raise ParameterError(f"cavity must be 'c' or 'd', got {cavity!r}")
+    return complex(np.sum(tensor[1] * np.conj(tensor[0])))
 
 
-def visibility_exact(psi: StateVector, cavity: str = "c") -> float:
-    """Interference visibility: twice the magnitude of the photon's
+def visibility_exact(psi: StateVector) -> float:
+    """Interference visibility: twice the magnitude of photon c's
     path-coherence element."""
-    return 2.0 * abs(off_diagonal_exact(psi, cavity))
+    return 2.0 * abs(off_diagonal_exact(psi))
 
 
-def linear_entropy_exact(psi: StateVector, system1=("photon_c", "mode_a")) -> float:
-    """Linear entropy 1 - Tr(rho_1**2) of the bipartition system1 | rest.
+def linear_entropy_exact(psi: StateVector) -> float:
+    """Linear entropy 1 - Tr(rho_1**2) of (photon c, mode a) against
+    (photon d, mode b).
 
     For the pure states handled here this comes from the Schmidt spectrum of
     the reshaped amplitude matrix, which is numerically stabler than forming
     the reduced matrix first.
     """
-    mat, _ = _bipartition(psi, tuple(system1), "system1")
+    mat = psi.as_tensor().transpose(0, 2, 1, 3).reshape(2 * psi.spec.dim_a, -1)
     s = np.linalg.svd(mat, compute_uv=False)
     return float(1.0 - np.sum(s**4))
 
@@ -626,15 +568,6 @@ class InteractionPictureResidual:
         return math.sqrt(total) / self._denominator
 
 
-def interaction_picture_check(
-    dc: DerivedCouplings, spec: HilbertSpec, t: float, margin: int = 20
-) -> float:
-    """One-shot interior residual between the numerically rotated coupling
-    generator and its closed form; < 1e-8 at the default margin for
-    couplings up to ~0.5."""
-    return InteractionPictureResidual(dc, spec, margin=margin).residual(t)
-
-
 def dyson_first_order_state(
     dc: DerivedCouplings,
     p: PhysicalParams,
@@ -646,9 +579,8 @@ def dyson_first_order_state(
     correction = -i*gamma * integral over t' in [0, t] of the frame-rotated
     coupling generator at offset t'-t applied to the gravity-free state
     psi0(t).  Linear in gamma by construction; the time integral is exact.
+    ``t`` must be finite and >= 0.
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t!r}")
     tensor = closed_form_state(dc, p, spec, t).as_tensor()
     ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
     coefficients = analytic.integrated_coefficients(dc, t).reshape(2, 3, 2, 3)

@@ -1,4 +1,4 @@
-"""Parameter sweeps, gamma-scaling studies, and convergence audits.
+"""Parameter sweeps and gamma-scaling studies.
 
 The scaling study is the quantitative backbone of verification: the
 physical gravitational coupling is too weak for the exact propagator to
@@ -64,8 +64,8 @@ class ScanPlan:
 
     ``axes`` holds (parameter name, values) pairs; an empty tuple means a
     single run at the base parameters.  Time-dependent observables read
-    ``observable_time``; oracle-backed ones additionally require
-    ``oracle_enabled`` (and honour ``n_max`` when set).
+    ``observable_time`` (finite and >= 0); oracle-backed ones additionally
+    require ``oracle_enabled`` (and honour ``n_max`` when set).
     """
 
     axes: tuple = ()
@@ -101,6 +101,9 @@ class ScanPlan:
                 raise ParameterError(f"observable {obs!r} requires a 't' value in the plan")
         if self.oracle_enabled and self.observable_time is None:
             raise ParameterError("oracle_enabled scans need a 't' value for diagnostics")
+        t = self.observable_time
+        if t is not None and not (math.isfinite(t) and t >= 0):
+            raise ParameterError(f"the plan's 't' must be finite and >= 0, got {t!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -190,17 +193,17 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         elif obs == "entropy":
             values[obs] = float(analytic.linear_entropy_first_order(dc, [t])[0])
         elif obs == "visibility_exact":
-            values[obs] = oracle.visibility_exact(get_state(), "c")
+            values[obs] = oracle.visibility_exact(get_state())
         elif obs == "entropy_exact":
             values[obs] = oracle.linear_entropy_exact(get_state())
         elif obs == "interaction_residual":
-            values[obs] = oracle.interaction_picture_check(dc, spec, t)
+            values[obs] = oracle.InteractionPictureResidual(dc, spec).residual(t)
     if plan.oracle_enabled:
         state = get_state()
         bigger = oracle.HilbertSpec(spec.n_max_a + 8, spec.n_max_b + 8)
         psi_big = oracle.Propagator(dc, bigger).evolve(oracle.initial_state(p, bigger), [t])[0]
         diagnostics["truncation_delta"] = abs(
-            oracle.visibility_exact(state, "c") - oracle.visibility_exact(psi_big, "c")
+            oracle.visibility_exact(state) - oracle.visibility_exact(psi_big)
         )
     return values, diagnostics
 
@@ -339,7 +342,7 @@ def scaling_study(
         state_res.append(
             float(np.linalg.norm(psi_exact.amplitudes - psi0_t.amplitudes - psi1.amplitudes))
         )
-        v_exact = oracle.visibility_exact(psi_exact, "c")
+        v_exact = oracle.visibility_exact(psi_exact)
         v_formula = float(analytic.visibility_first_order(dc, p_g, [t]).values[0])
         vis_res.append(float(abs(v_exact - v_formula)))
         s_exact = oracle.linear_entropy_exact(psi_exact)
@@ -365,47 +368,4 @@ def scaling_study(
         entropy_residuals=tuple(ent_res),
         slopes=slopes,
         monotone=monotone,
-    )
-
-
-@dataclass
-class ConvergenceReport:
-    n_max_ladder: tuple
-    times: tuple
-    visibility_table: dict
-    max_visibility_delta: float
-    passed: bool
-
-
-def convergence_audit(p: PhysicalParams, n_max_ladder, times=None) -> ConvergenceReport:
-    """Re-evaluate the exact visibility on a truncation ladder.
-
-    Reports the largest change of the exact visibility between successive
-    truncations (pass threshold 1e-9).
-    """
-    n_max_ladder = tuple(int(n) for n in n_max_ladder)
-    if len(n_max_ladder) < 2 or any(b <= a for a, b in zip(n_max_ladder, n_max_ladder[1:])):
-        raise ParameterError("n_max_ladder must be strictly increasing with >= 2 entries")
-    dc = derive_couplings(p)
-    period = 2.0 * math.pi / dc.omega_a
-    if times is None:
-        times = tuple(f * period for f in (0.25, 0.5, 0.75, 1.0))
-    times = tuple(float(t) for t in times)
-    table = {}
-    for n_max in n_max_ladder:
-        spec = oracle.HilbertSpec(n_max, n_max)
-        states = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), times)
-        table[n_max] = tuple(oracle.visibility_exact(psi, "c") for psi in states)
-    deltas = [
-        abs(a - b)
-        for lo, hi in zip(n_max_ladder, n_max_ladder[1:])
-        for a, b in zip(table[lo], table[hi])
-    ]
-    max_delta = max(deltas)
-    return ConvergenceReport(
-        n_max_ladder=n_max_ladder,
-        times=times,
-        visibility_table=table,
-        max_visibility_delta=max_delta,
-        passed=max_delta < 1e-9,
     )

@@ -283,16 +283,16 @@ def thermal_visibility_montecarlo_per_time(
 def _system_branches(dc, p, spec, t):
     """Per-sector vectors of system 1 (photon-c, mode a) and system 2
     (photon-d, mode b) for the gravity-free product state at time t."""
-    traj_m = analytic.coherent_trajectories(dc, p, "m", t)
-    traj_M = analytic.coherent_trajectories(dc, p, "M", t)
+    m0, m1, m_phase = analytic.coherent_trajectories(p.beta_m, dc.lambda_m, dc.omega_a, t)
+    b0, b1, b_phase = analytic.coherent_trajectories(p.beta_M, dc.lambda_M, dc.omega_b, t)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     sys1 = (
-        inv_sqrt2 * oracle.coherent_vector(traj_m.phi0, spec.dim_a),
-        inv_sqrt2 * np.exp(1j * traj_m.phase) * oracle.coherent_vector(traj_m.phi1, spec.dim_a),
+        inv_sqrt2 * oracle.coherent_vector(m0, spec.dim_a),
+        inv_sqrt2 * np.exp(1j * m_phase) * oracle.coherent_vector(m1, spec.dim_a),
     )
     sys2 = (
-        inv_sqrt2 * oracle.coherent_vector(traj_M.phi0, spec.dim_b),
-        inv_sqrt2 * np.exp(1j * traj_M.phase) * oracle.coherent_vector(traj_M.phi1, spec.dim_b),
+        inv_sqrt2 * oracle.coherent_vector(b0, spec.dim_b),
+        inv_sqrt2 * np.exp(1j * b_phase) * oracle.coherent_vector(b1, spec.dim_b),
     )
     return sys1, sys2
 

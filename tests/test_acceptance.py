@@ -143,7 +143,7 @@ def test_criterion_05_exact_vs_closed_form(capsys, uncoupled_propagator):
     closed = og.visibility_uncoupled(dc0, p0, "m", times).values
     worst = 0.0
     for psi, v_closed in zip(propagator.evolve(psi0, times), closed):
-        v_exact = og.visibility_exact(psi, "c")
+        v_exact = og.visibility_exact(psi)
         worst = max(worst, abs(v_exact - float(v_closed)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 120.0

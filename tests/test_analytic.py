@@ -36,27 +36,39 @@ def test_times_must_be_finite_and_non_negative(ref_params, ref_couplings, name, 
         TIMED_FUNCTIONS[name](ref_couplings, ref_params, [1e-3, bad])
 
 
+def rod_m_trajectories(dc, p, t):
+    return og.coherent_trajectories(p.beta_m, dc.lambda_m, dc.omega_a, t)
+
+
 class TestCoherentTrajectories:
     def test_initial_condition(self, ref_params, ref_couplings):
-        traj = og.coherent_trajectories(ref_couplings, ref_params, "m", 0.0)
-        assert traj.phi0 == ref_params.beta_m
-        assert traj.phi1 == ref_params.beta_m
-        assert traj.phase == 0.0
+        phi0, phi1, phase = rod_m_trajectories(ref_couplings, ref_params, 0.0)
+        assert phi0 == ref_params.beta_m
+        assert phi1 == ref_params.beta_m
+        assert phase == 0.0
 
     def test_full_revival(self, ref_params, ref_couplings):
         t = period_of(ref_couplings)
-        traj = og.coherent_trajectories(ref_couplings, ref_params, "m", t)
-        assert traj.phi0 == pytest.approx(ref_params.beta_m, abs=1e-12)
-        assert traj.phi1 == pytest.approx(ref_params.beta_m, abs=1e-12)
+        phi0, phi1, phase = rod_m_trajectories(ref_couplings, ref_params, t)
+        assert phi0 == pytest.approx(ref_params.beta_m, abs=1e-12)
+        assert phi1 == pytest.approx(ref_params.beta_m, abs=1e-12)
         kerr_phase = 2.0 * math.pi * ref_couplings.lambda_m**2
-        assert traj.phase == pytest.approx(kerr_phase, rel=1e-9)
+        assert phase == pytest.approx(kerr_phase, rel=1e-9)
 
     def test_half_period_displacement(self, ref_params, ref_couplings):
         t = 0.5 * period_of(ref_couplings)
-        traj = og.coherent_trajectories(ref_couplings, ref_params, "m", t)
-        assert abs(traj.phi1 - traj.phi0) == pytest.approx(
-            2.0 * ref_couplings.lambda_m, rel=1e-12
-        )
+        phi0, phi1, _ = rod_m_trajectories(ref_couplings, ref_params, t)
+        assert abs(phi1 - phi0) == pytest.approx(2.0 * ref_couplings.lambda_m, rel=1e-12)
+
+    def test_broadcasts_over_amplitudes_and_times(self):
+        betas = np.array([0.3 - 0.2j, 1.1j])[:, None]
+        times = np.array([0.0, 0.7, 2.9])
+        phi0, phi1, phase = og.coherent_trajectories(betas, 0.4, 1.3, times)
+        assert phi0.shape == phi1.shape == phase.shape == (2, 3)
+        for n, beta in enumerate(betas[:, 0]):
+            for k, t in enumerate(times):
+                one = og.coherent_trajectories(beta, 0.4, 1.3, t)
+                assert [phi0[n, k], phi1[n, k], phase[n, k]] == pytest.approx(one, abs=1e-15)
 
     def test_conditional_oracle_amplitudes_match(self):
         """<a> conditioned on the cavity path reproduces phi0/phi1."""
@@ -69,18 +81,17 @@ class TestCoherentTrajectories:
         psi = prop.evolve(og.initial_state(p, spec), [t])[0]
         tensor = psi.as_tensor()
         lower = oracle.destroy_op(spec.dim_a)
-        traj = og.coherent_trajectories(dc, p, "m", t)
-        for p_bit, expected in ((0, traj.phi0), (1, traj.phi1)):
+        for p_bit, expected in enumerate(rod_m_trajectories(dc, p, t)[:2]):
             branch = tensor[p_bit]
             norm = np.sum(np.abs(branch) ** 2)
             mean_a = np.einsum("qab,ac,qcb->", branch.conj(), lower, branch) / norm
             assert mean_a == pytest.approx(expected, abs=1e-8)
 
     def test_rejects_negative_time(self, ref_params, ref_couplings):
-        with pytest.raises(ParameterError):
-            og.coherent_trajectories(ref_couplings, ref_params, "m", -1.0)
-        with pytest.raises(ParameterError):
-            og.coherent_trajectories(ref_couplings, ref_params, "x", 1.0)
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            for times in (bad, [1e-3, bad]):
+                with pytest.raises(ParameterError, match="times"):
+                    rod_m_trajectories(ref_couplings, ref_params, times)
 
 
 class TestVisibilityUncoupled:

@@ -178,6 +178,17 @@ class TestOracleCommand:
         names = {c["name"] for c in payload["checks"]}
         assert names == {"gravity_free_equivalence", "interaction_picture_residual"}
 
+    @pytest.mark.parametrize("flag, value, floor", [
+        ("--equivalence-points", "0", 2), ("--equivalence-points", "1", 2),
+        ("--residual-times", "0", 1), ("--residual-times", "-3", 1),
+    ])
+    def test_too_few_check_points_rejected(self, capsys, reference_config, flag, value, floor):
+        code, out, err = run(capsys, "oracle", "--params", str(reference_config),
+                             "--n-max", "30", flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"{flag} must be >= {floor}" in err
+
 
 class TestFeasibility:
     def test_reference_rows(self, capsys, reference_config):

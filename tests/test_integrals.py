@@ -127,3 +127,18 @@ def test_exponential_integrals_at_tiny_times():
         assert np.all(w == t)
     w = analytic.exponential_integrals(1.0, 0.9, 1e-140)
     assert np.allclose(w, 1e-140, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrals_refuse_non_finite_times(bad):
+    dc = og.derive_couplings(og.dimensionless_params(gamma=1e-2))
+    for times in (bad, [0.5, bad]):
+        with pytest.raises(og.ParameterError, match="times"):
+            analytic.exponential_integrals(1.0, 0.9, times)
+        with pytest.raises(og.ParameterError, match="times"):
+            analytic.integrated_coefficients(dc, times)
+
+
+def test_exponential_integrals_keep_the_times_shape():
+    assert analytic.exponential_integrals(1.0, 0.9, 0.5).shape == (3, 3)
+    assert analytic.exponential_integrals(1.0, 0.9, np.full((2, 4), 0.5)).shape == (2, 4, 3, 3)

@@ -1,4 +1,4 @@
-"""Sweeps, scaling studies, and the convergence audit."""
+"""Sweeps and scaling studies."""
 
 import json
 import math
@@ -36,6 +36,11 @@ class TestScanPlan:
     def test_time_observables_need_time(self):
         with pytest.raises(ParameterError, match="'t'"):
             small_plan(observables=("visibility",))
+
+    @pytest.mark.parametrize("t", [-3.0, math.nan, math.inf, -math.inf])
+    def test_time_must_be_finite_and_non_negative(self, t):
+        with pytest.raises(ParameterError, match="'t' must be finite and >= 0"):
+            small_plan(observables=("visibility",), observable_time=t)
 
     def test_grid_size_guard(self):
         with pytest.raises(ParameterError, match="grid size"):
@@ -183,25 +188,3 @@ class TestScalingStudy:
         assert study.slopes["visibility"][0] >= 1.8
         assert study.slopes["entropy"][0] >= 2.5
 
-
-class TestConvergenceAudit:
-    def test_truncation_ladder_converged(self):
-        p = og.dimensionless_params(gamma=1e-2, lambda_m=0.2, lambda_M=0.15)
-        report = og.convergence_audit(p, (14, 18, 22))
-        assert report.max_visibility_delta < 1e-9
-        assert report.passed
-
-    def test_decoupled_photon_has_no_truncation_sensitivity(self):
-        p = og.dimensionless_params(gamma=0.0, lambda_m=0.0, lambda_M=0.0)
-        period = 2 * math.pi
-        report = og.convergence_audit(p, (14, 18), times=(period, 2 * period))
-        # Visibility is identically 1 at revivals; deltas sit at the
-        # floating-point floor rather than exactly zero.
-        assert report.max_visibility_delta < 1e-14
-
-    def test_ladder_validation(self):
-        p = og.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
-        with pytest.raises(ParameterError):
-            og.convergence_audit(p, (18, 14))
-        with pytest.raises(ParameterError):
-            og.convergence_audit(p, (18,))
