@@ -20,17 +20,15 @@ from .errors import (
 from .params import (
     DerivedCouplings,
     PhysicalParams,
-    ThermalEnv,
     derive_couplings,
     dimensionless_params,
     feasibility_bound,
     gravitational_potential,
     reference_params,
-    thermal_env,
+    thermal_occupation,
     without_gravity,
 )
 from .analytic import (
-    VisibilityTrace,
     coherent_trajectories,
     linear_entropy_first_order,
     revival_peak_width,
@@ -42,7 +40,6 @@ from .analytic import (
 from .oracle import (
     HilbertSpec,
     Propagator,
-    StateVector,
     closed_form_state,
     dyson_first_order_state,
     initial_state,
@@ -63,15 +60,13 @@ __all__ = [
     "ToleranceError",
     "PhysicalParams",
     "DerivedCouplings",
-    "ThermalEnv",
     "derive_couplings",
     "without_gravity",
     "gravitational_potential",
-    "thermal_env",
+    "thermal_occupation",
     "feasibility_bound",
     "reference_params",
     "dimensionless_params",
-    "VisibilityTrace",
     "coherent_trajectories",
     "visibility_uncoupled",
     "visibility_first_order",
@@ -80,7 +75,6 @@ __all__ = [
     "revival_peak_width",
     "linear_entropy_first_order",
     "HilbertSpec",
-    "StateVector",
     "Propagator",
     "initial_state",
     "closed_form_state",

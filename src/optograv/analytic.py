@@ -18,20 +18,21 @@ exp(+i*omega*s) (:func:`mode_factor_coefficients`), so an integral over
 s in [-t, 0] reduces to the closed-form exponential integrals of
 :func:`exponential_integrals`.
 
+Every function returns plain numpy arrays, one value per requested time;
+callers hold the time axis and label the values themselves.
+
 Conventions: the photon of each cavity is a two-path qubit; "visibility" is
 twice the magnitude of the off-diagonal element of its reduced density
 matrix between the two path states.  First-order formulas may exceed 1 by
-an O(gamma^2) artifact; traces carry a flag instead of raising.
+an O(gamma^2) artifact; they are returned as computed, without clipping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import fingerprint, fingerprint_params
 from .constants import K_BOLTZMANN
 from .errors import ParameterError
 from .params import (
@@ -42,27 +43,11 @@ from .params import (
     without_gravity,
 )
 
-#: Values may exceed 1 by this much before a trace is flagged unphysical.
-UNITY_SLACK = 1e-9
-
-METHOD_UNCOUPLED = "uncoupled"
-METHOD_FIRST_ORDER_CLOSED = "first_order_closed"
-METHOD_SHIFT_PREFIX = "shift_"
-METHOD_THERMAL = "thermal"
-
 #: Exponents of the columns of a mode-factor coefficient table.
 _SIGMA = np.array([-1.0, 0.0, 1.0])
 
 #: Times per block of the first-order entropy, which bounds its temporaries.
 _ENTROPY_BLOCK = 64
-
-
-def _rod_constants(dc: DerivedCouplings, p: PhysicalParams, rod: str):
-    if rod == "m":
-        return p.beta_m, dc.lambda_m, dc.omega_a
-    if rod == "M":
-        return p.beta_M, dc.lambda_M, dc.omega_b
-    raise ParameterError(f"rod must be 'm' or 'M', got {rod!r}")
 
 
 def coherent_trajectories(beta, lam: float, omega: float, t):
@@ -104,62 +89,6 @@ def photon_offdiagonal(beta, lam, omega, t):
     return 0.5 * np.exp(1j * phase) * overlap
 
 
-@dataclass(frozen=True)
-class VisibilityTrace:
-    """Time series of visibility values (or differences of them).
-
-    ``values`` lie in [0, 1] for physical traces; ``exceeds_unity`` flags
-    first-order artifacts beyond the numerical slack.  Shift traces
-    (``method`` starting with "shift_") are signed differences and are
-    exempt from the bounds.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    method: str
-    params_fingerprint: str
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ParameterError("times and values must be matching 1-d arrays")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ParameterError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def exceeds_unity(self) -> bool:
-        return bool(np.any(self.values > 1.0 + UNITY_SLACK))
-
-    @property
-    def is_shift(self) -> bool:
-        return self.method.startswith(METHOD_SHIFT_PREFIX)
-
-    def to_csv_rows(self):
-        """Rows for the ``t_seconds,value,method`` trace format."""
-        return [
-            (repr(float(t)), repr(float(v)), self.method)
-            for t, v in zip(self.times, self.values)
-        ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "values": [float(v) for v in self.values],
-            "method": self.method,
-            "params_fingerprint": self.params_fingerprint,
-        }
-
-
-def _trace_fingerprint(dc, p, extra=None):
-    payload = {"params": fingerprint_params(p), "couplings": dc.as_dict()}
-    if extra:
-        payload.update(extra)
-    return fingerprint(payload)
-
-
 def _check_times(times, ndmin: int = 1) -> np.ndarray:
     """``times`` as a float array of at least ``ndmin`` dimensions, refused
     unless finite and >= 0."""
@@ -169,24 +98,16 @@ def _check_times(times, ndmin: int = 1) -> np.ndarray:
     return times
 
 
-def visibility_uncoupled(
-    dc: DerivedCouplings, p: PhysicalParams, rod: str = "m", times=None
-) -> VisibilityTrace:
-    """Visibility of one cavity's photon with gravity absent from the state
-    dynamics: V(t) = exp(-lam**2 * (1 - cos(omega*t))).
+def visibility_uncoupled(dc: DerivedCouplings, times) -> np.ndarray:
+    """Visibility of the rod-m cavity's photon with gravity absent from the
+    state dynamics: V(t) = exp(-lam_m**2 * (1 - cos(omega_a*t))).
 
     Uses whatever constants ``dc`` carries, so passing couplings derived
     with G = 0 yields the gravity-free reference pattern.
     """
     times = _check_times(times)
-    _, lam, omega = _rod_constants(dc, p, rod)
-    values = np.exp(-(lam * lam) * (1.0 - np.cos(omega * times)))
-    return VisibilityTrace(
-        times=times,
-        values=values,
-        method=METHOD_UNCOUPLED,
-        params_fingerprint=_trace_fingerprint(dc, p, {"rod": rod}),
-    )
+    lam, omega = dc.lambda_m, dc.omega_a
+    return np.exp(-(lam * lam) * (1.0 - np.cos(omega * times)))
 
 
 def mode_factor_coefficients(lam: float, bit: int) -> np.ndarray:
@@ -245,7 +166,7 @@ def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times):
     return dc.gamma * x.real
 
 
-def visibility_first_order(dc: DerivedCouplings, p: PhysicalParams, times) -> VisibilityTrace:
+def visibility_first_order(dc: DerivedCouplings, p: PhysicalParams, times) -> np.ndarray:
     """Visibility of the rod-m cavity with the gravitational coupling treated
     to first order: V1(t) = exp(-lam_m**2*(1-cos(omega_a*t))) * |1 + i*x(t)|.
 
@@ -255,15 +176,10 @@ def visibility_first_order(dc: DerivedCouplings, p: PhysicalParams, times) -> Vi
     times = _check_times(times)
     x = first_order_bracket(dc, p, times)
     envelope = np.exp(-(dc.lambda_m**2) * (1.0 - np.cos(dc.omega_a * times)))
-    return VisibilityTrace(
-        times=times,
-        values=envelope * np.hypot(1.0, x),
-        method=METHOD_FIRST_ORDER_CLOSED,
-        params_fingerprint=_trace_fingerprint(dc, p, {"form": "closed"}),
-    )
+    return envelope * np.hypot(1.0, x)
 
 
-def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> VisibilityTrace:
+def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> np.ndarray:
     """Gravitational change of the rod-m visibility pattern, V1 - V0.
 
     The reference V0 is the fully uncoupled pattern (couplings re-derived
@@ -273,20 +189,11 @@ def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> Visibili
     correction remains.
     """
     times = _check_times(times)
-    v1 = visibility_first_order(dc, p, times)
     dc0 = derive_couplings(without_gravity(p)) if p.units == UNITS_SI else dc
-    v0 = visibility_uncoupled(dc0, p, "m", times)
-    return VisibilityTrace(
-        times=times,
-        values=v1.values - v0.values,
-        method=METHOD_SHIFT_PREFIX + "closed",
-        params_fingerprint=_trace_fingerprint(dc, p, {"shift_form": "closed"}),
-    )
+    return visibility_first_order(dc, p, times) - visibility_uncoupled(dc0, times)
 
 
-def thermal_visibility(
-    dc: DerivedCouplings, p: PhysicalParams, nbar: float, times
-) -> VisibilityTrace:
+def thermal_visibility(dc: DerivedCouplings, nbar: float, times) -> np.ndarray:
     """Rod-m visibility when the rod starts in a thermal coherent-state
     mixture with mean occupation nbar:
     V(t) = exp(-lam_m**2 * (2*nbar + 1) * (1 - cos(omega_a*t))).
@@ -295,13 +202,7 @@ def thermal_visibility(
         raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
     times = _check_times(times)
     lam, omega = dc.lambda_m, dc.omega_a
-    values = np.exp(-(lam * lam) * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega * times)))
-    return VisibilityTrace(
-        times=times,
-        values=values,
-        method=METHOD_THERMAL,
-        params_fingerprint=_trace_fingerprint(dc, p, {"nbar": nbar}),
-    )
+    return np.exp(-(lam * lam) * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega * times)))
 
 
 def revival_peak_width(dc: DerivedCouplings, p: PhysicalParams, temperature_T: float) -> float:

@@ -8,9 +8,9 @@ verification suite), ``feasibility`` (quality-factor/temperature frontier),
 Monte-Carlo average).
 
 Exit codes: 0 success, 1 user/config error, 2 tolerance failure,
-3 numerical failure.  Every output embeds a provenance header
-(config fingerprint, seed, version) and identical inputs reproduce
-byte-identical files.
+3 numerical failure (running out of memory included).  Every output embeds
+a provenance header (config fingerprint, seed, version) and identical
+inputs reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ from .params import (
     UNITS_SI,
     derive_couplings,
     feasibility_bound,
-    thermal_env,
+    thermal_occupation,
     without_gravity,
 )
 
 _USER_ERRORS = (ConfigError, ParameterError)
-_NUMERICAL_ERRORS = (TruncationError, NumericalError, DimensionLimitError, np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (TruncationError, NumericalError, DimensionLimitError, np.linalg.LinAlgError,
+                     MemoryError)
 
 #: Verification tolerances used by the ``oracle`` subcommand.
 EQUIVALENCE_TOL = 1e-8
@@ -210,39 +211,25 @@ def cmd_figure(args) -> int:
     p = _load(args)
     dc = derive_couplings(p)
     times = _time_grid(args, dc)
-    period = 2.0 * math.pi / dc.omega_a
+    axis, column, key = times, "t_seconds", "times"
     if args.which == "fig2a":
-        trace = analytic.visibility_uncoupled(dc, p, "m", times)
-        header = ["t_seconds", "value", "method"]
-        rows = [list(r) for r in trace.to_csv_rows()]
-        payload = trace.to_json_dict()
+        values, method = analytic.visibility_uncoupled(dc, times), "uncoupled"
     elif args.which == "fig2b":
-        trace = analytic.visibility_shift(dc, p, times)
-        header = ["t_seconds", "value", "method"]
-        rows = [list(r) for r in trace.to_csv_rows()]
-        payload = trace.to_json_dict()
+        values, method = analytic.visibility_shift(dc, p, times), "shift_closed"
     else:  # fig3: entanglement growth, time in revival periods
-        values = analytic.linear_entropy_first_order(dc, times)
-        header = ["t_periods", "value", "method"]
-        rows = [
-            [repr(float(t / period)), repr(float(v)), "first_order_entropy"]
-            for t, v in zip(times, values)
-        ]
-        payload = {
-            "times_periods": [float(t / period) for t in times],
-            "values": [float(v) for v in values],
-            "method": "first_order_entropy",
-        }
+        values, method = analytic.linear_entropy_first_order(dc, times), "first_order_entropy"
+        axis, column, key = times / (2.0 * math.pi / dc.omega_a), "t_periods", "times_periods"
     provenance = _provenance(
         p, args, which=args.which,
         t_start=repr(float(times[0])), t_stop=repr(float(times[-1])),
         t_points=len(times),
     )
     if args.format == "json":
-        payload["provenance"] = provenance
-        _emit_json(args, payload)
+        _emit_json(args, {key: [float(t) for t in axis], "values": [float(v) for v in values],
+                          "method": method, "provenance": provenance})
     else:
-        _emit(args, _csv_text(provenance, header, rows))
+        rows = [[repr(float(t)), repr(float(v)), method] for t, v in zip(axis, values)]
+        _emit(args, _csv_text(provenance, [column, "value", "method"], rows))
     return 0
 
 
@@ -267,12 +254,12 @@ def cmd_oracle(args) -> int:
     propagator = oracle.Propagator(dc0, spec)
     psi0 = oracle.initial_state(p0, spec)
     times = np.linspace(0.0, 2.0 * period, args.equivalence_points)
-    closed = analytic.visibility_uncoupled(dc0, p0, "m", times)
+    closed = analytic.visibility_uncoupled(dc0, times)
     worst = 0.0
     for start in range(0, times.size, EQUIVALENCE_SLICE):
         stop = start + EQUIVALENCE_SLICE
         for psi, v_closed in zip(propagator.evolve(psi0, times[start:stop]),
-                                 closed.values[start:stop]):
+                                 closed[start:stop]):
             worst = max(worst, abs(oracle.visibility_exact(psi) - float(v_closed)))
     checks.append(
         {"name": "gravity_free_equivalence", "measured": worst,
@@ -339,16 +326,15 @@ def cmd_feasibility(args) -> int:
     dc = derive_couplings(p)
     q_values = _parse_float_list(args.q_values, "--q-values")
     t_values = _parse_float_list(args.t_values, "--t-values")
-    gamma_a_placeholder = dc.omega_a  # Q = 1 damping; only ratios matter below
     entries = []
     for q in q_values:
         t_max = feasibility_bound(p, Q=q)
-        env = thermal_env(p, t_max, gamma_a_placeholder)
-        entries.append(("Q", q, q, t_max, env.nbar, analytic.revival_peak_width(dc, p, t_max)))
+        entries.append(("Q", q, q, t_max, thermal_occupation(p, t_max),
+                        analytic.revival_peak_width(dc, p, t_max)))
     for t in t_values:
         q_req = feasibility_bound(p, T=t)
-        env = thermal_env(p, t, gamma_a_placeholder)
-        entries.append(("T", t, q_req, t, env.nbar, analytic.revival_peak_width(dc, p, t)))
+        entries.append(("T", t, q_req, t, thermal_occupation(p, t),
+                        analytic.revival_peak_width(dc, p, t)))
     records = [(kind, *(float(v) for v in values)) for kind, *values in entries]
     header = ["given", "given_value", "Q", "T_kelvin", "nbar", "peak_width_rad"]
     _emit_table(args, _provenance(p, args), header, records)
@@ -382,7 +368,7 @@ def cmd_thermal(args) -> int:
     else:
         times = _time_grid(args, dc)
     nbar = args.nbar
-    law = analytic.thermal_visibility(dc, p, nbar, times).values.tolist()
+    law = analytic.thermal_visibility(dc, nbar, times).tolist()
     means, errors = oracle.thermal_visibility_montecarlo(
         dc, p, nbar, times, args.mc_samples, args.seed, method=args.mc_method
     )

@@ -1,38 +1,41 @@
 """Exact layer: propagation in a truncated Fock basis.
 
 The four-subsystem state lives on (photon-c qubit) x (photon-d qubit) x
-(mode a) x (mode b), in that fixed tensor order.  Each photon is a two-path
-qubit: index 0 is the path that bypasses the cavity, index 1 the path whose
-photon rides inside it, and the dynamics never leaves the one-photon-per-
-cavity sector.  Because the photon operators enter the Hamiltonian only
-through the cavity-path projectors, the Hamiltonian is block diagonal over
-the four path sectors.  Each sector Hamiltonian is built from per-mode
-factors of size n_max+1: the free part is a Kronecker sum of one Hamiltonian
-per mode and the gravitational coupling a product of the two positions, so
-it acts on a sector's (n_a+1, n_b+1) amplitude matrix through matrix
-products and no (n_a+1)*(n_b+1)-dimensional block is ever formed.
-Propagation is a Chebyshev expansion of exp(-i*H*t) on each sector's
-spectral interval: one recursion serves a whole batch of times, and its
-length, hence its cost, grows with the spectral width times the latest
-time.  With one BLAS thread, a single time at n_max 28 (36) costs as much
-as the dense per-sector eigendecomposition it replaced only beyond about
-22 (39) revival periods.
+(mode a) x (mode b), in that fixed tensor order: a state is a plain complex
+array of shape ``HilbertSpec.dims`` = (2, 2, dim_a, dim_b), and
+:meth:`Propagator.evolve` stacks one per requested time on a leading axis.
+Each photon is a two-path qubit: index 0 is the path that bypasses the
+cavity, index 1 the path whose photon rides inside it, and the dynamics
+never leaves the one-photon-per-cavity sector.  Because the photon operators
+enter the Hamiltonian only through the cavity-path projectors, the
+Hamiltonian is block diagonal over the four path sectors.  Each sector
+Hamiltonian is built from per-mode factors of size n_max+1: the free part is
+a Kronecker sum of one Hamiltonian per mode and the gravitational coupling a
+product of the two positions, so it acts on a sector's (n_a+1, n_b+1)
+amplitude matrix through matrix products and no (n_a+1)*(n_b+1)-dimensional
+block is ever formed.  Propagation is a Chebyshev expansion of exp(-i*H*t)
+on each sector's spectral interval: one recursion serves a whole batch of
+times, and its length, hence its cost, grows with the spectral width times
+the latest time.  With one BLAS thread, a single time at n_max 28 (36) costs
+as much as the dense per-sector eigendecomposition it replaced only beyond
+about 22 (39) revival periods.
 
 The evolved states are read through the two observables the paper's
 signatures need: photon c's path coherence (:func:`visibility_exact`) and
 the linear entropy of (photon c, mode a) against (photon d, mode b)
 (:func:`linear_entropy_exact`).
 
-The thermal Monte Carlo's oracle method needs no truncation: every sector
-Hamiltonian is one quadratic form plus a linear drive, so coherent inputs
-stay Gaussian and the photon path coherence is an exact displacement
-overlap.
+Photon c's path coherence also has an exact, truncation-free form
+(:func:`gaussian_coherence`): every sector Hamiltonian is one quadratic form
+plus a linear drive, so coherent inputs stay Gaussian and the coherence is a
+sum of displacement overlaps.  The thermal Monte Carlo's oracle method runs
+on it, and scans measure the Fock truncation error against it.
 
 Energy offsets proportional to the identity (the constant photon energies)
 are omitted throughout: they contribute a global phase only.  The
 closed-form reference state below, built from
-:func:`analytic.coherent_trajectories`, drops the same phase, so state
-vectors from both routes are directly comparable.
+:func:`analytic.coherent_trajectories`, drops the same phase, so states
+from both routes are directly comparable.
 """
 
 from __future__ import annotations
@@ -147,30 +150,6 @@ def check_adequacy(spec: HilbertSpec, dc: DerivedCouplings, p: PhysicalParams, t
             )
 
 
-@dataclass
-class StateVector:
-    """Flat complex amplitudes in the fixed tensor order (photon c, photon d,
-    mode a, mode b)."""
-
-    amplitudes: np.ndarray
-    spec: HilbertSpec
-    time: float = 0.0
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.spec.total_dim,):
-            raise ParameterError(
-                f"amplitudes must have shape ({self.spec.total_dim},), got {amp.shape}"
-            )
-        self.amplitudes = amp
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.spec.dims)
-
-
 def destroy_op(dim: int) -> np.ndarray:
     a = np.zeros((dim, dim))
     idx = np.arange(1, dim)
@@ -215,10 +194,10 @@ def _mode_hamiltonian(dim: int, omega: float, lam: float, bit: int) -> np.ndarra
 
 
 def _as_times(times) -> np.ndarray:
-    """``times`` as a float array; refused unless non-empty, 1-D and finite."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-        raise ParameterError("times must be a non-empty 1-D sequence of finite values")
+    """``times`` as a float array; refused unless non-empty, 1-D, finite and >= 0."""
+    times = analytic._check_times(times, ndmin=0)
+    if times.ndim != 1 or times.size == 0:
+        raise ParameterError("times must be a non-empty 1-D sequence")
     return times
 
 
@@ -358,13 +337,11 @@ class Propagator:
 
     def _coefficients(self, times: np.ndarray) -> np.ndarray:
         """(2, 2, T, K) expansion coefficients of every sector and time."""
-        _check_table_bytes(4 * times.size, float(self._radius.max()), float(np.abs(times).max()))
+        _check_table_bytes(4 * times.size, float(self._radius.max()), float(times.max()))
         z = self._radius[:, :, None] * times
-        bessel = _bessel_series(np.abs(z).reshape(-1)).reshape(*z.shape, -1)
+        bessel = _bessel_series(z.reshape(-1)).reshape(*z.shape, -1)
         order = np.arange(bessel.shape[-1])
-        # J_k(-z) = (-1)^k J_k(z), so negative times turn (-i)^k into i^k.
-        powers = _MINUS_I_POWERS[(np.where(z < 0, 3, 1)[..., None] * order) % 4]
-        weights = np.where(order == 0, 1.0, 2.0) * powers * bessel
+        weights = np.where(order == 0, 1.0, 2.0) * _MINUS_I_POWERS[order % 4] * bessel
         return weights * np.exp(-1j * self._center[:, :, None] * times)[..., None]
 
     def _series(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -396,14 +373,18 @@ class Propagator:
                                  out=folded)
         return out
 
-    def evolve(self, psi0: StateVector, times) -> list[StateVector]:
-        """Propagate a t=0 state to each of ``times`` (a 1-D sequence)."""
+    def evolve(self, psi0: np.ndarray, times) -> np.ndarray:
+        """Propagate a t=0 state of shape ``spec.dims`` to each of ``times``
+        (a 1-D sequence, finite and >= 0): the states, shape (T,) + spec.dims."""
+        psi0 = np.asarray(psi0, dtype=complex)
+        if psi0.shape != self.spec.dims:
+            raise ParameterError(f"state must have shape {self.spec.dims}, got {psi0.shape}")
         times = _as_times(times)
-        out = self._series(psi0.as_tensor(), times)
+        out = self._series(psi0, times)
         v = out.view(float)
-        _check_norms(psi0.norm(), np.sqrt(np.einsum("pqtn,pqtn->t", v, v)), times)
-        return [StateVector(amplitudes=out[:, :, i].reshape(-1), spec=self.spec, time=t)
-                for i, t in enumerate(times.tolist())]
+        _check_norms(float(np.linalg.norm(psi0)), np.sqrt(np.einsum("pqtn,pqtn->t", v, v)), times)
+        # An owned copy, so callers do not pin the series' output in memory.
+        return np.moveaxis(out, 2, 0).reshape((times.size,) + self.spec.dims).copy()
 
 
 def coherent_vector(beta: complex, dim: int) -> np.ndarray:
@@ -434,7 +415,7 @@ def _coherent_input(label: str, beta: complex, dim: int, tail_tol: float) -> np.
     return coherent_vector(beta, dim)
 
 
-def initial_state(p: PhysicalParams, spec: HilbertSpec, tail_tol: float = TAIL_TOL) -> StateVector:
+def initial_state(p: PhysicalParams, spec: HilbertSpec, tail_tol: float = TAIL_TOL) -> np.ndarray:
     """Path superposition in both cavities times coherent rods:
     each photon enters (|no-cavity> + |cavity>)/sqrt(2), rod m in
     |beta_m>, rod M in |beta_M> (truncated and renormalised).
@@ -442,13 +423,12 @@ def initial_state(p: PhysicalParams, spec: HilbertSpec, tail_tol: float = TAIL_T
     coh_a = _coherent_input("a", p.beta_m, spec.dim_a, tail_tol)
     coh_b = _coherent_input("b", p.beta_M, spec.dim_b, tail_tol)
     qubit = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    amp = np.kron(np.kron(np.kron(qubit, qubit), coh_a), coh_b)
-    return StateVector(amplitudes=amp, spec=spec, time=0.0)
+    return np.kron(np.kron(np.kron(qubit, qubit), coh_a), coh_b).reshape(spec.dims)
 
 
 def closed_form_state(
     dc: DerivedCouplings, p: PhysicalParams, spec: HilbertSpec, t: float
-) -> StateVector:
+) -> np.ndarray:
     """Gravity-free evolved state mapped into the truncated basis.
 
     Each photon branch carries its conditional coherent amplitude and
@@ -466,22 +446,16 @@ def closed_form_state(
     out = np.empty(spec.dims, dtype=complex)
     for p_bit, q_bit in _SECTORS:
         out[p_bit, q_bit] = np.outer(branches[0][p_bit], branches[1][q_bit])
-    return StateVector(amplitudes=out.reshape(-1), spec=spec, time=t)
+    return out
 
 
-def off_diagonal_exact(psi: StateVector) -> complex:
-    """Complex photon-c path-coherence element <cavity-branch| rho |bypass-branch>."""
-    tensor = psi.as_tensor()
-    return complex(np.sum(tensor[1] * np.conj(tensor[0])))
-
-
-def visibility_exact(psi: StateVector) -> float:
+def visibility_exact(psi: np.ndarray) -> float:
     """Interference visibility: twice the magnitude of photon c's
-    path-coherence element."""
-    return 2.0 * abs(off_diagonal_exact(psi))
+    path-coherence element <cavity-branch| rho |bypass-branch>."""
+    return 2.0 * abs(complex(np.sum(psi[1] * np.conj(psi[0]))))
 
 
-def linear_entropy_exact(psi: StateVector) -> float:
+def linear_entropy_exact(psi: np.ndarray) -> float:
     """Linear entropy 1 - Tr(rho_1**2) of (photon c, mode a) against
     (photon d, mode b).
 
@@ -489,7 +463,7 @@ def linear_entropy_exact(psi: StateVector) -> float:
     the reshaped amplitude matrix, which is numerically stabler than forming
     the reduced matrix first.
     """
-    mat = psi.as_tensor().transpose(0, 2, 1, 3).reshape(2 * psi.spec.dim_a, -1)
+    mat = psi.transpose(0, 2, 1, 3).reshape(2 * psi.shape[2], -1)
     s = np.linalg.svd(mat, compute_uv=False)
     return float(1.0 - np.sum(s**4))
 
@@ -573,7 +547,7 @@ def dyson_first_order_state(
     p: PhysicalParams,
     spec: HilbertSpec,
     t: float,
-) -> StateVector:
+) -> np.ndarray:
     """First-order state correction: psi_exact(t) ~ psi0(t) + correction + O(gamma^2).
 
     correction = -i*gamma * integral over t' in [0, t] of the frame-rotated
@@ -581,7 +555,7 @@ def dyson_first_order_state(
     psi0(t).  Linear in gamma by construction; the time integral is exact.
     ``t`` must be finite and >= 0.
     """
-    tensor = closed_form_state(dc, p, spec, t).as_tensor()
+    tensor = closed_form_state(dc, p, spec, t)
     ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
     coefficients = analytic.integrated_coefficients(dc, t).reshape(2, 3, 2, 3)
     out = np.empty(spec.dims, dtype=complex)
@@ -590,13 +564,13 @@ def dyson_first_order_state(
         left = np.einsum("ij,iab,bc->jac", coefficients[p_bit, :, q_bit], ops_a,
                          tensor[p_bit, q_bit])
         out[p_bit, q_bit] = np.einsum("jac,jdc->ad", left, ops_b)
-    amp = (-1j * dc.gamma) * out.reshape(-1)
-    return StateVector(amplitudes=amp, spec=spec, time=t)
+    return (-1j * dc.gamma) * out
 
 
-def _gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
+def gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
     """Exact photon-c path-coherence element, shape (T, N), with rod m in
-    each coherent state |betas_m[n]> and rod M in |beta_M>, at each time.
+    each coherent state |betas_m[n]> and rod M in |beta_M>, at each of
+    ``times`` (a non-empty 1-D sequence, finite and >= 0).
 
     In the quadratures r = (q_a, p_a, q_b, p_b), x = sqrt(2)*q, the sector
     with cavity-path bits (p, q) has the Hamiltonian r^T M r / 2 +
@@ -617,7 +591,7 @@ def _gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
     if not omega_a * omega_b > 4.0 * gamma * gamma:
         raise ParameterError(f"unstable coupled modes: omega_a*omega_b = {omega_a * omega_b!r} "
                              f"must exceed 4*gamma**2 = {4.0 * gamma * gamma!r}")
-    times = np.asarray(times, dtype=float)
+    times = _as_times(times)
     m = np.array([[omega_a, 0.0, 2.0 * gamma, 0.0], [0.0, omega_a, 0.0, 0.0],
                   [2.0 * gamma, 0.0, omega_b, 0.0], [0.0, 0.0, 0.0, omega_b]])
     j = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
@@ -666,11 +640,9 @@ def thermal_visibility_montecarlo(
     ``method="closedform"`` evolves each sample with the exactly solvable
     gravity-free dynamics (exact when gamma = 0); ``method="oracle"`` with
     the full coupled dynamics carried by ``dc`` and rod M in |beta_M>,
-    exactly and without truncation (:func:`_gaussian_coherence`).
+    exactly and without truncation (:func:`gaussian_coherence`).
     """
     times = _as_times(times)
-    if np.any(times < 0):
-        raise ParameterError(f"times must be >= 0, got {times.min()!r}")
     if n_samples < 100:
         raise ParameterError(f"n_samples must be >= 100, got {n_samples}")
     if bootstrap_resamples < 2:
@@ -684,7 +656,7 @@ def thermal_visibility_montecarlo(
         per_time = (analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
                     for t in times.tolist())
     elif method == "oracle":
-        per_time = (_gaussian_coherence(dc, betas, p.beta_M, [t])[0] for t in times.tolist())
+        per_time = (gaussian_coherence(dc, betas, p.beta_M, [t])[0] for t in times.tolist())
     else:
         raise ParameterError(f"method must be 'closedform' or 'oracle', got {method!r}")
     indices = rng.integers(0, n_samples, size=(bootstrap_resamples, n_samples), dtype=np.int32)

@@ -1,7 +1,7 @@
 """Physical parameters of the two-rod optomechanical setup and everything
 derived from them: gravitationally shifted mode frequencies, optomechanical
-and gravitational coupling constants, the revival-period shift, and the
-thermal/decoherence feasibility quantities.
+and gravitational coupling constants, the revival-period shift, the thermal
+occupation and the decoherence-feasibility threshold.
 
 Geometry: two torsional micro-rods (end masses ``m`` and ``M``) suspended a
 vertical distance ``h`` apart, each forming the movable end mirror of an
@@ -164,21 +164,6 @@ class DerivedCouplings:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class ThermalEnv:
-    """Thermal occupation and environmental-dephasing quantities."""
-
-    temperature_T: float  # K
-    damping_rate_Gamma_a: float  # rad/s
-    nbar: float  # mean thermal phonon number
-    dephasing_rate_Gamma_D: float  # rad/s
-    position_uncertainty_dx: float  # m
-    quality_factor_Q: float  # dimensionless
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 def _optomech_coupling(light_freq, cavity_length, mass, mech_freq, hbar):
     # Shared by the coupled and uncoupled variants so that they are
     # bitwise-identical when the frequencies coincide (G = 0).
@@ -273,40 +258,18 @@ def gravitational_potential(theta_m, theta_M, p: PhysicalParams, mode="exact"):
     return -2.0 * G * M * m / h + (G * M * m * L * L / h**3) * d_theta * d_theta
 
 
-def thermal_env(p: PhysicalParams, temperature_T: float, damping_rate_Gamma_a: float) -> ThermalEnv:
-    """Thermal occupation, dephasing rate, and quality factor at temperature T.
-
-    Uses the shifted frequency omega_a of the coupled system.  The dephasing
-    rate models the environment as an Ohmic bath of oscillators with damping
-    rate Gamma_a acting on a mode of position spread dx = sqrt(hbar/(m*omega_a)).
-    SI mode only (temperatures are Kelvin).
-    """
+def thermal_occupation(p: PhysicalParams, temperature_T: float) -> float:
+    """Mean thermal phonon number of mode a at temperature T, at the shifted
+    frequency omega_a of the coupled system.  SI mode only (temperatures are
+    Kelvin)."""
     if p.units != UNITS_SI:
-        raise ParameterError("thermal_env is defined for SI-mode parameters only")
+        raise ParameterError("thermal_occupation is defined for SI-mode parameters only")
     if not (math.isfinite(temperature_T) and temperature_T >= 0):
         raise ParameterError(f"temperature_T must be >= 0, got {temperature_T!r}")
-    if not (math.isfinite(damping_rate_Gamma_a) and damping_rate_Gamma_a > 0):
-        raise ParameterError(
-            f"damping_rate_Gamma_a must be positive, got {damping_rate_Gamma_a!r}"
-        )
-    omega_a = derive_couplings(p).omega_a
     if temperature_T == 0.0:
-        nbar = 0.0
-    else:
-        x = p.hbar * omega_a / (K_BOLTZMANN * temperature_T)
-        nbar = 0.0 if x > _NBAR_EXP_CUTOFF else 1.0 / math.expm1(x)
-    dx = math.sqrt(p.hbar / (p.mass_m * omega_a))
-    gamma_d = damping_rate_Gamma_a * K_BOLTZMANN * temperature_T * p.mass_m * dx * dx / (
-        p.hbar * p.hbar
-    )
-    return ThermalEnv(
-        temperature_T=temperature_T,
-        damping_rate_Gamma_a=damping_rate_Gamma_a,
-        nbar=nbar,
-        dephasing_rate_Gamma_D=gamma_d,
-        position_uncertainty_dx=dx,
-        quality_factor_Q=omega_a / damping_rate_Gamma_a,
-    )
+        return 0.0
+    x = p.hbar * derive_couplings(p).omega_a / (K_BOLTZMANN * temperature_T)
+    return 0.0 if x > _NBAR_EXP_CUTOFF else 1.0 / math.expm1(x)
 
 
 def feasibility_bound(p: PhysicalParams, Q: float | None = None, T: float | None = None):

@@ -187,9 +187,9 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         if obs in ("delta_T", "omega_a", "omega_b", "gamma", "lambda_m", "lambda_M"):
             values[obs] = getattr(dc, obs)
         elif obs == "visibility":
-            values[obs] = float(analytic.visibility_uncoupled(dc, p, "m", [t]).values[0])
+            values[obs] = float(analytic.visibility_uncoupled(dc, [t])[0])
         elif obs == "visibility_shift":
-            values[obs] = float(analytic.visibility_shift(dc, p, [t]).values[0])
+            values[obs] = float(analytic.visibility_shift(dc, p, [t])[0])
         elif obs == "entropy":
             values[obs] = float(analytic.linear_entropy_first_order(dc, [t])[0])
         elif obs == "visibility_exact":
@@ -199,12 +199,8 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         elif obs == "interaction_residual":
             values[obs] = oracle.InteractionPictureResidual(dc, spec).residual(t)
     if plan.oracle_enabled:
-        state = get_state()
-        bigger = oracle.HilbertSpec(spec.n_max_a + 8, spec.n_max_b + 8)
-        psi_big = oracle.Propagator(dc, bigger).evolve(oracle.initial_state(p, bigger), [t])[0]
-        diagnostics["truncation_delta"] = abs(
-            oracle.visibility_exact(state) - oracle.visibility_exact(psi_big)
-        )
+        exact = 2.0 * abs(oracle.gaussian_coherence(dc, [p.beta_m], p.beta_M, [t])[0, 0])
+        diagnostics["truncation_delta"] = abs(oracle.visibility_exact(get_state()) - exact)
     return values, diagnostics
 
 
@@ -214,7 +210,9 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     Rows keep the axis iteration order (last axis fastest).  Per-row
     parameter, truncation, numerical and arithmetic errors are captured in
     the diagnostics instead of aborting the sweep, and the affected
-    observables become NaN; any other exception propagates.  Identical
+    observables become NaN; any other exception propagates.  Oracle rows
+    report ``truncation_delta``, the distance of the truncated visibility
+    from the exact one (:func:`oracle.gaussian_coherence`).  Identical
     (plan, base, seed) re-runs produce byte-identical emissions.
     """
     axis_names = tuple(name for name, _ in plan.axes)
@@ -339,11 +337,9 @@ def scaling_study(
         dc = derive_couplings(p_g)
         psi_exact = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p_g, spec), [t])[0]
         psi1 = oracle.dyson_first_order_state(dc, p_g, spec, t)
-        state_res.append(
-            float(np.linalg.norm(psi_exact.amplitudes - psi0_t.amplitudes - psi1.amplitudes))
-        )
+        state_res.append(float(np.linalg.norm(psi_exact - psi0_t - psi1)))
         v_exact = oracle.visibility_exact(psi_exact)
-        v_formula = float(analytic.visibility_first_order(dc, p_g, [t]).values[0])
+        v_formula = float(analytic.visibility_first_order(dc, p_g, [t])[0])
         vis_res.append(float(abs(v_exact - v_formula)))
         s_exact = oracle.linear_entropy_exact(psi_exact)
         s_pert = float(analytic.linear_entropy_first_order(dc, [t])[0])

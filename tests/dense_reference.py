@@ -87,16 +87,15 @@ class EighPropagator:
                 done.append((key, block))
 
     def evolve(self, psi0, t):
-        """The state at time t, as an ``oracle.StateVector``."""
-        tensor = psi0.as_tensor()
+        """The state at time t, of shape ``spec.dims`` like ``psi0``."""
         out = np.empty(self.spec.dims, dtype=complex)
         for p_bit, q_bit in SECTORS:
             w, v = self._eigs[(p_bit, q_bit)]
-            vec = tensor[p_bit, q_bit].reshape(-1)
+            vec = psi0[p_bit, q_bit].reshape(-1)
             out[p_bit, q_bit] = (v @ (np.exp(-1j * w * t) * (v.T @ vec))).reshape(
                 self.spec.dim_a, self.spec.dim_b
             )
-        return oracle.StateVector(amplitudes=out.reshape(-1), spec=self.spec, time=t)
+        return out
 
 
 def switched_blocks(dc, p, spec, include_gravity=True, coupled_constants=None):
@@ -149,13 +148,13 @@ def full(blocks, spec) -> np.ndarray:
 
 
 def propagate(h, psi0, t) -> np.ndarray:
-    """Amplitudes of exp(-i*h*t) psi0 for a dense Hermitian h (frequency units)."""
+    """exp(-i*h*t) psi0 for a dense Hermitian h (frequency units), shaped like psi0."""
     w, v = np.linalg.eigh(h)
-    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.amplitudes))
+    return (v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.reshape(-1)))).reshape(psi0.shape)
 
 
-def expectation(blocks, state) -> complex:
-    return complex(np.vdot(state.amplitudes, full(blocks, state.spec) @ state.amplitudes))
+def expectation(blocks, spec, state) -> complex:
+    return complex(np.vdot(state, full(blocks, spec) @ state.reshape(-1)))
 
 
 def mode_factor(dim, lam, omega, s, bit):
@@ -223,9 +222,7 @@ def per_time_propagate(dc, spec, tensors, times):
     propagator = oracle.Propagator(dc, spec)
     out = np.empty((len(times),) + tensors.shape, dtype=complex)
     for b, tensor in enumerate(tensors):
-        psi0 = oracle.StateVector(amplitudes=tensor.reshape(-1), spec=spec)
-        for i, state in enumerate(propagator.evolve(psi0, times)):
-            out[i, b] = state.as_tensor()
+        out[:, b] = propagator.evolve(tensor, times)
     return out
 
 
@@ -264,7 +261,7 @@ def thermal_visibility_montecarlo_per_time(
         # between the evolved states that start with rod m in levels n and m.
         amplitudes = np.array([_coherent_input("a", beta, spec.dim_a, TAIL_TOL)
                                for beta in betas])
-        rest = initial_state(replace(p, beta_m=0.0), spec).as_tensor()[:, :, :1]
+        rest = initial_state(replace(p, beta_m=0.0), spec)[:, :, :1]
         levels = np.eye(spec.dim_a)[:, None, None, :, None] * rest[None]
         evolved = per_time_propagate(dc, spec, levels, np.array([float(t)]))[0]
         cavity = evolved[:, 1].reshape(spec.dim_a, -1)

@@ -93,14 +93,14 @@ def test_criterion_03_visibility_pattern(capsys, ref_params, ref_couplings):
     start = time.perf_counter()
     period = 2.0 * math.pi / ref_couplings.omega_a
     trace = og.visibility_uncoupled(
-        ref_couplings, ref_params, "m", [0.0, period / 2.0, period]
+        ref_couplings, [0.0, period / 2.0, period]
     )
-    v0, v_half, v_full = trace.values
+    v0, v_half, v_full = trace
     v_min_expected = math.exp(-2.0 * ref_couplings.lambda_m**2)
 
     def slope(t, h=1e-8 * period):
-        values = og.visibility_uncoupled(ref_couplings, ref_params, "m",
-                                         [t - h, t + h]).values
+        values = og.visibility_uncoupled(ref_couplings,
+                                         [t - h, t + h])
         return values[1] - values[0]
 
     measured_period = brentq(slope, 0.8 * period, 1.2 * period, xtol=1e-18)
@@ -123,7 +123,7 @@ def test_criterion_04_visibility_shift_magnitude(capsys, ref_params, ref_couplin
     start = time.perf_counter()
     period = 2.0 * math.pi / ref_couplings.omega_a
     times = np.linspace(0.0, 3.0 * period, 2048)
-    shift = np.abs(og.visibility_shift(ref_couplings, ref_params, times).values)
+    shift = np.abs(og.visibility_shift(ref_couplings, ref_params, times))
     peak = float(shift.max())
     early = float(shift[times <= period].max())
     late = float(shift[times >= 2.0 * period].max())
@@ -140,7 +140,7 @@ def test_criterion_05_exact_vs_closed_form(capsys, uncoupled_propagator):
     start = time.perf_counter()
     period = 2.0 * math.pi / dc0.omega_a
     times = np.linspace(0.0, 2.0 * period, 128)
-    closed = og.visibility_uncoupled(dc0, p0, "m", times).values
+    closed = og.visibility_uncoupled(dc0, times)
     worst = 0.0
     for psi, v_closed in zip(propagator.evolve(psi0, times), closed):
         v_exact = og.visibility_exact(psi)
@@ -193,7 +193,7 @@ def test_criterion_08_thermal_law(capsys, ref_params, ref_couplings):
     worst_sigma = 0.0
     all_within = True
     for nbar in (0.5, 1.0, 5.0):
-        law = og.thermal_visibility(ref_couplings, ref_params, nbar, times).values
+        law = og.thermal_visibility(ref_couplings, nbar, times)
         means, errs = og.thermal_visibility_montecarlo(
             ref_couplings, ref_params, nbar, times, 10000,
             seed=20240817,

@@ -20,11 +20,11 @@ def period_of(dc):
 
 
 TIMED_FUNCTIONS = {
-    "visibility_uncoupled": lambda dc, p, times: og.visibility_uncoupled(dc, p, "m", times),
+    "visibility_uncoupled": lambda dc, p, times: og.visibility_uncoupled(dc, times),
     "first_order_bracket": og.analytic.first_order_bracket,
     "visibility_first_order": og.visibility_first_order,
     "visibility_shift": og.visibility_shift,
-    "thermal_visibility": lambda dc, p, times: og.thermal_visibility(dc, p, 1.0, times),
+    "thermal_visibility": lambda dc, p, times: og.thermal_visibility(dc, 1.0, times),
     "linear_entropy_first_order": lambda dc, p, times: og.linear_entropy_first_order(dc, times),
 }
 
@@ -79,10 +79,9 @@ class TestCoherentTrajectories:
         prop = og.Propagator(dc, spec)
         t = 0.37 * period_of(dc)
         psi = prop.evolve(og.initial_state(p, spec), [t])[0]
-        tensor = psi.as_tensor()
         lower = oracle.destroy_op(spec.dim_a)
         for p_bit, expected in enumerate(rod_m_trajectories(dc, p, t)[:2]):
-            branch = tensor[p_bit]
+            branch = psi[p_bit]
             norm = np.sum(np.abs(branch) ** 2)
             mean_a = np.einsum("qab,ac,qcb->", branch.conj(), lower, branch) / norm
             assert mean_a == pytest.approx(expected, abs=1e-8)
@@ -97,30 +96,25 @@ class TestCoherentTrajectories:
 class TestVisibilityUncoupled:
     def test_endpoints_and_minimum(self, ref_params, ref_couplings):
         T = period_of(ref_couplings)
-        trace = og.visibility_uncoupled(ref_couplings, ref_params, "m", [0.0, T / 2, T])
-        assert trace.values[0] == 1.0
-        assert trace.values[1] == pytest.approx(VISIBILITY_MINIMUM, rel=1e-12)
-        assert trace.values[2] == pytest.approx(1.0, abs=1e-12)
+        values = og.visibility_uncoupled(ref_couplings, [0.0, T / 2, T])
+        assert values[0] == 1.0
+        assert values[1] == pytest.approx(VISIBILITY_MINIMUM, rel=1e-12)
+        assert values[2] == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.floats(0.0, 5.0))
     def test_periodicity(self, boosted_params, boosted_couplings, t):
         T = period_of(boosted_couplings)
-        a = og.visibility_uncoupled(boosted_couplings, boosted_params, "m", [t]).values[0]
-        b = og.visibility_uncoupled(boosted_couplings, boosted_params, "m", [t + T]).values[0]
+        a = og.visibility_uncoupled(boosted_couplings, [t])[0]
+        b = og.visibility_uncoupled(boosted_couplings, [t + T])[0]
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_bounds(self, ref_params, ref_couplings):
         times = np.linspace(0.0, 3 * period_of(ref_couplings), 1001)
-        values = og.visibility_uncoupled(ref_couplings, ref_params, "m", times).values
+        values = og.visibility_uncoupled(ref_couplings, times)
         floor = math.exp(-2.0 * ref_couplings.lambda_m**2)
         assert np.all(values <= 1.0 + 1e-15)
         assert np.all(values >= floor - 1e-15)
-
-    def test_rod_M_uses_its_own_constants(self, ref_params, ref_couplings):
-        t = 0.5 * 2 * math.pi / ref_couplings.omega_b
-        value = og.visibility_uncoupled(ref_couplings, ref_params, "M", [t]).values[0]
-        assert value == pytest.approx(math.exp(-2 * ref_couplings.lambda_M**2), rel=1e-12)
 
 
 class TestVisibilityFirstOrder:
@@ -128,8 +122,8 @@ class TestVisibilityFirstOrder:
         p0 = og.without_gravity(ref_params)
         dc0 = og.derive_couplings(p0)
         times = np.linspace(0.0, 2 * period_of(dc0), 257)
-        first = og.visibility_first_order(dc0, p0, times).values
-        plain = og.visibility_uncoupled(dc0, p0, "m", times).values
+        first = og.visibility_first_order(dc0, p0, times)
+        plain = og.visibility_uncoupled(dc0, times)
         assert np.array_equal(first, plain)
 
     def test_closed_and_integral_forms_agree(self):
@@ -167,7 +161,7 @@ class TestVisibilityFirstOrder:
                 )[0]
             envelope = math.exp(-(dc.lambda_m**2) * (1.0 - math.cos(dc.omega_a * t)))
             integral = envelope * math.hypot(1.0, x)
-            closed = og.visibility_first_order(dc, p, [t]).values[0]
+            closed = og.visibility_first_order(dc, p, [t])[0]
             worst = max(worst, abs(closed - integral) / abs(integral))
         assert worst < 1e-10
 
@@ -176,7 +170,7 @@ class TestVisibilityFirstOrder:
         for eps in (-1e-6, 0.0, 1e-6):
             p = og.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0 + eps)
             dc = og.derive_couplings(p)
-            values[eps] = og.visibility_first_order(dc, p, [7.3]).values[0]
+            values[eps] = og.visibility_first_order(dc, p, [7.3])[0]
         assert all(math.isfinite(v) for v in values.values())
         lo, hi = sorted((values[-1e-6], values[1e-6]))
         assert lo - 1e-12 <= values[0.0] <= hi + 1e-12
@@ -188,8 +182,8 @@ class TestVisibilityFirstOrder:
         for g in gammas:
             p = og.dimensionless_params(gamma=float(g), lambda_m=0.445, lambda_M=0.521)
             dc = og.derive_couplings(p)
-            v1 = og.visibility_first_order(dc, p, [t]).values[0]
-            v0 = og.visibility_uncoupled(dc, p, "m", [t]).values[0]
+            v1 = og.visibility_first_order(dc, p, [t])[0]
+            v0 = og.visibility_uncoupled(dc, [t])[0]
             shifts.append(abs(v1 - v0))
         slope = np.polyfit(np.log(gammas), np.log(shifts), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
@@ -201,21 +195,20 @@ class TestVisibilityShift:
         dc0 = og.derive_couplings(p0)
         times = np.linspace(0.0, period_of(dc0), 65)
         shift = og.visibility_shift(dc0, p0, times)
-        assert np.all(shift.values == 0.0)
-        assert shift.is_shift
+        assert np.all(shift == 0.0)
 
     def test_zero_at_time_zero(self, ref_params, ref_couplings):
-        assert og.visibility_shift(ref_couplings, ref_params, [0.0]).values[0] == 0.0
+        assert og.visibility_shift(ref_couplings, ref_params, [0.0])[0] == 0.0
 
     def test_survives_zero_readout_coupling(self):
         p = og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.0)
         dc = og.derive_couplings(p)
-        shift = og.visibility_shift(dc, p, [0.9 * period_of(dc)]).values[0]
+        shift = og.visibility_shift(dc, p, [0.9 * period_of(dc)])[0]
         assert shift != 0.0
 
     def test_reference_magnitude_window(self, ref_params, ref_couplings):
         times = np.linspace(0.0, 3 * period_of(ref_couplings), 1024)
-        shift = og.visibility_shift(ref_couplings, ref_params, times).values
+        shift = og.visibility_shift(ref_couplings, ref_params, times)
         peak = np.max(np.abs(shift))
         assert 1e-7 <= peak <= 1e-5
 
@@ -223,19 +216,19 @@ class TestVisibilityShift:
 class TestThermalVisibility:
     def test_zero_occupation_bitwise_identical(self, ref_params, ref_couplings):
         times = np.linspace(0.0, 2 * period_of(ref_couplings), 129)
-        thermal = og.thermal_visibility(ref_couplings, ref_params, 0.0, times).values
-        plain = og.visibility_uncoupled(ref_couplings, ref_params, "m", times).values
+        thermal = og.thermal_visibility(ref_couplings, 0.0, times)
+        plain = og.visibility_uncoupled(ref_couplings, times)
         assert np.array_equal(thermal, plain)
 
     def test_unit_occupation_half_period(self, ref_params, ref_couplings):
         t = 0.5 * period_of(ref_couplings)
-        value = og.thermal_visibility(ref_couplings, ref_params, 1.0, [t]).values[0]
+        value = og.thermal_visibility(ref_couplings, 1.0, [t])[0]
         assert value == pytest.approx(math.exp(-6 * ref_couplings.lambda_m**2), rel=1e-12)
 
     def test_montecarlo_agrees_with_law(self, ref_params, ref_couplings):
         T = period_of(ref_couplings)
         for nbar, ts in ((10.0, [0.15 * T, 0.4 * T]), (2.0, [0.6 * T])):
-            law = og.thermal_visibility(ref_couplings, ref_params, nbar, ts).values
+            law = og.thermal_visibility(ref_couplings, nbar, ts)
             means, errs = og.thermal_visibility_montecarlo(
                 ref_couplings, ref_params, nbar, ts, 4000, seed=99
             )
@@ -243,7 +236,7 @@ class TestThermalVisibility:
 
     def test_rejects_negative_occupation(self, ref_params, ref_couplings):
         with pytest.raises(ParameterError):
-            og.thermal_visibility(ref_couplings, ref_params, -0.5, [0.0])
+            og.thermal_visibility(ref_couplings, -0.5, [0.0])
 
 
 class TestRevivalPeakWidth:
@@ -262,11 +255,11 @@ class TestRevivalPeakWidth:
         from scipy.optimize import brentq
 
         temperature = 0.1
-        env = og.thermal_env(ref_params, temperature, 1e-4)
+        nbar = og.thermal_occupation(ref_params, temperature)
         lam = ref_couplings.lambda_m
 
         def pattern_minus_half(x):
-            return math.exp(-lam * lam * (2 * env.nbar + 1) * (1 - math.cos(x))) - 0.5
+            return math.exp(-lam * lam * (2 * nbar + 1) * (1 - math.cos(x))) - 0.5
 
         half_width = brentq(pattern_minus_half, 1e-12, math.pi)  # phase from the peak
         estimate = og.revival_peak_width(ref_couplings, ref_params, temperature)
@@ -287,26 +280,3 @@ class TestLinearEntropyFirstOrder:
             s = og.linear_entropy_first_order(dc, [frac * period_of(dc)])[0]
             assert s >= -1e-12
 
-
-class TestVisibilityTrace:
-    def test_times_must_increase(self):
-        with pytest.raises(ParameterError):
-            og.VisibilityTrace(times=[1.0, 0.5], values=[1.0, 1.0], method="uncoupled",
-                               params_fingerprint="x")
-
-    def test_unity_flag(self):
-        ok = og.VisibilityTrace(times=[0.0, 1.0], values=[1.0, 0.5],
-                                method="uncoupled", params_fingerprint="x")
-        assert not ok.exceeds_unity
-        hot = og.VisibilityTrace(times=[0.0, 1.0], values=[1.0, 1.1],
-                                 method="first_order_closed", params_fingerprint="x")
-        assert hot.exceeds_unity
-
-    def test_serialisation_round_trip(self, ref_params, ref_couplings):
-        trace = og.visibility_uncoupled(ref_couplings, ref_params, "m", [0.0, 1e-4])
-        rows = trace.to_csv_rows()
-        assert [float(r[0]) for r in rows] == [0.0, 1e-4]
-        assert all(r[2] == "uncoupled" for r in rows)
-        payload = trace.to_json_dict()
-        assert payload["values"] == [float(v) for v in trace.values]
-        assert payload["params_fingerprint"] == trace.params_fingerprint

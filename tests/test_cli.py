@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optograv import oracle
+from optograv import analytic, oracle
 from optograv.cli import main
 
 from test_params import T_MAX_AT_Q1E7, VISIBILITY_MINIMUM
@@ -133,6 +133,17 @@ class TestFigure:
         payload = json.loads(out)
         assert len(payload["values"]) == 8
         assert payload["provenance"]["which"] == "fig2a"
+
+    def test_out_of_memory_exits_numerical(self, capsys, monkeypatch, reference_config):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(analytic, "visibility_uncoupled", exhausted)
+        code, out, err = run(capsys, "figure", "--params", str(reference_config),
+                             "--which", "fig2a", "--t-points", "8")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: Unable to allocate")
 
     def test_invalid_grid(self, capsys, reference_config):
         code, _, err = run(capsys, "figure", "--params", str(reference_config),

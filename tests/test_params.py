@@ -184,31 +184,23 @@ def test_potential_matches_high_precision_reference(ref_params):
 
 
 def test_thermal_env_zero_temperature(ref_params):
-    env = og.thermal_env(ref_params, 0.0, 1e-4)
-    assert env.nbar == 0.0
-    assert env.dephasing_rate_Gamma_D == 0.0
+    assert og.thermal_occupation(ref_params, 0.0) == 0.0
 
 
 def test_thermal_env_ln2_occupation(ref_params, ref_couplings):
     t_ln2 = ref_params.hbar * ref_couplings.omega_a / (K_BOLTZMANN * math.log(2.0))
-    env = og.thermal_env(ref_params, t_ln2, 1e-4)
-    assert env.nbar == pytest.approx(1.0, rel=1e-12)
-
-
-def test_thermal_env_identities(ref_params, ref_couplings):
-    gamma_a = 3.7e-4
-    env = og.thermal_env(ref_params, 0.05, gamma_a)
-    assert env.quality_factor_Q * gamma_a == pytest.approx(ref_couplings.omega_a, rel=1e-12)
-    expected_rate = gamma_a * K_BOLTZMANN * 0.05 / (ref_params.hbar * ref_couplings.omega_a)
-    assert env.dephasing_rate_Gamma_D == pytest.approx(expected_rate, rel=1e-12)
-    assert env.position_uncertainty_dx == pytest.approx(
-        math.sqrt(ref_params.hbar / (ref_params.mass_m * ref_couplings.omega_a)), rel=1e-14
-    )
+    assert og.thermal_occupation(ref_params, t_ln2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_thermal_env_rejects_negative_temperature(ref_params):
     with pytest.raises(ParameterError):
-        og.thermal_env(ref_params, -0.1, 1e-4)
+        og.thermal_occupation(ref_params, -0.1)
+
+
+def test_thermal_occupation_is_si_only(ref_params):
+    assert og.thermal_occupation(ref_params, 1e-30) == 0.0  # beyond the exponent guard
+    with pytest.raises(ParameterError, match="SI-mode"):
+        og.thermal_occupation(og.dimensionless_params(gamma=1e-2), 0.1)
 
 
 def test_feasibility_bound_reference_point(ref_params):

@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 import optograv as og
 from optograv import oracle, scan
+from optograv.cli import SCALING_GAMMA_FACTORS
 from optograv.errors import DimensionLimitError, ParameterError
 
 
@@ -159,6 +161,32 @@ class TestRunScan:
         assert set(diag) == {"error", "truncation_delta"}
         csv_text = result.to_csv_text()
         assert "truncation_delta" in csv_text.splitlines()[-2]
+
+    def test_truncation_delta_is_the_distance_from_the_exact_visibility(self):
+        base = og.dimensionless_params(gamma=0.0)
+        t = 1.3 * 2.0 * math.pi
+        gammas = tuple(f * base.bare_freq_a for f in SCALING_GAMMA_FACTORS)
+        plan = small_plan(axes=(("direct_gamma", gammas),), observables=("visibility_exact",),
+                          oracle_enabled=True, observable_time=t, n_max=28,
+                          mode="dimensionless")
+        for gamma, row in zip(gammas, og.run_scan(plan, base).rows):
+            dc = og.derive_couplings(replace(base, direct_gamma=gamma))
+            exact = 2.0 * abs(oracle.gaussian_coherence(dc, [base.beta_m], base.beta_M, [t])[0, 0])
+            delta = row["diagnostics"]["truncation_delta"]
+            assert delta == abs(row["values"]["visibility_exact"] - exact)
+            assert delta <= 1e-12
+
+    def test_unstable_coupled_modes_are_a_row_error(self):
+        # omega_a*omega_b = 0.9 <= 4*gamma**2 = 1: the exact coherence is undefined.
+        base = og.dimensionless_params(gamma=0.0)
+        plan = small_plan(axes=(("direct_gamma", (1e-2, 0.5)),), observables=("visibility_exact",),
+                          oracle_enabled=True, observable_time=2.0, n_max=28,
+                          mode="dimensionless")
+        stable, unstable = og.run_scan(plan, base).rows
+        assert stable["diagnostics"]["error"] == ""
+        assert unstable["diagnostics"]["error"].startswith("ParameterError: unstable")
+        assert math.isnan(unstable["values"]["visibility_exact"])
+        assert math.isnan(unstable["diagnostics"]["truncation_delta"])
 
 
 class TestScalingStudy:
