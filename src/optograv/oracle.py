@@ -9,16 +9,16 @@ cavity, index 1 the path whose photon rides inside it, and the dynamics
 never leaves the one-photon-per-cavity sector.  Because the photon operators
 enter the Hamiltonian only through the cavity-path projectors, the
 Hamiltonian is block diagonal over the four path sectors.  Each sector
-Hamiltonian is built from per-mode factors of size n_max+1: the free part is
-a Kronecker sum of one Hamiltonian per mode and the gravitational coupling a
-product of the two positions, so it acts on a sector's (n_a+1, n_b+1)
-amplitude matrix through matrix products and no (n_a+1)*(n_b+1)-dimensional
-block is ever formed.  Propagation is a Chebyshev expansion of exp(-i*H*t)
-on each sector's spectral interval: one recursion serves a whole batch of
-times, and its length, hence its cost, grows with the spectral width times
-the latest time.  With one BLAS thread, a single time at n_max 28 (36) costs
-as much as the dense per-sector eigendecomposition it replaced only beyond
-about 22 (39) revival periods.
+Hamiltonian is real and built from per-mode factors of size n_max+1: the free
+part is a Kronecker sum of one Hamiltonian per mode and the gravitational
+coupling a product of the two positions, so it acts on a sector's
+(n_a+1, n_b+1) amplitude matrix through real matrix products and no
+(n_a+1)*(n_b+1)-dimensional block is ever formed.  Propagation is a real
+Chebyshev recursion for exp(-i*H*t) that serves a whole batch of times at a
+cost growing with the spectral width times the latest time.  With one BLAS
+thread, a single time of a real state at n_max 28 (36) costs as much as the
+dense per-sector eigendecomposition it replaced only beyond about 50 (105)
+revival periods.
 
 The evolved states are read through the two observables the paper's
 signatures need: photon c's path coherence (:func:`visibility_exact`) and
@@ -182,9 +182,10 @@ _CHUNK_BYTES = 8 << 20
 #: (-i)^k for k mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
-#: Budget for the Bessel and coefficient tables of one recursion, which
-#: hold about _TABLE_ENTRY_BYTES per (sector, time, term) entry at once.
-_TABLE_BYTES, _TABLE_ENTRY_BYTES = 1 << 30, 64
+#: Budget for the Bessel and coefficient tables of one recursion, which hold at most
+#: 40 bytes per (sector, time, term) entry at once: Bessel values (8) beside either
+#: their tail and temporaries (< 28) or complex coefficients and their Re and Im (32).
+_TABLE_BYTES, _TABLE_ENTRY_BYTES = 1 << 30, 40
 
 
 def _mode_hamiltonian(dim: int, omega: float, lam: float, bit: int) -> np.ndarray:
@@ -283,83 +284,81 @@ def _bessel_series(z: np.ndarray) -> np.ndarray:
 class Propagator:
     """exp(-i*H*t) on the four photon sectors by a Chebyshev expansion.
 
-    Each sector Hamiltonian is H_a(p) (x) 1 + 1 (x) H_b(q) + gamma*x_a (x) x_b
-    with per-mode factors of size n_max+1, so it acts on a sector's
-    (dim_a, dim_b) amplitude matrix X as H_a X + X H_b^T + gamma x_a X x_b^T
-    and no sector block is ever formed.  The spectrum of each sector lies in
-    [min w_a + min w_b - g, max w_a + max w_b + g], with w the eigenvalues of
-    the per-mode Hamiltonians and g = |gamma| ||x_a|| ||x_b|| (Weyl); mapping
-    it onto [-1, 1] as H = c + r*Ht gives (Tal-Ezer and Kosloff, J. Chem.
-    Phys. 81, 3967 (1984))
+    A sector acts on its (dim_a, dim_b) amplitude matrix X as H_a X + X H_b^T
+    + gamma x_a X x_b^T.  Its spectrum lies in [min w_a + min w_b - g,
+    max w_a + max w_b + g], with w the eigenvalues of the per-mode
+    Hamiltonians and g = |gamma| ||x_a|| ||x_b|| (Weyl); mapping it onto
+    [-1, 1] as H = c + r*Ht gives (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+    3967 (1984))
 
         exp(-i*H*t) = exp(-i*c*t) sum_k (2 - delta_k0) (-i)^k J_k(r*t) T_k(Ht),
 
     and one three-term recursion T_(k+1) = 2 Ht T_k - T_(k-1) applied to the
     initial state serves every requested time.  The number of terms is about
     r*t plus a few dozen, so the cost grows with spectral width times time.
+    Ht is real, so the recursion is too: it runs on the state's real and
+    imaginary planes, (2, 2, dim_a, P, dim_b) with P = 1 for a real state.
     """
 
     def __init__(self, dc: DerivedCouplings, spec: HilbertSpec):
         self.spec = spec
-        x_a, x_b = position_coupling(spec.dim_a), position_coupling(spec.dim_b)
+        self._x_a, x_b = position_coupling(spec.dim_a), position_coupling(spec.dim_b)
         h_a = [_mode_hamiltonian(spec.dim_a, dc.omega_a, dc.lambda_m, bit) for bit in (0, 1)]
         h_b = [_mode_hamiltonian(spec.dim_b, dc.omega_b, dc.lambda_M, bit) for bit in (0, 1)]
-        w_a = [np.linalg.eigvalsh(h) for h in h_a]
-        w_b = [np.linalg.eigvalsh(h) for h in h_b]
-        coupling = abs(dc.gamma) * np.linalg.norm(x_a, 2) * np.linalg.norm(x_b, 2)
-        center, radius = np.empty((2, 2)), np.empty((2, 2))
-        for p_bit, q_bit in _SECTORS:
-            lo = w_a[p_bit][0] + w_b[q_bit][0] - coupling
-            hi = w_a[p_bit][-1] + w_b[q_bit][-1] + coupling
-            center[p_bit, q_bit] = 0.5 * (hi + lo)
-            radius[p_bit, q_bit] = 0.5 * (hi - lo) * (1.0 + _INTERVAL_PAD)
-        self._center, self._radius = center, radius
+        w_a, w_b = (np.array([np.linalg.eigvalsh(h)[[0, -1]] for h in hs]) for hs in (h_a, h_b))
+        coupling = abs(dc.gamma) * np.linalg.norm(self._x_a, 2) * np.linalg.norm(x_b, 2)
+        lo = w_a[:, None, 0] + w_b[None, :, 0] - coupling
+        hi = w_a[:, None, 1] + w_b[None, :, 1] + coupling
+        self._center, self._radius = 0.5 * (hi + lo), 0.5 * (hi - lo) * (1.0 + _INTERVAL_PAD)
         # 2*Ht = (2/r)(H - c): the shift rides on the left factor, the scale on all three.
-        scale = (2.0 / radius)[:, :, None, None]
-        eye_a = np.eye(spec.dim_a)
-        self._left = scale * np.array(
-            [[h_a[p_bit] - center[p_bit, q_bit] * eye_a for q_bit in (0, 1)] for p_bit in (0, 1)]
-        )
-        self._right = (scale * np.array([[h_b[0].T, h_b[1].T]] * 2)).astype(complex)
-        self._x_a = x_a
-        self._coupling = (scale * dc.gamma * x_b.T).astype(complex) if dc.gamma else None
+        scale = (2.0 / self._radius)[:, :, None, None]
+        self._left = scale * np.array([[h - c * np.eye(spec.dim_a) for c in centers]
+                                        for h, centers in zip(h_a, self._center)])
+        self._right = scale * np.array([[h_b[0].T, h_b[1].T]] * 2)
+        self._coupling = scale * dc.gamma * x_b.T if dc.gamma else None
 
     def _apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-        """out = 2*Ht x for sector-stacked amplitudes x of shape
-        (2, 2, dim_a, dim_b).  ``scratch`` holds two arrays of x's shape,
-        which are overwritten."""
-        product, mixed = scratch
-        np.matmul(self._left, x.view(float), out=out.view(float))
-        out += np.matmul(x, self._right, out=product)
+        """out = 2*Ht x for sector-stacked real planes x (2, 2, dim_a, P, dim_b);
+        ``scratch``, an array of shape (2,) + x.shape, is overwritten."""
+        wide, tall = (2, 2, x.shape[2], -1), (2, 2, -1, x.shape[4])
+        product, mixed = scratch.reshape((2,) + tall)
+        total = out.reshape(tall)
+        np.matmul(self._left, x.reshape(wide), out=out.reshape(wide))
+        total += np.matmul(x.reshape(tall), self._right, out=product)
         if self._coupling is not None:
-            np.matmul(self._x_a, x.view(float), out=mixed.view(float))
-            out += np.matmul(mixed, self._coupling, out=product)
+            np.matmul(self._x_a, x.reshape(wide), out=mixed.reshape(wide))
+            total += np.matmul(mixed, self._coupling, out=product)
 
     def _coefficients(self, times: np.ndarray) -> np.ndarray:
-        """(2, 2, T, K) expansion coefficients of every sector and time."""
+        """Re and Im (2, 2, 2, T, K) of every sector's and time's coefficients."""
         _check_table_bytes(4 * times.size, float(self._radius.max()), float(times.max()))
         z = self._radius[:, :, None] * times
         bessel = _bessel_series(z.reshape(-1)).reshape(*z.shape, -1)
         order = np.arange(bessel.shape[-1])
         weights = np.where(order == 0, 1.0, 2.0) * _MINUS_I_POWERS[order % 4] * bessel
-        return weights * np.exp(-1j * self._center[:, :, None] * times)[..., None]
+        weights *= np.exp(-1j * self._center[:, :, None] * times)[..., None]
+        return np.stack((weights.real, weights.imag))
 
     def _series(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Amplitudes (2, 2, T, dim_a*dim_b) of exp(-i*H*t) x0 at each time."""
-        coefficients = self._coefficients(times)
-        terms = coefficients.shape[-1]
-        # T_k(Ht) x0 cycles through `chunk` contiguous ring slots (the
-        # recursion reads the two before it); each filled chunk is folded into
-        # every time at once by one matrix product per sector.  Both steps and
-        # folds write their products into one buffer.
-        chunk = max(3, min(terms, _CHUNK_BYTES // x0.nbytes))
-        ring = np.empty((chunk,) + x0.shape, dtype=complex)
+        """Amplitudes (2, 2, T, dim_a, dim_b) of exp(-i*H*t) x0 at each time."""
+        real, imag = self._coefficients(times)
+        terms, planes = real.shape[-1], 2 if x0.imag.any() else 1
+        shape = (2, 2, x0.shape[2], planes, x0.shape[3])
+        size = math.prod(shape)
+        # T_k(Ht) x0 cycles through `chunk` contiguous ring slots (the recursion reads the
+        # two before it); each filled chunk is folded into every time at once by one matrix
+        # product per sector and part of C.  Steps and folds write into one buffer.
+        chunk = max(3, min(terms, _CHUNK_BYTES // (8 * size)))
+        ring = np.empty((chunk,) + shape)
         flat = ring.reshape(chunk, 2, 2, -1).transpose(1, 2, 0, 3)
-        out = np.zeros((2, 2, times.size, x0[0, 0].size), dtype=complex)
-        buffer = np.empty(max(2, times.size) * x0.size, dtype=complex)
-        steps = buffer[: 2 * x0.size].reshape((2,) + x0.shape)
-        folded = buffer[: times.size * x0.size].reshape(out.shape)
-        ring[0] = x0
+        out = np.zeros((2, 2, times.size) + x0.shape[2:], dtype=complex)
+        buffer = np.empty(max(2, times.size) * size)
+        steps = buffer[: 2 * size].reshape((2,) + shape)
+        folded = buffer[: times.size * size].reshape(2, 2, times.size, -1)
+        parts = folded.reshape(out.shape[:-1] + shape[3:])
+        # Real views (..., dim_a, 2, dim_b) of the complex arrays' real and imaginary parts.
+        total = np.moveaxis(out.view(float).reshape(out.shape + (2,)), 5, 4)
+        ring[0] = np.moveaxis(x0.view(float).reshape(x0.shape + (2,)), 4, 3)[..., :planes, :]
         for k in range(terms):
             slot = k % chunk
             if k == 1:
@@ -369,22 +368,26 @@ class Propagator:
                 self._apply(ring[(k - 1) % chunk], ring[slot], steps)
                 ring[slot] -= ring[(k - 2) % chunk]
             if slot == chunk - 1 or k == terms - 1:
-                out += np.matmul(coefficients[..., k - slot : k + 1], flat[:, :, : slot + 1],
-                                 out=folded)
+                # out += (Re C + i Im C)(plane 0 + i plane 1), one part of C at a time.
+                np.matmul(real[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
+                total[..., :planes, :] += parts
+                np.matmul(imag[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
+                total[..., 1, :] += parts[..., 0, :]
+                total[..., : planes - 1, :] -= parts[..., 1:, :]
         return out
 
     def evolve(self, psi0: np.ndarray, times) -> np.ndarray:
         """Propagate a t=0 state of shape ``spec.dims`` to each of ``times``
         (a 1-D sequence, finite and >= 0): the states, shape (T,) + spec.dims."""
-        psi0 = np.asarray(psi0, dtype=complex)
+        psi0 = np.ascontiguousarray(psi0, dtype=complex)
         if psi0.shape != self.spec.dims:
             raise ParameterError(f"state must have shape {self.spec.dims}, got {psi0.shape}")
         times = _as_times(times)
         out = self._series(psi0, times)
-        v = out.view(float)
+        v = out.view(float).reshape(2, 2, times.size, -1)
         _check_norms(float(np.linalg.norm(psi0)), np.sqrt(np.einsum("pqtn,pqtn->t", v, v)), times)
         # An owned copy, so callers do not pin the series' output in memory.
-        return np.moveaxis(out, 2, 0).reshape((times.size,) + self.spec.dims).copy()
+        return np.moveaxis(out, 2, 0).copy()
 
 
 def coherent_vector(beta: complex, dim: int) -> np.ndarray:
@@ -558,12 +561,9 @@ def dyson_first_order_state(
     tensor = closed_form_state(dc, p, spec, t)
     ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
     coefficients = analytic.integrated_coefficients(dc, t).reshape(2, 3, 2, 3)
-    out = np.empty(spec.dims, dtype=complex)
-    for p_bit, q_bit in _SECTORS:
-        # sum_ij K[i, j] O_i X O_j^T for the sector's (dim_a, dim_b) amplitudes X.
-        left = np.einsum("ij,iab,bc->jac", coefficients[p_bit, :, q_bit], ops_a,
-                         tensor[p_bit, q_bit])
-        out[p_bit, q_bit] = np.einsum("jac,jdc->ad", left, ops_b)
+    # Per sector (p, q), sum_ij K[p, i, q, j] O_i X O_j^T for its (dim_a, dim_b) amplitudes X.
+    left = np.tensordot(coefficients, ops_a, ([1], [0]))  # (p, q, j, dim_a, dim_a)
+    out = np.sum(left @ tensor[:, :, None] @ ops_b.transpose(0, 2, 1), axis=2)
     return (-1j * dc.gamma) * out
 
 

@@ -28,8 +28,12 @@ routes they replaced, as independent cross-checks:
   perturbation at one time, from the system families {a^dag psi, a psi,
   psi} built in the truncated Fock basis, as the library computed it
   before its closed form in a four-dimensional coherent basis;
-- ``allocating_apply``: one Chebyshev step of ``oracle.Propagator`` with a
-  fresh temporary per matrix product, as before it reused scratch buffers.
+- ``complex_series`` and ``complex_apply``: ``oracle.Propagator``'s
+  Chebyshev recursion in complex arithmetic, on complex ring slots of shape
+  (2, 2, dim_a, dim_b) with the real sector factors stored as complex, as
+  the library ran it before it split the vectors into real planes;
+- ``dyson_first_order_state``: the first-order Dyson correction contracted
+  by two einsums per sector, as before it was written as matrix products.
 """
 
 import math
@@ -355,10 +359,61 @@ def linear_entropy_first_order(dc, p, t: float, spec=None) -> float:
     return 2.0 * dc.gamma**2 * coefficient
 
 
-def allocating_apply(prop, x, out, scratch=None):
-    """out = 2*Ht x for ``prop``'s sector-stacked amplitudes x, each matrix
-    product into a fresh temporary; ``scratch`` is ignored."""
+def complex_apply(prop, x, out, scratch):
+    """out = 2*Ht x for ``prop``'s sector-stacked complex amplitudes x of
+    shape (2, 2, dim_a, dim_b); ``scratch`` holds two arrays of x's shape."""
+    product, mixed = scratch
     np.matmul(prop._left, x.view(float), out=out.view(float))
-    out += x @ prop._right
+    out += np.matmul(x, prop._right.astype(complex), out=product)
     if prop._coupling is not None:
-        out += (prop._x_a @ x.view(float)).view(complex) @ prop._coupling
+        np.matmul(prop._x_a, x.view(float), out=mixed.view(float))
+        out += np.matmul(mixed, prop._coupling.astype(complex), out=product)
+
+
+def complex_coefficients(prop, times):
+    """(2, 2, T, K) complex expansion coefficients of every sector and time."""
+    z = prop._radius[:, :, None] * times
+    bessel = oracle._bessel_series(z.reshape(-1)).reshape(*z.shape, -1)
+    order = np.arange(bessel.shape[-1])
+    weights = np.where(order == 0, 1.0, 2.0) * oracle._MINUS_I_POWERS[order % 4] * bessel
+    return weights * np.exp(-1j * prop._center[:, :, None] * times)[..., None]
+
+
+def complex_series(prop, x0, times):
+    """Amplitudes (2, 2, T, dim_a, dim_b) of exp(-i*H*t) x0 at each time, by
+    the complex recursion with ``prop``'s factors and tables."""
+    times = np.asarray(times, dtype=float)
+    x0 = np.asarray(x0, dtype=complex)
+    coefficients = complex_coefficients(prop, times)
+    terms = coefficients.shape[-1]
+    chunk = max(3, min(terms, oracle._CHUNK_BYTES // x0.nbytes))
+    ring = np.empty((chunk,) + x0.shape, dtype=complex)
+    flat = ring.reshape(chunk, 2, 2, -1).transpose(1, 2, 0, 3)
+    out = np.zeros((2, 2, times.size, x0[0, 0].size), dtype=complex)
+    steps = np.empty((2,) + x0.shape, dtype=complex)
+    ring[0] = x0
+    for k in range(terms):
+        slot = k % chunk
+        if k == 1:
+            complex_apply(prop, ring[0], ring[1], steps)
+            ring[1] *= 0.5
+        elif k > 1:
+            complex_apply(prop, ring[(k - 1) % chunk], ring[slot], steps)
+            ring[slot] -= ring[(k - 2) % chunk]
+        if slot == chunk - 1 or k == terms - 1:
+            out += coefficients[..., k - slot : k + 1] @ flat[:, :, : slot + 1]
+    return out.reshape((2, 2, times.size) + x0.shape[2:])
+
+
+def dyson_first_order_state(dc, p, spec, t):
+    """``oracle.dyson_first_order_state`` with each sector contracted by
+    einsum: sum_ij K[i, j] O_i X O_j^T for the sector's amplitudes X."""
+    tensor = oracle.closed_form_state(dc, p, spec, t)
+    ops_a, ops_b = oracle._mode_operators(spec.dim_a), oracle._mode_operators(spec.dim_b)
+    coefficients = analytic.integrated_coefficients(dc, t).reshape(2, 3, 2, 3)
+    out = np.empty(spec.dims, dtype=complex)
+    for p_bit, q_bit in SECTORS:
+        left = np.einsum("ij,iab,bc->jac", coefficients[p_bit, :, q_bit], ops_a,
+                         tensor[p_bit, q_bit])
+        out[p_bit, q_bit] = np.einsum("jac,jdc->ad", left, ops_b)
+    return (-1j * dc.gamma) * out

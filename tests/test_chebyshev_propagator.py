@@ -3,7 +3,9 @@
 ``oracle.Propagator`` applies each sector Hamiltonian through its per-mode
 factors and expands exp(-i*H*t) in Chebyshev polynomials; the test-only
 ``dense_reference.EighPropagator`` diagonalises every dense sector block.
-Both must agree to 1e-12 absolute per amplitude.
+Both must agree to 1e-12 absolute per amplitude.  The recursion runs on real
+planes; ``dense_reference.complex_series``, the complex recursion it
+replaced, must agree with it to 1e-14.
 """
 
 import functools
@@ -158,6 +160,7 @@ def test_evolve_returns_owned_states_and_refuses_other_shapes():
     states = propagator.evolve(psi0, [0.5, 1.0])
     assert states.shape == (2,) + spec.dims
     assert states.flags.owndata and states.flags.c_contiguous
+    assert np.array_equal(propagator.evolve(np.asfortranarray(psi0), [0.5, 1.0]), states)
     for bad in (psi0.reshape(-1), psi0[:, :, :4]):
         with pytest.raises(ParameterError, match="shape"):
             propagator.evolve(bad, [1.0])
@@ -173,12 +176,29 @@ def test_bessel_coefficients_against_mpmath(z):
     assert 2.0 * float(abs(mpmath.besselj(len(values), z))) < oracle._SERIES_TOL
 
 
-def sector_states(spec, seed, count=1):
-    """``count`` random sector-stacked states (count, 2, 2, dim_a, dim_b),
-    laid out as the slots of the ring in ``Propagator._series``."""
+def sector_planes(spec, seed, planes, count=1):
+    """``count`` random sector-stacked real planes (count, 2, 2, dim_a,
+    planes, dim_b), laid out as the slots of the ring in
+    ``Propagator._series``."""
     rng = np.random.default_rng(seed)
-    shape = (count, 2, 2, spec.dim_a, spec.dim_b)
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return rng.normal(size=(count, 2, 2, spec.dim_a, planes, spec.dim_b))
+
+
+def sector_state(spec, seed, planes):
+    """A random sector-stacked state, complex when ``planes`` is 2 and with a
+    zero imaginary part when it is 1."""
+    x = sector_planes(spec, seed, planes)[0]
+    return x[:, :, :, 0] + (1j * x[:, :, :, 1] if planes == 2 else 0j)
+
+
+def allocating_apply(prop, x, out, scratch=None):
+    """out = 2*Ht x for ``prop``'s sector-stacked real planes x, each matrix
+    product into a fresh temporary; ``scratch`` is ignored."""
+    wide, tall = (2, 2, x.shape[2], -1), (2, 2, -1, x.shape[4])
+    out[...] = (prop._left @ x.reshape(wide)).reshape(x.shape)
+    out += (x.reshape(tall) @ prop._right).reshape(x.shape)
+    if prop._coupling is not None:
+        out += ((prop._x_a @ x.reshape(wide)).reshape(tall) @ prop._coupling).reshape(x.shape)
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -188,42 +208,46 @@ def test_apply_allocates_no_state_sized_block(gamma, n_max, stretch):
     p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(n_max, stretch * (n_max + 1) - 1)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    ring = sector_states(spec, 3, count=3)
-    x, out = ring[1], ring[2]
-    scratch = np.empty_like(ring[:2])
-    propagator._apply(x, out, scratch)
-    tracemalloc.start()
-    try:
-        # One recursion step: the operator, then the slot two before.
+    for planes in (1, 2):
+        ring = sector_planes(spec, 3, planes, count=3)
+        x, out = ring[1], ring[2]
+        scratch = np.empty_like(ring[:2])
         propagator._apply(x, out, scratch)
-        out -= ring[0]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes / 16
+        tracemalloc.start()
+        try:
+            # One recursion step: the operator, then the slot two before.
+            propagator._apply(x, out, scratch)
+            out -= ring[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 16, planes
 
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_series_holds_only_its_ring_output_and_buffer(count):
-    # No state-sized block beyond the ring of Chebyshev vectors, the output
-    # and the scratch buffer shared by the steps and the folds.
+    # No state-sized block beyond the ring of Chebyshev vectors, the complex
+    # output and the scratch buffer shared by the steps and the folds; ring
+    # and buffer slots hold one real plane per part of the state.
     p = og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(80, 80)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    x0 = sector_states(spec, 6)[0]
     times = np.linspace(1.0, 2.0, count)
     terms = propagator._coefficients(times).shape[-1]
-    chunk = max(3, min(terms, oracle._CHUNK_BYTES // x0.nbytes))
-    assert chunk < terms  # the ring wraps
-    held = (chunk + count + max(2, count)) * x0.nbytes
-    propagator._series(x0, times)
-    tracemalloc.start()
-    try:
+    for planes in (1, 2):
+        x0 = sector_state(spec, 6, planes)
+        slot = planes * x0.real.nbytes
+        chunk = max(3, min(terms, oracle._CHUNK_BYTES // slot))
+        assert chunk < terms  # the ring wraps
+        held = (chunk + max(2, count)) * slot + count * x0.nbytes
         propagator._series(x0, times)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held <= peak < held + x0.nbytes / 2
+        tracemalloc.start()
+        try:
+            propagator._series(x0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= peak < held + slot / 2, planes
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -231,13 +255,57 @@ def test_series_with_scratch_buffers_equals_allocating_steps(gamma, monkeypatch)
     p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(30, 30)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    x0 = sector_states(spec, 4)[0]
     times = np.array([0.3, 5.0, 17.0, 40.0])
-    buffered = propagator._series(x0, times)
-    monkeypatch.setattr(propagator, "_apply", functools.partial(
-        dense_reference.allocating_apply, propagator))
-    allocating = propagator._series(x0, times)
-    assert np.max(np.abs(buffered - allocating)) <= 1e-15
+    for planes in (1, 2):
+        x0 = sector_state(spec, 4, planes)
+        buffered = propagator._series(x0, times)
+        with monkeypatch.context() as patch:
+            patch.setattr(propagator, "_apply", functools.partial(allocating_apply, propagator))
+            allocating = propagator._series(x0, times)
+        assert np.max(np.abs(buffered - allocating)) <= 1e-15, planes
+
+
+@pytest.mark.parametrize("planes", [1, 2])
+@pytest.mark.parametrize("gamma", [1e-2, 0.0])
+@pytest.mark.parametrize("n_max, stretch", [(30, 8), (30, 1)])
+def test_real_planes_match_the_complex_recursion(gamma, n_max, stretch, planes):
+    p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
+    spec = og.HilbertSpec(n_max, stretch * (n_max + 1) - 1)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    x0 = sector_state(spec, 8, planes)
+    x0 /= np.linalg.norm(x0)
+    times = np.array([0.3, 5.0, 17.0, 40.0])
+    expected = dense_reference.complex_series(propagator, x0, times)
+    assert np.max(np.abs(propagator._series(x0, times) - expected)) <= 1e-14
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(-0.05, 0.05), t=st.floats(0.0, 20.0))
+def test_evolution_is_linear_over_real_and_imaginary_parts(seed, gamma, t):
+    # A complex state runs on two real planes, its parts on one each.
+    p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
+    spec = og.HilbertSpec(12, 15)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    x = random_state(spec, seed)
+    parts = propagator.evolve(x.real, [t]) + 1j * propagator.evolve(x.imag, [t])
+    assert np.max(np.abs(propagator.evolve(x, [t]) - parts)) <= 1e-14
+
+
+def test_table_bytes_per_entry_bound_the_tables():
+    # Many times and few levels: the Bessel and coefficient tables dominate.
+    p = dimensionless_config()
+    propagator = og.Propagator(og.derive_couplings(p), og.HilbertSpec(4, 4))
+    radius = float(propagator._radius.max())
+    for count, t_max in ((4000, 25.0), (500, 400.0), (3, 1000.0)):
+        times = np.linspace(0.0, t_max, count)
+        entries = 4 * count * (oracle._bessel_start(radius * t_max) + 1)
+        tracemalloc.start()
+        try:
+            tables = propagator._coefficients(times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tables.nbytes < peak <= oracle._TABLE_ENTRY_BYTES * entries
 
 
 def test_chebyshev_tables_beyond_the_budget_name_the_largest_time():

@@ -277,6 +277,14 @@ class TestDysonCorrection:
             psi[g] = og.dyson_first_order_state(dc, p, spec, 3.3)
         assert np.allclose(psi[2e-3], 2.0 * psi[1e-3], rtol=1e-12, atol=1e-16)
 
+    @pytest.mark.parametrize("t", [0.7, 3.3, 25.0])
+    def test_matrix_products_match_the_einsum_contraction(self, t):
+        p, dc, _ = small_setup(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
+        spec = og.HilbertSpec(30, 34)
+        state = og.dyson_first_order_state(dc, p, spec, t)
+        expected = dense_reference.dyson_first_order_state(dc, p, spec, t)
+        assert np.max(np.abs(state - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     def test_improves_on_zeroth_order(self):
         p, dc, spec = small_setup(gamma=5e-3, lambda_m=0.3, lambda_M=0.2, n_max=18)
         t = 4.0
