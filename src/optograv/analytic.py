@@ -100,14 +100,13 @@ def _check_times(times, ndmin: int = 1) -> np.ndarray:
 
 def visibility_uncoupled(dc: DerivedCouplings, times) -> np.ndarray:
     """Visibility of the rod-m cavity's photon with gravity absent from the
-    state dynamics: V(t) = exp(-lam_m**2 * (1 - cos(omega_a*t))).
+    state dynamics: V(t) = exp(-lam_m**2 * (1 - cos(omega_a*t))), the
+    :func:`thermal_visibility` at nbar = 0.
 
     Uses whatever constants ``dc`` carries, so passing couplings derived
     with G = 0 yields the gravity-free reference pattern.
     """
-    times = _check_times(times)
-    lam, omega = dc.lambda_m, dc.omega_a
-    return np.exp(-(lam * lam) * (1.0 - np.cos(omega * times)))
+    return thermal_visibility(dc, 0.0, times)
 
 
 def mode_factor_coefficients(lam: float, bit: int) -> np.ndarray:
@@ -174,9 +173,7 @@ def visibility_first_order(dc: DerivedCouplings, p: PhysicalParams, times) -> np
     the state correction is first order.
     """
     times = _check_times(times)
-    x = first_order_bracket(dc, p, times)
-    envelope = np.exp(-(dc.lambda_m**2) * (1.0 - np.cos(dc.omega_a * times)))
-    return envelope * np.hypot(1.0, x)
+    return visibility_uncoupled(dc, times) * np.hypot(1.0, first_order_bracket(dc, p, times))
 
 
 def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> np.ndarray:

@@ -16,6 +16,7 @@ inputs reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -111,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = subs.add_parser("scan", help="parameter sweep from a plan file")
     _add_common(p_scan)
     p_scan.add_argument("--plan", required=True, help="scan plan config file")
-    p_scan.set_defaults(func=cmd_scan)
+    # No default: an explicit --seed overrides the plan's seed key.
+    p_scan.set_defaults(func=cmd_scan, seed=None)
 
     p_thermal = subs.add_parser("thermal", help="thermal visibility vs Monte-Carlo average")
     _add_common(p_thermal, time_grid=True)
@@ -156,24 +158,30 @@ def _emit_json(args, payload: dict):
     _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(provenance: dict, header: list, rows: list) -> str:
+def _cell(value) -> str:
+    """One CSV cell: a string as is (quoted when it holds a comma or a
+    double quote, which becomes a single quote), a number by ``repr``."""
+    if isinstance(value, str):
+        return '"' + value.replace('"', "'") + '"' if "," in value or '"' in value else value
+    return repr(float(value))
+
+
+def _csv_text(provenance: dict, header: list, records: list) -> str:
     lines = [f"# optograv {provenance.get('command', '')}".rstrip()]
     for key in sorted(provenance):
         lines.append(f"# {key}={provenance[key]}")
     lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(_cell(v) for v in record) for record in records)
     return "\n".join(lines) + "\n"
 
 
 def _emit_table(args, provenance: dict, header: list, records: list):
-    """Records (tuples of strings and floats) as JSON rows, or as CSV with
-    each float written by ``repr``."""
+    """Records (tuples of strings and floats) as JSON rows or CSV lines."""
     if args.format == "json":
         _emit_json(args, {"rows": [dict(zip(header, r)) for r in records],
                           "provenance": provenance})
     else:
-        rows = [[v if isinstance(v, str) else repr(v) for v in r] for r in records]
-        _emit(args, _csv_text(provenance, header, rows))
+        _emit(args, _csv_text(provenance, header, records))
 
 
 def _time_grid(args, dc):
@@ -195,13 +203,8 @@ def cmd_derive(args) -> int:
     payload["delta_T_ns"] = dc.delta_T * 1e9
     payload["provenance"] = _provenance(p, args)
     if args.format == "csv":
-        rows = [
-            (key, repr(float(value)))
-            for key, value in sorted(payload.items())
-            if key != "provenance"
-        ]
-        _emit(args, _csv_text(payload["provenance"], ["quantity", "value"],
-                              [list(r) for r in rows]))
+        rows = [(key, value) for key, value in sorted(payload.items()) if key != "provenance"]
+        _emit(args, _csv_text(payload["provenance"], ["quantity", "value"], rows))
     else:
         _emit_json(args, payload)
     return 0
@@ -228,12 +231,14 @@ def cmd_figure(args) -> int:
         _emit_json(args, {key: [float(t) for t in axis], "values": [float(v) for v in values],
                           "method": method, "provenance": provenance})
     else:
-        rows = [[repr(float(t)), repr(float(v)), method] for t, v in zip(axis, values)]
+        rows = [(t, v, method) for t, v in zip(axis, values)]
         _emit(args, _csv_text(provenance, [column, "value", "method"], rows))
     return 0
 
 
 def cmd_oracle(args) -> int:
+    if args.format == "csv":
+        raise ConfigError("oracle writes JSON only; --format csv is not supported")
     if args.equivalence_points < 2:
         raise ConfigError("--equivalence-points must be >= 2")
     if args.residual_times < 1:
@@ -246,7 +251,6 @@ def cmd_oracle(args) -> int:
         spec = oracle.default_spec(p, dc)
     oracle.check_adequacy(spec, dc, p)
     period = 2.0 * math.pi / dc.omega_a
-    checks = []
 
     # Gravity-free equivalence: exact propagation against the closed form.
     p0 = without_gravity(p)
@@ -261,20 +265,15 @@ def cmd_oracle(args) -> int:
         for psi, v_closed in zip(propagator.evolve(psi0, times[start:stop]),
                                  closed[start:stop]):
             worst = max(worst, abs(oracle.visibility_exact(psi) - float(v_closed)))
-    checks.append(
-        {"name": "gravity_free_equivalence", "measured": worst,
-         "allowed": EQUIVALENCE_TOL, "passed": worst < EQUIVALENCE_TOL}
-    )
+    checks = [_check("gravity_free_equivalence", worst, EQUIVALENCE_TOL,
+                     worst < EQUIVALENCE_TOL)]
 
     # Frame-rotation identity on the Fock interior.
-    checker = oracle.InteractionPictureResidual(dc, spec)
     residual_times = np.linspace(period / args.residual_times, 2.0 * period,
                                  args.residual_times)
-    worst_residual = max(checker.residual(float(t)) for t in residual_times)
-    checks.append(
-        {"name": "interaction_picture_residual", "measured": worst_residual,
-         "allowed": RESIDUAL_TOL, "passed": worst_residual < RESIDUAL_TOL}
-    )
+    residual = float(oracle.interaction_picture_residual(dc, spec, residual_times).max())
+    checks.append(_check("interaction_picture_residual", residual, RESIDUAL_TOL,
+                         residual < RESIDUAL_TOL))
 
     # Boosted-coupling scaling study (resolvable only in dimensionless mode).
     if p.units == UNITS_DIMENSIONLESS:
@@ -284,19 +283,14 @@ def cmd_oracle(args) -> int:
         slope_state = study.slopes["state"][0]
         slope_vis = study.slopes["visibility"][0]
         slope_ent = study.slopes["entropy"][0]
-        checks.append(
-            {"name": "state_residual_slope", "measured": slope_state,
-             "allowed": list(STATE_SLOPE_TARGET),
-             "passed": STATE_SLOPE_TARGET[0] <= slope_state <= STATE_SLOPE_TARGET[1]}
-        )
-        checks.append(
-            {"name": "visibility_residual_slope", "measured": slope_vis,
-             "allowed": VISIBILITY_SLOPE_MIN, "passed": slope_vis >= VISIBILITY_SLOPE_MIN}
-        )
-        checks.append(
-            {"name": "entropy_residual_slope", "measured": slope_ent,
-             "allowed": ENTROPY_SLOPE_MIN, "passed": slope_ent >= ENTROPY_SLOPE_MIN}
-        )
+        checks += [
+            _check("state_residual_slope", slope_state, list(STATE_SLOPE_TARGET),
+                   STATE_SLOPE_TARGET[0] <= slope_state <= STATE_SLOPE_TARGET[1]),
+            _check("visibility_residual_slope", slope_vis, VISIBILITY_SLOPE_MIN,
+                   slope_vis >= VISIBILITY_SLOPE_MIN),
+            _check("entropy_residual_slope", slope_ent, ENTROPY_SLOPE_MIN,
+                   slope_ent >= ENTROPY_SLOPE_MIN),
+        ]
     payload = {
         "checks": checks,
         "spec": {"n_max_a": spec.n_max_a, "n_max_b": spec.n_max_b},
@@ -305,13 +299,16 @@ def cmd_oracle(args) -> int:
     }
     _emit_json(args, payload)
     if not payload["passed"]:
-        failures = ", ".join(
+        raise ToleranceError(", ".join(
             f"{c['name']}: measured {c['measured']:.3e}, allowed {c['allowed']}"
             for c in checks if not c["passed"]
-        )
-        print(f"tolerance failure: {failures}", file=sys.stderr)
-        return 2
+        ))
     return 0
+
+
+def _check(name: str, measured: float, allowed, passed: bool) -> dict:
+    """One verification record of the ``oracle`` payload."""
+    return {"name": name, "measured": measured, "allowed": allowed, "passed": passed}
 
 
 def _parse_float_list(raw: str, flag: str):
@@ -344,7 +341,8 @@ def cmd_feasibility(args) -> int:
 def cmd_scan(args) -> int:
     p = _load(args)
     plan_dict = load_scan_plan(args.plan)
-    plan_dict.setdefault("seed", args.seed)
+    if args.seed is not None:
+        plan_dict["seed"] = args.seed
     plan_dict.setdefault("mode", p.units)
     plan = scan_mod.ScanPlan(**plan_dict)
     if plan.mode != p.units:
@@ -352,9 +350,14 @@ def cmd_scan(args) -> int:
     result = scan_mod.run_scan(plan, p)
     result.provenance["command"] = "scan"
     if args.format == "json":
-        _emit_json(args, result.to_json_dict())
+        _emit_json(args, dataclasses.asdict(result))
     else:
-        _emit(args, result.to_csv_text())
+        parts = (("axes", result.axis_names), ("values", result.observable_names),
+                 ("diagnostics", result.diagnostic_names))
+        header = [name for _, names in parts for name in names]
+        records = [[row[part][name] for part, names in parts for name in names]
+                   for row in result.rows]
+        _emit(args, _csv_text(result.provenance, header, records))
     return 0
 
 

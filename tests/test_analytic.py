@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import optograv as og
 from optograv import oracle
+from optograv.config import load_params
 from optograv.errors import ParameterError
 
 from test_params import VISIBILITY_MINIMUM
@@ -237,6 +239,20 @@ class TestThermalVisibility:
     def test_rejects_negative_occupation(self, ref_params, ref_couplings):
         with pytest.raises(ParameterError):
             og.thermal_visibility(ref_couplings, -0.5, [0.0])
+
+
+@pytest.mark.parametrize("config", ["reference.cfg", "dimensionless.cfg"])
+def test_one_visibility_envelope_is_bitwise_the_written_out_formula(config):
+    p = load_params(Path(__file__).resolve().parent.parent / "configs" / config)
+    dc = og.derive_couplings(p)
+    times = np.linspace(0.0, 3 * period_of(dc), 2048)
+    lam = dc.lambda_m
+    envelope = np.exp(-(lam * lam) * (1.0 - np.cos(dc.omega_a * times)))
+    bracket = og.analytic.first_order_bracket(dc, p, times)
+    assert np.array_equal(og.visibility_uncoupled(dc, times), envelope)
+    assert np.array_equal(og.thermal_visibility(dc, 0.0, times), envelope)
+    assert np.array_equal(og.visibility_first_order(dc, p, times),
+                          envelope * np.hypot(1.0, bracket))
 
 
 class TestRevivalPeakWidth:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optograv import analytic, oracle
+from optograv import analytic, cli, oracle
 from optograv.cli import main
 
 from test_params import T_MAX_AT_Q1E7, VISIBILITY_MINIMUM
@@ -189,6 +189,26 @@ class TestOracleCommand:
         names = {c["name"] for c in payload["checks"]}
         assert names == {"gravity_free_equivalence", "interaction_picture_residual"}
 
+    def test_failed_check_exits_tolerance(self, capsys, monkeypatch, reference_config):
+        monkeypatch.setattr(cli, "RESIDUAL_TOL", 0.0)
+        code, out, err = run(capsys, "oracle", "--params", str(reference_config),
+                             "--n-max", "30", "--equivalence-points", "2",
+                             "--residual-times", "1")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+        assert failed == ["interaction_picture_residual"]
+        assert err.startswith("tolerance failure: interaction_picture_residual: measured ")
+        assert err.endswith(", allowed 0.0\n")
+
+    def test_csv_format_is_refused(self, capsys, reference_config):
+        code, out, err = run(capsys, "oracle", "--params", str(reference_config),
+                             "--n-max", "30", "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "--format" in err
+
     @pytest.mark.parametrize("flag, value, floor", [
         ("--equivalence-points", "0", 2), ("--equivalence-points", "1", 2),
         ("--residual-times", "0", 1), ("--residual-times", "-3", 1),
@@ -239,6 +259,19 @@ class TestScanCommand:
         values = [float(r[1]) for r in rows]
         assert values[1] / values[0] == pytest.approx(0.125, rel=1e-5)
         assert values[2] / values[0] == pytest.approx(1.0 / 64, rel=1e-5)
+
+    @pytest.mark.parametrize("plan_seed, flag, expected", [
+        ("seed = 1234\n", ("--seed", "7"), "7"),
+        ("seed = 1234\n", (), "1234"),
+        ("", (), "0"),
+    ], ids=["flag_over_plan_key", "plan_key", "neither"])
+    def test_explicit_seed_overrides_the_plan(self, capsys, tmp_path, reference_config,
+                                              plan_seed, flag, expected):
+        plan = self.write_plan(tmp_path, "axes = \nobservables = delta_T\n" + plan_seed)
+        code, out, _ = run(capsys, "scan", "--params", str(reference_config),
+                           "--plan", str(plan), *flag)
+        assert code == 0
+        assert f"# seed={expected}" in out.splitlines()
 
     def test_unknown_axis_lists_valid_keys(self, capsys, tmp_path, reference_config):
         plan = self.write_plan(

@@ -3,8 +3,9 @@
 ``dense_reference.hamiltonian_blocks`` assembles each sector from the
 per-mode Hamiltonians of ``oracle`` and must reproduce the older switched
 assembly bit for bit.
-``oracle.InteractionPictureResidual`` rotates the coupling per mode and must
-match the dense per-sector residual (``dense_reference``) to 1e-13 absolute.
+``oracle.interaction_picture_residual`` rotates the coupling per mode and
+must match the dense per-sector residual (``dense_reference``) to 1e-13
+absolute.
 """
 
 import math
@@ -68,7 +69,14 @@ def test_hamiltonian_blocks_equal_dense_assembly(case):
 
 def test_factored_residual_matches_dense_residual(case):
     p, dc, spec, margin, times = case
-    factored = oracle.InteractionPictureResidual(dc, spec, margin=margin)
+    factored = oracle.interaction_picture_residual(dc, spec, times, margin=margin)
     dense = dense_reference.DenseInteractionResidual(dc, p, spec, margin=margin)
-    for t in times:
-        assert factored.residual(float(t)) == pytest.approx(dense.residual(float(t)), abs=ATOL)
+    assert factored.shape == (len(times),)
+    assert factored == pytest.approx([dense.residual(float(t)) for t in times], abs=ATOL)
+
+
+def test_residual_times_batch_equals_one_call_per_time(case):
+    _, dc, spec, margin, times = case
+    batch = oracle.interaction_picture_residual(dc, spec, times, margin=margin)
+    single = [oracle.interaction_picture_residual(dc, spec, [t], margin=margin)[0] for t in times]
+    assert np.array_equal(batch, single)

@@ -1,6 +1,7 @@
 """Exact propagation layer: operators, states, observables, residuals, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ class TestMonogamySignature:
 
 
 def interior_residual(dc, spec, t, margin):
-    return oracle.InteractionPictureResidual(dc, spec, margin=margin).residual(t)
+    return float(oracle.interaction_picture_residual(dc, spec, [t], margin=margin)[0])
 
 
 class TestInteractionPicture:
@@ -252,12 +253,23 @@ class TestInteractionPicture:
         checker_values = [interior_residual(dc, spec, 4.0, margin=m) for m in (6, 12, 18)]
         assert checker_values[0] > checker_values[1] > checker_values[2]
 
+    def test_memory_does_not_grow_with_the_kronecker_product(self, boosted_couplings):
+        # A dense sector difference at n_max 60, margin 20 alone is 41**4 complex entries.
+        spec = og.HilbertSpec(60, 60)
+        tracemalloc.start()
+        try:
+            oracle.interaction_picture_residual(boosted_couplings, spec, [1.7], margin=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_margin_validation(self):
         p, dc, spec = small_setup(n_max=10)
         with pytest.raises(ParameterError):
-            oracle.InteractionPictureResidual(dc, spec, margin=0)
+            oracle.interaction_picture_residual(dc, spec, [1.0], margin=0)
         with pytest.raises(ParameterError):
-            oracle.InteractionPictureResidual(dc, spec, margin=10)
+            oracle.interaction_picture_residual(dc, spec, [1.0], margin=10)
 
 
 class TestDysonCorrection:
