@@ -7,6 +7,8 @@ entanglement the coupling generates; an exact truncated-Fock-space
 propagator cross-checks every closed-form result.
 """
 
+import importlib
+
 from ._version import __version__
 from .errors import (
     ConfigError,
@@ -37,17 +39,24 @@ from .analytic import (
     visibility_shift,
     visibility_uncoupled,
 )
-from .oracle import (
-    HilbertSpec,
-    Propagator,
-    closed_form_state,
-    dyson_first_order_state,
-    initial_state,
-    linear_entropy_exact,
-    thermal_visibility_montecarlo,
-    visibility_exact,
-)
-from .scan import ScanPlan, ScanResult, run_scan, scaling_study
+
+#: Names of the Fock layer, the sweeps and the Gaussian layer, each loaded on
+#: first use (PEP 562) so that commands which never run a module skip its import.
+_LAZY = {
+    "oracle": ("HilbertSpec", "Propagator", "closed_form_state", "dyson_first_order_state",
+               "initial_state", "linear_entropy_exact", "visibility_exact"),
+    "scan": ("ScanPlan", "ScanResult", "run_scan", "scaling_study"),
+    "gaussian": ("thermal_visibility_montecarlo",),
+}
+
+
+def __getattr__(name):
+    module = next((m for m, names in _LAZY.items() if name == m or name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    return value if name == module else getattr(value, name)
+
 
 __all__ = [
     "__version__",

@@ -98,6 +98,14 @@ def _check_times(times, ndmin: int = 1) -> np.ndarray:
     return times
 
 
+def _as_times(times) -> np.ndarray:
+    """``times`` as a float array; refused unless non-empty, 1-D, finite and >= 0."""
+    times = _check_times(times, ndmin=0)
+    if times.ndim != 1 or times.size == 0:
+        raise ParameterError("times must be a non-empty 1-D sequence")
+    return times
+
+
 def visibility_uncoupled(dc: DerivedCouplings, times) -> np.ndarray:
     """Visibility of the rod-m cavity's photon with gravity absent from the
     state dynamics: V(t) = exp(-lam_m**2 * (1 - cos(omega_a*t))), the

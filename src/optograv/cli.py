@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import analytic, oracle, scan as scan_mod
+from . import analytic
 from ._version import __version__
 from .config import fingerprint_params, load_params, load_scan_plan
 from .errors import (
@@ -243,6 +243,8 @@ def cmd_oracle(args) -> int:
         raise ConfigError("--equivalence-points must be >= 2")
     if args.residual_times < 1:
         raise ConfigError("--residual-times must be >= 1")
+    from . import oracle, scan as scan_mod
+
     p = _load(args)
     dc = derive_couplings(p)
     if args.n_max is not None:
@@ -339,6 +341,8 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import scan as scan_mod
+
     p = _load(args)
     plan_dict = load_scan_plan(args.plan)
     if args.seed is not None:
@@ -362,6 +366,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_thermal(args) -> int:
+    from . import gaussian
+
     p = _load(args)
     dc = derive_couplings(p)
     if args.t_start is None and args.t_stop is None and args.t_points is None:
@@ -372,7 +378,7 @@ def cmd_thermal(args) -> int:
         times = _time_grid(args, dc)
     nbar = args.nbar
     law = analytic.thermal_visibility(dc, nbar, times).tolist()
-    means, errors = oracle.thermal_visibility_montecarlo(
+    means, errors = gaussian.thermal_visibility_montecarlo(
         dc, p, nbar, times, args.mc_samples, args.seed, method=args.mc_method
     )
     records = [

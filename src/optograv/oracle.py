@@ -1,45 +1,24 @@
 """Exact layer: propagation in a truncated Fock basis.
 
-The four-subsystem state lives on (photon-c qubit) x (photon-d qubit) x
-(mode a) x (mode b), in that fixed tensor order: a state is a plain complex
-array of shape ``HilbertSpec.dims`` = (2, 2, dim_a, dim_b), and
-:meth:`Propagator.evolve` stacks one per requested time on a leading axis.
-Each photon is a two-path qubit: index 0 is the path that bypasses the
-cavity, index 1 the path whose photon rides inside it, and the dynamics
-never leaves the one-photon-per-cavity sector.  Because the photon operators
-enter the Hamiltonian only through the cavity-path projectors, the
-Hamiltonian is block diagonal over the four path sectors.  Each sector
-Hamiltonian is real and built from per-mode factors of size n_max+1: the free
-part is a Kronecker sum of one Hamiltonian per mode and the gravitational
-coupling a product of the two positions, so it acts on a sector's
-(n_a+1, n_b+1) amplitude matrix through real matrix products and no
-(n_a+1)*(n_b+1)-dimensional block is ever formed.  Propagation is a real
-Chebyshev recursion for exp(-i*H*t) that serves a whole batch of times at a
-cost growing with the spectral width times the latest time.  With one BLAS
-thread, a single time of a real state at n_max 28 (36) costs as much as the
-dense per-sector eigendecomposition it replaced only beyond about 50 (105)
-revival periods.
-
-The evolved states are read through the two observables the paper's
-signatures need: photon c's path coherence (:func:`visibility_exact`) and
-the linear entropy of (photon c, mode a) against (photon d, mode b)
-(:func:`linear_entropy_exact`).
-
-Photon c's path coherence also has an exact, truncation-free form
-(:func:`gaussian_coherence`): every sector Hamiltonian is one quadratic form
-plus a linear drive, so coherent inputs stay Gaussian and the coherence is a
-sum of displacement overlaps.  The thermal Monte Carlo's oracle method runs
-on it, and scans measure the Fock truncation error against it.
-
+A state is a complex array of shape ``HilbertSpec.dims`` = (2, 2, dim_a,
+dim_b) over (photon-c qubit) x (photon-d qubit) x (mode a) x (mode b).  Each
+photon is a two-path qubit whose index 1 is the path through its cavity, so
+the Hamiltonian is block diagonal over the four path sectors.  Each sector
+Hamiltonian is real: a Kronecker sum of one free Hamiltonian per mode plus
+the gravitational product of the two positions.  In the per-mode eigenbases
+the free part is diagonal, so a sector acts on its (dim_a, dim_b) amplitude
+matrix through one elementwise scale and two real matrix products, and no
+sector block is ever formed.  :class:`Propagator` serves a batch of times,
+and a family of couplings, with one real Chebyshev recursion; without
+gravity it applies one phase per amplitude.  :func:`visibility_exact` and
+:func:`linear_entropy_exact` read the paper's signatures from a state (the
+exact, untruncated coherence is :mod:`optograv.gaussian`), and
 :func:`interaction_picture_residual` checks the frame-rotation identity
-behind the first-order formulas mode by mode, in memory that grows neither
-with the number of times nor with the product of the two ladders.
+behind the first-order formulas mode by mode.
 
 Energy offsets proportional to the identity (the constant photon energies)
-are omitted throughout: they contribute a global phase only.  The
-closed-form reference state below, built from
-:func:`analytic.coherent_trajectories`, drops the same phase, so states
-from both routes are directly comparable.
+are omitted throughout, as in :func:`closed_form_state`: they contribute a
+global phase only.
 """
 
 from __future__ import annotations
@@ -50,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
+from .analytic import _as_times
 from .errors import DimensionLimitError, NumericalError, ParameterError, TruncationError
 from .params import DerivedCouplings, PhysicalParams, derive_couplings
 
@@ -73,9 +53,8 @@ class HilbertSpec:
         if self.n_max_a < 1 or self.n_max_b < 1:
             raise ParameterError("n_max_a and n_max_b must be >= 1")
         if self.total_dim > MAX_TOTAL_DIM:
-            raise DimensionLimitError(
-                f"total dimension {self.total_dim} exceeds the guard {MAX_TOTAL_DIM}"
-            )
+            raise DimensionLimitError(f"total dimension {self.total_dim} exceeds the guard "
+                                      f"{MAX_TOTAL_DIM}")
 
     @property
     def dim_a(self) -> int:
@@ -97,23 +76,17 @@ class HilbertSpec:
 def coherent_tail_mass(amplitude: float, n_max: int) -> float:
     """Probability mass of |amplitude|-coherent occupation beyond n_max."""
     mu = float(abs(amplitude)) ** 2
-    if mu == 0.0:
-        return 0.0
-    term = math.exp(-mu)
-    kept = [term]
+    kept = [math.exp(-mu)]
     for n in range(1, n_max + 1):
-        term *= mu / n
-        kept.append(term)
+        kept.append(kept[-1] * (mu / n))
     return max(0.0, 1.0 - math.fsum(kept))
 
 
 def suggested_n_max(beta_abs: float, lam: float) -> int:
     """Truncation heuristic: the displaced coherent amplitude never exceeds
-    |beta| + 2*lam, so size the ladder for that and pad generously.
-
-    Raises :class:`DimensionLimitError` when the ladder could not fit the
-    dimension guard even beside the smallest other mode (n_max 1), which
-    includes non-finite amplitudes."""
+    |beta| + 2*lam, so size the ladder for that and pad generously.  Raises
+    :class:`DimensionLimitError` when the ladder could not fit the dimension
+    guard even beside n_max 1, non-finite amplitudes included."""
     s = abs(beta_abs) + 2.0 * abs(lam)
     n_max = s * s + 8.0 * s + 16.0
     if not n_max <= MAX_TOTAL_DIM // 8 - 1:
@@ -127,21 +100,15 @@ def suggested_n_max(beta_abs: float, lam: float) -> int:
 def default_spec(p: PhysicalParams, dc: DerivedCouplings | None = None) -> HilbertSpec:
     if dc is None:
         dc = derive_couplings(p)
-    return HilbertSpec(
-        n_max_a=suggested_n_max(abs(p.beta_m), dc.lambda_m),
-        n_max_b=suggested_n_max(abs(p.beta_M), dc.lambda_M),
-    )
+    return HilbertSpec(n_max_a=suggested_n_max(abs(p.beta_m), dc.lambda_m),
+                       n_max_b=suggested_n_max(abs(p.beta_M), dc.lambda_M))
 
 
 def check_adequacy(spec: HilbertSpec, dc: DerivedCouplings, p: PhysicalParams, tol=TAIL_TOL):
-    """Verify that the truncation holds the displaced amplitudes |beta|+2*lam.
-
-    Raises :class:`TruncationError` (with a rule-based suggestion) otherwise.
-    """
-    for label, beta, lam, n_max in (
-        ("a", p.beta_m, dc.lambda_m, spec.n_max_a),
-        ("b", p.beta_M, dc.lambda_M, spec.n_max_b),
-    ):
+    """Verify that the truncation holds the displaced amplitudes |beta|+2*lam;
+    raise :class:`TruncationError` (with a rule-based suggestion) otherwise."""
+    for label, beta, lam, n_max in (("a", p.beta_m, dc.lambda_m, spec.n_max_a),
+                                    ("b", p.beta_M, dc.lambda_M, spec.n_max_b)):
         displaced = abs(beta) + 2.0 * abs(lam)
         tail = coherent_tail_mass(displaced, n_max)
         if tail > tol:
@@ -171,8 +138,6 @@ def position_coupling(dim: int) -> np.ndarray:
     return a + a.T
 
 
-_SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 #: Chebyshev terms whose coefficient 2|J_k(r t)| falls below this are round-off.
 _SERIES_TOL = np.finfo(float).eps
 
@@ -186,9 +151,9 @@ _CHUNK_BYTES = 8 << 20
 #: (-i)^k for k mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
-#: Budget for the Bessel and coefficient tables of one recursion, which hold at most
-#: 40 bytes per (sector, time, term) entry at once: Bessel values (8) beside either
-#: their tail and temporaries (< 28) or complex coefficients and their Re and Im (32).
+#: Budget for one recursion's Bessel and coefficient tables, at most 40 bytes per (sector,
+#: time, term) entry at once: Bessel values (8) beside their tail and temporaries (< 28)
+#: or beside complex coefficients and their Re and Im (32).
 _TABLE_BYTES, _TABLE_ENTRY_BYTES = 1 << 30, 40
 
 
@@ -198,12 +163,18 @@ def _mode_hamiltonian(dim: int, omega: float, lam: float, bit: int) -> np.ndarra
     return omega * number_op(dim) - bit * (lam * omega) * position_coupling(dim)
 
 
-def _as_times(times) -> np.ndarray:
-    """``times`` as a float array; refused unless non-empty, 1-D, finite and >= 0."""
-    times = analytic._check_times(times, ndmin=0)
-    if times.ndim != 1 or times.size == 0:
-        raise ParameterError("times must be a non-empty 1-D sequence")
-    return times
+def _mode_eigh(dim: int, omega: float, lam: float):
+    """Eigenvalues (2, dim) and vectors (2, dim, dim) of a mode's bit-0 and bit-1 H."""
+    return np.linalg.eigh([_mode_hamiltonian(dim, omega, lam, bit) for bit in (0, 1)])
+
+
+def _rotate(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Overwrite the contiguous real array x (..., 2, 2, M, dim_a, n, dim_b) with
+    left[p] X right[q] for each amplitude matrix X of sector (p, q); return x."""
+    tall = x.shape[:-3] + (-1, x.shape[-1])
+    product = np.matmul(left[:, None, None], x.reshape(x.shape[:-2] + (-1,)))
+    np.matmul(product.reshape(tall), right[None, :, None], out=x.reshape(tall))
+    return x
 
 
 def _check_norms(before: float, after: np.ndarray, times: np.ndarray):
@@ -246,13 +217,10 @@ def _check_table_bytes(rows: int, radius: float, t_max: float):
 
 def _bessel_series(z: np.ndarray) -> np.ndarray:
     """J_k(z) for each z >= 0 of a 1-D array, k from 0 up to the order past
-    max(z) beyond which every row's 2|J_k| stays below :data:`_SERIES_TOL`.
-
-    Miller's backward recurrence J_(k-1) = (2k/z) J_k - J_(k+1), started far
-    enough beyond that order to be accurate to round-off there and
-    normalised by J_0 + 2 sum J_(2k) = 1; rows are rescaled before they can
-    overflow.
-    """
+    max(z) beyond which every row's 2|J_k| stays below :data:`_SERIES_TOL`,
+    by Miller's backward recurrence J_(k-1) = (2k/z) J_k - J_(k+1), started
+    far enough beyond that order to be accurate to round-off there,
+    normalised by J_0 + 2 sum J_(2k) = 1 and rescaled before it overflows."""
     zmax = float(z.max(initial=0.0))
     start = _bessel_start(zmax)
     values = np.zeros((z.size, start + 1))
@@ -286,52 +254,66 @@ def _bessel_series(z: np.ndarray) -> np.ndarray:
 
 
 class Propagator:
-    """exp(-i*H*t) on the four photon sectors by a Chebyshev expansion.
+    """exp(-i*H*t) on the four photon sectors, in the per-mode eigenbases.
 
-    A sector acts on its (dim_a, dim_b) amplitude matrix X as H_a X + X H_b^T
-    + gamma x_a X x_b^T.  Its spectrum lies in [min w_a + min w_b - g,
-    max w_a + max w_b + g], with w the eigenvalues of the per-mode
-    Hamiltonians and g = |gamma| ||x_a|| ||x_b|| (Weyl); mapping it onto
-    [-1, 1] as H = c + r*Ht gives (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
-    3967 (1984))
+    With each mode's free Hamiltonian V diag(w) V^T (one eigh per mode and
+    photon bit), a sector's amplitude matrix Y = V_a^T X V_b evolves under
+    (w_a,i + w_b,j) Y_ij + gamma R_a Y R_b, R = V^T x V: the free part is
+    diagonal, and at gamma = 0 :meth:`evolve` applies exp(-i(w_a,i + w_b,j)t).
+    Otherwise the spectrum lies in [min w_a + min w_b - g, max w_a + max w_b
+    + g], g = |gamma| ||x_a|| ||x_b|| (Weyl), and with H = c + r*Ht
+    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984))
 
         exp(-i*H*t) = exp(-i*c*t) sum_k (2 - delta_k0) (-i)^k J_k(r*t) T_k(Ht),
 
-    and one three-term recursion T_(k+1) = 2 Ht T_k - T_(k-1) applied to the
-    initial state serves every requested time.  The number of terms is about
-    r*t plus a few dozen, so the cost grows with spectral width times time.
-    Ht is real, so the recursion is too: it runs on the state's real and
-    imaginary planes, (2, 2, dim_a, P, dim_b) with P = 1 for a real state.
+    one recursion T_(k+1) = 2 Ht T_k - T_(k-1) of about r*t plus a few dozen
+    terms serves every time, on real planes (2, 2, dim_a, P, dim_b), P = 1
+    for a real state.  ``gammas`` replaces ``dc.gamma`` by a family whose
+    states ride on the plane axis of one recursion (on the largest |gamma|'s
+    interval): :meth:`evolve` returns (len(gammas), T) + ``spec.dims``.
     """
 
-    def __init__(self, dc: DerivedCouplings, spec: HilbertSpec):
-        self.spec = spec
-        self._x_a, x_b = position_coupling(spec.dim_a), position_coupling(spec.dim_b)
-        h_a = [_mode_hamiltonian(spec.dim_a, dc.omega_a, dc.lambda_m, bit) for bit in (0, 1)]
-        h_b = [_mode_hamiltonian(spec.dim_b, dc.omega_b, dc.lambda_M, bit) for bit in (0, 1)]
-        w_a, w_b = (np.array([np.linalg.eigvalsh(h)[[0, -1]] for h in hs]) for hs in (h_a, h_b))
-        coupling = abs(dc.gamma) * np.linalg.norm(self._x_a, 2) * np.linalg.norm(x_b, 2)
+    def __init__(self, dc: DerivedCouplings, spec: HilbertSpec, gammas=None):
+        self.spec, self._family = spec, gammas is not None
+        gammas = np.array([dc.gamma] if gammas is None else gammas, dtype=float)
+        if gammas.ndim != 1 or gammas.size == 0 or not np.isfinite(gammas).all():
+            raise ParameterError("gammas must be a non-empty 1-D sequence of finite values")
+        self._gammas = gammas
+        (self._w_a, self._v_a), (self._w_b, self._v_b) = (
+            _mode_eigh(spec.dim_a, dc.omega_a, dc.lambda_m),
+            _mode_eigh(spec.dim_b, dc.omega_b, dc.lambda_M))
+        x_a, x_b = position_coupling(spec.dim_a), position_coupling(spec.dim_b)
+        coupling = np.abs(gammas).max() * np.linalg.norm(x_a, 2) * np.linalg.norm(x_b, 2)
+        w_a, w_b = self._w_a, self._w_b
         lo = w_a[:, None, 0] + w_b[None, :, 0] - coupling
-        hi = w_a[:, None, 1] + w_b[None, :, 1] + coupling
+        hi = w_a[:, None, -1] + w_b[None, :, -1] + coupling
         self._center, self._radius = 0.5 * (hi + lo), 0.5 * (hi - lo) * (1.0 + _INTERVAL_PAD)
-        # 2*Ht = (2/r)(H - c): the shift rides on the left factor, the scale on all three.
+        # 2*Ht = (2/r)(H - c): the shift rides on the diagonal, the scale on it and on R_b.
         scale = (2.0 / self._radius)[:, :, None, None]
-        self._left = scale * np.array([[h - c * np.eye(spec.dim_a) for c in centers]
-                                        for h, centers in zip(h_a, self._center)])
-        self._right = scale * np.array([[h_b[0].T, h_b[1].T]] * 2)
-        self._coupling = scale * dc.gamma * x_b.T if dc.gamma else None
+        free = w_a[:, None, :, None] + w_b[None, :, None, :] - self._center[:, :, None, None]
+        self._x_a = (self._v_a.transpose(0, 2, 1) @ x_a @ self._v_a)[:, None]
+        self._x_b = scale * (self._v_b.transpose(0, 2, 1) @ x_b @ self._v_b)
+        # The diagonal and the couplings repeated over the K*P planes of a real
+        # (P = 1) or complex (P = 2) state: a product broadcast along the plane
+        # axis would take numpy's iteration buffers and about three times as long.
+        factors, self._stacked = ((scale * free)[:, :, :, None, None], gammas[:, None, None]), {}
+        for planes in (1, 2):
+            shape = (2, 2, spec.dim_a, gammas.size, planes, spec.dim_b)
+            self._stacked[gammas.size * planes] = tuple(np.ascontiguousarray(
+                np.broadcast_to(f, shape)).reshape(shape[:3] + (-1, spec.dim_b)) for f in factors)
 
     def _apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-        """out = 2*Ht x for sector-stacked real planes x (2, 2, dim_a, P, dim_b);
-        ``scratch``, an array of shape (2,) + x.shape, is overwritten."""
+        """out = 2*Ht x for eigenbasis planes x (2, 2, dim_a, K*P, dim_b) of K
+        couplings; ``scratch``, of shape (2,) + x.shape, is overwritten."""
+        diagonal, gains = self._stacked[x.shape[3]]
         wide, tall = (2, 2, x.shape[2], -1), (2, 2, -1, x.shape[4])
         product, mixed = scratch.reshape((2,) + tall)
-        total = out.reshape(tall)
-        np.matmul(self._left, x.reshape(wide), out=out.reshape(wide))
-        total += np.matmul(x.reshape(tall), self._right, out=product)
-        if self._coupling is not None:
-            np.matmul(self._x_a, x.reshape(wide), out=mixed.reshape(wide))
-            total += np.matmul(mixed, self._coupling, out=product)
+        np.multiply(diagonal, x, out=out)
+        np.matmul(self._x_a, x.reshape(wide), out=mixed.reshape(wide))
+        np.matmul(mixed, self._x_b, out=product)
+        product = product.reshape(x.shape)
+        product *= gains
+        out += product
 
     def _coefficients(self, times: np.ndarray) -> np.ndarray:
         """Re and Im (2, 2, 2, T, K) of every sector's and time's coefficients."""
@@ -344,25 +326,25 @@ class Propagator:
         return np.stack((weights.real, weights.imag))
 
     def _series(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Amplitudes (2, 2, T, dim_a, dim_b) of exp(-i*H*t) x0 at each time."""
+        """Real and imaginary parts (2, 2, 2, T, dim_a, K, dim_b) of exp(-i*H*t)
+        x0 at each time for each of the K couplings, from the eigenbasis
+        planes x0 (2, 2, dim_a, P, dim_b)."""
         real, imag = self._coefficients(times)
-        terms, planes = real.shape[-1], 2 if x0.imag.any() else 1
-        shape = (2, 2, x0.shape[2], planes, x0.shape[3])
+        terms, planes, count = real.shape[-1], x0.shape[3], len(self._gammas)
+        shape = x0.shape[:3] + (count * planes, x0.shape[4])
         size = math.prod(shape)
-        # T_k(Ht) x0 cycles through `chunk` contiguous ring slots (the recursion reads the
-        # two before it); each filled chunk is folded into every time at once by one matrix
-        # product per sector and part of C.  Steps and folds write into one buffer.
+        # T_k(Ht) x0 cycles through `chunk` ring slots (a step reads the two before it); each
+        # filled chunk is folded into every time by one product per sector and part of C.
+        # Steps and folds write into one buffer.
         chunk = max(3, min(terms, _CHUNK_BYTES // (8 * size)))
         ring = np.empty((chunk,) + shape)
         flat = ring.reshape(chunk, 2, 2, -1).transpose(1, 2, 0, 3)
-        out = np.zeros((2, 2, times.size) + x0.shape[2:], dtype=complex)
+        out = np.zeros((2, 2, 2, times.size, shape[2], count, shape[4]))
         buffer = np.empty(max(2, times.size) * size)
         steps = buffer[: 2 * size].reshape((2,) + shape)
         folded = buffer[: times.size * size].reshape(2, 2, times.size, -1)
-        parts = folded.reshape(out.shape[:-1] + shape[3:])
-        # Real views (..., dim_a, 2, dim_b) of the complex arrays' real and imaginary parts.
-        total = np.moveaxis(out.view(float).reshape(out.shape + (2,)), 5, 4)
-        ring[0] = np.moveaxis(x0.view(float).reshape(x0.shape + (2,)), 4, 3)[..., :planes, :]
+        parts = np.moveaxis(folded.reshape(out.shape[1:-1] + (planes, shape[4])), -2, 0)
+        ring[0].reshape(x0.shape[:3] + (count,) + x0.shape[3:])[...] = x0[:, :, :, None]
         for k in range(terms):
             slot = k % chunk
             if k == 1:
@@ -374,24 +356,43 @@ class Propagator:
             if slot == chunk - 1 or k == terms - 1:
                 # out += (Re C + i Im C)(plane 0 + i plane 1), one part of C at a time.
                 np.matmul(real[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
-                total[..., :planes, :] += parts
+                out[:planes] += parts
                 np.matmul(imag[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
-                total[..., 1, :] += parts[..., 0, :]
-                total[..., : planes - 1, :] -= parts[..., 1:, :]
+                out[1] += parts[0]
+                out[: planes - 1] -= parts[1:]
         return out
+
+    def _phases(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """The planes of :meth:`_series` at gamma = 0, where each eigenbasis
+        amplitude turns by exp(-i(w_a,i + w_b,j)t)."""
+        y0 = x0[:, :, :, 0] + (1j * x0[:, :, :, 1] if x0.shape[3] == 2 else 0.0)
+        a, b = (np.exp(-1j * w[:, None, :] * times[:, None]) for w in (self._w_a, self._w_b))
+        y = a[:, None, :, :, None] * b[None, :, :, None, :] * y0[:, :, None]
+        return np.stack((y.real, y.imag))[..., None, :]
 
     def evolve(self, psi0: np.ndarray, times) -> np.ndarray:
         """Propagate a t=0 state of shape ``spec.dims`` to each of ``times``
-        (a 1-D sequence, finite and >= 0): the states, shape (T,) + spec.dims."""
+        (a 1-D sequence, finite and >= 0): the states, shape (T,) + spec.dims,
+        or (len(gammas), T) + spec.dims for a family."""
         psi0 = np.ascontiguousarray(psi0, dtype=complex)
-        if psi0.shape != self.spec.dims:
-            raise ParameterError(f"state must have shape {self.spec.dims}, got {psi0.shape}")
+        dims, count = self.spec.dims, len(self._gammas)
+        if psi0.shape != dims:
+            raise ParameterError(f"state must have shape {dims}, got {psi0.shape}")
         times = _as_times(times)
-        out = self._series(psi0, times)
-        v = out.view(float).reshape(2, 2, times.size, -1)
-        _check_norms(float(np.linalg.norm(psi0)), np.sqrt(np.einsum("pqtn,pqtn->t", v, v)), times)
-        # An owned copy, so callers do not pin the series' output in memory.
-        return np.moveaxis(out, 2, 0).copy()
+        parts = (psi0.real, psi0.imag) if psi0.imag.any() else (psi0.real,)
+        x0 = _rotate(np.stack(parts, axis=3)[:, :, None], self._v_a.transpose(0, 2, 1), self._v_b)
+        run = self._series if self._gammas.any() else self._phases
+        planes = _rotate(run(x0[:, :, 0], times), self._v_a, self._v_b.transpose(0, 2, 1))
+        out = np.empty(((count,) if self._family else ()) + (times.size,) + dims, dtype=complex)
+        states = out.reshape((count, times.size) + dims)
+        # Parts (p, q, t, i, k, j) into states (k, t, p, q, i, j).
+        states.real, states.imag = (part.transpose(4, 2, 0, 1, 3, 5) for part in planes)
+        # exp(-i*H*0) is the identity exactly; the rotations would add round-off.
+        states[:, times == 0.0] = psi0
+        v = states.view(float).reshape(count, times.size, -1)
+        for norms in np.sqrt(np.einsum("ktn,ktn->kt", v, v)):
+            _check_norms(float(np.linalg.norm(psi0)), norms, times)
+        return out
 
 
 def coherent_vector(beta: complex, dim: int) -> np.ndarray:
@@ -423,19 +424,16 @@ def _coherent_input(label: str, beta: complex, dim: int, tail_tol: float) -> np.
 
 
 def initial_state(p: PhysicalParams, spec: HilbertSpec, tail_tol: float = TAIL_TOL) -> np.ndarray:
-    """Path superposition in both cavities times coherent rods:
-    each photon enters (|no-cavity> + |cavity>)/sqrt(2), rod m in
-    |beta_m>, rod M in |beta_M> (truncated and renormalised).
-    """
+    """Each photon in (|no-cavity> + |cavity>)/sqrt(2), rod m in |beta_m>
+    and rod M in |beta_M> (truncated and renormalised)."""
     coh_a = _coherent_input("a", p.beta_m, spec.dim_a, tail_tol)
     coh_b = _coherent_input("b", p.beta_M, spec.dim_b, tail_tol)
     qubit = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     return np.kron(np.kron(np.kron(qubit, qubit), coh_a), coh_b).reshape(spec.dims)
 
 
-def closed_form_state(
-    dc: DerivedCouplings, p: PhysicalParams, spec: HilbertSpec, t: float
-) -> np.ndarray:
+def closed_form_state(dc: DerivedCouplings, p: PhysicalParams, spec: HilbertSpec,
+                      t: float) -> np.ndarray:
     """Gravity-free evolved state mapped into the truncated basis.
 
     Each photon branch carries its conditional coherent amplitude and
@@ -448,12 +446,9 @@ def closed_form_state(
     for beta, lam, omega, dim in ((p.beta_m, dc.lambda_m, dc.omega_a, spec.dim_a),
                                   (p.beta_M, dc.lambda_M, dc.omega_b, spec.dim_b)):
         phi0, phi1, phase = analytic.coherent_trajectories(beta, lam, omega, t)
-        branches.append((inv_sqrt2 * coherent_vector(phi0, dim),
-                         inv_sqrt2 * np.exp(1j * phase) * coherent_vector(phi1, dim)))
-    out = np.empty(spec.dims, dtype=complex)
-    for p_bit, q_bit in _SECTORS:
-        out[p_bit, q_bit] = np.outer(branches[0][p_bit], branches[1][q_bit])
-    return out
+        branches.append(np.array([inv_sqrt2 * coherent_vector(phi0, dim),
+                                  inv_sqrt2 * np.exp(1j * phase) * coherent_vector(phi1, dim)]))
+    return branches[0][:, None, :, None] * branches[1][None, :, None, :]
 
 
 def visibility_exact(psi: np.ndarray) -> float:
@@ -464,12 +459,8 @@ def visibility_exact(psi: np.ndarray) -> float:
 
 def linear_entropy_exact(psi: np.ndarray) -> float:
     """Linear entropy 1 - Tr(rho_1**2) of (photon c, mode a) against
-    (photon d, mode b).
-
-    For the pure states handled here this comes from the Schmidt spectrum of
-    the reshaped amplitude matrix, which is numerically stabler than forming
-    the reduced matrix first.
-    """
+    (photon d, mode b), from the Schmidt spectrum of the pure state's
+    reshaped amplitudes (stabler than forming the reduced matrix first)."""
     mat = psi.transpose(0, 2, 1, 3).reshape(2 * psi.shape[2], -1)
     s = np.linalg.svd(mat, compute_uv=False)
     return float(1.0 - np.sum(s**4))
@@ -491,28 +482,26 @@ def interaction_picture_residual(dc: DerivedCouplings, spec: HilbertSpec, times,
     Per sector the rotated coupling is N_a (x) N_b, with N one mode's rotated
     x (one eigendecomposition per mode and photon bit), and its closed form
     C_a (x) C_b (:func:`analytic.mode_factor_coefficients`).  With D = N - C
-    the difference is D_a (x) N_b + C_a (x) D_b, so its squared norm is
-    |D_a|^2 |N_b|^2 + |C_a|^2 |D_b|^2 + 2 Re(<D_a, C_a> <N_b, D_b>) and no
-    Kronecker product is formed.  Truncation corrupts the Fock levels near
-    the edge (the identity holds only on the untruncated algebra), so the
-    comparison is projected onto the interior n <= n_max - margin of both
-    modes.  The leaked corruption decays factorially in the margin; at
-    couplings ~0.5 a margin of 8 still leaves ~1e-2 relative deviation while
-    20 reaches ~1e-10, hence the conservative default.  The hbar*gamma
-    prefactor is stripped from both sides, making the residual well defined
-    at gamma = 0.
+    the squared norm of the difference D_a (x) N_b + C_a (x) D_b is |D_a|^2
+    |N_b|^2 + |C_a|^2 |D_b|^2 + 2 Re(<D_a, C_a> <N_b, D_b>), so no Kronecker
+    product is formed.  The identity holds only on the untruncated algebra,
+    so it is compared on the interior n <= n_max - margin of both modes (a
+    mode with n_max <= margin on its ladder extended to margin + 10); the
+    edge's corruption decays factorially in the margin (~1e-2 at 8, ~1e-10
+    at 20 for couplings ~0.5).  The hbar*gamma prefactor is stripped from
+    both sides, so the residual is well defined at gamma = 0.
     """
     if margin < 1:
         raise ParameterError("margin must be >= 1")
-    if margin >= spec.n_max_a or margin >= spec.n_max_b:
-        raise ParameterError("margin must be smaller than both Fock truncations")
     times = _as_times(times)
     modes, interior_norms = [], []
-    for dim, n_max, omega, lam in ((spec.dim_a, spec.n_max_a, dc.omega_a, dc.lambda_m),
-                                   (spec.dim_b, spec.n_max_b, dc.omega_b, dc.lambda_M)):
+    for n_max, omega, lam in ((spec.n_max_a, dc.omega_a, dc.lambda_m),
+                              (spec.n_max_b, dc.omega_b, dc.lambda_M)):
+        # The identity involves no state: extend a ladder within the margin.
+        n_max = n_max if n_max > margin else margin + 10
         keep = n_max - margin + 1
-        x = position_coupling(dim)
-        w, v = np.linalg.eigh([_mode_hamiltonian(dim, omega, lam, bit) for bit in (0, 1)])
+        x = position_coupling(n_max + 1)
+        w, v = _mode_eigh(n_max + 1, omega, lam)
         tables = np.array([analytic.mode_factor_coefficients(lam, bit) for bit in (0, 1)])
         modes.append((omega, w[:, None], v[:, :keep], v.transpose(0, 2, 1) @ x @ v, tables,
                       _mode_operators(keep)))
@@ -541,19 +530,12 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bij->b", x.conj(), y)
 
 
-def dyson_first_order_state(
-    dc: DerivedCouplings,
-    p: PhysicalParams,
-    spec: HilbertSpec,
-    t: float,
-) -> np.ndarray:
-    """First-order state correction: psi_exact(t) ~ psi0(t) + correction + O(gamma^2).
-
-    correction = -i*gamma * integral over t' in [0, t] of the frame-rotated
-    coupling generator at offset t'-t applied to the gravity-free state
-    psi0(t).  Linear in gamma by construction; the time integral is exact.
-    ``t`` must be finite and >= 0.
-    """
+def dyson_first_order_state(dc: DerivedCouplings, p: PhysicalParams, spec: HilbertSpec,
+                            t: float) -> np.ndarray:
+    """First-order state correction: psi_exact(t) ~ psi0(t) + correction + O(gamma^2),
+    with correction = -i*gamma * integral over t' in [0, t] of the frame-rotated
+    coupling generator at offset t'-t applied to the gravity-free state psi0(t),
+    linear in gamma and integrated exactly.  ``t`` must be finite and >= 0."""
     tensor = closed_form_state(dc, p, spec, t)
     ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
     coefficients = analytic.integrated_coefficients(dc, t).reshape(2, 3, 2, 3)
@@ -561,110 +543,3 @@ def dyson_first_order_state(
     left = np.tensordot(coefficients, ops_a, ([1], [0]))  # (p, q, j, dim_a, dim_a)
     out = np.sum(left @ tensor[:, :, None] @ ops_b.transpose(0, 2, 1), axis=2)
     return (-1j * dc.gamma) * out
-
-
-def gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
-    """Exact photon-c path-coherence element, shape (T, N), with rod m in
-    each coherent state |betas_m[n]> and rod M in |beta_M>, at each of
-    ``times`` (a non-empty 1-D sequence, finite and >= 0).
-
-    In the quadratures r = (q_a, p_a, q_b, p_b), x = sqrt(2)*q, the sector
-    with cavity-path bits (p, q) has the Hamiltonian r^T M r / 2 +
-    (p*u + q*v)^T M r (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)):
-    one quadratic form about the centre -(p*u + q*v).  Each sector turns its
-    displaced input by the common flow S(t) = exp(J M t) about its own
-    centre, so the element is a sum of displacement overlaps, in which the
-    flow of the common vacuum and its phase cancel:
-
-        1/4 exp(-|w|^2/4 + i b^T J w)
-            sum_q exp(i (u/2 + q v)^T (M u t - J S^-1 u)),
-
-    with w = (1 - S^-1) u and b the input's mean quadratures.  One
-    eigendecomposition of J M serves every time.  The modes are stable only
-    while M is positive definite.
-    """
-    omega_a, omega_b, gamma = dc.omega_a, dc.omega_b, dc.gamma
-    if not omega_a * omega_b > 4.0 * gamma * gamma:
-        raise ParameterError(f"unstable coupled modes: omega_a*omega_b = {omega_a * omega_b!r} "
-                             f"must exceed 4*gamma**2 = {4.0 * gamma * gamma!r}")
-    times = _as_times(times)
-    m = np.array([[omega_a, 0.0, 2.0 * gamma, 0.0], [0.0, omega_a, 0.0, 0.0],
-                  [2.0 * gamma, 0.0, omega_b, 0.0], [0.0, 0.0, 0.0, omega_b]])
-    j = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-    inverse = np.linalg.inv(m)
-    u = -math.sqrt(2.0) * dc.lambda_m * omega_a * inverse[0]
-    v = -math.sqrt(2.0) * dc.lambda_M * omega_b * inverse[2]
-    values, vectors = np.linalg.eig(j @ m)
-    back = (np.exp(-np.multiply.outer(times, values))
-            @ (vectors * np.linalg.solve(vectors, u)).T).real  # S^-1(t) u, (T, 4)
-    w = u - back
-    halves = np.stack([0.5 * u, 0.5 * u + v])
-    phases = np.multiply.outer(times, halves @ m @ u) - back @ (halves @ j).T
-    common = 0.25 * np.exp(1j * phases).sum(axis=1) * np.exp(-0.25 * np.sum(w * w, axis=1))
-    inputs = np.stack(np.broadcast_arrays(np.asarray(betas_m, dtype=complex), complex(beta_M)), -1)
-    b = math.sqrt(2.0) * inputs.view(float)  # (N, 4) mean quadratures
-    return common[:, None] * np.exp(1j * (w @ (b @ j).T))
-
-
-#: Bytes of resampled elements gathered at once by the bootstrap (its
-#: indices are in range, and mode "clip" skips the checked, buffered take).
-_GATHER_BYTES = 1 << 20
-
-
-def thermal_visibility_montecarlo(
-    dc: DerivedCouplings,
-    p: PhysicalParams,
-    nbar: float,
-    times,
-    n_samples: int,
-    seed: int,
-    method: str = "closedform",
-    bootstrap_resamples: int = 200,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo thermal visibility of the rod-m cavity at each of ``times``.
-
-    Samples rod-m amplitudes beta from the circular complex Gaussian with
-    E|beta|^2 = nbar (two independent normal draws of standard deviation
-    sqrt(nbar/2) from ``numpy.random.default_rng(seed)``, real part first),
-    averages the complex path-coherence element over the samples, and
-    returns arrays of 2*|mean| and of its bootstrap standard error, one
-    entry per time.  The samples, then the bootstrap indices, are drawn once
-    and serve every time; each time's bootstrap is streamed, gathering a
-    bounded chunk of index rows at a time, so memory does not grow with the
-    number of times.
-
-    ``method="closedform"`` evolves each sample with the exactly solvable
-    gravity-free dynamics (exact when gamma = 0); ``method="oracle"`` with
-    the full coupled dynamics carried by ``dc`` and rod M in |beta_M>,
-    exactly and without truncation (:func:`gaussian_coherence`).
-    """
-    times = _as_times(times)
-    if n_samples < 100:
-        raise ParameterError(f"n_samples must be >= 100, got {n_samples}")
-    if bootstrap_resamples < 2:
-        raise ParameterError(f"bootstrap_resamples must be >= 2, got {bootstrap_resamples}")
-    if not (math.isfinite(nbar) and nbar >= 0):
-        raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(nbar / 2.0)
-    betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
-    if method == "closedform":
-        per_time = (analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
-                    for t in times.tolist())
-    elif method == "oracle":
-        per_time = (gaussian_coherence(dc, betas, p.beta_M, [t])[0] for t in times.tolist())
-    else:
-        raise ParameterError(f"method must be 'closedform' or 'oracle', got {method!r}")
-    indices = rng.integers(0, n_samples, size=(bootstrap_resamples, n_samples), dtype=np.int32)
-    chunk = max(1, _GATHER_BYTES // (16 * n_samples))
-    gathered = np.empty((min(chunk, bootstrap_resamples), n_samples), dtype=complex)
-    resampled = np.empty(bootstrap_resamples, dtype=complex)
-    means, std_errors = np.empty(times.size), np.empty(times.size)
-    for i, elements in enumerate(per_time):
-        means[i] = 2.0 * abs(elements.mean())
-        for first in range(0, bootstrap_resamples, chunk):
-            rows = indices[first : first + chunk]
-            np.take(elements, rows, mode="clip", out=gathered[: len(rows)])
-            resampled[first : first + len(rows)] = gathered[: len(rows)].mean(axis=1)
-        std_errors[i] = (2.0 * np.abs(resampled)).std(ddof=1)
-    return means, std_errors

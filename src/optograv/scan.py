@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analytic, oracle
+from . import analytic
 from ._version import __version__
 from .config import fingerprint, fingerprint_params
 from .errors import OptogravError, ParameterError
@@ -30,6 +31,9 @@ from .params import (
     PhysicalParams,
     derive_couplings,
 )
+
+if TYPE_CHECKING:
+    from .oracle import HilbertSpec
 
 VALID_AXES = frozenset(
     f.name
@@ -147,7 +151,10 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     diagnostics: dict = {"error": ""}
     spec = None
     if plan.oracle_enabled:
-        spec = oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max else oracle.default_spec(p, dc)
+        from . import gaussian, oracle
+
+        spec = (oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max
+                else oracle.default_spec(p, dc))
     psi_t = None
 
     def get_state():
@@ -173,7 +180,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         elif obs == "interaction_residual":
             values[obs] = float(oracle.interaction_picture_residual(dc, spec, [t])[0])
     if plan.oracle_enabled:
-        exact = 2.0 * abs(oracle.gaussian_coherence(dc, [p.beta_m], p.beta_M, [t])[0, 0])
+        exact = 2.0 * abs(gaussian.gaussian_coherence(dc, [p.beta_m], p.beta_M, [t])[0, 0])
         diagnostics["truncation_delta"] = abs(oracle.visibility_exact(get_state()) - exact)
     return values, diagnostics
 
@@ -186,7 +193,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     the diagnostics instead of aborting the sweep, and the affected
     observables become NaN; any other exception propagates.  Oracle rows
     report ``truncation_delta``, the distance of the truncated visibility
-    from the exact one (:func:`oracle.gaussian_coherence`).  Identical
+    from the exact one (:func:`gaussian.gaussian_coherence`).  Identical
     (plan, base, seed) re-runs produce byte-identical emissions.
     """
     axis_names = tuple(name for name, _ in plan.axes)
@@ -254,12 +261,14 @@ def scaling_study(
     base: PhysicalParams,
     gammas,
     t: float,
-    spec: oracle.HilbertSpec | None = None,
+    spec: HilbertSpec | None = None,
 ) -> ScalingStudy:
     """Residual decay of the first-order machinery against exact propagation.
 
-    For each boosted gamma: propagate exactly, assemble the first-order
-    state, and record
+    One recursion propagates every boosted gamma exactly (a
+    :class:`oracle.Propagator` family on ``spec``, by default
+    :func:`oracle.default_spec`).  For each gamma, assemble the first-order
+    state and record
       state      |psi_exact - psi0 - psi1|        (expected slope 2),
       visibility |V_exact - V_first_order|        (expected slope >= 2),
       entropy    |S_exact - S_perturbative|       (expected slope >= 3).
@@ -273,6 +282,8 @@ def scaling_study(
     magnitudes = sorted(abs(g) for g in gammas)
     if magnitudes[0] <= 0 or magnitudes[-1] / magnitudes[0] < 4.0:
         raise ParameterError("gamma values must be nonzero and span at least a factor of 4")
+    from . import oracle
+
     order = np.argsort(np.abs(np.asarray(gammas)))
     gammas = tuple(gammas[i] for i in order)
     dc0 = derive_couplings(replace(base, direct_gamma=0.0))
@@ -280,11 +291,13 @@ def scaling_study(
         spec = oracle.default_spec(base, dc0)
     oracle.check_adequacy(spec, dc0, base)
     psi0_t = oracle.closed_form_state(dc0, base, spec, t)
+    # The input state does not depend on gamma.
+    psi0 = oracle.initial_state(base, spec)
+    exact = oracle.Propagator(dc0, spec, gammas=gammas).evolve(psi0, [t])
     state_res, vis_res, ent_res = [], [], []
-    for g in gammas:
+    for g, (psi_exact,) in zip(gammas, exact):
         p_g = replace(base, direct_gamma=g)
         dc = derive_couplings(p_g)
-        psi_exact = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p_g, spec), [t])[0]
         psi1 = oracle.dyson_first_order_state(dc, p_g, spec, t)
         state_res.append(float(np.linalg.norm(psi_exact - psi0_t - psi1)))
         v_exact = oracle.visibility_exact(psi_exact)

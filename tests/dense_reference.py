@@ -30,7 +30,8 @@ routes they replaced, as independent cross-checks:
   before its closed form in a four-dimensional coherent basis;
 - ``complex_series`` and ``complex_apply``: ``oracle.Propagator``'s
   Chebyshev recursion in complex arithmetic, on complex ring slots of shape
-  (2, 2, dim_a, dim_b) with the real sector factors stored as complex, as
+  (2, 2, dim_a, dim_b) holding eigenbasis amplitudes, with the same
+  diagonal and rotated positions and the right factor stored as complex, as
   the library ran it before it split the vectors into real planes;
 - ``dyson_first_order_state``: the first-order Dyson correction contracted
   by two einsums per sector, as before it was written as matrix products.
@@ -359,15 +360,17 @@ def linear_entropy_first_order(dc, p, t: float, spec=None) -> float:
     return 2.0 * dc.gamma**2 * coefficient
 
 
-def complex_apply(prop, x, out, scratch):
-    """out = 2*Ht x for ``prop``'s sector-stacked complex amplitudes x of
-    shape (2, 2, dim_a, dim_b); ``scratch`` holds two arrays of x's shape."""
+def complex_apply(prop, x, out, scratch, right):
+    """out = 2*Ht x for ``prop``'s sector-stacked complex eigenbasis
+    amplitudes x of shape (2, 2, dim_a, dim_b) at its one coupling;
+    ``scratch`` holds two arrays of x's shape and ``right`` is ``prop._x_b``
+    as complex."""
     product, mixed = scratch
-    np.matmul(prop._left, x.view(float), out=out.view(float))
-    out += np.matmul(x, prop._right.astype(complex), out=product)
-    if prop._coupling is not None:
-        np.matmul(prop._x_a, x.view(float), out=mixed.view(float))
-        out += np.matmul(mixed, prop._coupling.astype(complex), out=product)
+    np.multiply(prop._stacked[1][0][:, :, :, 0], x, out=out)
+    np.matmul(prop._x_a, x.view(float), out=mixed.view(float))
+    np.matmul(mixed, right, out=product)
+    product *= prop._gammas.item()
+    out += product
 
 
 def complex_coefficients(prop, times):
@@ -380,11 +383,12 @@ def complex_coefficients(prop, times):
 
 
 def complex_series(prop, x0, times):
-    """Amplitudes (2, 2, T, dim_a, dim_b) of exp(-i*H*t) x0 at each time, by
-    the complex recursion with ``prop``'s factors and tables."""
+    """Eigenbasis amplitudes (2, 2, T, dim_a, dim_b) of exp(-i*H*t) x0 at each
+    time, by the complex recursion with ``prop``'s factors and tables."""
     times = np.asarray(times, dtype=float)
     x0 = np.asarray(x0, dtype=complex)
     coefficients = complex_coefficients(prop, times)
+    right = prop._x_b.astype(complex)
     terms = coefficients.shape[-1]
     chunk = max(3, min(terms, oracle._CHUNK_BYTES // x0.nbytes))
     ring = np.empty((chunk,) + x0.shape, dtype=complex)
@@ -395,10 +399,10 @@ def complex_series(prop, x0, times):
     for k in range(terms):
         slot = k % chunk
         if k == 1:
-            complex_apply(prop, ring[0], ring[1], steps)
+            complex_apply(prop, ring[0], ring[1], steps, right)
             ring[1] *= 0.5
         elif k > 1:
-            complex_apply(prop, ring[(k - 1) % chunk], ring[slot], steps)
+            complex_apply(prop, ring[(k - 1) % chunk], ring[slot], steps, right)
             ring[slot] -= ring[(k - 2) % chunk]
         if slot == chunk - 1 or k == terms - 1:
             out += coefficients[..., k - slot : k + 1] @ flat[:, :, : slot + 1]

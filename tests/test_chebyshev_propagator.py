@@ -1,11 +1,14 @@
 """The Chebyshev propagator against the eigendecomposition route it replaced.
 
-``oracle.Propagator`` applies each sector Hamiltonian through its per-mode
-factors and expands exp(-i*H*t) in Chebyshev polynomials; the test-only
-``dense_reference.EighPropagator`` diagonalises every dense sector block.
-Both must agree to 1e-12 absolute per amplitude.  The recursion runs on real
-planes; ``dense_reference.complex_series``, the complex recursion it
-replaced, must agree with it to 1e-14.
+``oracle.Propagator`` applies each sector Hamiltonian in the per-mode
+eigenbases, where its free part is diagonal, and expands exp(-i*H*t) in
+Chebyshev polynomials, or applies the free phases at gamma = 0; the
+test-only ``dense_reference.EighPropagator`` diagonalises every dense sector
+block.  Both must agree to 1e-12 absolute per amplitude.  The recursion runs
+on real planes; ``dense_reference.complex_series``, the complex recursion on
+the same eigenbasis operator, must agree with it to 1e-14.  Each member of a
+family of couplings must match the propagator of its single coupling to
+1e-13.
 """
 
 import functools
@@ -27,6 +30,9 @@ from optograv.config import load_params
 from optograv.errors import DimensionLimitError, ParameterError
 
 ATOL = 1e-12
+
+#: A family of couplings, one of them negative.
+FAMILY = (1e-2, -5e-3, 2.5e-3, 1.25e-3)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -184,21 +190,20 @@ def sector_planes(spec, seed, planes, count=1):
     return rng.normal(size=(count, 2, 2, spec.dim_a, planes, spec.dim_b))
 
 
-def sector_state(spec, seed, planes):
-    """A random sector-stacked state, complex when ``planes`` is 2 and with a
-    zero imaginary part when it is 1."""
-    x = sector_planes(spec, seed, planes)[0]
-    return x[:, :, :, 0] + (1j * x[:, :, :, 1] if planes == 2 else 0j)
+def as_complex(x, axis):
+    """The complex amplitudes of real and imaginary parts stacked on ``axis``
+    of x: a zero imaginary part when there is one."""
+    parts = np.moveaxis(x, axis, 0)
+    return parts[0] + (1j * parts[1] if len(parts) == 2 else 0j)
 
 
 def allocating_apply(prop, x, out, scratch=None):
-    """out = 2*Ht x for ``prop``'s sector-stacked real planes x, each matrix
+    """out = 2*Ht x for ``prop``'s sector-stacked eigenbasis planes x, each
     product into a fresh temporary; ``scratch`` is ignored."""
+    diagonal, gains = prop._stacked[x.shape[3]]
     wide, tall = (2, 2, x.shape[2], -1), (2, 2, -1, x.shape[4])
-    out[...] = (prop._left @ x.reshape(wide)).reshape(x.shape)
-    out += (x.reshape(tall) @ prop._right).reshape(x.shape)
-    if prop._coupling is not None:
-        out += ((prop._x_a @ x.reshape(wide)).reshape(tall) @ prop._coupling).reshape(x.shape)
+    coupling = (prop._x_a @ x.reshape(wide)).reshape(tall) @ prop._x_b
+    out[...] = diagonal * x + gains * coupling.reshape(x.shape)
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -226,28 +231,32 @@ def test_apply_allocates_no_state_sized_block(gamma, n_max, stretch):
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_series_holds_only_its_ring_output_and_buffer(count):
-    # No state-sized block beyond the ring of Chebyshev vectors, the complex
-    # output and the scratch buffer shared by the steps and the folds; ring
-    # and buffer slots hold one real plane per part of the state.
+    # No state-sized block beyond the ring of Chebyshev vectors, the output
+    # planes of every time and coupling and the scratch buffer shared by the
+    # steps and the folds; ring and buffer slots hold one real plane per part
+    # of the state and coupling.
     p = og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(80, 80)
-    propagator = og.Propagator(og.derive_couplings(p), spec)
+    state = 16 * math.prod(spec.dims)  # bytes of one complex state
     times = np.linspace(1.0, 2.0, count)
-    terms = propagator._coefficients(times).shape[-1]
-    for planes in (1, 2):
-        x0 = sector_state(spec, 6, planes)
-        slot = planes * x0.real.nbytes
-        chunk = max(3, min(terms, oracle._CHUNK_BYTES // slot))
-        assert chunk < terms  # the ring wraps
-        held = (chunk + max(2, count)) * slot + count * x0.nbytes
-        propagator._series(x0, times)
-        tracemalloc.start()
-        try:
+    for gammas in (None, FAMILY):
+        propagator = og.Propagator(og.derive_couplings(p), spec, gammas=gammas)
+        members = len(propagator._gammas)
+        terms = propagator._coefficients(times).shape[-1]
+        for planes in (1, 2):
+            x0 = sector_planes(spec, 6, planes)[0]
+            slot = members * planes * state // 2
+            chunk = max(3, min(terms, oracle._CHUNK_BYTES // slot))
+            assert chunk < terms  # the ring wraps
+            held = (chunk + max(2, count)) * slot + count * members * state
             propagator._series(x0, times)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held <= peak < held + slot / 2, planes
+            tracemalloc.start()
+            try:
+                propagator._series(x0, times)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held <= peak < held + slot / 2, (members, planes)
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -257,11 +266,11 @@ def test_series_with_scratch_buffers_equals_allocating_steps(gamma, monkeypatch)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     times = np.array([0.3, 5.0, 17.0, 40.0])
     for planes in (1, 2):
-        x0 = sector_state(spec, 4, planes)
-        buffered = propagator._series(x0, times)
+        x0 = sector_planes(spec, 4, planes)[0]
+        buffered = as_complex(propagator._series(x0, times), 0)
         with monkeypatch.context() as patch:
             patch.setattr(propagator, "_apply", functools.partial(allocating_apply, propagator))
-            allocating = propagator._series(x0, times)
+            allocating = as_complex(propagator._series(x0, times), 0)
         assert np.max(np.abs(buffered - allocating)) <= 1e-15, planes
 
 
@@ -272,11 +281,57 @@ def test_real_planes_match_the_complex_recursion(gamma, n_max, stretch, planes):
     p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(n_max, stretch * (n_max + 1) - 1)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    x0 = sector_state(spec, 8, planes)
+    x0 = sector_planes(spec, 8, planes)[0]
     x0 /= np.linalg.norm(x0)
     times = np.array([0.3, 5.0, 17.0, 40.0])
-    expected = dense_reference.complex_series(propagator, x0, times)
-    assert np.max(np.abs(propagator._series(x0, times) - expected)) <= 1e-14
+    expected = dense_reference.complex_series(propagator, as_complex(x0, 3), times)
+    got = as_complex(propagator._series(x0, times), 0)[..., 0, :]
+    assert np.max(np.abs(got - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("planes", [1, 2])
+def test_family_members_match_single_couplings_and_the_reference(planes):
+    p = dimensionless_config()
+    spec = og.HilbertSpec(20, 24)
+    psi0 = og.initial_state(p, spec) if planes == 1 else random_state(spec, 9)
+    assert psi0.imag.any() == (planes == 2)
+    times = [0.0, 0.7, 1.3 * 2.0 * math.pi]
+    family = og.Propagator(og.derive_couplings(p), spec, gammas=FAMILY).evolve(psi0, times)
+    assert family.shape == (len(FAMILY), len(times)) + spec.dims
+    assert family.flags.owndata and family.flags.c_contiguous
+    for gamma, states in zip(FAMILY, family):
+        dc = og.derive_couplings(replace(p, direct_gamma=gamma))
+        single = og.Propagator(dc, spec).evolve(psi0, times)
+        assert np.max(np.abs(states - single)) <= 1e-13, gamma
+        reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(dc, spec))
+        for t, psi in zip(times, states):
+            assert np.max(np.abs(psi - reference.evolve(psi0, t))) <= ATOL, (gamma, t)
+
+
+@pytest.mark.parametrize("planes", [1, 2])
+def test_free_phases_match_the_eigenbasis_series(planes, monkeypatch):
+    p = og.dimensionless_params(gamma=0.0, lambda_m=0.445, lambda_M=0.521)
+    spec = og.HilbertSpec(24, 28)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    x0 = sector_planes(spec, 12, planes)[0]
+    x0 /= np.linalg.norm(x0)
+    times = np.array([0.3, 5.0, 17.0, 40.0])
+    series = as_complex(propagator._series(x0, times), 0)
+    assert np.max(np.abs(as_complex(propagator._phases(x0, times), 0) - series)) <= 1e-13
+    # At gamma = 0, evolve runs no recursion.
+    monkeypatch.setattr(propagator, "_series", None)
+    psi0 = random_state(spec, 12)
+    reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(
+        og.derive_couplings(p), spec))
+    for t, psi in zip(times, propagator.evolve(psi0, times)):
+        assert np.max(np.abs(psi - reference.evolve(psi0, float(t)))) <= ATOL
+
+
+@pytest.mark.parametrize("gammas", [[], [[1e-2]], [1e-2, float("nan")], [float("inf")]])
+def test_gammas_must_be_a_finite_one_dimensional_sequence(gammas):
+    with pytest.raises(ParameterError, match="gammas"):
+        og.Propagator(og.derive_couplings(dimensionless_config()), og.HilbertSpec(4, 4),
+                      gammas=gammas)
 
 
 @settings(max_examples=20, deadline=None)

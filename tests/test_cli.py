@@ -1,6 +1,7 @@
 """End-to-end subcommand behaviour, exit codes, and output determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -164,14 +165,27 @@ class TestOracleCommand:
         assert code == 3
         assert "tail mass" in err
 
-    def test_lost_norm_exits_numerical(self, capsys, monkeypatch, reference_config):
-        # Spectral intervals half as wide as the Hamiltonian's: the series diverges.
+    def test_lost_norm_exits_numerical(self, capsys, monkeypatch):
+        # Spectral intervals half as wide as the Hamiltonian's: the scaling
+        # study's series diverges (the gravity-free states need no series).
         monkeypatch.setattr(oracle, "_INTERVAL_PAD", -0.5)
-        code, _, err = run(capsys, "oracle", "--params", str(reference_config),
+        code, _, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
                            "--n-max", "30", "--equivalence-points", "2",
                            "--residual-times", "1")
         assert code == 3
         assert "norm" in err
+
+    def test_passes_at_default_truncations_within_the_residual_margin(self, capsys, tmp_path):
+        # Small amplitudes get the default spec (18, 18), within the margin 20.
+        path = tmp_path / "small.cfg"
+        path.write_text("units = dimensionless\nbare_freq_a = 1.0\nbare_freq_b = 0.9\n"
+                        "direct_gamma = 1e-2\ndirect_lambda_m = 0.1\ndirect_lambda_M = 0.1\n"
+                        "beta_m = 0\nbeta_M = 0\n")
+        code, out, err = run(capsys, "oracle", "--params", str(path))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["spec"] == {"n_max_a": 18, "n_max_b": 18}
+        assert payload["passed"] and len(payload["checks"]) == 5
 
     def test_chebyshev_table_budget_exits_numerical(self, capsys):
         code, _, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
@@ -371,6 +385,24 @@ class TestDeterminism:
                          "0.5", "--mc-samples", "500", "--seed", "9",
                          "--out", str(out)]) == 0
         assert th_a.read_bytes() == th_b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("derive",),
+    ("figure", "--which", "fig3", "--t-points", "8"),
+    ("feasibility",),
+    ("thermal", "--mc-samples", "100"),
+    ("scan", "--plan", str(CONFIGS / "scan_example.cfg")),
+])
+def test_commands_off_the_fock_layer_leave_it_unloaded(argv):
+    argv = [*argv, "--params", str(CONFIGS / "reference.cfg"), "--out", os.devnull]
+    code = ("import sys\nfrom optograv.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('optograv.oracle', 'optograv.scan') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    expected = ["optograv.scan"] if argv[0] == "scan" else []
+    assert out.strip() == repr(expected)
 
 
 def test_cli_import_leaves_scipy_unloaded():

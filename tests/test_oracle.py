@@ -268,8 +268,17 @@ class TestInteractionPicture:
         p, dc, spec = small_setup(n_max=10)
         with pytest.raises(ParameterError):
             oracle.interaction_picture_residual(dc, spec, [1.0], margin=0)
-        with pytest.raises(ParameterError):
-            oracle.interaction_picture_residual(dc, spec, [1.0], margin=10)
+
+    def test_ladders_within_the_margin_are_checked_extended(self):
+        # The identity involves no state, so a mode whose n_max does not exceed
+        # the margin is checked on margin + 10 levels, whatever its truncation.
+        p, dc, _ = small_setup(gamma=1e-2)
+        times = [1.0, 4.0]
+        for spec, extended in ((og.HilbertSpec(10, 10), og.HilbertSpec(20, 20)),
+                               (og.HilbertSpec(4, 25), og.HilbertSpec(20, 25))):
+            residual = oracle.interaction_picture_residual(dc, spec, times, margin=10)
+            expected = oracle.interaction_picture_residual(dc, extended, times, margin=10)
+            assert np.array_equal(residual, expected)
 
 
 class TestDysonCorrection:

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 
 import optograv as og
-from optograv import oracle, scan
+from optograv import gaussian, oracle, scan
 from optograv.cli import SCALING_GAMMA_FACTORS
 from optograv.errors import DimensionLimitError, ParameterError
 
@@ -169,10 +169,21 @@ class TestRunScan:
                           mode="dimensionless")
         for gamma, row in zip(gammas, og.run_scan(plan, base).rows):
             dc = og.derive_couplings(replace(base, direct_gamma=gamma))
-            exact = 2.0 * abs(oracle.gaussian_coherence(dc, [base.beta_m], base.beta_M, [t])[0, 0])
+            coherence = gaussian.gaussian_coherence(dc, [base.beta_m], base.beta_M, [t])
+            exact = 2.0 * abs(coherence[0, 0])
             delta = row["diagnostics"]["truncation_delta"]
             assert delta == abs(row["values"]["visibility_exact"] - exact)
             assert delta <= 1e-12
+
+    def test_interaction_residual_at_truncations_within_the_margin(self):
+        # Small amplitudes get the default spec (18, 18), within the margin 20.
+        base = og.dimensionless_params(gamma=1e-2, lambda_m=0.1, lambda_M=0.1, beta_m=0, beta_M=0)
+        assert oracle.default_spec(base) == og.HilbertSpec(18, 18)
+        plan = small_plan(observables=("interaction_residual",), oracle_enabled=True,
+                          observable_time=2.0, mode="dimensionless")
+        (row,) = og.run_scan(plan, base).rows
+        assert row["diagnostics"]["error"] == ""
+        assert 0.0 <= row["values"]["interaction_residual"] < 1e-8
 
     def test_unstable_coupled_modes_are_a_row_error(self):
         # omega_a*omega_b = 0.9 <= 4*gamma**2 = 1: the exact coherence is undefined.

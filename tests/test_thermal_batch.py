@@ -1,6 +1,6 @@
 """The batched thermal Monte Carlo against its former one-time-per-call form.
 
-``oracle.thermal_visibility_montecarlo`` draws the samples and the bootstrap
+``gaussian.thermal_visibility_montecarlo`` draws the samples and the bootstrap
 indices once and serves every time, streaming each time's bootstrap through
 a bounded gather buffer; ``dense_reference.thermal_visibility_montecarlo_per_time``
 re-seeds, redraws and gathers every resample at once for each time.  The
@@ -16,7 +16,7 @@ import pytest
 
 import dense_reference
 import optograv as og
-from optograv import oracle
+from optograv import gaussian
 from optograv.errors import ParameterError
 
 from test_oracle import small_setup
@@ -56,7 +56,7 @@ class TestClosedFormBitwise:
     def test_partial_gather_chunks(self, ref_params, ref_couplings, monkeypatch, n_samples):
         # Seven resamples per gather and 37 resamples: five full chunks and
         # a partial one, over a grid from t = 0 past the revival.
-        monkeypatch.setattr(oracle, "_GATHER_BYTES", 16 * n_samples * 7)
+        monkeypatch.setattr(gaussian, "_GATHER_BYTES", 16 * n_samples * 7)
         T = period(ref_couplings)
         times = [0.0, 0.37 * T, T, 2.0 * T, 2.6 * T]
         batched = og.thermal_visibility_montecarlo(
@@ -80,7 +80,7 @@ class TestOracleBatch:
         p, dc, spec = small_setup(gamma=5e-3, lambda_m=0.3, lambda_M=0.2, n_max=30)
         reference = per_time(dc, p, spec, 0.4, self.TIMES, 150, 17, method="oracle")
         if gather_bytes is not None:  # one bootstrap resample per gather
-            monkeypatch.setattr(oracle, "_GATHER_BYTES", gather_bytes)
+            monkeypatch.setattr(gaussian, "_GATHER_BYTES", gather_bytes)
         means, errors = og.thermal_visibility_montecarlo(
             dc, p, 0.4, self.TIMES, 150, 17, method="oracle")
         assert np.max(np.abs(means - reference[0])) <= ORACLE_ATOL
