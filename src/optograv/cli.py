@@ -5,7 +5,7 @@ uncoupled visibility, the gravitational visibility shift, and the
 perturbative entanglement growth), ``oracle`` (exact-vs-analytic
 verification suite), ``feasibility`` (quality-factor/temperature frontier),
 ``scan`` (parameter sweeps), ``thermal`` (thermal visibility law vs. its
-Monte-Carlo average).
+Monte-Carlo average, beside the exact coupled thermal visibility).
 
 Exit codes: 0 success, 1 user/config error, 2 tolerance failure,
 3 numerical failure (running out of memory included).  Every output embeds
@@ -115,13 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     # No default: an explicit --seed overrides the plan's seed key.
     p_scan.set_defaults(func=cmd_scan, seed=None)
 
-    p_thermal = subs.add_parser("thermal", help="thermal visibility vs Monte-Carlo average")
+    p_thermal = subs.add_parser("thermal", help="thermal visibility law vs Monte-Carlo average, "
+                                                "and the exact coupled value")
     _add_common(p_thermal, time_grid=True)
     p_thermal.add_argument("--nbar", type=float, default=1.0)
     p_thermal.add_argument("--mc-samples", type=int, default=10000)
-    p_thermal.add_argument("--mc-method", choices=("closedform", "oracle"), default="closedform",
-                           help="closedform: gravity-free sample dynamics; oracle: the full "
-                                "coupled dynamics, exact (Gaussian) with no truncation")
     p_thermal.set_defaults(func=cmd_thermal)
     return parser
 
@@ -378,16 +376,17 @@ def cmd_thermal(args) -> int:
         times = _time_grid(args, dc)
     nbar = args.nbar
     law = analytic.thermal_visibility(dc, nbar, times).tolist()
-    means, errors = gaussian.thermal_visibility_montecarlo(
-        dc, p, nbar, times, args.mc_samples, args.seed, method=args.mc_method
-    )
+    coupled = (2.0 * np.abs(gaussian.thermal_coherence(dc, nbar, p.beta_M, times))).tolist()
+    means, errors = gaussian.thermal_visibility_montecarlo(dc, nbar, times, args.mc_samples,
+                                                           args.seed)
     records = [
-        (t, expected, mean, err, abs(mean - expected) / err if err > 0 else 0.0)
-        for t, expected, mean, err in zip(times.tolist(), law, means.tolist(), errors.tolist())
+        (t, expected, mean, err, abs(mean - expected) / err if err > 0 else 0.0, exact)
+        for t, expected, mean, err, exact
+        in zip(times.tolist(), law, means.tolist(), errors.tolist(), coupled)
     ]
-    provenance = _provenance(p, args, nbar=repr(float(nbar)), mc_samples=args.mc_samples,
-                             mc_method=args.mc_method)
-    header = ["t_seconds", "thermal_law", "mc_mean", "mc_std_error", "sigma_distance"]
+    provenance = _provenance(p, args, nbar=repr(float(nbar)), mc_samples=args.mc_samples)
+    header = ["t_seconds", "thermal_law", "mc_mean", "mc_std_error", "sigma_distance",
+              "coupled_exact"]
     _emit_table(args, provenance, header, records)
     return 0
 

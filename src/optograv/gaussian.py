@@ -1,9 +1,12 @@
 """Exact Gaussian layer: photon c's path coherence with no Fock truncation.
 
 Coherent inputs stay Gaussian under the quadratic sector Hamiltonians, so the
-coherence is exact (:func:`gaussian_coherence`).  The thermal Monte Carlo
-samples it and scans measure the Fock truncation error against it; numpy is
-all it needs, so the commands that use it do not load the Fock layer.
+coherence is exact (:func:`gaussian_coherence`), and so is its average over a
+thermal rod m, a Gaussian mixture of coherent states
+(:func:`thermal_coherence`).  Scans measure the Fock truncation error against
+the coherence, and the thermal Monte Carlo checks the gravity-free law; numpy
+is all the layer needs, so the commands that use it do not load the Fock
+layer.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ import numpy as np
 from . import analytic
 from .analytic import _as_times
 from .errors import ParameterError
-from .params import DerivedCouplings, PhysicalParams
+from .params import DerivedCouplings
 
 
-def gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
-    """Exact photon-c path-coherence element, shape (T, N), with rod m in
-    each coherent state |betas_m[n]> and rod M in |beta_M>, at each of
-    ``times`` (a non-empty 1-D sequence, finite and >= 0).
+def _flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
+    """Photon c's path coherence at each of ``times`` (a non-empty 1-D
+    sequence, finite and >= 0) as ``common[:, None] * exp(1j * (k @ b.T))``
+    for inputs of mean quadratures b (N, 4): returns ``common``, shape (T,),
+    and ``k`` = J w, shape (T, 4).
 
     In the quadratures r = (q_a, p_a, q_b, p_b), x = sqrt(2)*q, the sector
     with cavity-path bits (p, q) has the Hamiltonian r^T M r / 2 +
@@ -34,9 +38,9 @@ def gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
         1/4 exp(-|w|^2/4 + i b^T J w)
             sum_q exp(i (u/2 + q v)^T (M u t - J S^-1 u)),
 
-    with w = (1 - S^-1) u and b the input's mean quadratures.  One
-    eigendecomposition of J M serves every time.  The modes are stable only
-    while M is positive definite.
+    with w = (1 - S^-1) u.  One eigendecomposition of J M serves every
+    time, and k comes from w, not from phases, which wrap.  The modes are
+    stable only while M is positive definite.
     """
     omega_a, omega_b, gamma = dc.omega_a, dc.omega_b, dc.gamma
     if not omega_a * omega_b > 4.0 * gamma * gamma:
@@ -56,68 +60,90 @@ def gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
     halves = np.stack([0.5 * u, 0.5 * u + v])
     phases = np.multiply.outer(times, halves @ m @ u) - back @ (halves @ j).T
     common = 0.25 * np.exp(1j * phases).sum(axis=1) * np.exp(-0.25 * np.sum(w * w, axis=1))
-    inputs = np.stack(np.broadcast_arrays(np.asarray(betas_m, dtype=complex), complex(beta_M)), -1)
+    return common, w @ j.T
+
+
+def gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
+    """Exact photon-c path-coherence element, shape (T, N), with rod m in
+    each coherent state |betas_m[n]> (a non-empty 1-D sequence) and rod M in
+    |beta_M>, at each of ``times`` (a non-empty 1-D sequence, finite and
+    >= 0); see :func:`_flow`.
+    """
+    betas_m = np.asarray(betas_m, dtype=complex)
+    if betas_m.ndim != 1 or betas_m.size == 0:
+        raise ParameterError("betas_m must be a non-empty 1-D sequence")
+    common, k = _flow(dc, times)
+    inputs = np.stack(np.broadcast_arrays(betas_m, complex(beta_M)), -1)
     b = math.sqrt(2.0) * inputs.view(float)  # (N, 4) mean quadratures
-    return common[:, None] * np.exp(1j * (w @ (b @ j).T))
+    return common[:, None] * np.exp(1j * (k @ b.T))
+
+
+def thermal_coherence(dc, nbar: float, beta_M, times) -> np.ndarray:
+    """Exact photon-c path-coherence element, shape (T,), with rod m thermal
+    at mean occupation ``nbar`` and rod M in |beta_M>, at each of ``times``.
+
+    A thermal state is a Gaussian mixture of coherent states whose rod-m
+    mean quadratures have covariance nbar per quadrature, so the average of
+    :func:`gaussian_coherence` over it is, with k = (k_a, k_b) from
+    :func:`_flow`,
+
+        common * exp(i b_M^T k_b) * exp(-nbar |k_a|^2 / 2),
+
+    which at nbar = 0 is the coherent value with rod m in |0>.
+    """
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
+    beta_M = complex(beta_M)
+    b = math.sqrt(2.0) * np.array([0.0, 0.0, beta_M.real, beta_M.imag])
+    common, k = _flow(dc, times)
+    envelope = np.exp(-0.5 * nbar * np.sum(k[:, :2] * k[:, :2], axis=1))
+    return common * np.exp(1j * (k @ b)) * envelope
 
 
 #: Bytes of resampled elements gathered at once by the bootstrap (its
 #: indices are in range, and mode "clip" skips the checked, buffered take).
 _GATHER_BYTES = 1 << 20
+#: Bootstrap resamples behind each standard error.
+_BOOTSTRAP_RESAMPLES = 200
 
 
 def thermal_visibility_montecarlo(
-    dc: DerivedCouplings,
-    p: PhysicalParams,
-    nbar: float,
-    times,
-    n_samples: int,
-    seed: int,
-    method: str = "closedform",
-    bootstrap_resamples: int = 200,
+    dc: DerivedCouplings, nbar: float, times, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo thermal visibility of the rod-m cavity at each of ``times``.
 
     Samples rod-m amplitudes beta from the circular complex Gaussian with
     E|beta|^2 = nbar (two independent normal draws of standard deviation
     sqrt(nbar/2) from ``numpy.random.default_rng(seed)``, real part first),
+    evolves each sample with the exactly solvable gravity-free dynamics,
     averages the complex path-coherence element over the samples, and
     returns arrays of 2*|mean| and of its bootstrap standard error, one
-    entry per time.  The samples, then the bootstrap indices, are drawn once
+    entry per time.  It checks :func:`analytic.thermal_visibility`, the
+    gravity-free law; :func:`thermal_coherence` is the coupled average in
+    closed form.  The samples, then the bootstrap indices, are drawn once
     and serve every time; each time's bootstrap is streamed, gathering a
     bounded chunk of index rows at a time, so memory does not grow with the
     number of times.
-
-    ``method="closedform"`` evolves each sample with the exactly solvable
-    gravity-free dynamics (exact when gamma = 0); ``method="oracle"`` with
-    the full coupled dynamics carried by ``dc`` and rod M in |beta_M>,
-    exactly and without truncation (:func:`gaussian_coherence`).
     """
     times = _as_times(times)
     if n_samples < 100:
         raise ParameterError(f"n_samples must be >= 100, got {n_samples}")
-    if bootstrap_resamples < 2:
-        raise ParameterError(f"bootstrap_resamples must be >= 2, got {bootstrap_resamples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
-    if method == "closedform":
-        per_time = (analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
-                    for t in times.tolist())
-    elif method == "oracle":
-        per_time = (gaussian_coherence(dc, betas, p.beta_M, [t])[0] for t in times.tolist())
-    else:
-        raise ParameterError(f"method must be 'closedform' or 'oracle', got {method!r}")
-    indices = rng.integers(0, n_samples, size=(bootstrap_resamples, n_samples), dtype=np.int32)
+    indices = rng.integers(0, n_samples, size=(_BOOTSTRAP_RESAMPLES, n_samples), dtype=np.int32)
     chunk = max(1, _GATHER_BYTES // (16 * n_samples))
-    gathered = np.empty((min(chunk, bootstrap_resamples), n_samples), dtype=complex)
-    resampled = np.empty(bootstrap_resamples, dtype=complex)
+    gathered = np.empty((min(chunk, _BOOTSTRAP_RESAMPLES), n_samples), dtype=complex)
+    resampled = np.empty(_BOOTSTRAP_RESAMPLES, dtype=complex)
     means, std_errors = np.empty(times.size), np.empty(times.size)
-    for i, elements in enumerate(per_time):
+    for i, t in enumerate(times.tolist()):
+        elements = analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
         means[i] = 2.0 * abs(elements.mean())
-        for first in range(0, bootstrap_resamples, chunk):
+        for first in range(0, _BOOTSTRAP_RESAMPLES, chunk):
             rows = indices[first : first + chunk]
             np.take(elements, rows, mode="clip", out=gathered[: len(rows)])
             resampled[first : first + len(rows)] = gathered[: len(rows)].mean(axis=1)

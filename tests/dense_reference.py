@@ -24,6 +24,10 @@ routes they replaced, as independent cross-checks:
   as the library did before it served every time from one draw; its
   oracle method propagates every Fock level of rod m, the truncated
   reference for the library's exact Gaussian coherence;
+- ``coupled_thermal_montecarlo``: the same Monte Carlo over the exact
+  Gaussian coherence with the coupled dynamics, for every time at once, as
+  the library's oracle method ran before the coupled thermal average got
+  its closed form (``gaussian.thermal_coherence``);
 - ``entropy_expectations``: the entangling coefficient of the first-order
   perturbation at one time, from the system families {a^dag psi, a psi,
   psi} built in the truncated Fock basis, as the library computed it
@@ -42,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from optograv import analytic, oracle
+from optograv import analytic, gaussian, oracle
 from optograv.errors import ParameterError
 from optograv.oracle import TAIL_TOL, _coherent_input, initial_state
 
@@ -280,6 +284,23 @@ def thermal_visibility_montecarlo_per_time(
     resampled = 2.0 * np.abs(elements[indices].mean(axis=1))
     std_error = float(resampled.std(ddof=1))
     return float(mean_vis), std_error
+
+
+def coupled_thermal_montecarlo(dc, beta_M, nbar: float, times, n_samples: int,
+                               seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """2*|mean| of ``gaussian.gaussian_coherence`` over thermal rod-m draws,
+    and its bootstrap standard error, one entry per time: the samples and
+    the bootstrap indices are drawn as ``thermal_visibility_montecarlo_per_time``
+    draws them, so both see the same amplitudes."""
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(nbar / 2.0)
+    betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
+    elements = gaussian.gaussian_coherence(dc, betas, beta_M, times)
+    indices = rng.integers(0, n_samples, size=(200, n_samples))
+    means = 2.0 * np.abs(elements.mean(axis=1))
+    std_errors = np.array([(2.0 * np.abs(row[indices].mean(axis=1))).std(ddof=1)
+                           for row in elements])
+    return means, std_errors
 
 
 def _system_branches(dc, p, spec, t):

@@ -184,7 +184,7 @@ def test_criterion_07_first_order_scaling(capsys, scaling_result):
                f"{vis_slope:.3f} (>=1.9), entropy={ent_slope:.3f} (>=2.5)")
 
 
-def test_criterion_08_thermal_law(capsys, ref_params, ref_couplings):
+def test_criterion_08_thermal_law(capsys, ref_couplings):
     start = time.perf_counter()
     period = 2.0 * math.pi / ref_couplings.omega_a
     times = np.linspace(period / 8.0, period, 8)
@@ -193,8 +193,7 @@ def test_criterion_08_thermal_law(capsys, ref_params, ref_couplings):
     for nbar in (0.5, 1.0, 5.0):
         law = og.thermal_visibility(ref_couplings, nbar, times)
         means, errs = og.thermal_visibility_montecarlo(
-            ref_couplings, ref_params, nbar, times, 10000,
-            seed=20240817,
+            ref_couplings, nbar, times, 10000, seed=20240817,
         )
         for expected, mean, err in zip(law, means, errs):
             gap = abs(mean - float(expected))

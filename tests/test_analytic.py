@@ -227,13 +227,11 @@ class TestThermalVisibility:
         value = og.thermal_visibility(ref_couplings, 1.0, [t])[0]
         assert value == pytest.approx(math.exp(-6 * ref_couplings.lambda_m**2), rel=1e-12)
 
-    def test_montecarlo_agrees_with_law(self, ref_params, ref_couplings):
+    def test_montecarlo_agrees_with_law(self, ref_couplings):
         T = period_of(ref_couplings)
         for nbar, ts in ((10.0, [0.15 * T, 0.4 * T]), (2.0, [0.6 * T])):
             law = og.thermal_visibility(ref_couplings, nbar, ts)
-            means, errs = og.thermal_visibility_montecarlo(
-                ref_couplings, ref_params, nbar, ts, 4000, seed=99
-            )
+            means, errs = og.thermal_visibility_montecarlo(ref_couplings, nbar, ts, 4000, seed=99)
             assert np.all(np.abs(means - law) <= 3.0 * errs + 1e-12)
 
     def test_rejects_negative_occupation(self, ref_params, ref_couplings):

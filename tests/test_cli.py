@@ -311,7 +311,7 @@ class TestThermalCommand:
                            "--nbar", "1.0", "--mc-samples", "2000", "--seed", "5")
         assert code == 0
         header, rows = parse_csv(out)
-        assert header[-1] == "sigma_distance"
+        assert header[4] == "sigma_distance"
         for row in rows:
             assert float(row[4]) < 5.0
 
@@ -340,14 +340,47 @@ class TestThermalCommand:
         assert len(rows) == 2048
         assert float(rows[0][0]) == 1e-4
 
-    def test_oracle_method_at_large_occupation(self, capsys, reference_config):
-        # The exact coherence needs no Fock ladder for rod m at nbar 1e4.
+    def test_coupled_exact_at_large_occupation(self, capsys, reference_config):
+        # The exact coupled column needs no Fock ladder for rod m at nbar 1e4.
         code, out, _ = run(capsys, "thermal", "--params", str(reference_config),
-                           "--mc-method", "oracle", "--mc-samples", "300", "--nbar", "1e4")
+                           "--mc-samples", "300", "--nbar", "1e4")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[-1] == "coupled_exact"
+        assert len(rows) == 8
+        assert all(0.0 <= float(row[5]) <= 1.0 for row in rows)
+
+    def test_coupled_exact_revival_deficit(self, capsys, reference_config):
+        # Gravity lowers the revival below the gravity-free law's 1 by the
+        # exact coherent deficit; a thermal rod m barely moves it.
+        code, out, _ = run(capsys, "thermal", "--params", str(reference_config),
+                           "--mc-samples", "100", "--nbar", "1")
         assert code == 0
         _, rows = parse_csv(out)
-        assert len(rows) == 8
-        assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+        revival = rows[-1]
+        assert float(revival[5]) - float(revival[1]) == pytest.approx(-2.34e-12, rel=1e-2)
+
+    def test_mc_method_is_gone(self, capsys, reference_config):
+        code, _, err = run(capsys, "thermal", "--params", str(reference_config),
+                           "--mc-method", "oracle")
+        assert code == 1
+        assert "--mc-method" in err
+
+    def test_negative_seed_is_a_user_error(self, capsys, reference_config):
+        code, out, err = run(capsys, "thermal", "--params", str(reference_config),
+                             "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+
+    def test_unstable_coupled_modes_are_a_user_error(self, capsys, tmp_path):
+        config = tmp_path / "unstable.cfg"
+        config.write_text("units = dimensionless\nbare_freq_a = 1\nbare_freq_b = 1\n"
+                          "direct_gamma = 0.6\ndirect_lambda_m = 0.3\ndirect_lambda_M = 0.2\n")
+        code, out, err = run(capsys, "thermal", "--params", str(config), "--mc-samples", "100")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "unstable" in err
 
 
 class TestDeterminism:

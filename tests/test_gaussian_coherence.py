@@ -1,6 +1,7 @@
-"""The exact Gaussian path coherence behind the thermal Monte Carlo's oracle
-method, against the truncated Fock-ladder propagation, the gravity-free
-closed form and its known deficit at the SI reference."""
+"""The exact Gaussian path coherence against the truncated Fock-ladder
+propagation, the gravity-free closed form and its known deficit at the SI
+reference; its thermal average against the gravity-free law, the coherent
+value and a Monte Carlo of the coherence."""
 
 import math
 from dataclasses import replace
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dense_reference
 import optograv as og
 from optograv import analytic, gaussian
 from optograv.errors import ParameterError
@@ -69,3 +71,59 @@ def test_times_must_be_finite_non_negative_and_one_dimensional(times):
     dc = og.derive_couplings(og.dimensionless_params(gamma=1e-2))
     with pytest.raises(ParameterError, match="times"):
         gaussian.gaussian_coherence(dc, [1.0], 1.0, times)
+
+
+@pytest.mark.parametrize("betas_m", [1.0, [[1.0]], [[1.0, 0.5], [0.2, 0.1]], []])
+def test_betas_m_must_be_a_non_empty_sequence(betas_m):
+    dc = og.derive_couplings(og.dimensionless_params(gamma=1e-2))
+    with pytest.raises(ParameterError, match="betas_m"):
+        gaussian.gaussian_coherence(dc, betas_m, 1.0, [1.0, 2.0])
+
+
+DIMENSIONLESS = og.dimensionless_params(gamma=1e-2, **INPUTS)
+THERMAL_TIMES = np.array([0.3, 0.7, 1.0, 2.3]) * 2.0 * math.pi
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.5, 5.0])
+def test_thermal_without_gravity_is_the_law(nbar):
+    dc = replace(og.derive_couplings(DIMENSIONLESS), gamma=0.0)
+    times = np.linspace(0.0, 5.0 * 2.0 * math.pi, 41)
+    got = 2.0 * np.abs(gaussian.thermal_coherence(dc, nbar, DIMENSIONLESS.beta_M, times))
+    assert np.max(np.abs(got - analytic.thermal_visibility(dc, nbar, times))) <= 1e-15
+
+
+@pytest.mark.parametrize("config", ["reference", "dimensionless"])
+def test_thermal_at_zero_occupation_is_the_coherent_value(config):
+    p = og.reference_params() if config == "reference" else DIMENSIONLESS
+    dc = og.derive_couplings(p)
+    times = np.linspace(0.0, 3.0 * 2.0 * math.pi / dc.omega_a, 97)
+    got = gaussian.thermal_coherence(dc, 0.0, p.beta_M, times)
+    assert np.array_equal(got, gaussian.gaussian_coherence(dc, [0.0], p.beta_M, times)[:, 0])
+
+
+def test_thermal_log_coherence_is_linear_in_occupation():
+    dc = og.derive_couplings(DIMENSIONLESS)
+    logs = [np.log(np.abs(gaussian.thermal_coherence(dc, nbar, DIMENSIONLESS.beta_M,
+                                                     THERMAL_TIMES)))
+            for nbar in (0.0, 0.5, 1.0, 4.0)]
+    slope = logs[2] - logs[0]
+    assert np.all(slope < 0.0)
+    for nbar, value in zip((0.5, 4.0), (logs[1], logs[3])):
+        assert np.max(np.abs(value - logs[0] - nbar * slope)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e-2, 5e-2])
+def test_thermal_within_three_sigma_of_a_montecarlo(gamma):
+    dc = og.derive_couplings(og.dimensionless_params(gamma=gamma, **INPUTS))
+    means, errors = dense_reference.coupled_thermal_montecarlo(
+        dc, DIMENSIONLESS.beta_M, 0.5, THERMAL_TIMES, 4000, seed=23)
+    exact = 2.0 * np.abs(gaussian.thermal_coherence(dc, 0.5, DIMENSIONLESS.beta_M,
+                                                    THERMAL_TIMES))
+    assert np.all(np.abs(means - exact) <= 3.0 * errors + 1e-12)
+
+
+def test_thermal_rejects_bad_occupation():
+    dc = og.derive_couplings(DIMENSIONLESS)
+    for nbar in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="nbar"):
+            gaussian.thermal_coherence(dc, nbar, 1.0, [1.0])

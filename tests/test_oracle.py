@@ -318,40 +318,34 @@ class TestDysonCorrection:
 
 
 class TestThermalMonteCarlo:
-    def test_zero_occupation_is_deterministic(self, ref_params, ref_couplings):
+    def test_zero_occupation_is_deterministic(self, ref_couplings):
         t = 1.1e-3
-        (mean,), (err,) = og.thermal_visibility_montecarlo(
-            ref_couplings, ref_params, 0.0, [t], 500, seed=5
-        )
+        (mean,), (err,) = og.thermal_visibility_montecarlo(ref_couplings, 0.0, [t], 500, seed=5)
         law = og.visibility_uncoupled(ref_couplings, [t])[0]
         assert mean == pytest.approx(law, abs=1e-14)
         assert err < 1e-14
 
-    def test_error_shrinks_with_samples(self, ref_params, ref_couplings):
+    def test_error_shrinks_with_samples(self, ref_couplings):
         t = 0.9e-3
-        _, (err_small,) = og.thermal_visibility_montecarlo(
-            ref_couplings, ref_params, 1.0, [t], 2000, seed=11
-        )
-        _, (err_big,) = og.thermal_visibility_montecarlo(
-            ref_couplings, ref_params, 1.0, [t], 8000, seed=11
-        )
+        _, (err_small,) = og.thermal_visibility_montecarlo(ref_couplings, 1.0, [t], 2000,
+                                                           seed=11)
+        _, (err_big,) = og.thermal_visibility_montecarlo(ref_couplings, 1.0, [t], 8000,
+                                                         seed=11)
         assert err_small / err_big == pytest.approx(2.0, rel=0.25)
 
     def test_oracle_path_matches_closed_form_path(self):
+        # Without gravity, a Monte Carlo of the exact coupled coherence over
+        # the library's draws is its gravity-free closed-form Monte Carlo.
         p, dc, _ = small_setup(gamma=0.0, lambda_m=0.3, lambda_M=0.2)
         t = 2.2
-        (mean_c,), _ = og.thermal_visibility_montecarlo(
-            dc, p, 0.4, [t], 150, seed=17, method="closedform"
-        )
-        (mean_o,), _ = og.thermal_visibility_montecarlo(
-            dc, p, 0.4, [t], 150, seed=17, method="oracle"
-        )
+        (mean_c,), _ = og.thermal_visibility_montecarlo(dc, 0.4, [t], 150, seed=17)
+        (mean_o,), _ = dense_reference.coupled_thermal_montecarlo(dc, p.beta_M, 0.4, [t], 150,
+                                                                 seed=17)
         assert mean_o == pytest.approx(mean_c, abs=1e-8)
 
-    def test_sample_floor_enforced(self, ref_params, ref_couplings):
+    def test_sample_floor_enforced(self, ref_couplings):
         with pytest.raises(ParameterError):
-            og.thermal_visibility_montecarlo(ref_couplings, ref_params, 1.0,
-                                             [1e-3], 50, seed=1)
+            og.thermal_visibility_montecarlo(ref_couplings, 1.0, [1e-3], 50, seed=1)
 
 
 class TestClosedFormState:

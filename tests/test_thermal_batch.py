@@ -4,9 +4,9 @@
 indices once and serves every time, streaming each time's bootstrap through
 a bounded gather buffer; ``dense_reference.thermal_visibility_montecarlo_per_time``
 re-seeds, redraws and gathers every resample at once for each time.  The
-closed-form method must agree bit for bit; the oracle method, an exact
-Gaussian coherence, must agree to 1e-12 with the reference's propagation
-in a truncated Fock ladder.
+two must agree bit for bit.  The reference's oracle method, a propagation
+in a truncated Fock ladder, must agree to 1e-12 with a Monte Carlo of the
+exact Gaussian coherence over the same draws.
 """
 
 import math
@@ -47,8 +47,7 @@ class TestClosedFormBitwise:
         # One revival period in 8 steps (the `thermal` default grid): the
         # last time is the revival, where the standard error is exactly 0.
         times = np.linspace(period(ref_couplings) / 8.0, period(ref_couplings), 8)
-        batched = og.thermal_visibility_montecarlo(
-            ref_couplings, ref_params, nbar, times, n_samples, seed)
+        batched = og.thermal_visibility_montecarlo(ref_couplings, nbar, times, n_samples, seed)
         assert_bitwise(batched, per_time(ref_couplings, ref_params, None, nbar, times,
                                          n_samples, seed))
 
@@ -57,32 +56,29 @@ class TestClosedFormBitwise:
         # Seven resamples per gather and 37 resamples: five full chunks and
         # a partial one, over a grid from t = 0 past the revival.
         monkeypatch.setattr(gaussian, "_GATHER_BYTES", 16 * n_samples * 7)
+        monkeypatch.setattr(gaussian, "_BOOTSTRAP_RESAMPLES", 37)
         T = period(ref_couplings)
         times = [0.0, 0.37 * T, T, 2.0 * T, 2.6 * T]
-        batched = og.thermal_visibility_montecarlo(
-            ref_couplings, ref_params, 1.0, times, n_samples, 3, bootstrap_resamples=37)
+        batched = og.thermal_visibility_montecarlo(ref_couplings, 1.0, times, n_samples, 3)
         assert_bitwise(batched, per_time(ref_couplings, ref_params, None, 1.0, times,
                                          n_samples, 3, bootstrap_resamples=37))
 
-    def test_revival_error_is_exactly_zero(self, ref_params, ref_couplings):
+    def test_revival_error_is_exactly_zero(self, ref_couplings):
         _, errors = og.thermal_visibility_montecarlo(
-            ref_couplings, ref_params, 1.0, [period(ref_couplings)], 10000, 0)
+            ref_couplings, 1.0, [period(ref_couplings)], 10000, 0)
         assert errors[0] == 0.0
 
 
 class TestOracleBatch:
     TIMES = [7.0, 0.5, 2.0 * math.pi, 2.2]  # unsorted, with the revival of omega_a = 1
 
-    @pytest.mark.parametrize("gather_bytes", [None, 1])
-    def test_matches_per_time_calls(self, monkeypatch, gather_bytes):
+    def test_matches_per_time_calls(self):
         # The Fock-ladder reference at n_max 30 is within 1.1e-15 of the
         # exact coherence (5.3e-12 at n_max 20).
         p, dc, spec = small_setup(gamma=5e-3, lambda_m=0.3, lambda_M=0.2, n_max=30)
         reference = per_time(dc, p, spec, 0.4, self.TIMES, 150, 17, method="oracle")
-        if gather_bytes is not None:  # one bootstrap resample per gather
-            monkeypatch.setattr(gaussian, "_GATHER_BYTES", gather_bytes)
-        means, errors = og.thermal_visibility_montecarlo(
-            dc, p, 0.4, self.TIMES, 150, 17, method="oracle")
+        means, errors = dense_reference.coupled_thermal_montecarlo(
+            dc, p.beta_M, 0.4, self.TIMES, 150, 17)
         assert np.max(np.abs(means - reference[0])) <= ORACLE_ATOL
         assert np.max(np.abs(errors - reference[1])) <= ORACLE_ATOL
 
@@ -102,13 +98,10 @@ class TestIndexDraw:
 class TestValidation:
     @pytest.mark.parametrize("times", [[], [[1e-3]], [float("nan")], [float("inf")],
                                        [1e-3, -1e-3], 1e-3])
-    def test_rejects_bad_times(self, ref_params, ref_couplings, times):
+    def test_rejects_bad_times(self, ref_couplings, times):
         with pytest.raises(ParameterError):
-            og.thermal_visibility_montecarlo(ref_couplings, ref_params, 1.0, times,
-                                             500, seed=1)
+            og.thermal_visibility_montecarlo(ref_couplings, 1.0, times, 500, seed=1)
 
-    @pytest.mark.parametrize("resamples", [1, 0])
-    def test_rejects_too_few_resamples(self, ref_params, ref_couplings, resamples):
-        with pytest.raises(ParameterError):
-            og.thermal_visibility_montecarlo(ref_couplings, ref_params, 1.0, [1e-3],
-                                             500, seed=1, bootstrap_resamples=resamples)
+    def test_rejects_negative_seed(self, ref_couplings):
+        with pytest.raises(ParameterError, match="seed"):
+            og.thermal_visibility_montecarlo(ref_couplings, 1.0, [1e-3], 500, seed=-1)
