@@ -136,16 +136,24 @@ def thermal_visibility_montecarlo(
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
     indices = rng.integers(0, n_samples, size=(_BOOTSTRAP_RESAMPLES, n_samples), dtype=np.int32)
+    rows = (analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t) for t in times.tolist())
+    return _bootstrap_visibility(rows, indices)
+
+
+def _bootstrap_visibility(rows, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2*|mean| of each of ``rows`` (1-D element arrays, one per time) and its
+    bootstrap standard error over the resamples in the rows of ``indices``,
+    gathering at most ``_GATHER_BYTES`` of resampled elements at a time."""
+    n_resamples, n_samples = indices.shape
     chunk = max(1, _GATHER_BYTES // (16 * n_samples))
-    gathered = np.empty((min(chunk, _BOOTSTRAP_RESAMPLES), n_samples), dtype=complex)
-    resampled = np.empty(_BOOTSTRAP_RESAMPLES, dtype=complex)
-    means, std_errors = np.empty(times.size), np.empty(times.size)
-    for i, t in enumerate(times.tolist()):
-        elements = analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
-        means[i] = 2.0 * abs(elements.mean())
-        for first in range(0, _BOOTSTRAP_RESAMPLES, chunk):
-            rows = indices[first : first + chunk]
-            np.take(elements, rows, mode="clip", out=gathered[: len(rows)])
-            resampled[first : first + len(rows)] = gathered[: len(rows)].mean(axis=1)
-        std_errors[i] = (2.0 * np.abs(resampled)).std(ddof=1)
-    return means, std_errors
+    gathered = np.empty((min(chunk, n_resamples), n_samples), dtype=complex)
+    resampled = np.empty(n_resamples, dtype=complex)
+    means, std_errors = [], []
+    for elements in rows:
+        means.append(2.0 * abs(elements.mean()))
+        for first in range(0, n_resamples, chunk):
+            chosen = indices[first : first + chunk]
+            np.take(elements, chosen, mode="clip", out=gathered[: len(chosen)])
+            resampled[first : first + len(chosen)] = gathered[: len(chosen)].mean(axis=1)
+        std_errors.append((2.0 * np.abs(resampled)).std(ddof=1))
+    return np.array(means), np.array(std_errors)

@@ -291,16 +291,14 @@ def coupled_thermal_montecarlo(dc, beta_M, nbar: float, times, n_samples: int,
     """2*|mean| of ``gaussian.gaussian_coherence`` over thermal rod-m draws,
     and its bootstrap standard error, one entry per time: the samples and
     the bootstrap indices are drawn as ``thermal_visibility_montecarlo_per_time``
-    draws them, so both see the same amplitudes."""
+    draws them, so both see the same amplitudes, and the bootstrap is the
+    library's streamed one."""
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
     elements = gaussian.gaussian_coherence(dc, betas, beta_M, times)
     indices = rng.integers(0, n_samples, size=(200, n_samples))
-    means = 2.0 * np.abs(elements.mean(axis=1))
-    std_errors = np.array([(2.0 * np.abs(row[indices].mean(axis=1))).std(ddof=1)
-                           for row in elements])
-    return means, std_errors
+    return gaussian._bootstrap_visibility(elements, indices)
 
 
 def _system_branches(dc, p, spec, t):

@@ -6,7 +6,8 @@ a bounded gather buffer; ``dense_reference.thermal_visibility_montecarlo_per_tim
 re-seeds, redraws and gathers every resample at once for each time.  The
 two must agree bit for bit.  The reference's oracle method, a propagation
 in a truncated Fock ladder, must agree to 1e-12 with a Monte Carlo of the
-exact Gaussian coherence over the same draws.
+exact Gaussian coherence over the same draws, whatever the bootstrap's
+gather size.
 """
 
 import math
@@ -72,11 +73,14 @@ class TestClosedFormBitwise:
 class TestOracleBatch:
     TIMES = [7.0, 0.5, 2.0 * math.pi, 2.2]  # unsorted, with the revival of omega_a = 1
 
-    def test_matches_per_time_calls(self):
+    @pytest.mark.parametrize("gather_bytes", [None, 1])
+    def test_matches_per_time_calls(self, monkeypatch, gather_bytes):
         # The Fock-ladder reference at n_max 30 is within 1.1e-15 of the
         # exact coherence (5.3e-12 at n_max 20).
         p, dc, spec = small_setup(gamma=5e-3, lambda_m=0.3, lambda_M=0.2, n_max=30)
         reference = per_time(dc, p, spec, 0.4, self.TIMES, 150, 17, method="oracle")
+        if gather_bytes is not None:  # one bootstrap resample per gather
+            monkeypatch.setattr(gaussian, "_GATHER_BYTES", gather_bytes)
         means, errors = dense_reference.coupled_thermal_montecarlo(
             dc, p.beta_M, 0.4, self.TIMES, 150, 17)
         assert np.max(np.abs(means - reference[0])) <= ORACLE_ATOL
