@@ -188,13 +188,13 @@ def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> np.ndarr
     """Gravitational change of the rod-m visibility pattern, V1 - V0.
 
     The reference V0 is the fully uncoupled pattern (couplings re-derived
-    with G = 0 in SI mode), so the shift combines the frequency-pull effect
+    without gravity), so the shift combines the frequency-pull effect
     omega_a vs. the bare frequency with the first-order state correction.
     In dimensionless mode there is no frequency pull and only the state
     correction remains.
     """
     times = _check_times(times)
-    dc0 = derive_couplings(without_gravity(p)) if p.units == UNITS_SI else dc
+    dc0 = derive_couplings(without_gravity(p))
     return visibility_first_order(dc, p, times) - visibility_uncoupled(dc0, times)
 
 

@@ -9,8 +9,9 @@ Monte-Carlo average, beside the exact coupled thermal visibility).
 
 Exit codes: 0 success, 1 user/config error, 2 tolerance failure,
 3 numerical failure (running out of memory included).  Every output embeds
-a provenance header (config fingerprint, seed, version) and identical
-inputs reproduce byte-identical files.
+a provenance header (config fingerprint and version; ``thermal``, whose
+Monte Carlo draws random numbers, and ``scan``, whose plan carries a seed,
+add the seed) and identical inputs reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .params import (
     UNITS_DIMENSIONLESS,
-    UNITS_SI,
     derive_couplings,
     feasibility_bound,
     thermal_occupation,
@@ -63,17 +63,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub, time_grid=False):
+def _add_common(sub, time_grid=False, table=True):
     sub.add_argument("--params", required=True, help="parameter config file")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--mode",
-        choices=(UNITS_SI, UNITS_DIMENSIONLESS),
-        default=None,
-        help="override the config's units mode (must match the derived keys)",
-    )
+    if table:
+        sub.add_argument("--format", choices=("csv", "json"), default=None)
     if time_grid:
         sub.add_argument("--t-start", type=float, default=None, help="default: 0")
         sub.add_argument("--t-stop", type=float, default=None, help="default: 3 periods")
@@ -95,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_figure.set_defaults(func=cmd_figure)
 
     p_oracle = subs.add_parser("oracle", help="exact-vs-analytic verification suite")
-    _add_common(p_oracle)
+    _add_common(p_oracle, table=False)
     p_oracle.add_argument("--n-max", type=int, default=None, help="Fock truncation override")
     p_oracle.add_argument("--equivalence-points", type=int, default=48)
     p_oracle.add_argument("--residual-times", type=int, default=8)
@@ -112,32 +106,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = subs.add_parser("scan", help="parameter sweep from a plan file")
     _add_common(p_scan)
     p_scan.add_argument("--plan", required=True, help="scan plan config file")
-    # No default: an explicit --seed overrides the plan's seed key.
-    p_scan.set_defaults(func=cmd_scan, seed=None)
+    p_scan.add_argument("--seed", type=int, default=None,
+                        help="overrides the plan's seed key")
+    p_scan.set_defaults(func=cmd_scan)
 
     p_thermal = subs.add_parser("thermal", help="thermal visibility law vs Monte-Carlo average, "
                                                 "and the exact coupled value")
     _add_common(p_thermal, time_grid=True)
     p_thermal.add_argument("--nbar", type=float, default=1.0)
     p_thermal.add_argument("--mc-samples", type=int, default=10000)
+    p_thermal.add_argument("--seed", type=int, default=0)
     p_thermal.set_defaults(func=cmd_thermal)
     return parser
-
-
-def _load(args):
-    p = load_params(args.params)
-    if args.mode is not None and args.mode != p.units:
-        raise ConfigError(
-            f"--mode {args.mode} conflicts with units={p.units!r} in {args.params}"
-        )
-    return p
 
 
 def _provenance(p, args, **extra) -> dict:
     out = {
         "version": __version__,
         "params_fingerprint": fingerprint_params(p),
-        "seed": args.seed,
         "command": args.command,
     }
     out.update(extra)
@@ -148,8 +134,11 @@ def _emit(args, text: str):
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from None
 
 
 def _emit_json(args, payload: dict):
@@ -195,7 +184,7 @@ def _time_grid(args, dc):
 
 
 def cmd_derive(args) -> int:
-    p = _load(args)
+    p = load_params(args.params)
     dc = derive_couplings(p)
     payload = dict(dc.as_dict())
     payload["delta_T_ns"] = dc.delta_T * 1e9
@@ -209,7 +198,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    p = _load(args)
+    p = load_params(args.params)
     dc = derive_couplings(p)
     times = _time_grid(args, dc)
     axis, column, key = times, "t_seconds", "times"
@@ -235,15 +224,13 @@ def cmd_figure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.format == "csv":
-        raise ConfigError("oracle writes JSON only; --format csv is not supported")
     if args.equivalence_points < 2:
         raise ConfigError("--equivalence-points must be >= 2")
     if args.residual_times < 1:
         raise ConfigError("--residual-times must be >= 1")
     from . import oracle, scan as scan_mod
 
-    p = _load(args)
+    p = load_params(args.params)
     dc = derive_couplings(p)
     if args.n_max is not None:
         spec = oracle.HilbertSpec(args.n_max, args.n_max)
@@ -319,7 +306,7 @@ def _parse_float_list(raw: str, flag: str):
 
 
 def cmd_feasibility(args) -> int:
-    p = _load(args)
+    p = load_params(args.params)
     dc = derive_couplings(p)
     q_values = _parse_float_list(args.q_values, "--q-values")
     t_values = _parse_float_list(args.t_values, "--t-values")
@@ -341,7 +328,7 @@ def cmd_feasibility(args) -> int:
 def cmd_scan(args) -> int:
     from . import scan as scan_mod
 
-    p = _load(args)
+    p = load_params(args.params)
     plan_dict = load_scan_plan(args.plan)
     if args.seed is not None:
         plan_dict["seed"] = args.seed
@@ -366,7 +353,7 @@ def cmd_scan(args) -> int:
 def cmd_thermal(args) -> int:
     from . import gaussian
 
-    p = _load(args)
+    p = load_params(args.params)
     dc = derive_couplings(p)
     if args.t_start is None and args.t_stop is None and args.t_points is None:
         # No time flag given: 8 samples across one revival period.
@@ -384,7 +371,8 @@ def cmd_thermal(args) -> int:
         for t, expected, mean, err, exact
         in zip(times.tolist(), law, means.tolist(), errors.tolist(), coupled)
     ]
-    provenance = _provenance(p, args, nbar=repr(float(nbar)), mc_samples=args.mc_samples)
+    provenance = _provenance(p, args, nbar=repr(float(nbar)), mc_samples=args.mc_samples,
+                             seed=args.seed)
     header = ["t_seconds", "thermal_law", "mc_mean", "mc_std_error", "sigma_distance",
               "coupled_exact"]
     _emit_table(args, provenance, header, records)

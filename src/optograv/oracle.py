@@ -104,18 +104,18 @@ def default_spec(p: PhysicalParams, dc: DerivedCouplings | None = None) -> Hilbe
                        n_max_b=suggested_n_max(abs(p.beta_M), dc.lambda_M))
 
 
-def check_adequacy(spec: HilbertSpec, dc: DerivedCouplings, p: PhysicalParams, tol=TAIL_TOL):
+def check_adequacy(spec: HilbertSpec, dc: DerivedCouplings, p: PhysicalParams):
     """Verify that the truncation holds the displaced amplitudes |beta|+2*lam;
     raise :class:`TruncationError` (with a rule-based suggestion) otherwise."""
     for label, beta, lam, n_max in (("a", p.beta_m, dc.lambda_m, spec.n_max_a),
                                     ("b", p.beta_M, dc.lambda_M, spec.n_max_b)):
         displaced = abs(beta) + 2.0 * abs(lam)
         tail = coherent_tail_mass(displaced, n_max)
-        if tail > tol:
+        if tail > TAIL_TOL:
             suggestion = suggested_n_max(abs(beta), lam)
             raise TruncationError(
                 f"mode {label}: tail mass {tail:.3e} beyond n_max={n_max} exceeds "
-                f"{tol:g} for displaced amplitude {displaced:.3f}; "
+                f"{TAIL_TOL:g} for displaced amplitude {displaced:.3f}; "
                 f"use n_max_{label} >= {suggestion}",
                 suggested_n_max=suggestion,
             )
@@ -408,26 +408,26 @@ def coherent_vector(beta: complex, dim: int) -> np.ndarray:
     return amps / math.sqrt(kept)
 
 
-def _coherent_input(label: str, beta: complex, dim: int, tail_tol: float) -> np.ndarray:
+def _coherent_input(label: str, beta: complex, dim: int) -> np.ndarray:
     """Coherent amplitudes of one rod's input state, refused when more than
-    ``tail_tol`` of its occupation lies beyond the truncation."""
+    ``TAIL_TOL`` of its occupation lies beyond the truncation."""
     tail = coherent_tail_mass(abs(beta), dim - 1)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         suggestion = suggested_n_max(abs(beta), 0.0)
         raise TruncationError(
             f"mode {label}: coherent tail mass {tail:.3e} beyond n_max={dim - 1} exceeds "
-            f"{tail_tol:g}; raise n_max_{label} to at least {suggestion} "
+            f"{TAIL_TOL:g}; raise n_max_{label} to at least {suggestion} "
             "(more if strong optomechanical displacement is expected)",
             suggested_n_max=suggestion,
         )
     return coherent_vector(beta, dim)
 
 
-def initial_state(p: PhysicalParams, spec: HilbertSpec, tail_tol: float = TAIL_TOL) -> np.ndarray:
+def initial_state(p: PhysicalParams, spec: HilbertSpec) -> np.ndarray:
     """Each photon in (|no-cavity> + |cavity>)/sqrt(2), rod m in |beta_m>
     and rod M in |beta_M> (truncated and renormalised)."""
-    coh_a = _coherent_input("a", p.beta_m, spec.dim_a, tail_tol)
-    coh_b = _coherent_input("b", p.beta_M, spec.dim_b, tail_tol)
+    coh_a = _coherent_input("a", p.beta_m, spec.dim_a)
+    coh_b = _coherent_input("b", p.beta_M, spec.dim_b)
     qubit = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     return np.kron(np.kron(np.kron(qubit, qubit), coh_a), coh_b).reshape(spec.dims)
 
@@ -473,8 +473,11 @@ def _mode_operators(dim: int) -> np.ndarray:
     return np.stack([a.T, a, np.eye(dim)])
 
 
-def interaction_picture_residual(dc: DerivedCouplings, spec: HilbertSpec, times,
-                                 margin: int = 20) -> np.ndarray:
+#: Fock levels at each ladder's top left out of the frame-rotation residual.
+_RESIDUAL_MARGIN = 20
+
+
+def interaction_picture_residual(dc: DerivedCouplings, spec: HilbertSpec, times) -> np.ndarray:
     """Relative Frobenius deviation of the numerically frame-rotated coupling
     from its closed form on the Fock interior, at each of ``times`` (a
     non-empty 1-D sequence, finite and >= 0): shape (T,).
@@ -485,21 +488,20 @@ def interaction_picture_residual(dc: DerivedCouplings, spec: HilbertSpec, times,
     the squared norm of the difference D_a (x) N_b + C_a (x) D_b is |D_a|^2
     |N_b|^2 + |C_a|^2 |D_b|^2 + 2 Re(<D_a, C_a> <N_b, D_b>), so no Kronecker
     product is formed.  The identity holds only on the untruncated algebra,
-    so it is compared on the interior n <= n_max - margin of both modes (a
-    mode with n_max <= margin on its ladder extended to margin + 10); the
-    edge's corruption decays factorially in the margin (~1e-2 at 8, ~1e-10
-    at 20 for couplings ~0.5).  The hbar*gamma prefactor is stripped from
-    both sides, so the residual is well defined at gamma = 0.
+    so it is compared on the interior n <= n_max - _RESIDUAL_MARGIN of both
+    modes (a mode with n_max <= _RESIDUAL_MARGIN on its ladder extended by
+    10 beyond it); the edge's corruption decays factorially in the margin
+    (~1e-2 at 8, ~1e-10 at 20 for couplings ~0.5).  The hbar*gamma
+    prefactor is stripped from both sides, so the residual is well defined
+    at gamma = 0.
     """
-    if margin < 1:
-        raise ParameterError("margin must be >= 1")
     times = _as_times(times)
     modes, interior_norms = [], []
     for n_max, omega, lam in ((spec.n_max_a, dc.omega_a, dc.lambda_m),
                               (spec.n_max_b, dc.omega_b, dc.lambda_M)):
         # The identity involves no state: extend a ladder within the margin.
-        n_max = n_max if n_max > margin else margin + 10
-        keep = n_max - margin + 1
+        n_max = n_max if n_max > _RESIDUAL_MARGIN else _RESIDUAL_MARGIN + 10
+        keep = n_max - _RESIDUAL_MARGIN + 1
         x = position_coupling(n_max + 1)
         w, v = _mode_eigh(n_max + 1, omega, lam)
         tables = np.array([analytic.mode_factor_coefficients(lam, bit) for bit in (0, 1)])

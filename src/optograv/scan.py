@@ -88,6 +88,11 @@ class ScanPlan:
     def __post_init__(self):
         if not self.observables:
             raise ParameterError(f"empty observable list; valid observables: {OBSERVABLES}")
+        for kind, names in (("axis", [name for name, _ in self.axes]),
+                            ("observable", self.observables)):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ParameterError(f"{kind} listed more than once: {', '.join(repeated)}")
         size = 1
         for name, values in self.axes:
             if name not in VALID_AXES:
@@ -110,6 +115,12 @@ class ScanPlan:
                 raise ParameterError(f"observable {obs!r} requires a 't' value in the plan")
         if self.oracle_enabled and self.observable_time is None:
             raise ParameterError("oracle_enabled scans need a 't' value for diagnostics")
+        if self.n_max is not None:
+            if not self.oracle_enabled:
+                raise ParameterError("n_max sets the oracle truncation; it needs "
+                                     "oracle_enabled = true")
+            if self.n_max < 1:
+                raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
         t = self.observable_time
         if t is not None and not (math.isfinite(t) and t >= 0):
             raise ParameterError(f"the plan's 't' must be finite and >= 0, got {t!r}")
@@ -153,7 +164,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     if plan.oracle_enabled:
         from . import gaussian, oracle
 
-        spec = (oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max
+        spec = (oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max is not None
                 else oracle.default_spec(p, dc))
     psi_t = None
 
@@ -257,18 +268,12 @@ def _fit_loglog(gammas, residuals):
     return float(slope), float(half_width)
 
 
-def scaling_study(
-    base: PhysicalParams,
-    gammas,
-    t: float,
-    spec: HilbertSpec | None = None,
-) -> ScalingStudy:
+def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> ScalingStudy:
     """Residual decay of the first-order machinery against exact propagation.
 
     One recursion propagates every boosted gamma exactly (a
-    :class:`oracle.Propagator` family on ``spec``, by default
-    :func:`oracle.default_spec`).  For each gamma, assemble the first-order
-    state and record
+    :class:`oracle.Propagator` family on ``spec``).  For each gamma,
+    assemble the first-order state and record
       state      |psi_exact - psi0 - psi1|        (expected slope 2),
       visibility |V_exact - V_first_order|        (expected slope >= 2),
       entropy    |S_exact - S_perturbative|       (expected slope >= 3).
@@ -287,8 +292,6 @@ def scaling_study(
     order = np.argsort(np.abs(np.asarray(gammas)))
     gammas = tuple(gammas[i] for i in order)
     dc0 = derive_couplings(replace(base, direct_gamma=0.0))
-    if spec is None:
-        spec = oracle.default_spec(base, dc0)
     oracle.check_adequacy(spec, dc0, base)
     psi0_t = oracle.closed_form_state(dc0, base, spec, t)
     # The input state does not depend on gamma.

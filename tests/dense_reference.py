@@ -48,7 +48,7 @@ import numpy as np
 
 from optograv import analytic, gaussian, oracle
 from optograv.errors import ParameterError
-from optograv.oracle import TAIL_TOL, _coherent_input, initial_state
+from optograv.oracle import _coherent_input, initial_state
 
 SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -268,7 +268,7 @@ def thermal_visibility_montecarlo_per_time(
         # A sample's state is linear in its rod-m amplitudes c, so its
         # path-coherence element is c^T G conj(c), G[n, m] the coherence
         # between the evolved states that start with rod m in levels n and m.
-        amplitudes = np.array([_coherent_input("a", beta, spec.dim_a, TAIL_TOL)
+        amplitudes = np.array([_coherent_input("a", beta, spec.dim_a)
                                for beta in betas])
         rest = initial_state(replace(p, beta_m=0.0), spec)[:, :, :1]
         levels = np.eye(spec.dim_a)[:, None, None, :, None] * rest[None]

@@ -62,7 +62,7 @@ def scaling_result(boosted_params, boosted_couplings):
     base = replace(boosted_params, direct_gamma=0.0)
     gammas = [f * boosted_couplings.omega_a for f in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
     t = 1.3 * 2.0 * math.pi / boosted_couplings.omega_a
-    return og.scaling_study(base, gammas, t)
+    return og.scaling_study(base, gammas, t, oracle.default_spec(base))
 
 
 def test_criterion_01_period_shift(capsys, si_config, tmp_path):

@@ -155,14 +155,14 @@ def test_times_must_be_a_finite_one_dimensional_sequence(times):
     spec = og.HilbertSpec(4, 4)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     with pytest.raises(ParameterError, match="times"):
-        propagator.evolve(og.initial_state(p, spec, tail_tol=1e-2), times)
+        propagator.evolve(random_state(spec, 0), times)
 
 
 def test_evolve_returns_owned_states_and_refuses_other_shapes():
     p = dimensionless_config()
     spec = og.HilbertSpec(4, 4)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    psi0 = og.initial_state(p, spec, tail_tol=1e-2)
+    psi0 = random_state(spec, 0)
     states = propagator.evolve(psi0, [0.5, 1.0])
     assert states.shape == (2,) + spec.dims
     assert states.flags.owndata and states.flags.c_contiguous
@@ -367,7 +367,7 @@ def test_chebyshev_tables_beyond_the_budget_name_the_largest_time():
     p = dimensionless_config()
     spec = og.HilbertSpec(4, 4)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    psi0 = og.initial_state(p, spec, tail_tol=1e-2)
+    psi0 = random_state(spec, 0)
     with pytest.raises(DimensionLimitError, match="largest admissible time") as info:
         propagator.evolve(psi0, [1e12])
     t_max = float(str(info.value).rsplit(" ", 1)[-1])

@@ -1,5 +1,6 @@
 """End-to-end subcommand behaviour, exit codes, and output determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import optograv as og
 from optograv import analytic, cli, oracle
 from optograv.cli import main
+from optograv.config import load_params
 
 from test_params import T_MAX_AT_Q1E7, VISIBILITY_MINIMUM
 
@@ -98,6 +101,15 @@ class TestDerive:
         assert code == 1
         assert "cannot read" in err and "Traceback" not in err
 
+    def test_unwritable_out_is_a_clean_config_error(self, capsys, tmp_path, reference_config):
+        target = tmp_path / "missing-dir" / "x.json"
+        code, out, err = run(capsys, "derive", "--params", str(reference_config),
+                             "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}:")
+        assert not target.exists()
+
 
 class TestFigure:
     def test_fig2a_endpoints_and_minimum(self, capsys, reference_config):
@@ -117,6 +129,23 @@ class TestFigure:
         _, rows = parse_csv(out)
         peak = max(abs(float(r[1])) for r in rows)
         assert 1e-7 <= peak <= 1e-5
+
+    @pytest.mark.parametrize("config", ["reference.cfg", "dimensionless.cfg"])
+    def test_fig2b_subtracts_the_gravity_free_pattern(self, capsys, config):
+        # Dimensionless couplings without gravity keep omega_a and lambda_m,
+        # so one reference pattern serves both unit systems bit for bit.
+        p = load_params(CONFIGS / config)
+        dc = og.derive_couplings(p)
+        code, out, _ = run(capsys, "figure", "--params", str(CONFIGS / config),
+                           "--which", "fig2b", "--t-points", "256", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        times = np.array(payload["times"])
+        reference = dc if p.units == "dimensionless" else og.derive_couplings(
+            og.without_gravity(p))
+        expected = (analytic.visibility_first_order(dc, p, times)
+                    - analytic.visibility_uncoupled(reference, times))
+        assert payload["values"] == expected.tolist()
 
     def test_fig3_zero_gravity_flat(self, capsys, tmp_path):
         cfg = write_config(tmp_path, grav_constant_G="0")
@@ -304,6 +333,16 @@ class TestScanCommand:
         assert code == 1
         assert "observable" in err
 
+    def test_repeated_axis_is_a_user_error(self, capsys, tmp_path, reference_config):
+        plan = self.write_plan(tmp_path, "axes = separation_h, separation_h\n"
+                                         "values_separation_h = 1e-8, 2e-8\n"
+                                         "observables = delta_T\n")
+        code, out, err = run(capsys, "scan", "--params", str(reference_config),
+                             "--plan", str(plan))
+        assert code == 1
+        assert out == ""
+        assert err == "error: axis listed more than once: separation_h\n"
+
 
 class TestThermalCommand:
     def test_law_within_errors(self, capsys, reference_config):
@@ -446,3 +485,41 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+#: Each subcommand's options; a flag added or removed shows up here.
+OPTIONS = {
+    "derive": {"--params", "--out", "--format"},
+    "figure": {"--params", "--out", "--format", "--t-start", "--t-stop", "--t-points",
+               "--which"},
+    "oracle": {"--params", "--out", "--n-max", "--equivalence-points", "--residual-times",
+               "--scaling-t"},
+    "feasibility": {"--params", "--out", "--format", "--q-values", "--t-values"},
+    "scan": {"--params", "--out", "--format", "--plan", "--seed"},
+    "thermal": {"--params", "--out", "--format", "--t-start", "--t-stop", "--t-points",
+                "--nbar", "--mc-samples", "--seed"},
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {option for action in sub._actions for option in action.option_strings
+                    if action.dest != "help"}
+             for name, sub in subs.choices.items()}
+    assert found == OPTIONS
+    assert sum(len(options) for options in found.values()) == 35
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("derive", "--mode", "si"), "--mode"),
+    (("thermal", "--mode", "si"), "--mode"),
+    (("derive", "--seed", "3"), "--seed"),
+    (("figure", "--which", "fig2a", "--seed", "3"), "--seed"),
+    (("oracle", "--format", "json"), "--format"),
+])
+def test_settings_that_change_no_result_are_refused(capsys, reference_config, argv, flag):
+    code, out, err = run(capsys, *argv, "--params", str(reference_config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unrecognized arguments: ") and flag in err

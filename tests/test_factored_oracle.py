@@ -50,8 +50,9 @@ CASES = {
 
 
 @pytest.fixture(params=sorted(CASES))
-def case(request):
+def case(request, monkeypatch):
     make_params, spec, margin, times = CASES[request.param]
+    monkeypatch.setattr(oracle, "_RESIDUAL_MARGIN", margin)
     p = make_params()
     dc = og.derive_couplings(p)
     return p, dc, spec, margin, times(2.0 * math.pi / dc.omega_a)
@@ -69,14 +70,14 @@ def test_hamiltonian_blocks_equal_dense_assembly(case):
 
 def test_factored_residual_matches_dense_residual(case):
     p, dc, spec, margin, times = case
-    factored = oracle.interaction_picture_residual(dc, spec, times, margin=margin)
+    factored = oracle.interaction_picture_residual(dc, spec, times)
     dense = dense_reference.DenseInteractionResidual(dc, p, spec, margin=margin)
     assert factored.shape == (len(times),)
     assert factored == pytest.approx([dense.residual(float(t)) for t in times], abs=ATOL)
 
 
 def test_residual_times_batch_equals_one_call_per_time(case):
-    _, dc, spec, margin, times = case
-    batch = oracle.interaction_picture_residual(dc, spec, times, margin=margin)
-    single = [oracle.interaction_picture_residual(dc, spec, [t], margin=margin)[0] for t in times]
+    _, dc, spec, _, times = case
+    batch = oracle.interaction_picture_residual(dc, spec, times)
+    single = [oracle.interaction_picture_residual(dc, spec, [t])[0] for t in times]
     assert np.array_equal(batch, single)

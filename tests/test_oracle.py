@@ -235,22 +235,24 @@ class TestMonogamySignature:
         assert entropies == sorted(entropies)
 
 
-def interior_residual(dc, spec, t, margin):
-    return float(oracle.interaction_picture_residual(dc, spec, [t], margin=margin)[0])
+def interior_residual(monkeypatch, dc, spec, t, margin):
+    monkeypatch.setattr(oracle, "_RESIDUAL_MARGIN", margin)
+    return float(oracle.interaction_picture_residual(dc, spec, [t])[0])
 
 
 class TestInteractionPicture:
-    def test_zero_time_residual(self):
+    def test_zero_time_residual(self, monkeypatch):
         p, dc, spec = small_setup(gamma=1e-2, n_max=16)
-        assert interior_residual(dc, spec, 0.0, margin=8) < 1e-12
+        assert interior_residual(monkeypatch, dc, spec, 0.0, margin=8) < 1e-12
 
-    def test_free_rotation_exact_in_truncated_space(self):
+    def test_free_rotation_exact_in_truncated_space(self, monkeypatch):
         p, dc, spec = small_setup(gamma=0.3, lambda_m=0.0, lambda_M=0.0, n_max=16)
-        assert interior_residual(dc, spec, 2 * math.pi, margin=4) < 1e-10
+        assert interior_residual(monkeypatch, dc, spec, 2 * math.pi, margin=4) < 1e-10
 
-    def test_residual_decays_with_margin(self):
+    def test_residual_decays_with_margin(self, monkeypatch):
         p, dc, spec = small_setup(gamma=1e-2, lambda_m=0.445, lambda_M=0.521, n_max=24)
-        checker_values = [interior_residual(dc, spec, 4.0, margin=m) for m in (6, 12, 18)]
+        checker_values = [interior_residual(monkeypatch, dc, spec, 4.0, margin=m)
+                          for m in (6, 12, 18)]
         assert checker_values[0] > checker_values[1] > checker_values[2]
 
     def test_memory_does_not_grow_with_the_kronecker_product(self, boosted_couplings):
@@ -258,26 +260,22 @@ class TestInteractionPicture:
         spec = og.HilbertSpec(60, 60)
         tracemalloc.start()
         try:
-            oracle.interaction_picture_residual(boosted_couplings, spec, [1.7], margin=20)
+            oracle.interaction_picture_residual(boosted_couplings, spec, [1.7])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5e6
 
-    def test_margin_validation(self):
-        p, dc, spec = small_setup(n_max=10)
-        with pytest.raises(ParameterError):
-            oracle.interaction_picture_residual(dc, spec, [1.0], margin=0)
-
-    def test_ladders_within_the_margin_are_checked_extended(self):
+    def test_ladders_within_the_margin_are_checked_extended(self, monkeypatch):
         # The identity involves no state, so a mode whose n_max does not exceed
         # the margin is checked on margin + 10 levels, whatever its truncation.
+        monkeypatch.setattr(oracle, "_RESIDUAL_MARGIN", 10)
         p, dc, _ = small_setup(gamma=1e-2)
         times = [1.0, 4.0]
         for spec, extended in ((og.HilbertSpec(10, 10), og.HilbertSpec(20, 20)),
                                (og.HilbertSpec(4, 25), og.HilbertSpec(20, 25))):
-            residual = oracle.interaction_picture_residual(dc, spec, times, margin=10)
-            expected = oracle.interaction_picture_residual(dc, extended, times, margin=10)
+            residual = oracle.interaction_picture_residual(dc, spec, times)
+            expected = oracle.interaction_picture_residual(dc, extended, times)
             assert np.array_equal(residual, expected)
 
 

@@ -44,6 +44,26 @@ class TestScanPlan:
         with pytest.raises(ParameterError, match="'t' must be finite and >= 0"):
             small_plan(observables=("visibility",), observable_time=t)
 
+    def test_repeated_axis_rejected(self):
+        # Rows would label both columns with the last value of the axis.
+        with pytest.raises(ParameterError, match="axis listed more than once: separation_h"):
+            small_plan(axes=(("separation_h", (1e-8, 2e-8)), ("separation_h", (1e-8, 2e-8))))
+
+    def test_repeated_observable_rejected(self):
+        # The CSV header would repeat a column that the JSON values hold once.
+        with pytest.raises(ParameterError, match="observable listed more than once: gamma"):
+            small_plan(observables=("gamma", "delta_T", "gamma"))
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_n_max_must_be_positive(self, n_max):
+        with pytest.raises(ParameterError, match=f"n_max must be >= 1, got {n_max}"):
+            small_plan(observables=("visibility_exact",), oracle_enabled=True,
+                       observable_time=1.0, n_max=n_max)
+
+    def test_n_max_needs_the_oracle(self):
+        with pytest.raises(ParameterError, match="n_max .* oracle_enabled = true"):
+            small_plan(n_max=20)
+
     def test_grid_size_guard(self):
         with pytest.raises(ParameterError, match="grid size"):
             small_plan(axes=(("separation_h", tuple(range(1, 1001))),
@@ -202,18 +222,18 @@ class TestScalingStudy:
     def test_refused_for_all_zero_gamma(self):
         base = og.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
         with pytest.raises(ParameterError, match="nonzero"):
-            og.scaling_study(base, [0.0, 0.0, 0.0], 2.0)
+            og.scaling_study(base, [0.0, 0.0, 0.0], 2.0, og.HilbertSpec(20, 20))
 
     def test_span_validation(self):
         base = og.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
         with pytest.raises(ParameterError, match="factor of 4"):
-            og.scaling_study(base, [1e-2, 9e-3, 8e-3], 2.0)
+            og.scaling_study(base, [1e-2, 9e-3, 8e-3], 2.0, og.HilbertSpec(20, 20))
         with pytest.raises(ParameterError, match="3 gamma"):
-            og.scaling_study(base, [1e-2, 1e-3], 2.0)
+            og.scaling_study(base, [1e-2, 1e-3], 2.0, og.HilbertSpec(20, 20))
 
     def test_requires_dimensionless_mode(self, ref_params):
         with pytest.raises(ParameterError, match="dimensionless"):
-            og.scaling_study(ref_params, [1e-2, 5e-3, 2.5e-3], 2.0)
+            og.scaling_study(ref_params, [1e-2, 5e-3, 2.5e-3], 2.0, og.HilbertSpec(20, 20))
 
     def test_small_study_slopes(self):
         base = og.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
