@@ -27,22 +27,18 @@ from .params import (
     feasibility_bound,
     gravitational_potential,
     reference_params,
+    revival_peak_width,
     thermal_occupation,
     without_gravity,
 )
-from .analytic import (
-    coherent_trajectories,
-    linear_entropy_first_order,
-    revival_peak_width,
-    thermal_visibility,
-    visibility_first_order,
-    visibility_shift,
-    visibility_uncoupled,
-)
 
-#: Names of the Fock layer, the sweeps and the Gaussian layer, each loaded on
-#: first use (PEP 562) so that commands which never run a module skip its import.
+#: Names of the closed forms, the Fock layer, the sweeps and the Gaussian
+#: layer, each loaded on first use (PEP 562): these modules import numpy, and
+#: ``import optograv`` and the scalar commands ``derive`` and ``feasibility``
+#: need none of them.
 _LAZY = {
+    "analytic": ("coherent_trajectories", "linear_entropy_first_order", "thermal_visibility",
+                 "visibility_first_order", "visibility_shift", "visibility_uncoupled"),
     "oracle": ("HilbertSpec", "Propagator", "closed_form_state", "dyson_first_order_state",
                "initial_state", "linear_entropy_exact", "visibility_exact"),
     "scan": ("ScanPlan", "ScanResult", "run_scan", "scaling_study"),

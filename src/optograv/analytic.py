@@ -3,9 +3,8 @@
 Covers the exactly solvable gravity-free evolution (conditional coherent
 trajectories of each rod and the resulting interference visibility), the
 first-order-in-gamma visibility of the coupled system, the thermal-mixture
-visibility, the revived-peak width estimate, and the perturbative linear
-entropy, which is exact in a four-dimensional coherent basis per system and
-needs no Fock truncation.
+visibility and the perturbative linear entropy, which is exact in a
+four-dimensional coherent basis per system and needs no Fock truncation.
 
 One formula, :func:`coherent_trajectories`, gives every conditional
 coherent amplitude: the photon's off-diagonal element, the rod-M branches
@@ -33,10 +32,8 @@ import math
 
 import numpy as np
 
-from .constants import K_BOLTZMANN
 from .errors import ParameterError
 from .params import (
-    UNITS_SI,
     DerivedCouplings,
     PhysicalParams,
     derive_couplings,
@@ -208,22 +205,6 @@ def thermal_visibility(dc: DerivedCouplings, nbar: float, times) -> np.ndarray:
     times = _check_times(times)
     lam, omega = dc.lambda_m, dc.omega_a
     return np.exp(-(lam * lam) * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega * times)))
-
-
-def revival_peak_width(dc: DerivedCouplings, p: PhysicalParams, temperature_T: float) -> float:
-    """Scaling estimate of the revived visibility peak's width, in radians of
-    omega_a*t: 1 / (lam_m * sqrt(4*k_B*T/(hbar*omega_a) + 2)).
-
-    A scaling estimate, not an exact half-maximum width (it agrees with the
-    numerically measured half-width of the thermal pattern to within a
-    factor of two).  SI mode only.
-    """
-    if p.units != UNITS_SI:
-        raise ParameterError("revival_peak_width is defined for SI-mode parameters only")
-    if not (math.isfinite(temperature_T) and temperature_T >= 0):
-        raise ParameterError(f"temperature_T must be >= 0, got {temperature_T!r}")
-    ratio = 4.0 * K_BOLTZMANN * temperature_T / (p.hbar * dc.omega_a)
-    return 1.0 / (dc.lambda_m * math.sqrt(ratio + 2.0))
 
 
 def integrated_coefficients(dc: DerivedCouplings, times) -> np.ndarray:

@@ -8,10 +8,15 @@ verification suite), ``feasibility`` (quality-factor/temperature frontier),
 Monte-Carlo average, beside the exact coupled thermal visibility).
 
 Exit codes: 0 success, 1 user/config error, 2 tolerance failure,
-3 numerical failure (running out of memory included).  Every output embeds
+3 numerical failure (running out of memory and a non-finite ``figure`` or
+``thermal`` value included).  Every output embeds
 a provenance header (config fingerprint and version; ``thermal``, whose
 Monte Carlo draws random numbers, and ``scan``, whose plan carries a seed,
 add the seed) and identical inputs reproduce byte-identical files.
+
+numpy is imported by the commands that compute arrays (``figure``,
+``oracle``, ``scan``, ``thermal``) when they start, never at import, so
+``derive`` and ``feasibility`` run without it.
 """
 
 from __future__ import annotations
@@ -22,9 +27,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import analytic
 from ._version import __version__
 from .config import fingerprint_params, load_params, load_scan_plan
 from .errors import (
@@ -39,13 +41,13 @@ from .params import (
     UNITS_DIMENSIONLESS,
     derive_couplings,
     feasibility_bound,
+    revival_peak_width,
     thermal_occupation,
     without_gravity,
 )
 
 _USER_ERRORS = (ConfigError, ParameterError)
-_NUMERICAL_ERRORS = (TruncationError, NumericalError, DimensionLimitError, np.linalg.LinAlgError,
-                     MemoryError)
+_NUMERICAL_ERRORS = (TruncationError, NumericalError, DimensionLimitError, MemoryError)
 
 #: Verification tolerances used by the ``oracle`` subcommand.
 EQUIVALENCE_TOL = 1e-8
@@ -56,6 +58,13 @@ ENTROPY_SLOPE_MIN = 2.5
 SCALING_GAMMA_FACTORS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 #: Equivalence times evolved per batched call, which bounds the states held at once.
 EQUIVALENCE_SLICE = 64
+
+
+def _linalg_errors() -> tuple:
+    """numpy's ``LinAlgError`` if numpy is loaded: only a command that loaded
+    numpy can raise it, so the scalar commands need not import numpy for it."""
+    numpy = sys.modules.get("numpy")
+    return () if numpy is None else (numpy.linalg.LinAlgError,)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,15 +181,29 @@ def _emit_table(args, provenance: dict, header: list, records: list):
 
 
 def _time_grid(args, dc):
+    import numpy as np
+
     period = 2.0 * math.pi / dc.omega_a
     start = args.t_start if args.t_start is not None else 0.0
     stop = args.t_stop if args.t_stop is not None else 3.0 * period
     points = args.t_points if args.t_points is not None else 2048
     if points < 2:
         raise ConfigError("--t-points must be >= 2")
-    if not stop > start >= 0.0:
-        raise ConfigError("time grid must satisfy 0 <= t-start < t-stop")
+    if not (math.isfinite(stop) and stop > start >= 0.0):
+        raise ConfigError("time grid must satisfy 0 <= t-start < t-stop, both finite")
     return np.linspace(start, stop, points)
+
+
+def _require_finite(times, columns: dict):
+    """Raise NumericalError at the first time at which a value column
+    (name -> one value per time) is not finite, naming those columns."""
+    import numpy as np
+
+    finite = np.isfinite(np.array(list(columns.values()), dtype=float))
+    bad = np.flatnonzero(~finite.all(axis=0))
+    if bad.size:
+        names = ", ".join(name for name, ok in zip(columns, finite[:, bad[0]]) if not ok)
+        raise NumericalError(f"{names} not finite at t = {float(times[bad[0]])!r} s")
 
 
 def cmd_derive(args) -> int:
@@ -198,6 +221,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from . import analytic
+
     p = load_params(args.params)
     dc = derive_couplings(p)
     times = _time_grid(args, dc)
@@ -209,6 +234,7 @@ def cmd_figure(args) -> int:
     else:  # fig3: entanglement growth, time in revival periods
         values, method = analytic.linear_entropy_first_order(dc, times), "first_order_entropy"
         axis, column, key = times / (2.0 * math.pi / dc.omega_a), "t_periods", "times_periods"
+    _require_finite(times, {method: values})
     provenance = _provenance(
         p, args, which=args.which,
         t_start=repr(float(times[0])), t_stop=repr(float(times[-1])),
@@ -228,7 +254,9 @@ def cmd_oracle(args) -> int:
         raise ConfigError("--equivalence-points must be >= 2")
     if args.residual_times < 1:
         raise ConfigError("--residual-times must be >= 1")
-    from . import oracle, scan as scan_mod
+    import numpy as np
+
+    from . import analytic, oracle, scan as scan_mod
 
     p = load_params(args.params)
     dc = derive_couplings(p)
@@ -314,11 +342,11 @@ def cmd_feasibility(args) -> int:
     for q in q_values:
         t_max = feasibility_bound(p, Q=q)
         entries.append(("Q", q, q, t_max, thermal_occupation(p, t_max),
-                        analytic.revival_peak_width(dc, p, t_max)))
+                        revival_peak_width(dc, p, t_max)))
     for t in t_values:
         q_req = feasibility_bound(p, T=t)
         entries.append(("T", t, q_req, t, thermal_occupation(p, t),
-                        analytic.revival_peak_width(dc, p, t)))
+                        revival_peak_width(dc, p, t)))
     records = [(kind, *(float(v) for v in values)) for kind, *values in entries]
     header = ["given", "given_value", "Q", "T_kelvin", "nbar", "peak_width_rad"]
     _emit_table(args, _provenance(p, args), header, records)
@@ -351,7 +379,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_thermal(args) -> int:
-    from . import gaussian
+    import numpy as np
+
+    from . import analytic, gaussian
 
     p = load_params(args.params)
     dc = derive_couplings(p)
@@ -362,14 +392,16 @@ def cmd_thermal(args) -> int:
     else:
         times = _time_grid(args, dc)
     nbar = args.nbar
-    law = analytic.thermal_visibility(dc, nbar, times).tolist()
-    coupled = (2.0 * np.abs(gaussian.thermal_coherence(dc, nbar, p.beta_M, times))).tolist()
+    law = analytic.thermal_visibility(dc, nbar, times)
+    coupled = 2.0 * np.abs(gaussian.thermal_coherence(dc, nbar, p.beta_M, times))
     means, errors = gaussian.thermal_visibility_montecarlo(dc, nbar, times, args.mc_samples,
                                                            args.seed)
+    _require_finite(times, {"thermal_law": law, "mc_mean": means, "mc_std_error": errors,
+                            "coupled_exact": coupled})
     records = [
         (t, expected, mean, err, abs(mean - expected) / err if err > 0 else 0.0, exact)
         for t, expected, mean, err, exact
-        in zip(times.tolist(), law, means.tolist(), errors.tolist(), coupled)
+        in zip(times.tolist(), law.tolist(), means.tolist(), errors.tolist(), coupled.tolist())
     ]
     provenance = _provenance(p, args, nbar=repr(float(nbar)), mc_samples=args.mc_samples,
                              seed=args.seed)
@@ -390,7 +422,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except (*_NUMERICAL_ERRORS, *_linalg_errors()) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -26,6 +26,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cold(*argv):
+    """One fresh ``optograv`` process, whose numpy warnings reach stderr."""
+    return subprocess.run([sys.executable, "-m", "optograv.cli", *argv], capture_output=True,
+                          text=True)
+
+
 def parse_csv(text):
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
@@ -174,6 +180,34 @@ class TestFigure:
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure: Unable to allocate")
+
+    def test_linalg_error_exits_numerical(self, capsys, monkeypatch, reference_config):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(analytic, "visibility_uncoupled", singular)
+        code, out, err = run(capsys, "figure", "--params", str(reference_config),
+                             "--which", "fig2a", "--t-points", "8")
+        assert code == 3
+        assert out == ""
+        assert err == "numerical failure: Singular matrix\n"
+
+    @pytest.mark.parametrize("flag, value", [("--t-stop", "inf"), ("--t-start", "nan"),
+                                             ("--t-start", "inf")])
+    def test_non_finite_grid_bound_is_one_error_line(self, reference_config, flag, value):
+        proc = run_cold("figure", "--which", "fig2a", "--params", str(reference_config),
+                        "--t-points", "3", flag, value)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_non_finite_entropy_exits_numerical(self, reference_config):
+        proc = run_cold("figure", "--which", "fig3", "--params", str(reference_config),
+                        "--t-points", "3", "--t-stop", "1e160")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            "numerical failure: first_order_entropy not finite at t = 5e+159 s")
 
     def test_invalid_grid(self, capsys, reference_config):
         code, _, err = run(capsys, "figure", "--params", str(reference_config),
@@ -399,6 +433,14 @@ class TestThermalCommand:
         revival = rows[-1]
         assert float(revival[5]) - float(revival[1]) == pytest.approx(-2.34e-12, rel=1e-2)
 
+    def test_non_finite_coupled_value_exits_numerical(self, reference_config):
+        proc = run_cold("thermal", "--params", str(reference_config), "--mc-samples", "100",
+                        "--t-points", "3", "--t-stop", "1e300")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            "numerical failure: coupled_exact not finite at t = 5e+299 s")
+
     def test_mc_method_is_gone(self, capsys, reference_config):
         code, _, err = run(capsys, "thermal", "--params", str(reference_config),
                            "--mc-method", "oracle")
@@ -477,11 +519,35 @@ def test_commands_off_the_fock_layer_leave_it_unloaded(argv):
     assert out.strip() == repr(expected)
 
 
+@pytest.mark.parametrize("argv, exit_code, numpy_loaded", [
+    (("derive", "--params", str(CONFIGS / "reference.cfg")), 0, False),
+    (("feasibility", "--params", str(CONFIGS / "reference.cfg")), 0, False),
+    (("--version",), 0, False),
+    (("derive",), 1, False),  # --params missing
+    (("figure", "--which", "fig2a", "--t-points", "8", "--params",
+      str(CONFIGS / "reference.cfg")), 0, True),
+    (("thermal", "--mc-samples", "100", "--params", str(CONFIGS / "reference.cfg")), 0, True),
+    (("scan", "--plan", str(CONFIGS / "scan_example.cfg"), "--params",
+      str(CONFIGS / "reference.cfg")), 0, True),
+], ids=["derive", "feasibility", "version", "missing-params", "figure", "thermal", "scan"])
+def test_only_the_array_commands_load_numpy(argv, exit_code, numpy_loaded):
+    code = ("import contextlib, io, sys\nfrom optograv.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = main({list(argv)!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == [str(exit_code), str(numpy_loaded)]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # Nothing the propagator or the Monte Carlo could pull in at call time
-    # loads at import.
+    # loads at import, and no command needs numpy before it runs.
     code = ("import sys, optograv.cli; print(sorted(m for m in "
-            "('scipy', 'numpy.fft', 'numpy.random') if m in sys.modules))")
+            "('scipy', 'numpy', 'numpy.fft', 'numpy.random') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
