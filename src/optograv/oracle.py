@@ -145,7 +145,7 @@ _SERIES_TOL = np.finfo(float).eps
 #: round-off of the per-mode eigenvalues it is built from.
 _INTERVAL_PAD = 1e-12
 
-#: Bytes of Chebyshev vectors held for one batched accumulation.
+#: Bytes of Chebyshev vectors a ring may hold however many times its fold serves.
 _CHUNK_BYTES = 8 << 20
 
 #: (-i)^k for k mod 4.
@@ -175,6 +175,17 @@ def _rotate(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     product = np.matmul(left[:, None, None], x.reshape(x.shape[:-2] + (-1,)))
     np.matmul(product.reshape(tall), right[None, :, None], out=x.reshape(tall))
     return x
+
+
+def _ring_slots(terms: int, times: int, size: int) -> int:
+    """Chebyshev vectors of ``size`` floats held at once by a recursion of
+    ``terms`` terms whose fold serves ``times`` times: at least 3 (a step
+    reads the two before it), at most ``terms`` and :data:`_CHUNK_BYTES`,
+    and otherwise max(16, 8*times).  A fold of c slots reads them once and
+    adds into the (times, size) output once, so c >= 8*times keeps that
+    output traffic within an eighth of the ring's; for one time the fold is
+    a matrix-vector product, which a larger ring does not speed up."""
+    return max(3, min(terms, max(16, 8 * times), _CHUNK_BYTES // (8 * size)))
 
 
 def _check_norms(before: float, after: np.ndarray, times: np.ndarray):
@@ -328,7 +339,10 @@ class Propagator:
     def _series(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Real and imaginary parts (2, 2, 2, T, dim_a, K, dim_b) of exp(-i*H*t)
         x0 at each time for each of the K couplings, from the eigenbasis
-        planes x0 (2, 2, dim_a, P, dim_b)."""
+        planes x0 (2, 2, dim_a, P, dim_b).  The Chebyshev vectors cycle
+        through a ring of :func:`_ring_slots` slots, at most max(16, 8*T):
+        a ring only needs to be deep beside the T rows that each fold adds
+        into, so a one-time call holds 16 vectors, not :data:`_CHUNK_BYTES`."""
         real, imag = self._coefficients(times)
         terms, planes, count = real.shape[-1], x0.shape[3], len(self._gammas)
         shape = x0.shape[:3] + (count * planes, x0.shape[4])
@@ -336,7 +350,7 @@ class Propagator:
         # T_k(Ht) x0 cycles through `chunk` ring slots (a step reads the two before it); each
         # filled chunk is folded into every time by one product per sector and part of C.
         # Steps and folds write into one buffer.
-        chunk = max(3, min(terms, _CHUNK_BYTES // (8 * size)))
+        chunk = _ring_slots(terms, times.size, size)
         ring = np.empty((chunk,) + shape)
         flat = ring.reshape(chunk, 2, 2, -1).transpose(1, 2, 0, 3)
         out = np.zeros((2, 2, 2, times.size, shape[2], count, shape[4]))
@@ -344,6 +358,10 @@ class Propagator:
         steps = buffer[: 2 * size].reshape((2,) + shape)
         folded = buffer[: times.size * size].reshape(2, 2, times.size, -1)
         parts = np.moveaxis(folded.reshape(out.shape[1:-1] + (planes, shape[4])), -2, 0)
+        # A complex state's planes interleave in `parts`, so an add from one runs through
+        # numpy's iteration buffer (up to 8192 elements); one sector and plane at a time
+        # keeps that buffer within half a slot.
+        sectors = [(out[:, p, q], parts[:, p, q]) for p in (0, 1) for q in (0, 1)]
         ring[0].reshape(x0.shape[:3] + (count,) + x0.shape[3:])[...] = x0[:, :, :, None]
         for k in range(terms):
             slot = k % chunk
@@ -356,10 +374,14 @@ class Propagator:
             if slot == chunk - 1 or k == terms - 1:
                 # out += (Re C + i Im C)(plane 0 + i plane 1), one part of C at a time.
                 np.matmul(real[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
-                out[:planes] += parts
+                for sector, part in sectors:
+                    for plane in range(planes):
+                        sector[plane] += part[plane]
                 np.matmul(imag[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
-                out[1] += parts[0]
-                out[: planes - 1] -= parts[1:]
+                for sector, part in sectors:
+                    sector[1] += part[0]
+                    if planes == 2:
+                        sector[0] -= part[1]
         return out
 
     def _phases(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:

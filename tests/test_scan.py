@@ -2,14 +2,33 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
 import optograv as og
 from optograv import gaussian, oracle, scan
 from optograv.cli import SCALING_GAMMA_FACTORS
+from optograv.config import load_params
 from optograv.errors import DimensionLimitError, ParameterError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: One revival period and three tenths at ``configs/dimensionless.cfg`` (omega_a = 1).
+T_SCALING = 1.3 * 2.0 * math.pi
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def small_plan(**kwargs):
@@ -217,8 +236,27 @@ class TestRunScan:
         assert math.isnan(unstable["values"]["visibility_exact"])
         assert math.isnan(unstable["diagnostics"]["truncation_delta"])
 
+    def test_one_time_oracle_rows_hold_no_large_chebyshev_ring(self):
+        # Four oracle rows at n_max 28, each evolved to one time: with a ring sized
+        # by its byte budget instead of its one time, they peaked at 8.8 MB.
+        base = load_params(CONFIGS / "dimensionless.cfg")
+        gammas = tuple(f * base.bare_freq_a for f in SCALING_GAMMA_FACTORS)
+        plan = small_plan(axes=(("direct_gamma", gammas),),
+                          observables=("gamma", "visibility", "entropy", "visibility_exact",
+                                       "entropy_exact"),
+                          oracle_enabled=True, observable_time=T_SCALING, n_max=28,
+                          mode="dimensionless")
+        assert traced_peak(lambda: og.run_scan(plan, base)) < 2e6
+
 
 class TestScalingStudy:
+    def test_one_time_family_holds_no_large_chebyshev_ring(self):
+        # The oracle's scaling study at n_max 30: 9.9 MB with a ring sized by bytes.
+        base = load_params(CONFIGS / "dimensionless.cfg")
+        gammas = [f * base.bare_freq_a for f in SCALING_GAMMA_FACTORS]
+        spec = og.HilbertSpec(30, 30)
+        assert traced_peak(lambda: og.scaling_study(base, gammas, T_SCALING, spec)) < 5e6
+
     def test_refused_for_all_zero_gamma(self):
         base = og.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
         with pytest.raises(ParameterError, match="nonzero"):
