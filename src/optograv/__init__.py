@@ -23,10 +23,7 @@ from .params import (
     DerivedCouplings,
     PhysicalParams,
     derive_couplings,
-    dimensionless_params,
     feasibility_bound,
-    gravitational_potential,
-    reference_params,
     revival_peak_width,
     thermal_occupation,
     without_gravity,
@@ -67,11 +64,8 @@ __all__ = [
     "DerivedCouplings",
     "derive_couplings",
     "without_gravity",
-    "gravitational_potential",
     "thermal_occupation",
     "feasibility_bound",
-    "reference_params",
-    "dimensionless_params",
     "coherent_trajectories",
     "visibility_uncoupled",
     "visibility_first_order",

@@ -149,24 +149,19 @@ def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times):
     """The real bracket x(t) with V1 = V0 * |1 + i*x(t)|, to first order in gamma.
 
     x(t) = gamma * integral over s in [-t, 0] of the cavity-c path difference
-    of the mode-a factor, 2*lam_m*(1 - cos(omega_a*s)), times the mode-b
-    factor's expectation averaged over the two rod-M branches.  Exact for
-    any frequencies and any complex beta_M.
+    of the coupling generator, averaged over the two rod-M branches: with K
+    the :func:`integrated_coefficients`, only the identity row of the mode-a
+    factor depends on the path, so x = gamma/2 * Re sum over (q, j) of
+    <O_j>_q * (K[(1, 1), (q, j)] - K[(0, 1), (q, j)]), O = (a^dag, a, 1) in
+    rod M's branch q.  Exact for any frequencies and any complex beta_M.
     """
     times = _check_times(times)
-    lam_M, omega_b = dc.lambda_M, dc.omega_b
-    tables_a = [mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)]
-    # The cavity-c path changes only the identity row of the mode-a factor.
-    diff_a = (tables_a[1] - tables_a[0])[2]
-    # Rod-M branch amplitudes phi_q at each time; <a^dag>, <a>, <1> in each.
-    phi0, phi1, _ = coherent_trajectories(p.beta_M, lam_M, omega_b, times)
-    drive_b = 0.5 * sum(
-        np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
-        @ mode_factor_coefficients(lam_M, bit)
-        for bit, phi in ((0, phi0), (1, phi1))
-    )
-    weights = exponential_integrals(dc.omega_a, omega_b, times)
-    x = np.einsum("k,tkl,tl->t", diff_a, weights, drive_b)
+    k = integrated_coefficients(dc, times).reshape(-1, 2, 3, 2, 3)
+    path_difference = k[:, 1, 2] - k[:, 0, 2]
+    phi0, phi1, _ = coherent_trajectories(p.beta_M, dc.lambda_M, dc.omega_b, times)
+    phi = np.stack([phi0, phi1], axis=-1)
+    expectations = np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
+    x = 0.5 * np.sum(expectations * path_difference, axis=(1, 2))
     return dc.gamma * x.real
 
 

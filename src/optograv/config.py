@@ -33,7 +33,6 @@ _REQUIRED_DIMENSIONLESS = (
     "direct_lambda_M",
 )
 _FLOAT_KEYS = _REQUIRED_SI + (
-    "rod_half_length_L",
     "grav_constant_G",
     "hbar",
     "direct_gamma",
@@ -41,8 +40,7 @@ _FLOAT_KEYS = _REQUIRED_SI + (
     "direct_lambda_M",
 )
 _COMPLEX_KEYS = ("beta_m", "beta_M")
-_STRING_KEYS = ("units", "frequency_convention")
-PARAM_KEYS = frozenset(_FLOAT_KEYS + _COMPLEX_KEYS + _STRING_KEYS)
+PARAM_KEYS = frozenset(_FLOAT_KEYS + _COMPLEX_KEYS + ("units",))
 
 _PLAN_KEYS = frozenset(
     ("axes", "observables", "t", "oracle_enabled", "seed", "n_max", "mode")
@@ -111,9 +109,7 @@ def params_from_text(text: str, label: str = "<config>") -> PhysicalParams:
     for key, (lineno, raw) in entries.items():
         if key == "units":
             continue
-        if key in _STRING_KEYS:
-            kwargs[key] = _unquote(raw)
-        elif key in _COMPLEX_KEYS:
+        if key in _COMPLEX_KEYS:
             kwargs[key] = _parse_complex(label, key, lineno, raw)
         else:
             kwargs[key] = _parse_float(label, key, lineno, raw)

@@ -50,27 +50,23 @@ class PhysicalParams:
     (``hbar = 1`` convention) the mode frequencies are taken as given and the
     couplings are supplied directly through the ``direct_*`` fields, which is
     the only regime where the exact propagator can resolve first-order
-    gravitational effects in double precision.
-
-    ``frequency_convention`` states whether the frequency fields are angular
-    (rad/s, the default) or cyclic (Hz, multiplied by 2*pi on use).
+    gravitational effects in double precision.  Frequencies are angular
+    (rad/s).
     """
 
     mass_m: float  # end-mass of rod m, kg
     mass_M: float  # end-mass of rod M, kg
     separation_h: float  # vertical rod separation, m
     cavity_length_d: float  # optical cavity length, m
-    bare_freq_a: float  # uncoupled frequency of rod m
-    bare_freq_b: float  # uncoupled frequency of rod M
-    light_freq_c: float  # input light frequency, cavity of rod m
-    light_freq_d: float  # input light frequency, cavity of rod M
+    bare_freq_a: float  # uncoupled frequency of rod m, rad/s
+    bare_freq_b: float  # uncoupled frequency of rod M, rad/s
+    light_freq_c: float  # input light frequency, cavity of rod m, rad/s
+    light_freq_d: float  # input light frequency, cavity of rod M, rad/s
     beta_m: complex = 1.0 + 0.0j  # initial coherent amplitude, rod m
     beta_M: complex = 1.0 + 0.0j  # initial coherent amplitude, rod M
-    rod_half_length_L: float | None = None  # only the potential needs it
     grav_constant_G: float = G_NEWTON
     hbar: float = HBAR
     units: str = UNITS_SI
-    frequency_convention: str = "angular"
     # Dimensionless-mode couplings, bypassing the SI formulas.
     direct_gamma: float | None = None
     direct_lambda_m: float | None = None
@@ -81,11 +77,6 @@ class PhysicalParams:
             raise ParameterError(
                 f"units must be '{UNITS_SI}' or '{UNITS_DIMENSIONLESS}', got {self.units!r}"
             )
-        if self.frequency_convention not in ("angular", "cyclic"):
-            raise ParameterError(
-                "frequency_convention must be 'angular' or 'cyclic', "
-                f"got {self.frequency_convention!r}"
-            )
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -93,12 +84,6 @@ class PhysicalParams:
         if not (math.isfinite(self.grav_constant_G) and self.grav_constant_G >= 0):
             raise ParameterError(
                 f"grav_constant_G must be finite and non-negative, got {self.grav_constant_G!r}"
-            )
-        if self.rod_half_length_L is not None and not (
-            math.isfinite(self.rod_half_length_L) and self.rod_half_length_L > 0
-        ):
-            raise ParameterError(
-                f"rod_half_length_L must be finite and positive, got {self.rod_half_length_L!r}"
             )
         for name in ("beta_m", "beta_M"):
             value = complex(getattr(self, name))
@@ -118,16 +103,6 @@ class PhysicalParams:
                 raise ParameterError("direct optomechanical couplings must be >= 0")
         elif any(v is not None for v in directs):
             raise ParameterError("direct_* couplings are only allowed in dimensionless mode")
-
-    def angular_frequencies(self) -> tuple[float, float, float, float]:
-        """(bare_a, bare_b, light_c, light_d) in rad/s honouring the convention."""
-        factor = 1.0 if self.frequency_convention == "angular" else TWO_PI
-        return (
-            factor * self.bare_freq_a,
-            factor * self.bare_freq_b,
-            factor * self.light_freq_c,
-            factor * self.light_freq_d,
-        )
 
     def as_dict(self) -> dict:
         """Plain-type field mapping, suitable for fingerprinting and JSON."""
@@ -188,7 +163,7 @@ def derive_couplings(p: PhysicalParams) -> DerivedCouplings:
         If any derived quantity fails to be finite; the message names the
         offending quantity.
     """
-    bare_a, bare_b, light_c, light_d = p.angular_frequencies()
+    bare_a, bare_b = p.bare_freq_a, p.bare_freq_b
     if p.units == UNITS_DIMENSIONLESS:
         dc = DerivedCouplings(
             omega_a=bare_a,
@@ -201,6 +176,7 @@ def derive_couplings(p: PhysicalParams) -> DerivedCouplings:
             delta_T=0.0,
         )
     else:
+        light_c, light_d = p.light_freq_c, p.light_freq_d
         G = p.grav_constant_G
         h3 = p.separation_h**3
         shift_a = G * p.mass_M / h3
@@ -234,29 +210,6 @@ def without_gravity(p: PhysicalParams) -> PhysicalParams:
     if p.units == UNITS_DIMENSIONLESS:
         return replace(p, direct_gamma=0.0)
     return replace(p, grav_constant_G=0.0)
-
-
-def gravitational_potential(theta_m, theta_M, p: PhysicalParams, mode="exact"):
-    """Newtonian interaction energy of the two rods at angles theta_m, theta_M.
-
-    ``mode="exact"`` evaluates the full inverse-distance expression between
-    the end masses; ``mode="quadratic"`` the small-relative-angle expansion
-    whose quadratic term generates the bilinear coupling.  The relative
-    error of the expansion scales as the fourth power of the relative angle.
-    Requires ``rod_half_length_L``-- the only quantity in the package that
-    does; everywhere else the rod length cancels.
-    """
-    if mode not in ("exact", "quadratic"):
-        raise ParameterError(f"mode must be 'exact' or 'quadratic', got {mode!r}")
-    L = p.rod_half_length_L
-    if L is None:
-        raise ParameterError("gravitational_potential requires rod_half_length_L to be set")
-    G, M, m, h = p.grav_constant_G, p.mass_M, p.mass_m, p.separation_h
-    d_theta = theta_M - theta_m
-    if mode == "exact":
-        chord = 2.0 * L * math.sin(0.5 * d_theta)
-        return -2.0 * G * M * m / math.sqrt(h * h + chord * chord)
-    return -2.0 * G * M * m / h + (G * M * m * L * L / h**3) * d_theta * d_theta
 
 
 def thermal_occupation(p: PhysicalParams, temperature_T: float) -> float:
@@ -310,56 +263,3 @@ def revival_peak_width(dc: DerivedCouplings, p: PhysicalParams, temperature_T: f
         raise ParameterError(f"temperature_T must be >= 0, got {temperature_T!r}")
     ratio = 4.0 * K_BOLTZMANN * temperature_T / (p.hbar * dc.omega_a)
     return 1.0 / (dc.lambda_m * math.sqrt(ratio + 2.0))
-
-
-def reference_params() -> PhysicalParams:
-    """Micro-rod reference setup: 1e-13 kg end masses 10 nm apart, 3 krad/s
-    torsional frequency (second rod detuned to 0.9 of that), 450 Trad/s light
-    in 10 cm cavities, both rods cooled to coherent amplitude 1."""
-    return PhysicalParams(
-        mass_m=1e-13,
-        mass_M=1e-13,
-        separation_h=1e-8,
-        cavity_length_d=0.1,
-        bare_freq_a=3e3,
-        bare_freq_b=0.9 * 3e3,
-        light_freq_c=450e12,
-        light_freq_d=450e12,
-        beta_m=1.0 + 0.0j,
-        beta_M=1.0 + 0.0j,
-    )
-
-
-def dimensionless_params(
-    gamma: float,
-    omega_a: float = 1.0,
-    omega_b: float = 0.9,
-    lambda_m: float = 0.445,
-    lambda_M: float = 0.521,
-    beta_m: complex = 1.0 + 0.0j,
-    beta_M: complex = 1.0 + 0.0j,
-) -> PhysicalParams:
-    """hbar = 1 parameter set with couplings given directly.
-
-    This is the regime for exact-propagator scaling studies: the physical
-    gravitational coupling (|gamma|/omega_a ~ 4e-7 at the reference values)
-    sits below double-precision resolvability, so validation runs boost gamma
-    by hand.  Mass/geometry fields are inert placeholders here.
-    """
-    return PhysicalParams(
-        mass_m=1.0,
-        mass_M=1.0,
-        separation_h=1.0,
-        cavity_length_d=1.0,
-        bare_freq_a=omega_a,
-        bare_freq_b=omega_b,
-        light_freq_c=1.0,
-        light_freq_d=1.0,
-        beta_m=beta_m,
-        beta_M=beta_M,
-        hbar=1.0,
-        units=UNITS_DIMENSIONLESS,
-        direct_gamma=gamma,
-        direct_lambda_m=lambda_m,
-        direct_lambda_M=lambda_M,
-    )

@@ -25,7 +25,7 @@ import numpy as np
 from . import analytic
 from ._version import __version__
 from .config import fingerprint, fingerprint_params
-from .errors import OptogravError, ParameterError
+from .errors import NumericalError, OptogravError, ParameterError
 from .params import (
     UNITS_DIMENSIONLESS,
     PhysicalParams,
@@ -35,11 +35,7 @@ from .params import (
 if TYPE_CHECKING:
     from .oracle import HilbertSpec
 
-VALID_AXES = frozenset(
-    f.name
-    for f in fields(PhysicalParams)
-    if f.name not in ("units", "frequency_convention")
-)
+VALID_AXES = frozenset(f.name for f in fields(PhysicalParams) if f.name != "units")
 
 #: Observables that need a time value.
 _TIME_OBSERVABLES = frozenset(
@@ -175,21 +171,27 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
             psi_t = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), [t])[0]
         return psi_t
 
+    closed_forms = {
+        "visibility": lambda: analytic.visibility_uncoupled(dc, [t]),
+        "visibility_shift": lambda: analytic.visibility_shift(dc, p, [t]),
+        "entropy": lambda: analytic.linear_entropy_first_order(dc, [t]),
+    }
     for obs in plan.observables:
         if obs in ("delta_T", "omega_a", "omega_b", "gamma", "lambda_m", "lambda_M"):
             values[obs] = getattr(dc, obs)
-        elif obs == "visibility":
-            values[obs] = float(analytic.visibility_uncoupled(dc, [t])[0])
-        elif obs == "visibility_shift":
-            values[obs] = float(analytic.visibility_shift(dc, p, [t])[0])
-        elif obs == "entropy":
-            values[obs] = float(analytic.linear_entropy_first_order(dc, [t])[0])
+        elif obs in closed_forms:
+            # An overflow is reported once, as the row's error, not as a numpy warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[obs] = float(closed_forms[obs]()[0])
         elif obs == "visibility_exact":
             values[obs] = oracle.visibility_exact(get_state())
         elif obs == "entropy_exact":
             values[obs] = oracle.linear_entropy_exact(get_state())
         elif obs == "interaction_residual":
             values[obs] = float(oracle.interaction_picture_residual(dc, spec, [t])[0])
+    bad = [obs for obs, value in values.items() if not math.isfinite(value)]
+    if bad:
+        raise NumericalError(f"{', '.join(bad)} not finite at t = {t!r} s")
     if plan.oracle_enabled:
         exact = 2.0 * abs(gaussian.gaussian_coherence(dc, [p.beta_m], p.beta_M, [t])[0, 0])
         diagnostics["truncation_delta"] = abs(oracle.visibility_exact(get_state()) - exact)

@@ -1,11 +1,14 @@
+import shutil
+
 import pytest
 
 import optograv as og
+import setups
 
 
 @pytest.fixture(scope="session")
 def ref_params():
-    return og.reference_params()
+    return setups.reference_params()
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +19,7 @@ def ref_couplings(ref_params):
 @pytest.fixture(scope="session")
 def boosted_params():
     """Dimensionless setup with gamma boosted into the resolvable regime."""
-    return og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
+    return setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
 
 
 @pytest.fixture(scope="session")
@@ -26,18 +29,4 @@ def boosted_couplings(boosted_params):
 
 @pytest.fixture()
 def reference_config(tmp_path):
-    path = tmp_path / "reference.cfg"
-    path.write_text(
-        "units = si\n"
-        "mass_m = 1e-13\n"
-        "mass_M = 1e-13\n"
-        "separation_h = 1e-8\n"
-        "cavity_length_d = 0.1\n"
-        "bare_freq_a = 3e3\n"
-        "bare_freq_b = 2.7e3\n"
-        "light_freq_c = 450e12\n"
-        "light_freq_d = 450e12\n"
-        "beta_m = 1\n"
-        "beta_M = 1\n"
-    )
-    return path
+    return shutil.copy(setups.REFERENCE_CFG, tmp_path / "reference.cfg")

@@ -38,7 +38,10 @@ routes they replaced, as independent cross-checks:
   diagonal and rotated positions and the right factor stored as complex, as
   the library ran it before it split the vectors into real planes;
 - ``dyson_first_order_state``: the first-order Dyson correction contracted
-  by two einsums per sector, as before it was written as matrix products.
+  by two einsums per sector, as before it was written as matrix products;
+- ``first_order_bracket``: the first-order visibility bracket from the
+  mode tables and the exponential integrals directly, as before it was read
+  off the integrated coefficients.
 """
 
 import math
@@ -117,12 +120,11 @@ def switched_blocks(dc, p, spec, include_gravity=True, coupled_constants=None):
     """
     if coupled_constants is None:
         coupled_constants = include_gravity
-    bare_a, bare_b, _, _ = p.angular_frequencies()
     if coupled_constants:
         omega_a, omega_b = dc.omega_a, dc.omega_b
         lam_m, lam_M = dc.lambda_m, dc.lambda_M
     else:
-        omega_a, omega_b = bare_a, bare_b
+        omega_a, omega_b = p.bare_freq_a, p.bare_freq_b
         lam_m, lam_M = dc.Lambda_m, dc.Lambda_M
     da, db = spec.dim_a, spec.dim_b
     num_a = omega_a * oracle.number_op(da)
@@ -440,3 +442,24 @@ def dyson_first_order_state(dc, p, spec, t):
                          tensor[p_bit, q_bit])
         out[p_bit, q_bit] = np.einsum("jac,jdc->ad", left, ops_b)
     return (-1j * dc.gamma) * out
+
+
+def first_order_bracket(dc, p, times):
+    """The real bracket x(t) with V1 = V0 * |1 + i*x(t)|: gamma times the
+    integral of the mode-a path difference against rod M's branch-averaged
+    mode-b factor."""
+    times = analytic._check_times(times)
+    lam_M, omega_b = dc.lambda_M, dc.omega_b
+    tables_a = [analytic.mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)]
+    # The cavity-c path changes only the identity row of the mode-a factor.
+    diff_a = (tables_a[1] - tables_a[0])[2]
+    # Rod-M branch amplitudes phi_q at each time; <a^dag>, <a>, <1> in each.
+    phi0, phi1, _ = analytic.coherent_trajectories(p.beta_M, lam_M, omega_b, times)
+    drive_b = 0.5 * sum(
+        np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
+        @ analytic.mode_factor_coefficients(lam_M, bit)
+        for bit, phi in ((0, phi0), (1, phi1))
+    )
+    weights = analytic.exponential_integrals(dc.omega_a, omega_b, times)
+    x = np.einsum("k,tkl,tl->t", diff_a, weights, drive_b)
+    return dc.gamma * x.real

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optograv as og
+import setups
 from optograv import oracle
 from optograv.config import load_params
 from optograv.errors import ParameterError
@@ -74,8 +75,8 @@ class TestCoherentTrajectories:
 
     def test_conditional_oracle_amplitudes_match(self):
         """<a> conditioned on the cavity path reproduces phi0/phi1."""
-        p = og.dimensionless_params(gamma=0.0, lambda_m=0.35, lambda_M=0.2,
-                                    beta_m=0.8 + 0.3j)
+        p = setups.dimensionless_params(gamma=0.0, lambda_m=0.35, lambda_M=0.2,
+                                        beta_m=0.8 + 0.3j)
         dc = og.derive_couplings(p)
         spec = og.HilbertSpec(24, 24)
         prop = og.Propagator(dc, spec)
@@ -137,7 +138,7 @@ class TestVisibilityFirstOrder:
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(200):
-            p = og.dimensionless_params(
+            p = setups.dimensionless_params(
                 gamma=rng.uniform(-0.05, 0.05),
                 omega_a=rng.uniform(0.5, 2.0),
                 omega_b=rng.uniform(0.5, 2.0) * rng.uniform(0.3, 1.0),
@@ -170,7 +171,7 @@ class TestVisibilityFirstOrder:
     def test_integral_form_brackets_degenerate_limit(self):
         values = {}
         for eps in (-1e-6, 0.0, 1e-6):
-            p = og.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0 + eps)
+            p = setups.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0 + eps)
             dc = og.derive_couplings(p)
             values[eps] = og.visibility_first_order(dc, p, [7.3])[0]
         assert all(math.isfinite(v) for v in values.values())
@@ -182,7 +183,7 @@ class TestVisibilityFirstOrder:
         gammas = np.geomspace(1e-4, 1e-2, 7)
         shifts = []
         for g in gammas:
-            p = og.dimensionless_params(gamma=float(g), lambda_m=0.445, lambda_M=0.521)
+            p = setups.dimensionless_params(gamma=float(g), lambda_m=0.445, lambda_M=0.521)
             dc = og.derive_couplings(p)
             v1 = og.visibility_first_order(dc, p, [t])[0]
             v0 = og.visibility_uncoupled(dc, [t])[0]
@@ -203,7 +204,7 @@ class TestVisibilityShift:
         assert og.visibility_shift(ref_couplings, ref_params, [0.0])[0] == 0.0
 
     def test_survives_zero_readout_coupling(self):
-        p = og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.0)
+        p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.0)
         dc = og.derive_couplings(p)
         shift = og.visibility_shift(dc, p, [0.9 * period_of(dc)])[0]
         assert shift != 0.0
@@ -288,7 +289,7 @@ class TestLinearEntropyFirstOrder:
         assert og.linear_entropy_first_order(boosted_couplings, [0.0])[0] == 0.0
 
     def test_non_negative_over_a_period(self):
-        p = og.dimensionless_params(gamma=1e-2, lambda_m=0.2, lambda_M=0.15)
+        p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.2, lambda_M=0.15)
         dc = og.derive_couplings(p)
         for frac in (0.2, 0.5, 0.8, 1.0):
             s = og.linear_entropy_first_order(dc, [frac * period_of(dc)])[0]

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 import optograv as og
+import setups
 from optograv import oracle
 from optograv.config import load_params
 from optograv.errors import DimensionLimitError, ParameterError
@@ -89,7 +90,7 @@ def test_asymmetric_spec_on_a_generic_state():
 
 
 def test_lambda_zero_gives_pure_phases():
-    p = og.dimensionless_params(gamma=0.0, lambda_m=0.0, lambda_M=0.0)
+    p = setups.dimensionless_params(gamma=0.0, lambda_m=0.0, lambda_M=0.0)
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(16, 21)
     psi0 = random_state(spec, 5)
@@ -110,7 +111,7 @@ def test_lambda_zero_gives_pure_phases():
     t=st.floats(0.0, 20.0),
 )
 def test_random_couplings_and_times(gamma, lam, t):
-    p = og.dimensionless_params(gamma=gamma, lambda_m=lam, lambda_M=0.8 * lam)
+    p = setups.dimensionless_params(gamma=gamma, lambda_m=lam, lambda_M=0.8 * lam)
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(16, 16)
     assert_matches_reference(dc, spec, og.initial_state(p, spec), [t])
@@ -140,7 +141,7 @@ def test_time_zero_is_the_identity():
 
 
 def test_lambda_m_zero_keeps_cavity_c_sectors_bitwise_equal():
-    p = og.dimensionless_params(gamma=2e-2, lambda_m=0.0, lambda_M=0.4)
+    p = setups.dimensionless_params(gamma=2e-2, lambda_m=0.0, lambda_M=0.4)
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(20, 24)
     for psi in og.Propagator(dc, spec).evolve(og.initial_state(p, spec), [1.0, 3.3, 17.0]):
@@ -210,7 +211,7 @@ def allocating_apply(prop, x, out, scratch=None):
 @pytest.mark.parametrize("n_max, stretch", [(30, 8), (28, 1)])
 def test_apply_allocates_no_state_sized_block(gamma, n_max, stretch):
     # Mode b's ladder is `stretch` times as long as mode a's.
-    p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
+    p = setups.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(n_max, stretch * (n_max + 1) - 1)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     for planes in (1, 2):
@@ -235,7 +236,7 @@ def assert_series_holds_only_its_ring_output_and_buffer(spec, count):
     # steps and the folds; ring and buffer slots hold one real plane per part
     # of the state and coupling.  The ring holds max(16, 8T) slots for T
     # times, fewer when its bytes would pass _CHUNK_BYTES.
-    p = og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
+    p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
     state = 16 * math.prod(spec.dims)  # bytes of one complex state
     times = np.linspace(1.0, 2.0, count)
     for gammas in (None, FAMILY):
@@ -294,7 +295,7 @@ def test_time_sized_ring_matches_the_byte_budget_ring(gammas, count, monkeypatch
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
 def test_series_with_scratch_buffers_equals_allocating_steps(gamma, monkeypatch):
-    p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
+    p = setups.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(30, 30)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     times = np.array([0.3, 5.0, 17.0, 40.0])
@@ -311,7 +312,7 @@ def test_series_with_scratch_buffers_equals_allocating_steps(gamma, monkeypatch)
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
 @pytest.mark.parametrize("n_max, stretch", [(30, 8), (30, 1)])
 def test_real_planes_match_the_complex_recursion(gamma, n_max, stretch, planes):
-    p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
+    p = setups.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(n_max, stretch * (n_max + 1) - 1)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     x0 = sector_planes(spec, 8, planes)[0]
@@ -343,7 +344,7 @@ def test_family_members_match_single_couplings_and_the_reference(planes):
 
 @pytest.mark.parametrize("planes", [1, 2])
 def test_free_phases_match_the_eigenbasis_series(planes, monkeypatch):
-    p = og.dimensionless_params(gamma=0.0, lambda_m=0.445, lambda_M=0.521)
+    p = setups.dimensionless_params(gamma=0.0, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(24, 28)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     x0 = sector_planes(spec, 12, planes)[0]
@@ -371,7 +372,7 @@ def test_gammas_must_be_a_finite_one_dimensional_sequence(gammas):
 @given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(-0.05, 0.05), t=st.floats(0.0, 20.0))
 def test_evolution_is_linear_over_real_and_imaginary_parts(seed, gamma, t):
     # A complex state runs on two real planes, its parts on one each.
-    p = og.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
+    p = setups.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(12, 15)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     x = random_state(spec, seed)

@@ -96,6 +96,15 @@ class TestDerive:
         assert code == 1
         assert "warp_factor" in err and "line 12" in err
 
+    @pytest.mark.parametrize("key, value", [("rod_half_length_L", "1e-6"),
+                                            ("frequency_convention", "angular")])
+    def test_retired_parameter_keys_are_unknown(self, capsys, tmp_path, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        code, out, err = run(capsys, "derive", "--params", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {cfg}: line 12: unknown key {key!r}\n"
+
     def test_mode_mismatch(self, capsys, reference_config):
         code, _, err = run(capsys, "derive", "--params", str(reference_config),
                            "--mode", "dimensionless")
@@ -377,6 +386,18 @@ class TestScanCommand:
         assert code == 1
         assert out == ""
         assert err == "error: axis listed more than once: separation_h\n"
+
+    def test_non_finite_observable_is_a_row_error(self, tmp_path, reference_config):
+        plan = self.write_plan(tmp_path, "axes = \nobservables = visibility, entropy\n"
+                                         "t = 1e160\n")
+        proc = run_cold("scan", "--params", str(reference_config), "--plan", str(plan))
+        assert proc.returncode == 0
+        # No numpy warning: the overflow is reported once, in the row.
+        assert proc.stderr == ""
+        header, rows = parse_csv(proc.stdout)
+        row = dict(zip(header, rows[0]))
+        assert row["error"] == "NumericalError: entropy not finite at t = 1e+160 s"
+        assert row["visibility"] == row["entropy"] == "nan"
 
 
 class TestThermalCommand:

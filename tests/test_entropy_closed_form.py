@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 import optograv as og
+import setups
 from optograv import analytic
 from optograv.config import load_params
 from optograv.errors import ParameterError
@@ -29,14 +30,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BOOSTED = dict(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
 
 SETTINGS = {
-    "si_reference": lambda: og.reference_params(),
+    "si_reference": lambda: setups.reference_params(),
     "dimensionless_config": lambda: load_params(CONFIGS / "dimensionless.cfg"),
-    "complex_beta": lambda: og.dimensionless_params(
+    "complex_beta": lambda: setups.dimensionless_params(
         gamma=1e-2, beta_m=0.7 + 0.4j, beta_M=0.6 - 0.8j
     ),
-    "degenerate": lambda: og.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0),
-    "beta_pair_1": lambda: og.dimensionless_params(**BOOSTED, beta_m=3 + 2j, beta_M=-2j),
-    "beta_pair_2": lambda: og.dimensionless_params(**BOOSTED, beta_m=0.2 - 1.1j, beta_M=2.5),
+    "degenerate": lambda: setups.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0),
+    "beta_pair_1": lambda: setups.dimensionless_params(**BOOSTED, beta_m=3 + 2j, beta_M=-2j),
+    "beta_pair_2": lambda: setups.dimensionless_params(**BOOSTED, beta_m=0.2 - 1.1j, beta_M=2.5),
 }
 
 
@@ -65,9 +66,9 @@ def test_matches_fock_reference_from_1e_minus_9_to_100_periods(name):
     t=st.floats(0.0, 20.0),
 )
 def test_non_negative_and_independent_of_the_input_amplitudes(lam_m, lam_M, omega_b, beta, t):
-    p = og.dimensionless_params(gamma=1e-2, lambda_m=lam_m, lambda_M=lam_M, omega_b=omega_b,
-                                beta_m=complex(beta[0], beta[1]),
-                                beta_M=complex(beta[2], beta[3]))
+    p = setups.dimensionless_params(gamma=1e-2, lambda_m=lam_m, lambda_M=lam_M,
+                                    omega_b=omega_b, beta_m=complex(beta[0], beta[1]),
+                                    beta_M=complex(beta[2], beta[3]))
     dc = og.derive_couplings(p)
     (entropy,) = analytic.linear_entropy_first_order(dc, [t])
     assert entropy >= 0.0
@@ -93,6 +94,6 @@ def test_zero_gamma_and_zero_time_are_exactly_zero():
 
 
 def test_negative_times_are_refused():
-    dc = og.derive_couplings(og.reference_params())
+    dc = og.derive_couplings(setups.reference_params())
     with pytest.raises(ParameterError, match="times"):
         analytic.linear_entropy_first_order(dc, [1e-3, -1e-3])

@@ -19,6 +19,7 @@ from optograv import oracle
 from optograv.config import load_params
 
 import dense_reference
+import setups
 
 ATOL = 1e-13
 
@@ -31,12 +32,12 @@ def _period_grid(count):
 
 
 def _boosted():
-    return og.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
+    return setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
 
 
 #: name -> (parameters, spec, margin, times as a function of the period)
 CASES = {
-    "si_reference": (og.reference_params, og.HilbertSpec(30, 30), 20, _period_grid(16)),
+    "si_reference": (setups.reference_params, og.HilbertSpec(30, 30), 20, _period_grid(16)),
     "dimensionless": (lambda: load_params(CONFIGS / "dimensionless.cfg"),
                       og.HilbertSpec(30, 30), 20, _period_grid(8)),
     "margin_6": (_boosted, og.HilbertSpec(24, 24), 6, lambda period: (0.0, 1.0, 4.0)),
@@ -44,7 +45,7 @@ CASES = {
     "margin_18": (_boosted, og.HilbertSpec(24, 24), 18, lambda period: (0.0, 1.0, 4.0)),
     "asymmetric_spec": (lambda: load_params(CONFIGS / "dimensionless.cfg"),
                         og.HilbertSpec(12, 27), 5, lambda period: (0.3 * period, 1.3 * period)),
-    "lambda_zero": (lambda: og.dimensionless_params(gamma=0.3, lambda_m=0.0, lambda_M=0.0),
+    "lambda_zero": (lambda: setups.dimensionless_params(gamma=0.3, lambda_m=0.0, lambda_M=0.0),
                     og.HilbertSpec(16, 16), 4, lambda period: (1.0, period, 2.5 * period)),
 }
 

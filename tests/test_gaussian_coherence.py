@@ -11,6 +11,7 @@ import pytest
 
 import dense_reference
 import optograv as og
+import setups
 from optograv import analytic, gaussian
 from optograv.errors import ParameterError
 
@@ -20,7 +21,7 @@ INPUTS = {"beta_m": 0.7 - 0.4j, "beta_M": 0.3 + 0.5j}
 @pytest.mark.parametrize("omega_b", [1.0, 0.9, 1.0 + 1e-9])
 @pytest.mark.parametrize("gamma", [0.0, 1e-9, 1e-6, 1e-2, 5e-2])
 def test_matches_the_fock_ladder(gamma, omega_b):
-    p = og.dimensionless_params(gamma=gamma, omega_b=omega_b, **INPUTS)
+    p = setups.dimensionless_params(gamma=gamma, omega_b=omega_b, **INPUTS)
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(35, 37)
     times = np.array([0.0, 0.3, 2.0, 2.0 * math.pi, 13.0, 5.0 * 2.0 * math.pi])
@@ -34,7 +35,8 @@ def test_matches_the_fock_ladder(gamma, omega_b):
 
 @pytest.mark.parametrize("config", ["reference", "dimensionless"])
 def test_gravity_free_equals_the_closed_form(config):
-    p = og.reference_params() if config == "reference" else og.dimensionless_params(gamma=1e-2)
+    p = (setups.reference_params() if config == "reference"
+         else setups.dimensionless_params(gamma=1e-2))
     dc = replace(og.derive_couplings(p), gamma=0.0)
     rng = np.random.default_rng(7)
     betas = (rng.normal(size=200) + 1j * rng.normal(size=200)) / math.sqrt(2.0)
@@ -61,26 +63,26 @@ def test_si_reference_deficit_at_the_revivals(ref_params, ref_couplings):
 
 @pytest.mark.parametrize("gamma", [0.5, 0.6, -0.5])
 def test_unstable_modes_are_refused(gamma):
-    dc = og.derive_couplings(og.dimensionless_params(gamma=gamma, omega_a=1.0, omega_b=1.0))
+    dc = og.derive_couplings(setups.dimensionless_params(gamma=gamma, omega_a=1.0, omega_b=1.0))
     with pytest.raises(ParameterError, match="unstable"):
         gaussian.gaussian_coherence(dc, [1.0], 1.0, [1.0])
 
 
 @pytest.mark.parametrize("times", [[math.nan], [-1.0], [math.inf], [], [[1.0]]])
 def test_times_must_be_finite_non_negative_and_one_dimensional(times):
-    dc = og.derive_couplings(og.dimensionless_params(gamma=1e-2))
+    dc = og.derive_couplings(setups.dimensionless_params(gamma=1e-2))
     with pytest.raises(ParameterError, match="times"):
         gaussian.gaussian_coherence(dc, [1.0], 1.0, times)
 
 
 @pytest.mark.parametrize("betas_m", [1.0, [[1.0]], [[1.0, 0.5], [0.2, 0.1]], []])
 def test_betas_m_must_be_a_non_empty_sequence(betas_m):
-    dc = og.derive_couplings(og.dimensionless_params(gamma=1e-2))
+    dc = og.derive_couplings(setups.dimensionless_params(gamma=1e-2))
     with pytest.raises(ParameterError, match="betas_m"):
         gaussian.gaussian_coherence(dc, betas_m, 1.0, [1.0, 2.0])
 
 
-DIMENSIONLESS = og.dimensionless_params(gamma=1e-2, **INPUTS)
+DIMENSIONLESS = setups.dimensionless_params(gamma=1e-2, **INPUTS)
 THERMAL_TIMES = np.array([0.3, 0.7, 1.0, 2.3]) * 2.0 * math.pi
 
 
@@ -94,7 +96,7 @@ def test_thermal_without_gravity_is_the_law(nbar):
 
 @pytest.mark.parametrize("config", ["reference", "dimensionless"])
 def test_thermal_at_zero_occupation_is_the_coherent_value(config):
-    p = og.reference_params() if config == "reference" else DIMENSIONLESS
+    p = setups.reference_params() if config == "reference" else DIMENSIONLESS
     dc = og.derive_couplings(p)
     times = np.linspace(0.0, 3.0 * 2.0 * math.pi / dc.omega_a, 97)
     got = gaussian.thermal_coherence(dc, 0.0, p.beta_M, times)
@@ -114,7 +116,7 @@ def test_thermal_log_coherence_is_linear_in_occupation():
 
 @pytest.mark.parametrize("gamma", [1e-2, 5e-2])
 def test_thermal_within_three_sigma_of_a_montecarlo(gamma):
-    dc = og.derive_couplings(og.dimensionless_params(gamma=gamma, **INPUTS))
+    dc = og.derive_couplings(setups.dimensionless_params(gamma=gamma, **INPUTS))
     means, errors = dense_reference.coupled_thermal_montecarlo(
         dc, DIMENSIONLESS.beta_M, 0.5, THERMAL_TIMES, 4000, seed=23)
     exact = 2.0 * np.abs(gaussian.thermal_coherence(dc, 0.5, DIMENSIONLESS.beta_M,

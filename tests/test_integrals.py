@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import optograv as og
+import dense_reference
+import setups
 from dense_reference import mode_factor
 from optograv import analytic, oracle
 from optograv.config import load_params
@@ -25,10 +27,10 @@ PERIOD_FRACTIONS = (0.37, 0.75, 1.3)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SETTINGS = {
-    "si_reference": lambda: og.reference_params(),
+    "si_reference": lambda: setups.reference_params(),
     "boosted": lambda: load_params(CONFIGS / "dimensionless.cfg"),
-    "degenerate": lambda: og.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0),
-    "complex_beta": lambda: og.dimensionless_params(
+    "degenerate": lambda: setups.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0),
+    "complex_beta": lambda: setups.dimensionless_params(
         gamma=1e-2, beta_m=0.7 + 0.4j, beta_M=0.6 - 0.8j
     ),
 }
@@ -93,6 +95,22 @@ def test_bracket_matches_reference(setting):
     assert np.max(np.abs(exact - reference)) <= RTOL * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("build", [
+    setups.reference_params,
+    lambda: setups.dimensionless_params(gamma=1e-2, beta_M=0.3 + 0.5j),
+    lambda: setups.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0),
+], ids=["si_reference", "boosted_complex_beta", "degenerate"])
+def test_bracket_from_the_integrated_coefficients_matches_the_tables(build):
+    """The bracket read off K agrees with its direct contraction of the mode
+    tables and the exponential integrals over three periods."""
+    p = build()
+    dc = og.derive_couplings(p)
+    times = np.linspace(0.0, 3.0 * 2.0 * math.pi / dc.omega_a, 2048)
+    bracket = analytic.first_order_bracket(dc, p, times)
+    reference = dense_reference.first_order_bracket(dc, p, times)
+    assert np.max(np.abs(bracket - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
 def test_dyson_state_matches_reference(setting):
     p, dc, spec, times = setting
     for t in times:
@@ -131,7 +149,7 @@ def test_exponential_integrals_at_tiny_times():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_integrals_refuse_non_finite_times(bad):
-    dc = og.derive_couplings(og.dimensionless_params(gamma=1e-2))
+    dc = og.derive_couplings(setups.dimensionless_params(gamma=1e-2))
     for times in (bad, [0.5, bad]):
         with pytest.raises(og.ParameterError, match="times"):
             analytic.exponential_integrals(1.0, 0.9, times)

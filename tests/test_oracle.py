@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 import optograv as og
+import setups
 from optograv import oracle
 from optograv.errors import (
     DimensionLimitError,
@@ -19,7 +20,7 @@ from optograv.errors import (
 
 
 def small_setup(gamma=0.0, lambda_m=0.35, lambda_M=0.25, n_max=20, **kwargs):
-    p = og.dimensionless_params(gamma=gamma, lambda_m=lambda_m, lambda_M=lambda_M, **kwargs)
+    p = setups.dimensionless_params(gamma=gamma, lambda_m=lambda_m, lambda_M=lambda_M, **kwargs)
     dc = og.derive_couplings(p)
     return p, dc, og.HilbertSpec(n_max, n_max)
 
@@ -223,7 +224,7 @@ class TestMonogamySignature:
         period = 2 * math.pi
         deficits, entropies = [], []
         for gamma in (2.5e-3, 5e-3, 1e-2):
-            p = og.dimensionless_params(gamma=gamma, lambda_m=0.3, lambda_M=0.25)
+            p = setups.dimensionless_params(gamma=gamma, lambda_m=0.3, lambda_M=0.25)
             dc = og.derive_couplings(p)
             psi_period, psi_early = og.Propagator(dc, spec).evolve(
                 og.initial_state(p, spec), [period, 0.6 * period]
@@ -291,7 +292,7 @@ class TestDysonCorrection:
         spec = og.HilbertSpec(14, 14)
         psi = {}
         for g in (1e-3, 2e-3):
-            p = og.dimensionless_params(gamma=g, lambda_m=0.3, lambda_M=0.2)
+            p = setups.dimensionless_params(gamma=g, lambda_m=0.3, lambda_M=0.2)
             dc = og.derive_couplings(p)
             psi[g] = og.dyson_first_order_state(dc, p, spec, 3.3)
         assert np.allclose(psi[2e-3], 2.0 * psi[1e-3], rtol=1e-12, atol=1e-16)

@@ -5,7 +5,7 @@ independent 50-digit mpmath script evaluating the same defining formulas.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optograv as og
+import setups
+from optograv.config import PARAM_KEYS
 from optograv.constants import G_NEWTON, HBAR, K_BOLTZMANN
 from optograv.errors import ParameterError
 
@@ -51,14 +53,6 @@ def test_zero_gravity_reproduces_bare_constants_bitwise(ref_params):
     assert dc.delta_T == 0.0
     assert dc.lambda_m == dc.Lambda_m
     assert dc.lambda_M == dc.Lambda_M
-
-
-def test_rod_length_cancels_from_all_couplings(ref_params):
-    results = [
-        og.derive_couplings(replace(ref_params, rod_half_length_L=L))
-        for L in (1e-6, 1e-3, 1.0)
-    ]
-    assert results[0] == results[1] == results[2]
 
 
 def test_gamma_magnitude_monotonic_in_separation_and_mass(ref_params):
@@ -117,31 +111,40 @@ def test_derived_coupling_invariants(mass, h, freq, alpha, light, d):
     assert all(math.isfinite(v) for v in dc.as_dict().values())
 
 
-def _params_with_rod(ref_params, L=1e-9):
-    return replace(ref_params, rod_half_length_L=L)
+def _rest_curvatures(p, L):
+    """50-digit second derivatives (V_mm, V_MM, V_mM) at rest of the exact
+    Newtonian energy of the two end-mass pairs, for rod half-length L."""
+    G, M, m, h = (mp.mpf(v) for v in (p.grav_constant_G, p.mass_M, p.mass_m, p.separation_h))
+
+    def potential(theta_m, theta_M):
+        chord = 2 * L * mp.sin((theta_M - theta_m) / 2)
+        return -2 * G * M * m / mp.sqrt(h**2 + chord**2)
+
+    return tuple(mp.diff(potential, (0, 0), order) for order in ((2, 0), (0, 2), (1, 1)))
 
 
-def test_potential_equal_angles_gives_contact_value(ref_params):
-    p = _params_with_rod(ref_params)
-    expected = -2.0 * p.grav_constant_G * p.mass_M * p.mass_m / p.separation_h
-    for theta in (0.0, 0.7, -2.0):
-        assert og.gravitational_potential(theta, theta, p, "exact") == pytest.approx(
-            expected, rel=1e-15
-        )
-        assert og.gravitational_potential(theta, theta, p, "quadratic") == pytest.approx(
-            expected, rel=1e-15
-        )
-
-
-def test_potential_vanishes_without_gravity(ref_params):
-    p = og.without_gravity(_params_with_rod(ref_params))
-    assert og.gravitational_potential(0.1, 0.4, p, "exact") == 0.0
-    assert og.gravitational_potential(0.1, 0.4, p, "quadratic") == 0.0
-
-
-def test_potential_requires_rod_length(ref_params):
-    with pytest.raises(ParameterError, match="rod_half_length_L"):
-        og.gravitational_potential(0.0, 0.1, ref_params)
+@pytest.mark.parametrize("L", ["1e-9", "1e-6"])
+@pytest.mark.parametrize("setup", ["reference", "far_heavy"])
+def test_couplings_match_the_curvature_of_the_exact_potential(ref_params, setup, L):
+    """omega**2 = bare**2 + V_mm/I_m and gamma = (V_mM/hbar) * x_zpf,m * x_zpf,M,
+    with I = 2*m*L**2: the quadratic expansion behind the closed forms, checked
+    at any rod length L, which cancels from every coupling."""
+    p = ref_params if setup == "reference" else replace(
+        ref_params, separation_h=3e-8, mass_M=4e-13)
+    dc = og.derive_couplings(p)
+    with mp.workdps(50):
+        L = mp.mpf(L)
+        v_mm, v_MM, v_mM = _rest_curvatures(p, L)
+        hbar = mp.mpf(p.hbar)
+        inertia_m, inertia_M = 2 * mp.mpf(p.mass_m) * L**2, 2 * mp.mpf(p.mass_M) * L**2
+        omega_a2 = mp.mpf(p.bare_freq_a) ** 2 + v_mm / inertia_m
+        omega_b2 = mp.mpf(p.bare_freq_b) ** 2 + v_MM / inertia_M
+        zpf_m = mp.sqrt(hbar / (2 * inertia_m * mp.sqrt(omega_a2)))
+        zpf_M = mp.sqrt(hbar / (2 * inertia_M * mp.sqrt(omega_b2)))
+        gamma = v_mM / hbar * zpf_m * zpf_M
+        for measured, exact in ((dc.omega_a**2, omega_a2), (dc.omega_b**2, omega_b2),
+                                (dc.gamma, gamma)):
+            assert abs(measured / exact - 1) <= 1e-14
 
 
 def _mp_potentials(d_theta, l_over_h):
@@ -170,19 +173,6 @@ def test_quadratic_expansion_error_is_quartic():
     assert ratio == pytest.approx(16.0, abs=0.1)
 
 
-def test_potential_matches_high_precision_reference(ref_params):
-    p = replace(ref_params, rod_half_length_L=0.1 * ref_params.separation_h)
-    scale = p.grav_constant_G * p.mass_M * p.mass_m / p.separation_h
-    for d_theta in (0.05, 0.3, 1.2):
-        exact, quad = _mp_potentials(d_theta, mp.mpf("0.1"))
-        assert og.gravitational_potential(0.0, d_theta, p, "exact") == pytest.approx(
-            float(exact) * scale, rel=1e-13
-        )
-        assert og.gravitational_potential(0.0, d_theta, p, "quadratic") == pytest.approx(
-            float(quad) * scale, rel=1e-13
-        )
-
-
 def test_thermal_env_zero_temperature(ref_params):
     assert og.thermal_occupation(ref_params, 0.0) == 0.0
 
@@ -200,7 +190,7 @@ def test_thermal_env_rejects_negative_temperature(ref_params):
 def test_thermal_occupation_is_si_only(ref_params):
     assert og.thermal_occupation(ref_params, 1e-30) == 0.0  # beyond the exponent guard
     with pytest.raises(ParameterError, match="SI-mode"):
-        og.thermal_occupation(og.dimensionless_params(gamma=1e-2), 0.1)
+        og.thermal_occupation(setups.dimensionless_params(gamma=1e-2), 0.1)
 
 
 def test_feasibility_bound_reference_point(ref_params):
@@ -230,7 +220,7 @@ def test_feasibility_bound_limits_and_scaling(ref_params):
         {"mass_m": 0.0},
         {"separation_h": 0.0},
         {"bare_freq_a": float("nan")},
-        {"rod_half_length_L": -1.0},
+        {"grav_constant_G": -1.0},
         {"units": "furlongs"},
         {"beta_m": complex(float("inf"), 0.0)},
         {"direct_gamma": 1e-3},  # only allowed in dimensionless mode
@@ -239,6 +229,10 @@ def test_feasibility_bound_limits_and_scaling(ref_params):
 def test_invalid_parameters_rejected(ref_params, kwargs):
     with pytest.raises(ParameterError):
         replace(ref_params, **kwargs)
+
+
+def test_config_keys_are_the_parameter_fields():
+    assert PARAM_KEYS == {f.name for f in fields(og.PhysicalParams)}
 
 
 def test_dimensionless_mode_requires_direct_couplings():
@@ -251,8 +245,8 @@ def test_dimensionless_mode_requires_direct_couplings():
 
 
 def test_dimensionless_couplings_pass_through():
-    p = og.dimensionless_params(gamma=-2e-3, omega_a=1.0, omega_b=0.8,
-                                lambda_m=0.3, lambda_M=0.0)
+    p = setups.dimensionless_params(gamma=-2e-3, omega_a=1.0, omega_b=0.8,
+                                    lambda_m=0.3, lambda_M=0.0)
     dc = og.derive_couplings(p)
     assert dc.gamma == -2e-3
     assert dc.lambda_m == 0.3 and dc.lambda_M == 0.0
@@ -260,24 +254,8 @@ def test_dimensionless_couplings_pass_through():
     assert dc.delta_T == 0.0
 
 
-def test_cyclic_frequency_convention(ref_params):
-    cyclic = replace(
-        ref_params,
-        bare_freq_a=ref_params.bare_freq_a / (2 * math.pi),
-        bare_freq_b=ref_params.bare_freq_b / (2 * math.pi),
-        light_freq_c=ref_params.light_freq_c / (2 * math.pi),
-        light_freq_d=ref_params.light_freq_d / (2 * math.pi),
-        frequency_convention="cyclic",
-    )
-    dc_angular = og.derive_couplings(ref_params)
-    dc_cyclic = og.derive_couplings(cyclic)
-    assert dc_cyclic.omega_a == pytest.approx(dc_angular.omega_a, rel=1e-12)
-    assert dc_cyclic.lambda_m == pytest.approx(dc_angular.lambda_m, rel=1e-12)
-    assert dc_cyclic.delta_T == pytest.approx(dc_angular.delta_T, rel=1e-6)
-
-
 def test_default_constants_are_codata():
-    p = og.reference_params()
+    p = setups.reference_params()
     assert p.grav_constant_G == G_NEWTON == 6.67430e-11
     assert p.hbar == HBAR == 1.054571817e-34
     assert K_BOLTZMANN == 1.380649e-23

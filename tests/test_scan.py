@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import optograv as og
+import setups
 from optograv import gaussian, oracle, scan
 from optograv.cli import SCALING_GAMMA_FACTORS
 from optograv.config import load_params
@@ -184,7 +185,7 @@ class TestRunScan:
             og.run_scan(small_plan(axes=(("separation_h", (1e-8,)),)), ref_params)
 
     def test_oracle_diagnostics_present(self):
-        p = og.dimensionless_params(gamma=1e-2, lambda_m=0.2, lambda_M=0.15)
+        p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.2, lambda_M=0.15)
         plan = small_plan(
             observables=("visibility_exact", "entropy_exact"),
             oracle_enabled=True,
@@ -200,7 +201,7 @@ class TestRunScan:
         assert result.diagnostic_names == ("error", "truncation_delta")
 
     def test_truncation_delta_is_the_distance_from_the_exact_visibility(self):
-        base = og.dimensionless_params(gamma=0.0)
+        base = setups.dimensionless_params(gamma=0.0)
         t = 1.3 * 2.0 * math.pi
         gammas = tuple(f * base.bare_freq_a for f in SCALING_GAMMA_FACTORS)
         plan = small_plan(axes=(("direct_gamma", gammas),), observables=("visibility_exact",),
@@ -216,7 +217,8 @@ class TestRunScan:
 
     def test_interaction_residual_at_truncations_within_the_margin(self):
         # Small amplitudes get the default spec (18, 18), within the margin 20.
-        base = og.dimensionless_params(gamma=1e-2, lambda_m=0.1, lambda_M=0.1, beta_m=0, beta_M=0)
+        base = setups.dimensionless_params(gamma=1e-2, lambda_m=0.1, lambda_M=0.1,
+                                           beta_m=0, beta_M=0)
         assert oracle.default_spec(base) == og.HilbertSpec(18, 18)
         plan = small_plan(observables=("interaction_residual",), oracle_enabled=True,
                           observable_time=2.0, mode="dimensionless")
@@ -226,7 +228,7 @@ class TestRunScan:
 
     def test_unstable_coupled_modes_are_a_row_error(self):
         # omega_a*omega_b = 0.9 <= 4*gamma**2 = 1: the exact coherence is undefined.
-        base = og.dimensionless_params(gamma=0.0)
+        base = setups.dimensionless_params(gamma=0.0)
         plan = small_plan(axes=(("direct_gamma", (1e-2, 0.5)),), observables=("visibility_exact",),
                           oracle_enabled=True, observable_time=2.0, n_max=28,
                           mode="dimensionless")
@@ -258,12 +260,12 @@ class TestScalingStudy:
         assert traced_peak(lambda: og.scaling_study(base, gammas, T_SCALING, spec)) < 5e6
 
     def test_refused_for_all_zero_gamma(self):
-        base = og.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
+        base = setups.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
         with pytest.raises(ParameterError, match="nonzero"):
             og.scaling_study(base, [0.0, 0.0, 0.0], 2.0, og.HilbertSpec(20, 20))
 
     def test_span_validation(self):
-        base = og.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
+        base = setups.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
         with pytest.raises(ParameterError, match="factor of 4"):
             og.scaling_study(base, [1e-2, 9e-3, 8e-3], 2.0, og.HilbertSpec(20, 20))
         with pytest.raises(ParameterError, match="3 gamma"):
@@ -274,7 +276,7 @@ class TestScalingStudy:
             og.scaling_study(ref_params, [1e-2, 5e-3, 2.5e-3], 2.0, og.HilbertSpec(20, 20))
 
     def test_small_study_slopes(self):
-        base = og.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
+        base = setups.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
         study = og.scaling_study(base, [4e-2, 2e-2, 1e-2, 5e-3], 5.0,
                                  spec=og.HilbertSpec(20, 20))
         assert study.monotone == {"state": True, "visibility": True, "entropy": True}
