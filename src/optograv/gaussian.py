@@ -105,6 +105,9 @@ def thermal_coherence(dc, nbar: float, beta_M, times) -> np.ndarray:
 _GATHER_BYTES = 1 << 20
 #: Bootstrap resamples behind each standard error.
 _BOOTSTRAP_RESAMPLES = 200
+#: Times that share each chunk of bootstrap index rows: more times per draw
+#: let the gathered rows fall out of cache.
+_TIME_BLOCK = 16
 
 
 def thermal_visibility_montecarlo(
@@ -120,10 +123,11 @@ def thermal_visibility_montecarlo(
     returns arrays of 2*|mean| and of its bootstrap standard error, one
     entry per time.  It checks :func:`analytic.thermal_visibility`, the
     gravity-free law; :func:`thermal_coherence` is the coupled average in
-    closed form.  The samples, then the bootstrap indices, are drawn once
-    and serve every time; each time's bootstrap is streamed, gathering a
-    bounded chunk of index rows at a time, so memory does not grow with the
-    number of times.
+    closed form.  The samples are drawn once and serve every time; the
+    bootstrap indices that follow them in the generator are redrawn, from
+    the same state, for each block of up to ``_TIME_BLOCK`` times, a bounded
+    chunk of index rows at a time, so no index table is held and memory
+    does not grow with the number of times.
     """
     times = _as_times(times)
     if n_samples < 100:
@@ -135,25 +139,42 @@ def thermal_visibility_montecarlo(
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
-    indices = rng.integers(0, n_samples, size=(_BOOTSTRAP_RESAMPLES, n_samples), dtype=np.int32)
-    rows = (analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t) for t in times.tolist())
-    return _bootstrap_visibility(rows, indices)
-
-
-def _bootstrap_visibility(rows, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2*|mean| of each of ``rows`` (1-D element arrays, one per time) and its
-    bootstrap standard error over the resamples in the rows of ``indices``,
-    gathering at most ``_GATHER_BYTES`` of resampled elements at a time."""
-    n_resamples, n_samples = indices.shape
-    chunk = max(1, _GATHER_BYTES // (16 * n_samples))
-    gathered = np.empty((min(chunk, n_resamples), n_samples), dtype=complex)
-    resampled = np.empty(n_resamples, dtype=complex)
+    after_samples = rng.bit_generator.state
+    elements = np.empty((min(_TIME_BLOCK, times.size), n_samples), dtype=complex)
     means, std_errors = [], []
-    for elements in rows:
-        means.append(2.0 * abs(elements.mean()))
-        for first in range(0, n_resamples, chunk):
-            chosen = indices[first : first + chunk]
-            np.take(elements, chosen, mode="clip", out=gathered[: len(chosen)])
-            resampled[first : first + len(chosen)] = gathered[: len(chosen)].mean(axis=1)
-        std_errors.append((2.0 * np.abs(resampled)).std(ddof=1))
+    for first in range(0, times.size, _TIME_BLOCK):
+        block = times[first : first + _TIME_BLOCK].tolist()
+        for row, t in zip(elements, block):
+            row[:] = analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
+        rng.bit_generator.state = after_samples
+        block_means, block_errors = _bootstrap_visibility(elements[: len(block)], rng)
+        means.append(block_means)
+        std_errors.append(block_errors)
+    return np.concatenate(means), np.concatenate(std_errors)
+
+
+def _bootstrap_visibility(elements: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """2*|mean| of each row of ``elements`` (T, N), one row per time, and its
+    bootstrap standard error over ``_BOOTSTRAP_RESAMPLES`` resamples.
+
+    The (resamples, N) int32 index table is drawn from ``rng`` a chunk of
+    rows at a time; a table drawn in row chunks from one generator is the
+    table one call would draw, so every row of ``elements`` sees the same
+    resamples as it would from one table.  Each chunk serves every row
+    before the next is drawn, and at most ``_GATHER_BYTES`` of resampled
+    elements are gathered at a time.  The means and errors are reduced one
+    row at a time, as 1-D arrays, so they do not depend on the block.
+    """
+    n_samples = elements.shape[1]
+    chunk = max(1, _GATHER_BYTES // (16 * n_samples))
+    gathered = np.empty((min(chunk, _BOOTSTRAP_RESAMPLES), n_samples), dtype=complex)
+    resampled = np.empty((len(elements), _BOOTSTRAP_RESAMPLES), dtype=complex)
+    for first in range(0, _BOOTSTRAP_RESAMPLES, chunk):
+        rows = min(chunk, _BOOTSTRAP_RESAMPLES - first)
+        chosen = rng.integers(0, n_samples, size=(rows, n_samples), dtype=np.int32)
+        for row, out in zip(elements, resampled):
+            np.take(row, chosen, mode="clip", out=gathered[:rows])
+            out[first : first + rows] = gathered[:rows].mean(axis=1)
+    means = [2.0 * abs(row.mean()) for row in elements]
+    std_errors = [(2.0 * np.abs(out)).std(ddof=1) for out in resampled]
     return np.array(means), np.array(std_errors)

@@ -291,16 +291,15 @@ def thermal_visibility_montecarlo_per_time(
 def coupled_thermal_montecarlo(dc, beta_M, nbar: float, times, n_samples: int,
                                seed: int) -> tuple[np.ndarray, np.ndarray]:
     """2*|mean| of ``gaussian.gaussian_coherence`` over thermal rod-m draws,
-    and its bootstrap standard error, one entry per time: the samples and
-    the bootstrap indices are drawn as ``thermal_visibility_montecarlo_per_time``
-    draws them, so both see the same amplitudes, and the bootstrap is the
-    library's streamed one."""
+    and its bootstrap standard error, one entry per time: the samples are
+    drawn as ``thermal_visibility_montecarlo_per_time`` draws them, so both
+    see the same amplitudes, and the bootstrap is the library's streamed
+    one, which draws the indices that follow the samples."""
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
     elements = gaussian.gaussian_coherence(dc, betas, beta_M, times)
-    indices = rng.integers(0, n_samples, size=(200, n_samples))
-    return gaussian._bootstrap_visibility(elements, indices)
+    return gaussian._bootstrap_visibility(elements, rng)
 
 
 def _system_branches(dc, p, spec, t):

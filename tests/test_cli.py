@@ -105,12 +105,6 @@ class TestDerive:
         assert out == ""
         assert err == f"error: {cfg}: line 12: unknown key {key!r}\n"
 
-    def test_mode_mismatch(self, capsys, reference_config):
-        code, _, err = run(capsys, "derive", "--params", str(reference_config),
-                           "--mode", "dimensionless")
-        assert code == 1
-        assert "dimensionless" in err
-
     def test_missing_file_is_a_clean_config_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "derive", "--params", str(tmp_path / "nope.cfg"))
         assert code == 1

@@ -1,8 +1,9 @@
 """The batched thermal Monte Carlo against its former one-time-per-call form.
 
-``gaussian.thermal_visibility_montecarlo`` draws the samples and the bootstrap
-indices once and serves every time, streaming each time's bootstrap through
-a bounded gather buffer; ``dense_reference.thermal_visibility_montecarlo_per_time``
+``gaussian.thermal_visibility_montecarlo`` draws the samples once and serves
+every time; it draws the bootstrap indices a chunk of rows at a time, each
+chunk serving a block of up to 16 times through a bounded gather buffer, so
+it holds no index table.  ``dense_reference.thermal_visibility_montecarlo_per_time``
 re-seeds, redraws and gathers every resample at once for each time.  The
 two must agree bit for bit.  The reference's oracle method, a propagation
 in a truncated Fock ladder, must agree to 1e-12 with a Monte Carlo of the
@@ -21,6 +22,7 @@ from optograv import gaussian
 from optograv.errors import ParameterError
 
 from test_oracle import small_setup
+from test_scan import traced_peak
 
 ORACLE_ATOL = 1e-12
 
@@ -52,17 +54,30 @@ class TestClosedFormBitwise:
         assert_bitwise(batched, per_time(ref_couplings, ref_params, None, nbar, times,
                                          n_samples, seed))
 
-    @pytest.mark.parametrize("n_samples", [100, 10000])
-    def test_partial_gather_chunks(self, ref_params, ref_couplings, monkeypatch, n_samples):
+    @staticmethod
+    def assert_partial_chunks_match(p, dc, monkeypatch, n_samples, times):
         # Seven resamples per gather and 37 resamples: five full chunks and
-        # a partial one, over a grid from t = 0 past the revival.
+        # a partial one.
         monkeypatch.setattr(gaussian, "_GATHER_BYTES", 16 * n_samples * 7)
         monkeypatch.setattr(gaussian, "_BOOTSTRAP_RESAMPLES", 37)
+        batched = og.thermal_visibility_montecarlo(dc, 1.0, times, n_samples, 3)
+        assert_bitwise(batched, per_time(dc, p, None, 1.0, times, n_samples, 3,
+                                         bootstrap_resamples=37))
+
+    @pytest.mark.parametrize("n_samples", [100, 10000])
+    def test_partial_gather_chunks(self, ref_params, ref_couplings, monkeypatch, n_samples):
+        # A grid from t = 0 past the revival.
         T = period(ref_couplings)
-        times = [0.0, 0.37 * T, T, 2.0 * T, 2.6 * T]
-        batched = og.thermal_visibility_montecarlo(ref_couplings, 1.0, times, n_samples, 3)
-        assert_bitwise(batched, per_time(ref_couplings, ref_params, None, 1.0, times,
-                                         n_samples, 3, bootstrap_resamples=37))
+        self.assert_partial_chunks_match(ref_params, ref_couplings, monkeypatch, n_samples,
+                                         [0.0, 0.37 * T, T, 2.0 * T, 2.6 * T])
+
+    @pytest.mark.parametrize("n_samples", [100, 10000])
+    def test_partial_time_blocks(self, ref_params, ref_couplings, monkeypatch, n_samples):
+        # 37 times: two full blocks of 16 and a partial one of 5, each
+        # redrawing the same index rows.
+        times = np.linspace(0.0, 2.6 * period(ref_couplings), 37)
+        self.assert_partial_chunks_match(ref_params, ref_couplings, monkeypatch, n_samples,
+                                         times)
 
     def test_revival_error_is_exactly_zero(self, ref_couplings):
         _, errors = og.thermal_visibility_montecarlo(
@@ -97,6 +112,31 @@ class TestIndexDraw:
             rng.normal(size=2 * n_samples)
             draws.append(rng.integers(0, n_samples, size=(200, n_samples), dtype=dtype))
         assert np.array_equal(draws[0], draws[1])
+
+    @pytest.mark.parametrize("n_samples", [100, 101, 12345])
+    def test_row_chunked_draw_equals_one_draw(self, n_samples):
+        # The bootstrap draws its index table in gather-sized row chunks.
+        def table(chunk, rows=200):
+            rng = np.random.default_rng(11)
+            rng.normal(size=2 * n_samples)
+            return np.concatenate([
+                rng.integers(0, n_samples, size=(min(chunk, rows - first), n_samples),
+                             dtype=np.int32)
+                for first in range(0, rows, chunk)])
+        whole = table(200)
+        for chunk in (1, 6, 7):
+            assert np.array_equal(table(chunk), whole), chunk
+
+
+class TestMemory:
+    @pytest.mark.parametrize("n_times, limit", [(8, 4e6), (256, 8e6)])
+    def test_no_index_table_is_held(self, ref_couplings, n_times, limit):
+        # The (200, 10^4) int32 index table alone is 8 MB; a block of 16
+        # times' elements is 2.56 MB and the gather buffer 1 MiB.
+        times = np.linspace(0.0, 2.6 * period(ref_couplings), n_times)
+        peak = traced_peak(
+            lambda: og.thermal_visibility_montecarlo(ref_couplings, 1.0, times, 10000, 0))
+        assert peak < limit
 
 
 class TestValidation:
