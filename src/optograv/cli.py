@@ -303,9 +303,9 @@ def cmd_oracle(args) -> int:
         t_scaling = args.scaling_t if args.scaling_t is not None else 1.3 * period
         gammas = [f * dc.omega_a for f in SCALING_GAMMA_FACTORS]
         study = scan_mod.scaling_study(p, gammas, t_scaling, spec=spec)
-        slope_state = study.slopes["state"][0]
-        slope_vis = study.slopes["visibility"][0]
-        slope_ent = study.slopes["entropy"][0]
+        slope_state = study["state"][0]
+        slope_vis = study["visibility"][0]
+        slope_ent = study["entropy"][0]
         checks += [
             _check("state_residual_slope", slope_state, list(STATE_SLOPE_TARGET),
                    STATE_SLOPE_TARGET[0] <= slope_state <= STATE_SLOPE_TARGET[1]),

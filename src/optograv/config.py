@@ -11,36 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import MISSING, fields
 
 from .errors import ConfigError
 from .params import UNITS_DIMENSIONLESS, UNITS_SI, PhysicalParams
 
-_REQUIRED_SI = (
-    "mass_m",
-    "mass_M",
-    "separation_h",
-    "cavity_length_d",
-    "bare_freq_a",
-    "bare_freq_b",
-    "light_freq_c",
-    "light_freq_d",
-)
-_REQUIRED_DIMENSIONLESS = (
-    "bare_freq_a",
-    "bare_freq_b",
-    "direct_gamma",
-    "direct_lambda_m",
-    "direct_lambda_M",
-)
-_FLOAT_KEYS = _REQUIRED_SI + (
-    "grav_constant_G",
-    "hbar",
-    "direct_gamma",
-    "direct_lambda_m",
-    "direct_lambda_M",
-)
-_COMPLEX_KEYS = ("beta_m", "beta_M")
-PARAM_KEYS = frozenset(_FLOAT_KEYS + _COMPLEX_KEYS + ("units",))
+_FIELDS = fields(PhysicalParams)
+PARAM_KEYS = frozenset(f.name for f in _FIELDS)
+_COMPLEX_KEYS = frozenset(f.name for f in _FIELDS if f.type == "complex")
+#: SI files name every field without a default; dimensionless files name the
+#: mode frequencies and the direct couplings, and there the other fields
+#: without a default, and hbar, default to 1.
+_REQUIRED_SI = tuple(f.name for f in _FIELDS if f.default is MISSING)
+_REQUIRED_DIMENSIONLESS = tuple(f.name for f in _FIELDS
+                                if f.name.startswith(("bare_freq_", "direct_")))
+_DIMENSIONLESS_DEFAULTS = dict.fromkeys(_REQUIRED_SI + ("hbar",), 1.0)
 
 _PLAN_KEYS = frozenset(
     ("axes", "observables", "t", "oracle_enabled", "seed", "n_max", "mode")
@@ -114,13 +99,7 @@ def params_from_text(text: str, label: str = "<config>") -> PhysicalParams:
         else:
             kwargs[key] = _parse_float(label, key, lineno, raw)
     if units == UNITS_DIMENSIONLESS:
-        kwargs.setdefault("mass_m", 1.0)
-        kwargs.setdefault("mass_M", 1.0)
-        kwargs.setdefault("separation_h", 1.0)
-        kwargs.setdefault("cavity_length_d", 1.0)
-        kwargs.setdefault("light_freq_c", 1.0)
-        kwargs.setdefault("light_freq_d", 1.0)
-        kwargs.setdefault("hbar", 1.0)
+        kwargs = {**_DIMENSIONLESS_DEFAULTS, **kwargs}
     return PhysicalParams(**kwargs)
 
 

@@ -156,21 +156,13 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     t = plan.observable_time
     values: dict = {}
     diagnostics: dict = {"error": ""}
-    spec = None
     if plan.oracle_enabled:
         from . import gaussian, oracle
 
         spec = (oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max is not None
                 else oracle.default_spec(p, dc))
-    psi_t = None
-
-    def get_state():
-        nonlocal psi_t
-        if psi_t is None:
-            oracle.check_adequacy(spec, dc, p)
-            psi_t = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), [t])[0]
-        return psi_t
-
+        oracle.check_adequacy(spec, dc, p)
+        psi_t = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), [t])[0]
     closed_forms = {
         "visibility": lambda: analytic.visibility_uncoupled(dc, [t]),
         "visibility_shift": lambda: analytic.visibility_shift(dc, p, [t]),
@@ -184,9 +176,9 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
             with np.errstate(over="ignore", invalid="ignore"):
                 values[obs] = float(closed_forms[obs]()[0])
         elif obs == "visibility_exact":
-            values[obs] = oracle.visibility_exact(get_state())
+            values[obs] = oracle.visibility_exact(psi_t)
         elif obs == "entropy_exact":
-            values[obs] = oracle.linear_entropy_exact(get_state())
+            values[obs] = oracle.linear_entropy_exact(psi_t)
         elif obs == "interaction_residual":
             values[obs] = float(oracle.interaction_picture_residual(dc, spec, [t])[0])
     bad = [obs for obs, value in values.items() if not math.isfinite(value)]
@@ -194,7 +186,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         raise NumericalError(f"{', '.join(bad)} not finite at t = {t!r} s")
     if plan.oracle_enabled:
         exact = 2.0 * abs(gaussian.gaussian_coherence(dc, [p.beta_m], p.beta_M, [t])[0, 0])
-        diagnostics["truncation_delta"] = abs(oracle.visibility_exact(get_state()) - exact)
+        diagnostics["truncation_delta"] = abs(oracle.visibility_exact(psi_t) - exact)
     return values, diagnostics
 
 
@@ -240,37 +232,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     )
 
 
-@dataclass
-class ScalingStudy:
-    """Log-log residual fits against gamma.
-
-    ``slopes`` maps residual family ("state", "visibility", "entropy") to
-    (slope, half_width) where half_width is the 1.96-sigma band from the
-    least-squares fit.  ``monotone`` records whether each residual family
-    decays monotonically with gamma before fitting.
-    """
-
-    gammas: tuple
-    time: float
-    state_residuals: tuple
-    visibility_residuals: tuple
-    entropy_residuals: tuple
-    slopes: dict
-    monotone: dict
-
-
-def _fit_loglog(gammas, residuals):
-    x = np.log(np.asarray(gammas))
-    y = np.log(np.asarray(residuals))
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    dof = max(len(x) - 2, 1)
-    s2 = float(np.sum((y - fitted) ** 2)) / dof
-    half_width = 1.96 * math.sqrt(s2 / float(np.sum((x - x.mean()) ** 2)))
-    return float(slope), float(half_width)
-
-
-def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> ScalingStudy:
+def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> dict:
     """Residual decay of the first-order machinery against exact propagation.
 
     One recursion propagates every boosted gamma exactly (a
@@ -279,7 +241,9 @@ def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> 
       state      |psi_exact - psi0 - psi1|        (expected slope 2),
       visibility |V_exact - V_first_order|        (expected slope >= 2),
       entropy    |S_exact - S_perturbative|       (expected slope >= 3).
-    Dimensionless mode only.
+    Returns {family: (slope, monotone)}: the log-log least-squares slope of
+    the family's residuals against |gamma| (NaN unless all are positive)
+    and whether they grow strictly with |gamma|.  Dimensionless mode only.
     """
     if base.units != UNITS_DIMENSIONLESS:
         raise ParameterError("scaling_study requires dimensionless-mode parameters")
@@ -299,36 +263,20 @@ def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> 
     # The input state does not depend on gamma.
     psi0 = oracle.initial_state(base, spec)
     exact = oracle.Propagator(dc0, spec, gammas=gammas).evolve(psi0, [t])
-    state_res, vis_res, ent_res = [], [], []
+    residuals = {"state": [], "visibility": [], "entropy": []}
     for g, (psi_exact,) in zip(gammas, exact):
         p_g = replace(base, direct_gamma=g)
         dc = derive_couplings(p_g)
         psi1 = oracle.dyson_first_order_state(dc, p_g, spec, t)
-        state_res.append(float(np.linalg.norm(psi_exact - psi0_t - psi1)))
-        v_exact = oracle.visibility_exact(psi_exact)
+        residuals["state"].append(float(np.linalg.norm(psi_exact - psi0_t - psi1)))
         v_formula = float(analytic.visibility_first_order(dc, p_g, [t])[0])
-        vis_res.append(float(abs(v_exact - v_formula)))
-        s_exact = oracle.linear_entropy_exact(psi_exact)
+        residuals["visibility"].append(abs(oracle.visibility_exact(psi_exact) - v_formula))
         s_pert = float(analytic.linear_entropy_first_order(dc, [t])[0])
-        ent_res.append(float(abs(s_exact - s_pert)))
-    families = {
-        "state": state_res,
-        "visibility": vis_res,
-        "entropy": ent_res,
-    }
-    slopes, monotone = {}, {}
-    for name, residuals in families.items():
-        monotone[name] = all(r2 > r1 > 0.0 for r1, r2 in zip(residuals, residuals[1:]))
-        if all(r > 0.0 for r in residuals):
-            slopes[name] = _fit_loglog([abs(g) for g in gammas], residuals)
-        else:
-            slopes[name] = (float("nan"), float("nan"))
-    return ScalingStudy(
-        gammas=gammas,
-        time=t,
-        state_residuals=tuple(state_res),
-        visibility_residuals=tuple(vis_res),
-        entropy_residuals=tuple(ent_res),
-        slopes=slopes,
-        monotone=monotone,
-    )
+        residuals["entropy"].append(abs(oracle.linear_entropy_exact(psi_exact) - s_pert))
+    log_gammas = np.log([abs(g) for g in gammas])
+    study = {}
+    for name, r in residuals.items():
+        positive = all(x > 0.0 for x in r)
+        slope = float(np.polyfit(log_gammas, np.log(r), 1)[0]) if positive else math.nan
+        study[name] = (slope, all(r2 > r1 > 0.0 for r1, r2 in zip(r, r[1:])))
+    return study

@@ -15,9 +15,9 @@ routes they replaced, as independent cross-checks:
 - ``full``, ``propagate`` and ``expectation``: the dense matrix of a
   sector operator, propagation by one eigendecomposition of it, and
   expectation values through it;
-- ``DenseInteractionResidual``: the frame-rotation residual from one
-  eigendecomposition per (n_a+1)*(n_b+1)-dimensional sector block, against
-  the closed-form generator written out from its definition;
+- ``mode_residual``: the frame-rotation residual of each mode's position
+  factor from a matrix exponential of its free Hamiltonian, against the
+  closed-form factor written out from its definition (``mode_factor``);
 - ``thermal_visibility_montecarlo_per_time``: the thermal Monte-Carlo
   average at one time per call, re-seeding the generator, redrawing the
   samples and every bootstrap index, and gathering all resamples at once,
@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from optograv import analytic, gaussian, oracle
 from optograv.errors import ParameterError
@@ -178,51 +179,24 @@ def mode_factor(dim, lam, omega, s, bit):
     )
 
 
-def interaction_generator_closed(dc, spec, s):
-    """Closed-form frame-rotated coupling generator per sector at offset s,
-    stripped of the hbar*gamma prefactor."""
-    return {
-        (p_bit, q_bit): np.kron(
-            mode_factor(spec.dim_a, dc.lambda_m, dc.omega_a, s, p_bit),
-            mode_factor(spec.dim_b, dc.lambda_M, dc.omega_b, s, q_bit),
-        )
-        for p_bit, q_bit in SECTORS
-    }
-
-
-class DenseInteractionResidual:
-    """Interior-projected relative Frobenius deviation of exp(i*H0*t) X
-    exp(-i*H0*t) from its closed form, with X = x_a (x) x_b, H0 the free part
-    of each sector block and the interior n <= n_max - margin of both modes."""
-
-    def __init__(self, dc, p, spec, margin=20):
-        self.dc, self.spec = dc, spec
-        free = switched_blocks(dc, p, spec, include_gravity=False, coupled_constants=True)
-        coupling = np.kron(oracle.position_coupling(spec.dim_a),
-                           oracle.position_coupling(spec.dim_b))
-        self._eigs = {}
-        self._rotated = {}
-        for key in SECTORS:
-            w, v = np.linalg.eigh(free[key])
-            self._eigs[key] = (w, v)
-            self._rotated[key] = v.T @ coupling @ v
-        keep_a = np.arange(spec.dim_a) <= spec.n_max_a - margin
-        keep_b = np.arange(spec.dim_b) <= spec.n_max_b - margin
-        self._interior = np.where(np.kron(keep_a, keep_b))[0]
-        proj = coupling[np.ix_(self._interior, self._interior)]
-        self._denominator = math.sqrt(4.0) * float(np.linalg.norm(proj))
-
-    def residual(self, t):
-        closed = interaction_generator_closed(self.dc, self.spec, t)
-        idx = self._interior
-        total = 0.0
-        for key in SECTORS:
-            w, v = self._eigs[key]
-            phases = np.exp(1j * w * t)
-            numeric = (v * phases) @ self._rotated[key] @ (v * np.conj(phases)).T
-            delta = (numeric - closed[key])[np.ix_(idx, idx)]
-            total += float(np.linalg.norm(delta)) ** 2
-        return math.sqrt(total) / self._denominator
+def mode_residual(dc, spec, t, margin):
+    """Largest interior-projected relative Frobenius deviation of exp(i*H*t) x
+    exp(-i*H*t) from :func:`mode_factor` over both modes and photon bits, H
+    one mode's free Hamiltonian (by ``scipy.linalg.expm``), x its position
+    and the interior n <= n_max - margin; a ladder with n_max <= margin is
+    extended to n_max = margin + 10."""
+    worst = 0.0
+    for n_max, omega, lam in ((spec.n_max_a, dc.omega_a, dc.lambda_m),
+                              (spec.n_max_b, dc.omega_b, dc.lambda_M)):
+        n_max = n_max if n_max > margin else margin + 10
+        keep = slice(0, n_max - margin + 1)
+        x = oracle.position_coupling(n_max + 1)
+        for bit in (0, 1):
+            u = scipy.linalg.expm(1j * t * oracle._mode_hamiltonian(n_max + 1, omega, lam, bit))
+            deviation = u @ x @ u.conj().T - mode_factor(n_max + 1, lam, omega, t, bit)
+            worst = max(worst, float(np.linalg.norm(deviation[keep, keep])
+                                     / np.linalg.norm(x[keep, keep])))
+    return worst
 
 
 def per_time_propagate(dc, spec, tensors, times):

@@ -168,12 +168,11 @@ def test_criterion_06_frame_rotation_identity(capsys, ref_params, ref_couplings,
 def test_criterion_07_first_order_scaling(capsys, scaling_result):
     start = time.perf_counter()
     study = scaling_result
-    state_slope, _ = study.slopes["state"]
-    vis_slope, _ = study.slopes["visibility"]
-    ent_slope, _ = study.slopes["entropy"]
+    state_slope, vis_slope, ent_slope = (study[name][0]
+                                         for name in ("state", "visibility", "entropy"))
     elapsed = time.perf_counter() - start
     ok = (
-        all(study.monotone.values())
+        all(monotone for _, monotone in study.values())
         and abs(state_slope - 2.0) <= 0.1
         and vis_slope >= 1.9
         and ent_slope >= 2.5

@@ -254,6 +254,19 @@ class TestOracleCommand:
         assert payload["spec"] == {"n_max_a": 18, "n_max_b": 18}
         assert payload["passed"] and len(payload["checks"]) == 5
 
+    def test_slope_checks_are_the_scaling_study_slopes(self, capsys):
+        p = load_params(CONFIGS / "dimensionless.cfg")
+        code, out, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
+                             "--n-max", "30", "--equivalence-points", "2",
+                             "--residual-times", "1")
+        assert code == 0, err
+        measured = {c["name"]: c["measured"] for c in json.loads(out)["checks"]}
+        omega_a = og.derive_couplings(p).omega_a
+        study = og.scaling_study(p, [f * omega_a for f in cli.SCALING_GAMMA_FACTORS],
+                                 1.3 * (2.0 * np.pi / omega_a), og.HilbertSpec(30, 30))
+        for family in ("state", "visibility", "entropy"):
+            assert measured[f"{family}_residual_slope"] == study[family][0], family
+
     def test_chebyshev_table_budget_exits_numerical(self, capsys):
         code, _, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
                            "--scaling-t", "1e12")

@@ -279,8 +279,9 @@ class TestScalingStudy:
         base = setups.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
         study = og.scaling_study(base, [4e-2, 2e-2, 1e-2, 5e-3], 5.0,
                                  spec=og.HilbertSpec(20, 20))
-        assert study.monotone == {"state": True, "visibility": True, "entropy": True}
-        assert study.slopes["state"][0] == pytest.approx(2.0, abs=0.15)
-        assert study.slopes["visibility"][0] >= 1.8
-        assert study.slopes["entropy"][0] >= 2.5
+        assert study.keys() == {"state", "visibility", "entropy"}
+        assert all(monotone for _, monotone in study.values())
+        assert study["state"][0] == pytest.approx(2.0, abs=0.15)
+        assert study["visibility"][0] >= 1.8
+        assert study["entropy"][0] >= 2.5
 
