@@ -16,7 +16,9 @@ add the seed) and identical inputs reproduce byte-identical files.
 
 numpy is imported by the commands that compute arrays (``figure``,
 ``oracle``, ``scan``, ``thermal``) when they start, never at import, so
-``derive`` and ``feasibility`` run without it.
+``derive`` and ``feasibility`` run without it.  Fingerprints use the
+interpreter's built-in SHA-256, not ``hashlib``, so no command but
+``thermal`` (whose ``numpy.random`` loads it) loads OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--equivalence-points", type=int, default=48)
     p_oracle.add_argument("--residual-times", type=int, default=8)
     p_oracle.add_argument("--scaling-t", type=float, default=None,
-                          help="time for the scaling study (dimensionless mode)")
+                          help="time for the scaling study (dimensionless parameters only)")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_feas = subs.add_parser("feasibility", help="quality-factor / temperature frontier")
@@ -262,11 +264,15 @@ def cmd_oracle(args) -> int:
         raise ConfigError("--equivalence-points must be >= 2")
     if args.residual_times < 1:
         raise ConfigError("--residual-times must be >= 1")
+    p = load_params(args.params)
+    if args.scaling_t is not None and p.units != UNITS_DIMENSIONLESS:
+        raise ConfigError(f"--scaling-t applies only to units = {UNITS_DIMENSIONLESS!r} "
+                          f"parameters; {args.params} has units = {p.units!r}, "
+                          "where no scaling study runs")
     import numpy as np
 
     from . import analytic, oracle, scan as scan_mod
 
-    p = load_params(args.params)
     dc = derive_couplings(p)
     if args.n_max is not None:
         spec = oracle.HilbertSpec(args.n_max, args.n_max)
@@ -291,7 +297,7 @@ def cmd_oracle(args) -> int:
     checks = [_check("gravity_free_equivalence", worst, EQUIVALENCE_TOL,
                      worst < EQUIVALENCE_TOL)]
 
-    # Frame-rotation identity on the Fock interior.
+    # Frame-rotation identity on every level the propagator uses.
     residual_times = np.linspace(period / args.residual_times, 2.0 * period,
                                  args.residual_times)
     residual = float(oracle.interaction_picture_residual(dc, spec, residual_times).max())

@@ -9,9 +9,18 @@ Scan plans use the same syntax with their own key set (see
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import MISSING, fields
+
+# hashlib loads OpenSSL's libcrypto (about 4 MB resident) to offer digests this
+# module never asks for; the interpreter's own SHA-256 gives the same digest.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError
 from .params import UNITS_DIMENSIONLESS, UNITS_SI, PhysicalParams
@@ -178,7 +187,7 @@ def load_scan_plan(path) -> dict:
 def fingerprint(payload: dict) -> str:
     """Stable hex digest of a JSON-serialisable mapping."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def fingerprint_params(p: PhysicalParams) -> str:

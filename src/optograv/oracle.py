@@ -495,37 +495,32 @@ def _mode_operators(dim: int) -> np.ndarray:
     return np.stack([a.T, a, np.eye(dim)])
 
 
-#: Fock levels at each ladder's top left out of the frame-rotation residual.
-_RESIDUAL_MARGIN = 20
-
-
 def interaction_picture_residual(dc: DerivedCouplings, spec: HilbertSpec, times) -> np.ndarray:
     """Largest relative Frobenius deviation of a numerically frame-rotated
-    position factor from its closed form on the Fock interior, over both
-    modes and photon bits, at each of ``times`` (a non-empty 1-D sequence,
-    finite and >= 0): shape (T,).
+    position factor from its closed form on the levels the propagator uses,
+    over both modes and photon bits, at each of ``times`` (a non-empty 1-D
+    sequence, finite and >= 0): shape (T,).
 
     A sector's rotated coupling is N_a (x) N_b, with N = exp(iHt) x exp(-iHt)
     one mode's rotated position (one eigendecomposition per mode and photon
     bit), and its closed form is C_a (x) C_b
     (:func:`analytic.mode_factor_coefficients`), so it holds whenever each
     factor matches its own closed form: the residual is the largest
-    ||N - C|| / ||x||.  The identity holds only on the untruncated algebra,
-    so each factor is compared on the interior n <= n_max - _RESIDUAL_MARGIN
-    (a mode with n_max <= _RESIDUAL_MARGIN on its ladder extended by 10
-    beyond it); the edge's corruption decays factorially in the margin
-    (~1e-2 at 8, ~1e-10 at 20 for couplings ~0.5).  The hbar*gamma
-    prefactor is stripped, so the residual is well defined at gamma = 0.
+    ||N - C|| / ||x||.  The identity holds only on the untruncated algebra
+    and involves no state, so each factor is rotated on its mode's ladder
+    extended to 2*n_max + 21 levels and compared on n <= n_max; the edge's
+    corruption decays factorially in the levels between them (~1e-2 at 8,
+    ~1e-10 at 20 for couplings ~0.5), and there are n_max + 20 of them, so
+    it stays at round-off as the truncation grows.  The hbar*gamma prefactor
+    is stripped, so the residual is well defined at gamma = 0.
     """
     times = _as_times(times)
     modes = []
     for n_max, omega, lam in ((spec.n_max_a, dc.omega_a, dc.lambda_m),
                               (spec.n_max_b, dc.omega_b, dc.lambda_M)):
-        # The identity involves no state: extend a ladder within the margin.
-        n_max = n_max if n_max > _RESIDUAL_MARGIN else _RESIDUAL_MARGIN + 10
-        keep = n_max - _RESIDUAL_MARGIN + 1
-        x = position_coupling(n_max + 1)
-        w, v = _mode_eigh(n_max + 1, omega, lam)
+        keep, levels = n_max + 1, 2 * n_max + 21
+        x = position_coupling(levels)
+        w, v = _mode_eigh(levels, omega, lam)
         tables = np.array([analytic.mode_factor_coefficients(lam, bit) for bit in (0, 1)])
         modes.append((omega, w[:, None], v[:, :keep], v.transpose(0, 2, 1) @ x @ v, tables,
                       _mode_operators(keep), float(np.linalg.norm(x[:keep, :keep]))))

@@ -179,21 +179,21 @@ def mode_factor(dim, lam, omega, s, bit):
     )
 
 
-def mode_residual(dc, spec, t, margin):
-    """Largest interior-projected relative Frobenius deviation of exp(i*H*t) x
-    exp(-i*H*t) from :func:`mode_factor` over both modes and photon bits, H
-    one mode's free Hamiltonian (by ``scipy.linalg.expm``), x its position
-    and the interior n <= n_max - margin; a ladder with n_max <= margin is
-    extended to n_max = margin + 10."""
+def mode_residual(dc, spec, t, margin=None):
+    """Largest relative Frobenius deviation of exp(i*H*t) x exp(-i*H*t) from
+    :func:`mode_factor` on the levels n <= n_max, over both modes and photon
+    bits, H one mode's free Hamiltonian (by ``scipy.linalg.expm``) and x its
+    position, both on the ladder extended by ``margin`` levels beyond n_max
+    (by default n_max + 20, the library's 2*n_max + 21 levels)."""
     worst = 0.0
     for n_max, omega, lam in ((spec.n_max_a, dc.omega_a, dc.lambda_m),
                               (spec.n_max_b, dc.omega_b, dc.lambda_M)):
-        n_max = n_max if n_max > margin else margin + 10
-        keep = slice(0, n_max - margin + 1)
-        x = oracle.position_coupling(n_max + 1)
+        levels = n_max + 1 + (n_max + 20 if margin is None else margin)
+        keep = slice(0, n_max + 1)
+        x = oracle.position_coupling(levels)
         for bit in (0, 1):
-            u = scipy.linalg.expm(1j * t * oracle._mode_hamiltonian(n_max + 1, omega, lam, bit))
-            deviation = u @ x @ u.conj().T - mode_factor(n_max + 1, lam, omega, t, bit)
+            u = scipy.linalg.expm(1j * t * oracle._mode_hamiltonian(levels, omega, lam, bit))
+            deviation = u @ x @ u.conj().T - mode_factor(levels, lam, omega, t, bit)
             worst = max(worst, float(np.linalg.norm(deviation[keep, keep])
                                      / np.linalg.norm(x[keep, keep])))
     return worst

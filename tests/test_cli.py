@@ -243,7 +243,8 @@ class TestOracleCommand:
         assert "norm" in err
 
     def test_passes_at_default_truncations_within_the_residual_margin(self, capsys, tmp_path):
-        # Small amplitudes get the default spec (18, 18), within the margin 20.
+        # Small amplitudes get the default spec (18, 18): a fixed 20-level margin
+        # would leave no level of it to compare, so the residual extends each ladder.
         path = tmp_path / "small.cfg"
         path.write_text("units = dimensionless\nbare_freq_a = 1.0\nbare_freq_b = 0.9\n"
                         "direct_gamma = 1e-2\ndirect_lambda_m = 0.1\ndirect_lambda_M = 0.1\n"
@@ -253,6 +254,22 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert payload["spec"] == {"n_max_a": 18, "n_max_b": 18}
         assert payload["passed"] and len(payload["checks"]) == 5
+
+    @pytest.mark.parametrize("n_max", [40, 60])
+    def test_passes_at_large_truncations(self, capsys, n_max):
+        code, out, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
+                             "--n-max", str(n_max), "--equivalence-points", "2")
+        assert code == 0, err
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["interaction_picture_residual"]["measured"] < 1e-12
+
+    def test_scaling_time_is_refused_for_si_parameters(self, capsys, reference_config):
+        code, out, err = run(capsys, "oracle", "--params", str(reference_config),
+                             "--scaling-t", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --scaling-t ") and "'dimensionless'" in err
+        assert "units = 'si'" in err
 
     def test_slope_checks_are_the_scaling_study_slopes(self, capsys):
         p = load_params(CONFIGS / "dimensionless.cfg")
@@ -549,35 +566,44 @@ def test_commands_off_the_fock_layer_leave_it_unloaded(argv):
     assert out.strip() == repr(expected)
 
 
-@pytest.mark.parametrize("argv, exit_code, numpy_loaded", [
-    (("derive", "--params", str(CONFIGS / "reference.cfg")), 0, False),
-    (("feasibility", "--params", str(CONFIGS / "reference.cfg")), 0, False),
-    (("--version",), 0, False),
-    (("derive",), 1, False),  # --params missing
+#: ``hashlib_loaded`` None: ``numpy.random``, which ``thermal`` draws from, loads
+#: OpenSSL's ``_hashlib`` (through ``secrets`` and ``hmac``), so it is not asserted.
+@pytest.mark.parametrize("argv, exit_code, numpy_loaded, hashlib_loaded", [
+    (("derive", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
+    (("feasibility", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
+    (("--version",), 0, False, False),
+    (("derive",), 1, False, False),  # --params missing
     (("figure", "--which", "fig2a", "--t-points", "8", "--params",
-      str(CONFIGS / "reference.cfg")), 0, True),
-    (("thermal", "--mc-samples", "100", "--params", str(CONFIGS / "reference.cfg")), 0, True),
+      str(CONFIGS / "reference.cfg")), 0, True, False),
+    (("thermal", "--mc-samples", "100", "--params", str(CONFIGS / "reference.cfg")), 0, True,
+     None),
     (("scan", "--plan", str(CONFIGS / "scan_example.cfg"), "--params",
-      str(CONFIGS / "reference.cfg")), 0, True),
-], ids=["derive", "feasibility", "version", "missing-params", "figure", "thermal", "scan"])
-def test_only_the_array_commands_load_numpy(argv, exit_code, numpy_loaded):
+      str(CONFIGS / "reference.cfg")), 0, True, False),
+    (("oracle", "--n-max", "25", "--equivalence-points", "4", "--residual-times", "1",
+      "--params", str(CONFIGS / "dimensionless.cfg")), 0, True, False),
+], ids=["derive", "feasibility", "version", "missing-params", "figure", "thermal", "scan",
+        "oracle"])
+def test_only_the_array_commands_load_numpy(argv, exit_code, numpy_loaded, hashlib_loaded):
     code = ("import contextlib, io, sys\nfrom optograv.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
             f"        code = main({list(argv)!r})\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
-            "print(code, 'numpy' in sys.modules)")
+            "print(code, 'numpy' in sys.modules, '_hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    assert out.split() == [str(exit_code), str(numpy_loaded)]
+                         check=True).stdout.split()
+    assert out[:2] == [str(exit_code), str(numpy_loaded)]
+    if hashlib_loaded is not None:
+        assert out[2] == str(hashlib_loaded)
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # Nothing the propagator or the Monte Carlo could pull in at call time
-    # loads at import, and no command needs numpy before it runs.
+    # loads at import, no command needs numpy before it runs, and fingerprints
+    # need no OpenSSL.
     code = ("import sys, optograv.cli; print(sorted(m for m in "
-            "('scipy', 'numpy', 'numpy.fft', 'numpy.random') if m in sys.modules))")
+            "('scipy', 'numpy', 'numpy.fft', 'numpy.random', '_hashlib') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"

@@ -236,28 +236,40 @@ class TestMonogamySignature:
         assert entropies == sorted(entropies)
 
 
-def interior_residual(monkeypatch, dc, spec, t, margin):
-    monkeypatch.setattr(oracle, "_RESIDUAL_MARGIN", margin)
+def residual_at(dc, spec, t):
     return float(oracle.interaction_picture_residual(dc, spec, [t])[0])
 
 
 class TestInteractionPicture:
-    def test_zero_time_residual(self, monkeypatch):
+    def test_zero_time_residual(self):
         p, dc, spec = small_setup(gamma=1e-2, n_max=16)
-        assert interior_residual(monkeypatch, dc, spec, 0.0, margin=8) < 1e-12
+        assert residual_at(dc, spec, 0.0) < 1e-12
 
-    def test_free_rotation_exact_in_truncated_space(self, monkeypatch):
+    def test_free_rotation_exact_in_truncated_space(self):
         p, dc, spec = small_setup(gamma=0.3, lambda_m=0.0, lambda_M=0.0, n_max=16)
-        assert interior_residual(monkeypatch, dc, spec, 2 * math.pi, margin=4) < 1e-10
+        assert residual_at(dc, spec, 2 * math.pi) < 1e-10
 
-    def test_residual_decays_with_margin(self, monkeypatch):
-        p, dc, spec = small_setup(gamma=1e-2, lambda_m=0.445, lambda_M=0.521, n_max=24)
-        checker_values = [interior_residual(monkeypatch, dc, spec, 4.0, margin=m)
-                          for m in (6, 12, 18)]
-        assert checker_values[0] > checker_values[1] > checker_values[2]
+    def test_residual_decays_with_margin(self, boosted_couplings):
+        # The truncation edge corrupts the compared levels less the more levels
+        # lie above them; the library's margin of n_max + 20 leaves round-off.
+        spec = og.HilbertSpec(24, 24)
+        dense = [dense_reference.mode_residual(boosted_couplings, spec, 4.0, margin)
+                 for margin in (6, 12, 18)]
+        assert dense[0] > dense[1] > dense[2]
+        assert residual_at(boosted_couplings, spec, 4.0) < min(dense[2], 1e-12)
+
+    @pytest.mark.parametrize("n_max", [18, 40, 60, 120])
+    def test_residual_stays_at_round_off_as_the_truncation_grows(self, boosted_couplings,
+                                                                  n_max):
+        # A fixed 20-level margin let the edge's error grow into the compared
+        # levels with n_max: 8.9e-9 at 40 and 4.7e-2 at 120 at these times.
+        residual = oracle.interaction_picture_residual(boosted_couplings,
+                                                       og.HilbertSpec(n_max, n_max),
+                                                       [1.0, 4.0, 2.0 * math.pi])
+        assert residual.max() < 1e-12
 
     def test_memory_does_not_grow_with_the_kronecker_product(self, boosted_couplings):
-        # A dense sector difference at n_max 60, margin 20 alone is 41**4 complex entries.
+        # A dense sector difference at n_max 60 alone is 61**4 complex entries.
         spec = og.HilbertSpec(60, 60)
         tracemalloc.start()
         try:
@@ -267,17 +279,18 @@ class TestInteractionPicture:
             tracemalloc.stop()
         assert peak < 5e6
 
-    def test_ladders_within_the_margin_are_checked_extended(self, monkeypatch):
-        # The identity involves no state, so a mode whose n_max does not exceed
-        # the margin is checked on margin + 10 levels, whatever its truncation.
-        monkeypatch.setattr(oracle, "_RESIDUAL_MARGIN", 10)
+    def test_ladders_within_the_margin_are_checked_extended(self):
+        # The identity involves no state, so every ladder, however short, is
+        # rotated on 2*n_max + 21 levels; on its own n_max + 1 levels the
+        # truncation edge would dominate the compared levels.
         p, dc, _ = small_setup(gamma=1e-2)
-        times = [1.0, 4.0]
-        for spec, extended in ((og.HilbertSpec(10, 10), og.HilbertSpec(20, 20)),
-                               (og.HilbertSpec(4, 25), og.HilbertSpec(20, 25))):
-            residual = oracle.interaction_picture_residual(dc, spec, times)
-            expected = oracle.interaction_picture_residual(dc, extended, times)
-            assert np.array_equal(residual, expected)
+        for spec in (og.HilbertSpec(1, 1), og.HilbertSpec(10, 10), og.HilbertSpec(4, 25)):
+            for t in (1.0, 4.0):
+                residual = residual_at(dc, spec, t)
+                assert residual == pytest.approx(dense_reference.mode_residual(dc, spec, t),
+                                                 abs=1e-13)
+                assert residual < 1e-12
+                assert dense_reference.mode_residual(dc, spec, t, margin=0) > 1e-3
 
 
 class TestDysonCorrection:

@@ -216,7 +216,8 @@ class TestRunScan:
             assert delta <= 1e-12
 
     def test_interaction_residual_at_truncations_within_the_margin(self):
-        # Small amplitudes get the default spec (18, 18), within the margin 20.
+        # Small amplitudes get the default spec (18, 18): a fixed 20-level margin
+        # would leave no level of it to compare, so the residual extends each ladder.
         base = setups.dimensionless_params(gamma=1e-2, lambda_m=0.1, lambda_M=0.1,
                                            beta_m=0, beta_M=0)
         assert oracle.default_spec(base) == og.HilbertSpec(18, 18)
