@@ -17,8 +17,9 @@ add the seed) and identical inputs reproduce byte-identical files.
 numpy is imported by the commands that compute arrays (``figure``,
 ``oracle``, ``scan``, ``thermal``) when they start, never at import, so
 ``derive`` and ``feasibility`` run without it.  Fingerprints use the
-interpreter's built-in SHA-256, not ``hashlib``, so no command but
-``thermal`` (whose ``numpy.random`` loads it) loads OpenSSL's libcrypto.
+interpreter's built-in SHA-256, not ``hashlib``, and ``thermal`` keeps
+``numpy.random`` from loading OpenSSL's ``_hashlib`` when the built-in hash
+modules are all present, so no command loads OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -392,7 +393,29 @@ def cmd_scan(args) -> int:
     return 0
 
 
+#: The interpreter's built-in hash modules, which ``hashlib`` serves every
+#: digest from when OpenSSL's ``_hashlib`` cannot be imported.
+_BUILTIN_HASHES = (("_md5", "_sha1", "_sha2", "_blake2", "_sha3") if sys.version_info >= (3, 12)
+                   else ("_md5", "_sha1", "_sha256", "_sha512", "_blake2", "_sha3"))
+
+
+def _skip_openssl() -> None:
+    """Keep OpenSSL's libcrypto out of a process that has not loaded it yet.
+
+    ``numpy.random`` imports ``secrets``, which imports ``hmac``, which loads
+    ``_hashlib``; nothing here hashes through OpenSSL.  Marking ``_hashlib``
+    absent makes ``hashlib`` use the built-in modules, so this is done only
+    when every one of them is present (a missing one makes ``hashlib`` log a
+    traceback).  ``setdefault`` leaves an already loaded ``_hashlib`` alone.
+    """
+    from importlib.util import find_spec
+
+    if all(find_spec(name) is not None for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def cmd_thermal(args) -> int:
+    _skip_openssl()
     import numpy as np
 
     from . import analytic, gaussian

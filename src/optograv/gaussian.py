@@ -4,9 +4,10 @@ Coherent inputs stay Gaussian under the quadratic sector Hamiltonians, so the
 coherence is exact (:func:`gaussian_coherence`), and so is its average over a
 thermal rod m, a Gaussian mixture of coherent states
 (:func:`thermal_coherence`).  Scans measure the Fock truncation error against
-the coherence, and the thermal Monte Carlo checks the gravity-free law; numpy
-is all the layer needs, so the commands that use it do not load the Fock
-layer.
+the coherence, and the thermal Monte Carlo checks the gravity-free law.  The
+coupled flow's normal modes are written in closed form, so the layer calls
+no LAPACK routine; numpy is all it needs, so the commands that use it do
+not load the Fock layer.
 """
 
 from __future__ import annotations
@@ -38,29 +39,51 @@ def _flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
         1/4 exp(-|w|^2/4 + i b^T J w)
             sum_q exp(i (u/2 + q v)^T (M u t - J S^-1 u)),
 
-    with w = (1 - S^-1) u.  One eigendecomposition of J M serves every
-    time, and k comes from w, not from phases, which wrap.  The modes are
-    stable only while M is positive definite.
+    with w = (1 - S^-1) u; k comes from w, not from phases, which wrap.
+
+    The flow's normal modes are in closed form.  With W = diag(omega_a,
+    omega_b) and G = [[omega_a, 2 gamma], [2 gamma, omega_b]] the q-block of
+    M, dq/dt = W p and dp/dt = -G q, so y = W^-1/2 q obeys y'' = -K y with
+    K = W^1/2 G W^1/2, symmetric; one rotation by theta diagonalises it,
+    to Omega_+^2 and Omega_-^2 = det K / Omega_+^2 (not mean - half, which
+    cancels near the stability edge).  u has no p part, so with R the
+    rotation and a = R^T W^-1/2 u its normal-mode amplitudes, S^-1(t) u has
+    q part W^1/2 R cos(Omega t) a and p part W^-1/2 R Omega sin(Omega t) a.
+    The modes are stable only while M is positive definite.
     """
     omega_a, omega_b, gamma = dc.omega_a, dc.omega_b, dc.gamma
     if not omega_a * omega_b > 4.0 * gamma * gamma:
         raise ParameterError(f"unstable coupled modes: omega_a*omega_b = {omega_a * omega_b!r} "
                              f"must exceed 4*gamma**2 = {4.0 * gamma * gamma!r}")
     times = _as_times(times)
-    m = np.array([[omega_a, 0.0, 2.0 * gamma, 0.0], [0.0, omega_a, 0.0, 0.0],
-                  [2.0 * gamma, 0.0, omega_b, 0.0], [0.0, 0.0, 0.0, omega_b]])
-    j = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-    inverse = np.linalg.inv(m)
-    u = -math.sqrt(2.0) * dc.lambda_m * omega_a * inverse[0]
-    v = -math.sqrt(2.0) * dc.lambda_M * omega_b * inverse[2]
-    values, vectors = np.linalg.eig(j @ m)
-    back = (np.exp(-np.multiply.outer(times, values))
-            @ (vectors * np.linalg.solve(vectors, u)).T).real  # S^-1(t) u, (T, 4)
-    w = u - back
+    det_g = omega_a * omega_b - 4.0 * gamma * gamma
+    # u and v are the centres' q parts (their p parts are 0), from G's explicit
+    # inverse: G u = (drive_a, 0) and G v = (0, drive_b).
+    drive_a = -math.sqrt(2.0) * dc.lambda_m * omega_a
+    drive_b = -math.sqrt(2.0) * dc.lambda_M * omega_b
+    u = np.array([omega_b, -2.0 * gamma]) * (drive_a / det_g)
+    v = np.array([-2.0 * gamma, omega_a]) * (drive_b / det_g)
+    root = np.sqrt([omega_a, omega_b])  # W^1/2
+    coupling = 2.0 * gamma * math.sqrt(omega_a * omega_b)  # K's off-diagonal
+    half = math.hypot(0.5 * (omega_a * omega_a - omega_b * omega_b), coupling)
+    plus = 0.5 * (omega_a * omega_a + omega_b * omega_b) + half
+    omegas = np.sqrt([plus, omega_a * omega_b * det_g / plus])
+    theta = 0.5 * math.atan2(2.0 * coupling, omega_a * omega_a - omega_b * omega_b)
+    c, s = math.cos(theta), math.sin(theta)
+    rotation = np.array([[c, -s], [s, c]])  # columns: K's eigenvectors for omegas**2
+    modes = (u / root) @ rotation  # a = R^T W^-1/2 u
+    angles = np.multiply.outer(times, omegas)
+    back_q = (np.cos(angles) * modes) @ rotation.T * root  # S^-1(t) u, q part (T, 2)
+    back_p = (np.sin(angles) * (omegas * modes)) @ rotation.T / root  # and p part
+    # Sector phases (u/2 + q v)^T (M u t - J S^-1 u), with M u = (drive_a, 0) in q.
     halves = np.stack([0.5 * u, 0.5 * u + v])
-    phases = np.multiply.outer(times, halves @ m @ u) - back @ (halves @ j).T
-    common = 0.25 * np.exp(1j * phases).sum(axis=1) * np.exp(-0.25 * np.sum(w * w, axis=1))
-    return common, w @ j.T
+    phases = np.multiply.outer(times, halves[:, 0] * drive_a) - back_p @ halves.T
+    w_q = u - back_q  # w = (1 - S^-1) u; its p part is -back_p
+    common = (0.25 * np.exp(1j * phases).sum(axis=1)
+              * np.exp(-0.25 * (np.sum(w_q * w_q, axis=1) + np.sum(back_p * back_p, axis=1))))
+    # k = J w = (w_pa, -w_qa, w_pb, -w_qb).
+    k = np.stack([-back_p[:, 0], -w_q[:, 0], -back_p[:, 1], -w_q[:, 1]], axis=1)
+    return common, k
 
 
 def gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:

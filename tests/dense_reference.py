@@ -24,6 +24,9 @@ routes they replaced, as independent cross-checks:
   as the library did before it served every time from one draw; its
   oracle method propagates every Fock level of rod m, the truncated
   reference for the library's exact Gaussian coherence;
+- ``eig_flow``: ``gaussian._flow``'s common factor and k from a numerical
+  inverse of M and eigendecomposition of J M, as the library computed them
+  before it wrote the normal modes in closed form;
 - ``coupled_thermal_montecarlo``: the same Monte Carlo over the exact
   Gaussian coherence with the coupled dynamics, for every time at once, as
   the library's oracle method ran before the coupled thermal average got
@@ -260,6 +263,27 @@ def thermal_visibility_montecarlo_per_time(
     resampled = 2.0 * np.abs(elements[indices].mean(axis=1))
     std_error = float(resampled.std(ddof=1))
     return float(mean_vis), std_error
+
+
+def eig_flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
+    """``gaussian._flow``'s (common, k) at each of ``times``, with S^-1(t) u
+    from one eigendecomposition of J M and u, v from M's numerical inverse."""
+    omega_a, omega_b, gamma = dc.omega_a, dc.omega_b, dc.gamma
+    times = np.asarray(times, dtype=float)
+    m = np.array([[omega_a, 0.0, 2.0 * gamma, 0.0], [0.0, omega_a, 0.0, 0.0],
+                  [2.0 * gamma, 0.0, omega_b, 0.0], [0.0, 0.0, 0.0, omega_b]])
+    j = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    inverse = np.linalg.inv(m)
+    u = -math.sqrt(2.0) * dc.lambda_m * omega_a * inverse[0]
+    v = -math.sqrt(2.0) * dc.lambda_M * omega_b * inverse[2]
+    values, vectors = np.linalg.eig(j @ m)
+    back = (np.exp(-np.multiply.outer(times, values))
+            @ (vectors * np.linalg.solve(vectors, u)).T).real  # S^-1(t) u, (T, 4)
+    w = u - back
+    halves = np.stack([0.5 * u, 0.5 * u + v])
+    phases = np.multiply.outer(times, halves @ m @ u) - back @ (halves @ j).T
+    common = 0.25 * np.exp(1j * phases).sum(axis=1) * np.exp(-0.25 * np.sum(w * w, axis=1))
+    return common, w @ j.T
 
 
 def coupled_thermal_montecarlo(dc, beta_M, nbar: float, times, n_samples: int,

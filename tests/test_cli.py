@@ -1,6 +1,7 @@
 """End-to-end subcommand behaviour, exit codes, and output determinism."""
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -479,14 +480,16 @@ class TestThermalCommand:
         revival = rows[-1]
         assert float(revival[5]) - float(revival[1]) == pytest.approx(-2.34e-12, rel=1e-2)
 
-    def test_non_finite_coupled_value_exits_numerical(self, reference_config):
+    def test_overflowing_times_exit_numerical(self, reference_config):
+        # omega*t overflows past about 6e304 s at the SI reference, so every
+        # value, the closed-form coupled one included, is then not finite.
         proc = run_cold("thermal", "--params", str(reference_config), "--mc-samples", "100",
-                        "--t-points", "3", "--t-stop", "1e300")
+                        "--t-points", "3", "--t-stop", "1e306")
         assert proc.returncode == 3
         assert proc.stdout == ""
         # One precise line: no numpy warning precedes it.
-        assert proc.stderr == (
-            "numerical failure: coupled_exact not finite at t = 5e+299 s\n")
+        assert proc.stderr == ("numerical failure: thermal_law, mc_mean, mc_std_error, "
+                               "coupled_exact not finite at t = 5e+305 s\n")
 
     def test_mc_method_is_gone(self, capsys, reference_config):
         code, _, err = run(capsys, "thermal", "--params", str(reference_config),
@@ -566,8 +569,13 @@ def test_commands_off_the_fock_layer_leave_it_unloaded(argv):
     assert out.strip() == repr(expected)
 
 
-#: ``hashlib_loaded`` None: ``numpy.random``, which ``thermal`` draws from, loads
-#: OpenSSL's ``_hashlib`` (through ``secrets`` and ``hmac``), so it is not asserted.
+#: ``thermal`` draws from ``numpy.random``, which imports ``secrets`` and ``hmac``;
+#: it marks OpenSSL's ``_hashlib`` absent (None in ``sys.modules``) first, unless
+#: the interpreter lacks a built-in hash module for ``hashlib`` to fall back to.
+THERMAL_LOADS_OPENSSL = not all(importlib.util.find_spec(name) is not None
+                                for name in cli._BUILTIN_HASHES)
+
+
 @pytest.mark.parametrize("argv, exit_code, numpy_loaded, hashlib_loaded", [
     (("derive", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
     (("feasibility", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
@@ -576,7 +584,7 @@ def test_commands_off_the_fock_layer_leave_it_unloaded(argv):
     (("figure", "--which", "fig2a", "--t-points", "8", "--params",
       str(CONFIGS / "reference.cfg")), 0, True, False),
     (("thermal", "--mc-samples", "100", "--params", str(CONFIGS / "reference.cfg")), 0, True,
-     None),
+     THERMAL_LOADS_OPENSSL),
     (("scan", "--plan", str(CONFIGS / "scan_example.cfg"), "--params",
       str(CONFIGS / "reference.cfg")), 0, True, False),
     (("oracle", "--n-max", "25", "--equivalence-points", "4", "--residual-times", "1",
@@ -590,12 +598,10 @@ def test_only_the_array_commands_load_numpy(argv, exit_code, numpy_loaded, hashl
             f"        code = main({list(argv)!r})\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
-            "print(code, 'numpy' in sys.modules, '_hashlib' in sys.modules)")
+            "print(code, 'numpy' in sys.modules, sys.modules.get('_hashlib') is not None)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout.split()
-    assert out[:2] == [str(exit_code), str(numpy_loaded)]
-    if hashlib_loaded is not None:
-        assert out[2] == str(hashlib_loaded)
+    assert out == [str(exit_code), str(numpy_loaded), str(hashlib_loaded)]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -61,6 +61,63 @@ def test_si_reference_deficit_at_the_revivals(ref_params, ref_couplings):
     assert doubled / deficits == pytest.approx([4.0, 4.0, 4.0], rel=1e-3)
 
 
+def equivalence_couplings():
+    for gamma in (0.0, 1e-9, 1e-6, 1e-2, 0.2):
+        for omega_b in (0.9, 1.0, 1.0 + 1e-9):
+            p = setups.dimensionless_params(gamma=gamma, omega_b=omega_b)
+            yield f"gamma={gamma},omega_b={omega_b}", og.derive_couplings(p)
+    si = og.derive_couplings(setups.reference_params())
+    yield "SI-reference", si
+    yield "SI-reference,gamma=0", replace(si, gamma=0.0)
+
+
+EQUIVALENCE_CASES = dict(equivalence_couplings())
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_CASES)
+def test_closed_form_modes_match_the_eigendecomposition(name):
+    dc = EQUIVALENCE_CASES[name]
+    times = np.linspace(0.0, 10.0 * 2.0 * math.pi / dc.omega_a, 401)
+    common, k = gaussian._flow(dc, times)
+    ref_common, ref_k = dense_reference.eig_flow(dc, times)
+    assert np.max(np.abs(common - ref_common)) <= 1e-13
+    assert np.max(np.abs(k - ref_k)) <= 1e-13
+
+
+def test_closed_form_modes_match_the_eigendecomposition_near_the_stability_edge():
+    # omega_a*omega_b = 1.01 * 4 gamma^2: u and v grow as 1/(omega_a*omega_b -
+    # 4 gamma^2), to |k| ~ 130, and J M's eigenvectors for +-i Omega_- near
+    # coalescence, so both routes lose digits in proportion to |k|.  The bound
+    # is 1e-13 of the largest |k| (2e-14 of it measured; a 50-digit matrix
+    # exponential puts the closed form the closer of the two).
+    dc = og.derive_couplings(setups.dimensionless_params(
+        gamma=math.sqrt(1.0 / (4.0 * 1.01)), omega_b=1.0))
+    times = np.linspace(0.0, 10.0 * 2.0 * math.pi, 401)
+    common, k = gaussian._flow(dc, times)
+    ref_common, ref_k = dense_reference.eig_flow(dc, times)
+    scale = np.max(np.abs(ref_k))
+    assert scale > 100.0
+    assert np.max(np.abs(common - ref_common)) <= 1e-13 * scale
+    assert np.max(np.abs(k - ref_k)) <= 1e-13 * scale
+
+
+def test_needs_no_dense_linear_algebra(monkeypatch):
+    p = setups.dimensionless_params(gamma=1e-2, **INPUTS)
+    dc = og.derive_couplings(p)
+    times = np.linspace(0.0, 3.0 * 2.0 * math.pi, 31)
+    expected = (gaussian.gaussian_coherence(dc, [p.beta_m, 0.2j], p.beta_M, times),
+                gaussian.thermal_coherence(dc, 0.5, p.beta_M, times))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eig", "inv", "solve", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = (gaussian.gaussian_coherence(dc, [p.beta_m, 0.2j], p.beta_M, times),
+           gaussian.thermal_coherence(dc, 0.5, p.beta_M, times))
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
 @pytest.mark.parametrize("gamma", [0.5, 0.6, -0.5])
 def test_unstable_modes_are_refused(gamma):
     dc = og.derive_couplings(setups.dimensionless_params(gamma=gamma, omega_a=1.0, omega_b=1.0))
