@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .params import (
     DerivedCouplings,
     PhysicalParams,
@@ -93,6 +93,23 @@ def _check_times(times, ndmin: int = 1) -> np.ndarray:
     if not np.all(np.isfinite(times)) or np.any(times < 0):
         raise ParameterError("times must be finite and >= 0")
     return times
+
+
+def require_resolved_phases(dc: DerivedCouplings, times) -> None:
+    """Raise NumericalError at the first of ``times`` at which
+    max(omega_a, omega_b)*t exceeds 2**52, where adjacent doubles are >= 1 rad apart."""
+    omega, times = max(dc.omega_a, dc.omega_b), np.asarray(times, dtype=float)
+    bad = np.flatnonzero(times > 2.0**52 / omega)
+    if bad.size:
+        t = float(times[bad[0]])
+        raise NumericalError(f"omega*t = {omega * t!r} exceeds 2**52 at t = {t!r} s: "
+                             "a double holds no phase there")
+
+
+def _check_occupation(nbar: float) -> None:
+    """Refuse a mean thermal occupation unless finite and >= 0."""
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
 
 
 def _as_times(times) -> np.ndarray:
@@ -195,8 +212,7 @@ def thermal_visibility(dc: DerivedCouplings, nbar: float, times) -> np.ndarray:
     mixture with mean occupation nbar:
     V(t) = exp(-lam_m**2 * (2*nbar + 1) * (1 - cos(omega_a*t))).
     """
-    if not (math.isfinite(nbar) and nbar >= 0):
-        raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
+    _check_occupation(nbar)
     times = _check_times(times)
     lam, omega = dc.lambda_m, dc.omega_a
     return np.exp(-(lam * lam) * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega * times)))

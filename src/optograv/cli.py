@@ -5,14 +5,15 @@ uncoupled visibility, the gravitational visibility shift, and the
 perturbative entanglement growth), ``oracle`` (exact-vs-analytic
 verification suite), ``feasibility`` (quality-factor/temperature frontier),
 ``scan`` (parameter sweeps), ``thermal`` (thermal visibility law vs. its
-Monte-Carlo average, beside the exact coupled thermal visibility).
+Monte-Carlo average, beside the exact, amplitude-free coupled one).
 
 Exit codes: 0 success, 1 user/config error, 2 tolerance failure,
-3 numerical failure (running out of memory and a non-finite ``figure`` or
-``thermal`` value included).  Every output embeds
-a provenance header (config fingerprint and version; ``thermal``, whose
-Monte Carlo draws random numbers, and ``scan``, whose plan carries a seed,
-add the seed) and identical inputs reproduce byte-identical files.
+3 numerical failure (running out of memory, a non-finite ``figure`` or
+``thermal`` value and a time with omega*t > 2**52 included).  Every
+output embeds a provenance header (config fingerprint and version;
+``thermal``, whose Monte Carlo draws random numbers, and ``scan``, whose
+plan carries a seed, add the seed) and identical inputs reproduce
+byte-identical files.
 
 numpy is imported by the commands that compute arrays (``figure``,
 ``oracle``, ``scan``, ``thermal``) when they start, never at import, so
@@ -246,6 +247,7 @@ def cmd_figure(args) -> int:
             values, method = analytic.linear_entropy_first_order(dc, times), "first_order_entropy"
             axis, column, key = times / (2.0 * math.pi / dc.omega_a), "t_periods", "times_periods"
     _require_finite(times, {method: values})
+    analytic.require_resolved_phases(dc, times)
     provenance = _provenance(
         p, args, which=args.which,
         t_start=repr(float(times[0])), t_stop=repr(float(times[-1])),
@@ -432,11 +434,12 @@ def cmd_thermal(args) -> int:
     # An overflow is reported once, by _require_finite, not also as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         law = analytic.thermal_visibility(dc, nbar, times)
-        coupled = 2.0 * np.abs(gaussian.thermal_coherence(dc, nbar, p.beta_M, times))
+        coupled = gaussian.visibility(dc, nbar, times)
         means, errors = gaussian.thermal_visibility_montecarlo(dc, nbar, times,
                                                                args.mc_samples, args.seed)
     _require_finite(times, {"thermal_law": law, "mc_mean": means, "mc_std_error": errors,
                             "coupled_exact": coupled})
+    analytic.require_resolved_phases(dc, times)
     records = [
         (t, expected, mean, err, abs(mean - expected) / err if err > 0 else 0.0, exact)
         for t, expected, mean, err, exact

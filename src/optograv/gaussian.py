@@ -1,13 +1,13 @@
-"""Exact Gaussian layer: photon c's path coherence with no Fock truncation.
+"""Exact Gaussian layer: photon c's visibility with no Fock truncation.
 
-Coherent inputs stay Gaussian under the quadratic sector Hamiltonians, so the
-coherence is exact (:func:`gaussian_coherence`), and so is its average over a
-thermal rod m, a Gaussian mixture of coherent states
-(:func:`thermal_coherence`).  Scans measure the Fock truncation error against
-the coherence, and the thermal Monte Carlo checks the gravity-free law.  The
-coupled flow's normal modes are written in closed form, so the layer calls
-no LAPACK routine; numpy is all it needs, so the commands that use it do
-not load the Fock layer.
+Coherent inputs stay Gaussian under the quadratic sector Hamiltonians, so
+photon c's path coherence is exact, and so is its average over a thermal
+rod m, a Gaussian mixture of coherent states.  Neither rod's coherent
+amplitude enters its modulus, so :func:`visibility` takes none.  Scans
+measure the Fock truncation error against it, and the thermal Monte Carlo
+checks the gravity-free law.  The coupled flow's normal modes are written
+in closed form, so the layer calls no LAPACK routine; numpy is all it
+needs, so the commands that use it do not load the Fock layer.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ def _flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
             sum_q exp(i (u/2 + q v)^T (M u t - J S^-1 u)),
 
     with w = (1 - S^-1) u; k comes from w, not from phases, which wrap.
+    b and k are real, so :func:`visibility` reads only ``common`` and k_a.
 
     The flow's normal modes are in closed form.  With W = diag(omega_a,
     omega_b) and G = [[omega_a, 2 gamma], [2 gamma, omega_b]] the q-block of
@@ -86,41 +87,17 @@ def _flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
     return common, k
 
 
-def gaussian_coherence(dc, betas_m, beta_M, times) -> np.ndarray:
-    """Exact photon-c path-coherence element, shape (T, N), with rod m in
-    each coherent state |betas_m[n]> (a non-empty 1-D sequence) and rod M in
-    |beta_M>, at each of ``times`` (a non-empty 1-D sequence, finite and
-    >= 0); see :func:`_flow`.
+def visibility(dc, nbar: float, times) -> np.ndarray:
+    """Exact visibility of photon c, shape (T,), with rod m thermal at mean
+    occupation ``nbar`` (0: coherent) and any coherent amplitudes, at each
+    of ``times`` (a non-empty 1-D sequence, finite and >= 0).  A thermal rod
+    m is a Gaussian mixture of coherent states whose rod-m mean quadratures
+    have covariance nbar per quadrature, so the element of :func:`_flow`
+    averages to a modulus of 2 |common| exp(-nbar |k_a|^2 / 2), k = (k_a, k_b).
     """
-    betas_m = np.asarray(betas_m, dtype=complex)
-    if betas_m.ndim != 1 or betas_m.size == 0:
-        raise ParameterError("betas_m must be a non-empty 1-D sequence")
+    analytic._check_occupation(nbar)
     common, k = _flow(dc, times)
-    inputs = np.stack(np.broadcast_arrays(betas_m, complex(beta_M)), -1)
-    b = math.sqrt(2.0) * inputs.view(float)  # (N, 4) mean quadratures
-    return common[:, None] * np.exp(1j * (k @ b.T))
-
-
-def thermal_coherence(dc, nbar: float, beta_M, times) -> np.ndarray:
-    """Exact photon-c path-coherence element, shape (T,), with rod m thermal
-    at mean occupation ``nbar`` and rod M in |beta_M>, at each of ``times``.
-
-    A thermal state is a Gaussian mixture of coherent states whose rod-m
-    mean quadratures have covariance nbar per quadrature, so the average of
-    :func:`gaussian_coherence` over it is, with k = (k_a, k_b) from
-    :func:`_flow`,
-
-        common * exp(i b_M^T k_b) * exp(-nbar |k_a|^2 / 2),
-
-    which at nbar = 0 is the coherent value with rod m in |0>.
-    """
-    if not (math.isfinite(nbar) and nbar >= 0):
-        raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
-    beta_M = complex(beta_M)
-    b = math.sqrt(2.0) * np.array([0.0, 0.0, beta_M.real, beta_M.imag])
-    common, k = _flow(dc, times)
-    envelope = np.exp(-0.5 * nbar * np.sum(k[:, :2] * k[:, :2], axis=1))
-    return common * np.exp(1j * (k @ b)) * envelope
+    return 2.0 * np.abs(common) * np.exp(-0.5 * nbar * np.sum(k[:, :2] * k[:, :2], axis=1))
 
 
 #: Bytes of resampled elements gathered at once by the bootstrap (its
@@ -145,8 +122,8 @@ def thermal_visibility_montecarlo(
     averages the complex path-coherence element over the samples, and
     returns arrays of 2*|mean| and of its bootstrap standard error, one
     entry per time.  It checks :func:`analytic.thermal_visibility`, the
-    gravity-free law; :func:`thermal_coherence` is the coupled average in
-    closed form.  The samples are drawn once and serve every time; the
+    gravity-free law; :func:`visibility` is the coupled average in closed
+    form.  The samples are drawn once and serve every time; the
     bootstrap indices that follow them in the generator are redrawn, from
     the same state, for each block of up to ``_TIME_BLOCK`` times, a bounded
     chunk of index rows at a time, so no index table is held and memory
@@ -157,8 +134,7 @@ def thermal_visibility_montecarlo(
         raise ParameterError(f"n_samples must be >= 100, got {n_samples}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    if not (math.isfinite(nbar) and nbar >= 0):
-        raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
+    analytic._check_occupation(nbar)
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)

@@ -184,8 +184,10 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     bad = [obs for obs, value in values.items() if not math.isfinite(value)]
     if bad:
         raise NumericalError(f"{', '.join(bad)} not finite at t = {t!r} s")
+    if plan.oracle_enabled or not _TIME_OBSERVABLES.isdisjoint(plan.observables):
+        analytic.require_resolved_phases(dc, [t])
     if plan.oracle_enabled:
-        exact = 2.0 * abs(gaussian.gaussian_coherence(dc, [p.beta_m], p.beta_M, [t])[0, 0])
+        exact = float(gaussian.visibility(dc, 0.0, [t])[0])
         diagnostics["truncation_delta"] = abs(oracle.visibility_exact(psi_t) - exact)
     return values, diagnostics
 
@@ -198,7 +200,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     the diagnostics instead of aborting the sweep, and the affected
     observables become NaN; any other exception propagates.  Oracle rows
     report ``truncation_delta``, the distance of the truncated visibility
-    from the exact one (:func:`gaussian.gaussian_coherence`).  Identical
+    from the exact one (:func:`gaussian.visibility`).  Identical
     (plan, base, seed) re-runs produce byte-identical emissions.
     """
     axis_names = tuple(name for name, _ in plan.axes)

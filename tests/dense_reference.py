@@ -27,10 +27,17 @@ routes they replaced, as independent cross-checks:
 - ``eig_flow``: ``gaussian._flow``'s common factor and k from a numerical
   inverse of M and eigendecomposition of J M, as the library computed them
   before it wrote the normal modes in closed form;
-- ``coupled_thermal_montecarlo``: the same Monte Carlo over the exact
-  Gaussian coherence with the coupled dynamics, for every time at once, as
-  the library's oracle method ran before the coupled thermal average got
-  its closed form (``gaussian.thermal_coherence``);
+- ``coherence``: photon c's complex path-coherence element for coherent
+  rod inputs, ``common * exp(i b.k)`` from ``gaussian._flow``, as the
+  library returned it before ``gaussian.visibility`` dropped the phase
+  that no modulus reads;
+- ``thermal_coherence``: its closed-form average over a thermal rod m,
+  ``common * exp(i b_M.k_b) * exp(-nbar |k_a|^2 / 2)``, the library's
+  former coupled thermal element;
+- ``coupled_thermal_montecarlo``: the same Monte Carlo over ``coherence``
+  with the coupled dynamics, for every time at once, as the library's
+  oracle method ran before the coupled thermal average got its closed
+  form;
 - ``entropy_expectations``: the entangling coefficient of the first-order
   perturbation at one time, from the system families {a^dag psi, a psi,
   psi} built in the truncated Fock basis, as the library computed it
@@ -286,9 +293,37 @@ def eig_flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
     return common, w @ j.T
 
 
+def coherence(dc, betas_m, beta_M, times) -> np.ndarray:
+    """Exact photon-c path-coherence element, shape (T, N), with rod m in
+    each coherent state |betas_m[n]> (a non-empty 1-D sequence) and rod M in
+    |beta_M>, at each of ``times``; see ``gaussian._flow``.
+    """
+    betas_m = np.asarray(betas_m, dtype=complex)
+    if betas_m.ndim != 1 or betas_m.size == 0:
+        raise ParameterError("betas_m must be a non-empty 1-D sequence")
+    common, k = gaussian._flow(dc, times)
+    inputs = np.stack(np.broadcast_arrays(betas_m, complex(beta_M)), -1)
+    b = math.sqrt(2.0) * inputs.view(float)  # (N, 4) mean quadratures
+    return common[:, None] * np.exp(1j * (k @ b.T))
+
+
+def thermal_coherence(dc, nbar: float, beta_M, times) -> np.ndarray:
+    """Exact photon-c path-coherence element, shape (T,), with rod m thermal
+    at mean occupation ``nbar`` and rod M in |beta_M>: the average of
+    :func:`coherence` over the thermal mixture,
+    common * exp(i b_M^T k_b) * exp(-nbar |k_a|^2 / 2)."""
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
+    beta_M = complex(beta_M)
+    b = math.sqrt(2.0) * np.array([0.0, 0.0, beta_M.real, beta_M.imag])
+    common, k = gaussian._flow(dc, times)
+    envelope = np.exp(-0.5 * nbar * np.sum(k[:, :2] * k[:, :2], axis=1))
+    return common * np.exp(1j * (k @ b)) * envelope
+
+
 def coupled_thermal_montecarlo(dc, beta_M, nbar: float, times, n_samples: int,
                                seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """2*|mean| of ``gaussian.gaussian_coherence`` over thermal rod-m draws,
+    """2*|mean| of :func:`coherence` over thermal rod-m draws,
     and its bootstrap standard error, one entry per time: the samples are
     drawn as ``thermal_visibility_montecarlo_per_time`` draws them, so both
     see the same amplitudes, and the bootstrap is the library's streamed
@@ -296,7 +331,7 @@ def coupled_thermal_montecarlo(dc, beta_M, nbar: float, times, n_samples: int,
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
-    elements = gaussian.gaussian_coherence(dc, betas, beta_M, times)
+    elements = coherence(dc, betas, beta_M, times)
     return gaussian._bootstrap_visibility(elements, rng)
 
 

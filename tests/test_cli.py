@@ -121,6 +121,11 @@ class TestDerive:
         assert not target.exists()
 
 
+#: The one stderr line of a reference-config grid whose middle time is 5e299 s.
+UNRESOLVED_PHASE_LINE = ("numerical failure: omega*t = 1.5000005561915637e+303 exceeds 2**52 "
+                         "at t = 5e+299 s: a double holds no phase there\n")
+
+
 class TestFigure:
     def test_fig2a_endpoints_and_minimum(self, capsys, reference_config):
         code, out, _ = run(capsys, "figure", "--params", str(reference_config),
@@ -213,6 +218,15 @@ class TestFigure:
         # One precise line: no numpy warning precedes it.
         assert proc.stderr == (
             "numerical failure: first_order_entropy not finite at t = 5e+159 s\n")
+
+    def test_unresolved_phase_exits_numerical(self, reference_config):
+        # omega_a*t is finite at t = 5e299 s, but doubles there are far more
+        # than 2*pi apart, so the pattern's cosine would be arbitrary.
+        proc = run_cold("figure", "--which", "fig2a", "--params", str(reference_config),
+                        "--t-points", "3", "--t-stop", "1e300")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == UNRESOLVED_PHASE_LINE
 
     def test_invalid_grid(self, capsys, reference_config):
         code, _, err = run(capsys, "figure", "--params", str(reference_config),
@@ -425,6 +439,19 @@ class TestScanCommand:
         assert row["visibility"] == row["entropy"] == "nan"
 
 
+    def test_unresolved_phase_is_a_row_error(self, tmp_path, reference_config):
+        plan = self.write_plan(tmp_path, "axes = \nobservables = delta_T, visibility\n"
+                                         "t = 1e300\n")
+        proc = run_cold("scan", "--params", str(reference_config), "--plan", str(plan))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        header, rows = parse_csv(proc.stdout)
+        row = dict(zip(header, rows[0]))
+        assert row["error"] == ("NumericalError: omega*t = 3.0000011123831274e+303 exceeds "
+                                "2**52 at t = 1e+300 s: a double holds no phase there")
+        assert row["visibility"] == row["delta_T"] == "nan"
+
+
 class TestThermalCommand:
     def test_law_within_errors(self, capsys, reference_config):
         code, out, _ = run(capsys, "thermal", "--params", str(reference_config),
@@ -490,6 +517,23 @@ class TestThermalCommand:
         # One precise line: no numpy warning precedes it.
         assert proc.stderr == ("numerical failure: thermal_law, mc_mean, mc_std_error, "
                                "coupled_exact not finite at t = 5e+305 s\n")
+
+    def test_unresolved_phase_exits_numerical(self, reference_config):
+        proc = run_cold("thermal", "--params", str(reference_config), "--mc-samples", "100",
+                        "--t-points", "3", "--t-stop", "1e300")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == UNRESOLVED_PHASE_LINE
+
+    def test_coupled_exact_ignores_the_coherent_amplitudes(self, tmp_path):
+        columns = []
+        for name, beta_m, beta_M in (("a.cfg", "1", "1"), ("b.cfg", "-0.4+2.5j", "0.3-1.1j")):
+            config = write_config(tmp_path, name, beta_m=beta_m, beta_M=beta_M)
+            proc = run_cold("thermal", "--params", str(config), "--mc-samples", "100")
+            assert proc.returncode == 0
+            header, rows = parse_csv(proc.stdout)
+            columns.append([row[header.index("coupled_exact")] for row in rows])
+        assert columns[0] == columns[1]
 
     def test_mc_method_is_gone(self, capsys, reference_config):
         code, _, err = run(capsys, "thermal", "--params", str(reference_config),

@@ -209,8 +209,7 @@ class TestRunScan:
                           mode="dimensionless")
         for gamma, row in zip(gammas, og.run_scan(plan, base).rows):
             dc = og.derive_couplings(replace(base, direct_gamma=gamma))
-            coherence = gaussian.gaussian_coherence(dc, [base.beta_m], base.beta_M, [t])
-            exact = 2.0 * abs(coherence[0, 0])
+            exact = float(gaussian.visibility(dc, 0.0, [t])[0])
             delta = row["diagnostics"]["truncation_delta"]
             assert delta == abs(row["values"]["visibility_exact"] - exact)
             assert delta <= 1e-12
