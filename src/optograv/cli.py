@@ -60,11 +60,11 @@ STATE_SLOPE_TARGET = (1.9, 2.1)
 VISIBILITY_SLOPE_MIN = 1.9
 ENTROPY_SLOPE_MIN = 2.5
 SCALING_GAMMA_FACTORS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-#: Equivalence times evolved per batched call.  Without gravity, ``evolve`` holds a few
-#: temporaries of one state per time of a call and costs the same per time at any call
-#: size, so 16 times, like the floor of a Chebyshev ring (``oracle._ring_slots``), keep
-#: what one call holds small.
-EQUIVALENCE_SLICE = 16
+#: Equivalence times evolved per batched call.  Without gravity, ``evolve`` runs no
+#: Chebyshev ring but holds a few temporaries of one state per time of a call, and costs
+#: the same per time at any call size, so 2 times keep what one call holds to a few
+#: states, below the command's other peaks.
+EQUIVALENCE_SLICE = 2
 
 
 def _linalg_errors() -> tuple:

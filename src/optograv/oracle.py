@@ -181,11 +181,13 @@ def _ring_slots(terms: int, times: int, size: int) -> int:
     """Chebyshev vectors of ``size`` floats held at once by a recursion of
     ``terms`` terms whose fold serves ``times`` times: at least 3 (a step
     reads the two before it), at most ``terms`` and :data:`_CHUNK_BYTES`,
-    and otherwise max(16, 8*times).  A fold of c slots reads them once and
-    adds into the (times, size) output once, so c >= 8*times keeps that
-    output traffic within an eighth of the ring's; for one time the fold is
-    a matrix-vector product, which a larger ring does not speed up."""
-    return max(3, min(terms, max(16, 8 * times), _CHUNK_BYTES // (8 * size)))
+    and otherwise 3*times.  A fold of c slots reads them once and adds into
+    the (times, size) output once, so c = 3*times keeps that output traffic
+    within a third of the ring's.  For one time the fold is a matrix-vector
+    product, whose arithmetic a deeper ring does not reduce (it saves only
+    fold calls), so a one-time recursion (a scan row, the scaling study's
+    family) holds 3 vectors."""
+    return max(3, min(terms, 3 * times, _CHUNK_BYTES // (8 * size)))
 
 
 def _check_norms(before: float, after: np.ndarray, times: np.ndarray):
@@ -340,9 +342,9 @@ class Propagator:
         """Real and imaginary parts (2, 2, 2, T, dim_a, K, dim_b) of exp(-i*H*t)
         x0 at each time for each of the K couplings, from the eigenbasis
         planes x0 (2, 2, dim_a, P, dim_b).  The Chebyshev vectors cycle
-        through a ring of :func:`_ring_slots` slots, at most max(16, 8*T):
+        through a ring of :func:`_ring_slots` slots, at most 3*T:
         a ring only needs to be deep beside the T rows that each fold adds
-        into, so a one-time call holds 16 vectors, not :data:`_CHUNK_BYTES`."""
+        into, so a one-time call holds 3 vectors, not :data:`_CHUNK_BYTES`."""
         real, imag = self._coefficients(times)
         terms, planes, count = real.shape[-1], x0.shape[3], len(self._gammas)
         shape = x0.shape[:3] + (count * planes, x0.shape[4])
@@ -360,8 +362,10 @@ class Propagator:
         parts = np.moveaxis(folded.reshape(out.shape[1:-1] + (planes, shape[4])), -2, 0)
         # A complex state's planes interleave in `parts`, so an add from one runs through
         # numpy's iteration buffer (up to 8192 elements); one sector and plane at a time
-        # keeps that buffer within half a slot.
-        sectors = [(out[:, p, q], parts[:, p, q]) for p in (0, 1) for q in (0, 1)]
+        # keeps that buffer within half a slot.  A real state's one plane is contiguous and
+        # adds unbuffered, so it adds whole: a small ring folds often.
+        sectors = ([(out, parts)] if planes == 1 else
+                   [(out[:, p, q], parts[:, p, q]) for p in (0, 1) for q in (0, 1)])
         ring[0].reshape(x0.shape[:3] + (count,) + x0.shape[3:])[...] = x0[:, :, :, None]
         for k in range(terms):
             slot = k % chunk

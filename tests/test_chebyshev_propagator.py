@@ -234,8 +234,8 @@ def assert_series_holds_only_its_ring_output_and_buffer(spec, count):
     # No state-sized block beyond the ring of Chebyshev vectors, the output
     # planes of every time and coupling and the scratch buffer shared by the
     # steps and the folds; ring and buffer slots hold one real plane per part
-    # of the state and coupling.  The ring holds max(16, 8T) slots for T
-    # times, fewer when its bytes would pass _CHUNK_BYTES.
+    # of the state and coupling.  The ring holds 3T slots for T times,
+    # fewer when its bytes would pass _CHUNK_BYTES.
     p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
     state = 16 * math.prod(spec.dims)  # bytes of one complex state
     times = np.linspace(1.0, 2.0, count)
@@ -246,7 +246,7 @@ def assert_series_holds_only_its_ring_output_and_buffer(spec, count):
         for planes in (1, 2):
             x0 = sector_planes(spec, 6, planes)[0]
             slot = members * planes * state // 2
-            chunk = max(3, min(terms, max(16, 8 * count), oracle._CHUNK_BYTES // slot))
+            chunk = max(3, min(terms, 3 * count, oracle._CHUNK_BYTES // slot))
             assert chunk < terms  # the ring wraps
             held = (chunk + max(2, count)) * slot + count * members * state
             propagator._series(x0, times)
@@ -265,9 +265,9 @@ def test_series_holds_only_its_ring_output_and_buffer(count):
     assert_series_holds_only_its_ring_output_and_buffer(og.HilbertSpec(80, 80), count)
 
 
-def test_one_time_ring_holds_at_most_16_slots():
+def test_one_time_ring_holds_3_slots():
     # The byte budget alone would give this state's ring hundreds of slots.
-    assert assert_series_holds_only_its_ring_output_and_buffer(og.HilbertSpec(28, 28), 1) <= 16
+    assert assert_series_holds_only_its_ring_output_and_buffer(og.HilbertSpec(28, 28), 1) == 3
 
 
 def budget_ring_slots(terms, times, size):

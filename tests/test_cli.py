@@ -1,11 +1,13 @@
 """End-to-end subcommand behaviour, exit codes, and output determinism."""
 
 import argparse
+import csv
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +36,9 @@ def run_cold(*argv):
 
 
 def parse_csv(text):
+    """Header and rows of a CSV emission, its quoted cells read whole."""
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
+    header, *rows = csv.reader(lines)
     return header, rows
 
 
@@ -299,6 +301,21 @@ class TestOracleCommand:
         for family in ("state", "visibility", "entropy"):
             assert measured[f"{family}_residual_slope"] == study[family][0], family
 
+    def test_warm_run_holds_under_3_mb(self, capsys):
+        # One-time Chebyshev rings of 3 vectors and equivalence slices of 2
+        # times leave the frame-rotation residual and the scaling study as
+        # the largest holdings; a 16-slot ring or 16-time slices each pass 3.5 MB.
+        argv = ["oracle", "--params", str(CONFIGS / "dimensionless.cfg"), "--n-max", "30"]
+        assert run(capsys, *argv)[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 3.0e6
+
     def test_chebyshev_table_budget_exits_numerical(self, capsys):
         code, _, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
                            "--scaling-t", "1e12")
@@ -450,6 +467,26 @@ class TestScanCommand:
         assert row["error"] == ("NumericalError: omega*t = 3.0000011123831274e+303 exceeds "
                                 "2**52 at t = 1e+300 s: a double holds no phase there")
         assert row["visibility"] == row["delta_T"] == "nan"
+
+    def test_row_error_with_a_comma_is_read_back_whole(self, capsys, tmp_path):
+        # The error cell is quoted; the truncation_delta after it stays in its column.
+        plan = self.write_plan(tmp_path, "axes = bare_freq_a\nvalues_bare_freq_a = -1, 1\n"
+                                         "observables = gamma, visibility_exact\n"
+                                         "oracle_enabled = true\nn_max = 36\nt = 1\n")
+        code, out, _ = run(capsys, "scan", "--params", str(CONFIGS / "dimensionless.cfg"),
+                           "--plan", str(plan))
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["bare_freq_a", "gamma", "visibility_exact", "error",
+                          "truncation_delta"]
+        assert [len(r) for r in rows] == [5, 5]
+        bad, good = (dict(zip(header, r)) for r in rows)
+        assert bad["error"] == ("ParameterError: bare_freq_a must be a finite positive "
+                                "number, got -1.0")
+        assert bad["truncation_delta"] == bad["gamma"] == "nan"
+        assert good["error"] == ""
+        assert float(good["gamma"]) == 1e-2
+        assert float(good["truncation_delta"]) < 1e-9
 
 
 class TestThermalCommand:
