@@ -95,10 +95,18 @@ def _check_times(times, ndmin: int = 1) -> np.ndarray:
     return times
 
 
-def require_resolved_phases(dc: DerivedCouplings, times) -> None:
-    """Raise NumericalError at the first of ``times`` at which
-    max(omega_a, omega_b)*t exceeds 2**52, where adjacent doubles are >= 1 rad apart."""
-    omega, times = max(dc.omega_a, dc.omega_b), np.asarray(times, dtype=float)
+def check_outputs(dc: DerivedCouplings, times, columns: dict) -> None:
+    """Raise NumericalError at the first of ``times`` at which a value column
+    (name -> one value per time) is not finite, naming those columns; else at
+    the first at which max(omega_a, omega_b)*t exceeds 2**52, where adjacent
+    doubles are >= 1 rad apart."""
+    times = np.asarray(times, dtype=float)
+    finite = np.isfinite(np.array(list(columns.values()), dtype=float).reshape(-1, times.size))
+    bad = np.flatnonzero(~finite.all(axis=0))
+    if bad.size:
+        names = ", ".join(name for name, ok in zip(columns, finite[:, bad[0]]) if not ok)
+        raise NumericalError(f"{names} not finite at t = {float(times[bad[0]])!r} s")
+    omega = max(dc.omega_a, dc.omega_b)
     bad = np.flatnonzero(times > 2.0**52 / omega)
     if bad.size:
         t = float(times[bad[0]])

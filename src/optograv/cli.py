@@ -7,13 +7,14 @@ verification suite), ``feasibility`` (quality-factor/temperature frontier),
 ``scan`` (parameter sweeps), ``thermal`` (thermal visibility law vs. its
 Monte-Carlo average, beside the exact, amplitude-free coupled one).
 
-Exit codes: 0 success, 1 user/config error, 2 tolerance failure,
-3 numerical failure (running out of memory, a non-finite ``figure`` or
-``thermal`` value and a time with omega*t > 2**52 included).  Every
-output embeds a provenance header (config fingerprint and version;
-``thermal``, whose Monte Carlo draws random numbers, and ``scan``, whose
-plan carries a seed, add the seed) and identical inputs reproduce
-byte-identical files.
+Exit codes: 0 success, 1 user/config error (parameters whose coupling
+arithmetic overflows or underflows to a zero divisor included), 2 tolerance
+failure, 3 numerical failure (running out of memory, a non-finite
+``figure``, ``thermal`` or ``feasibility`` value and a time with
+omega*t > 2**52 included).  Every output embeds a provenance header
+(config fingerprint and version; ``thermal``, whose Monte Carlo draws
+random numbers, and ``scan``, whose plan carries a seed, add the seed) and
+identical inputs reproduce byte-identical files.
 
 numpy is imported by the commands that compute arrays (``figure``,
 ``oracle``, ``scan``, ``thermal``) when they start, never at import, so
@@ -79,15 +80,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub, time_grid=False, table=True):
+def _add_common(sub, time_grid=(), table=True):
+    """--params, --out, --format if ``table``, and --t-start, --t-stop and
+    --t-points if ``time_grid`` holds their three help texts."""
     sub.add_argument("--params", required=True, help="parameter config file")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     if table:
         sub.add_argument("--format", choices=("csv", "json"), default=None)
     if time_grid:
-        sub.add_argument("--t-start", type=float, default=None, help="default: 0")
-        sub.add_argument("--t-stop", type=float, default=None, help="default: 3 periods")
-        sub.add_argument("--t-points", type=int, default=None, help="default: 2048")
+        start, stop, points = time_grid
+        sub.add_argument("--t-start", type=float, default=None, help=start)
+        sub.add_argument("--t-stop", type=float, default=None, help=stop)
+        sub.add_argument("--t-points", type=int, default=None, help=points)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=cmd_derive)
 
     p_figure = subs.add_parser("figure", help="emit plot datasets")
-    _add_common(p_figure, time_grid=True)
+    _add_common(p_figure, time_grid=("default: 0", "default: 3 periods", "default: 2048"))
     p_figure.add_argument("--which", choices=("fig2a", "fig2b", "fig3"), required=True)
     p_figure.set_defaults(func=cmd_figure)
 
@@ -128,7 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thermal = subs.add_parser("thermal", help="thermal visibility law vs Monte-Carlo average, "
                                                 "and the exact coupled value")
-    _add_common(p_thermal, time_grid=True)
+    _add_common(p_thermal, time_grid=(
+        "default: 0, or 1/8 period if no time flag is given",
+        "default: 3 periods, or 1 period if no time flag is given",
+        "default: 2048, or 8 if no time flag is given"))
     p_thermal.add_argument("--nbar", type=float, default=1.0)
     p_thermal.add_argument("--mc-samples", type=int, default=10000)
     p_thermal.add_argument("--seed", type=int, default=0)
@@ -201,18 +208,6 @@ def _time_grid(args, dc):
     return np.linspace(start, stop, points)
 
 
-def _require_finite(times, columns: dict):
-    """Raise NumericalError at the first time at which a value column
-    (name -> one value per time) is not finite, naming those columns."""
-    import numpy as np
-
-    finite = np.isfinite(np.array(list(columns.values()), dtype=float))
-    bad = np.flatnonzero(~finite.all(axis=0))
-    if bad.size:
-        names = ", ".join(name for name, ok in zip(columns, finite[:, bad[0]]) if not ok)
-        raise NumericalError(f"{names} not finite at t = {float(times[bad[0]])!r} s")
-
-
 def cmd_derive(args) -> int:
     p = load_params(args.params)
     dc = derive_couplings(p)
@@ -237,7 +232,7 @@ def cmd_figure(args) -> int:
     dc = derive_couplings(p)
     times = _time_grid(args, dc)
     axis, column, key = times, "t_seconds", "times"
-    # An overflow is reported once, by _require_finite, not also as a numpy warning.
+    # An overflow is reported once, by check_outputs, not also as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if args.which == "fig2a":
             values, method = analytic.visibility_uncoupled(dc, times), "uncoupled"
@@ -246,8 +241,7 @@ def cmd_figure(args) -> int:
         else:  # fig3: entanglement growth, time in revival periods
             values, method = analytic.linear_entropy_first_order(dc, times), "first_order_entropy"
             axis, column, key = times / (2.0 * math.pi / dc.omega_a), "t_periods", "times_periods"
-    _require_finite(times, {method: values})
-    analytic.require_resolved_phases(dc, times)
+    analytic.check_outputs(dc, times, {method: values})
     provenance = _provenance(
         p, args, which=args.which,
         t_start=repr(float(times[0])), t_stop=repr(float(times[-1])),
@@ -366,6 +360,10 @@ def cmd_feasibility(args) -> int:
                         revival_peak_width(dc, p, t)))
     records = [(kind, *(float(v) for v in values)) for kind, *values in entries]
     header = ["given", "given_value", "Q", "T_kelvin", "nbar", "peak_width_rad"]
+    for kind, given, *values in records:
+        bad = [name for name, value in zip(header[2:], values) if not math.isfinite(value)]
+        if bad:
+            raise NumericalError(f"{', '.join(bad)} not finite at {kind} = {given!r}")
     _emit_table(args, _provenance(p, args), header, records)
     return 0
 
@@ -431,15 +429,14 @@ def cmd_thermal(args) -> int:
     else:
         times = _time_grid(args, dc)
     nbar = args.nbar
-    # An overflow is reported once, by _require_finite, not also as a numpy warning.
+    # An overflow is reported once, by check_outputs, not also as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         law = analytic.thermal_visibility(dc, nbar, times)
         coupled = gaussian.visibility(dc, nbar, times)
         means, errors = gaussian.thermal_visibility_montecarlo(dc, nbar, times,
                                                                args.mc_samples, args.seed)
-    _require_finite(times, {"thermal_law": law, "mc_mean": means, "mc_std_error": errors,
-                            "coupled_exact": coupled})
-    analytic.require_resolved_phases(dc, times)
+    analytic.check_outputs(dc, times, {"thermal_law": law, "mc_mean": means,
+                                       "mc_std_error": errors, "coupled_exact": coupled})
     records = [
         (t, expected, mean, err, abs(mean - expected) / err if err > 0 else 0.0, exact)
         for t, expected, mean, err, exact

@@ -160,9 +160,22 @@ def derive_couplings(p: PhysicalParams) -> DerivedCouplings:
     Raises
     ------
     ParameterError
-        If any derived quantity fails to be finite; the message names the
-        offending quantity.
+        If any derived quantity fails to be finite (the message names it),
+        or a power overflows or a divisor underflows to zero on the way.
     """
+    try:
+        dc = _couplings(p)
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError("derived couplings overflow or underflow double precision; "
+                             "check the inputs") from None
+    for name, value in dc.as_dict().items():
+        if not math.isfinite(value):
+            raise ParameterError(f"derived coupling {name} is not finite; check the inputs")
+    return dc
+
+
+def _couplings(p: PhysicalParams) -> DerivedCouplings:
+    """:func:`derive_couplings` before its checks: the float arithmetic alone."""
     bare_a, bare_b = p.bare_freq_a, p.bare_freq_b
     if p.units == UNITS_DIMENSIONLESS:
         dc = DerivedCouplings(
@@ -199,9 +212,6 @@ def derive_couplings(p: PhysicalParams) -> DerivedCouplings:
             gamma=gamma,
             delta_T=TWO_PI / bare_a - TWO_PI / omega_a,
         )
-    for name, value in dc.as_dict().items():
-        if not math.isfinite(value):
-            raise ParameterError(f"derived coupling {name} is not finite; check the inputs")
     return dc
 
 
@@ -220,9 +230,12 @@ def thermal_occupation(p: PhysicalParams, temperature_T: float) -> float:
         raise ParameterError("thermal_occupation is defined for SI-mode parameters only")
     if not (math.isfinite(temperature_T) and temperature_T >= 0):
         raise ParameterError(f"temperature_T must be >= 0, got {temperature_T!r}")
-    if temperature_T == 0.0:
+    thermal_energy = K_BOLTZMANN * temperature_T
+    if thermal_energy == 0.0:  # T = 0, or k_B*T underflows
         return 0.0
-    x = p.hbar * derive_couplings(p).omega_a / (K_BOLTZMANN * temperature_T)
+    x = p.hbar * derive_couplings(p).omega_a / thermal_energy
+    if x == 0.0:  # hbar*omega_a/(k_B*T) underflows: the occupation overflows
+        return math.inf
     return 0.0 if x > _NBAR_EXP_CUTOFF else 1.0 / math.expm1(x)
 
 
@@ -251,7 +264,9 @@ def feasibility_bound(p: PhysicalParams, Q: float | None = None, T: float | None
 
 def revival_peak_width(dc: DerivedCouplings, p: PhysicalParams, temperature_T: float) -> float:
     """Scaling estimate of the revived visibility peak's width, in radians of
-    omega_a*t: 1 / (lam_m * sqrt(4*k_B*T/(hbar*omega_a) + 2)).
+    omega_a*t: 1 / (lam_m * sqrt(4*k_B*T/(hbar*omega_a) + 2)), evaluated as
+    1 / (2*lam_m * sqrt(k_B*T/(hbar*omega_a) + 1/2)), the same double wherever
+    4*k_B*T/(hbar*omega_a) does not overflow.
 
     A scaling estimate, not an exact half-maximum width (it agrees with the
     numerically measured half-width of the thermal pattern to within a
@@ -261,5 +276,5 @@ def revival_peak_width(dc: DerivedCouplings, p: PhysicalParams, temperature_T: f
         raise ParameterError("revival_peak_width is defined for SI-mode parameters only")
     if not (math.isfinite(temperature_T) and temperature_T >= 0):
         raise ParameterError(f"temperature_T must be >= 0, got {temperature_T!r}")
-    ratio = 4.0 * K_BOLTZMANN * temperature_T / (p.hbar * dc.omega_a)
-    return 1.0 / (dc.lambda_m * math.sqrt(ratio + 2.0))
+    ratio = K_BOLTZMANN * temperature_T / (p.hbar * dc.omega_a)
+    return 1.0 / (2.0 * dc.lambda_m * math.sqrt(ratio + 0.5))

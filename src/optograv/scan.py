@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import analytic
 from ._version import __version__
 from .config import fingerprint, fingerprint_params
-from .errors import NumericalError, OptogravError, ParameterError
+from .errors import OptogravError, ParameterError
 from .params import (
     UNITS_DIMENSIONLESS,
     PhysicalParams,
@@ -37,28 +37,13 @@ if TYPE_CHECKING:
 
 VALID_AXES = frozenset(f.name for f in fields(PhysicalParams) if f.name != "units")
 
-#: Observables that need a time value.
-_TIME_OBSERVABLES = frozenset(
-    ("visibility", "visibility_shift", "entropy", "visibility_exact", "entropy_exact",
-     "interaction_residual")
-)
-#: Observables that need oracle_enabled.
-_ORACLE_OBSERVABLES = frozenset(("visibility_exact", "entropy_exact", "interaction_residual"))
-
-OBSERVABLES = (
-    "delta_T",
-    "omega_a",
-    "omega_b",
-    "gamma",
-    "lambda_m",
-    "lambda_M",
-    "visibility",
-    "visibility_shift",
-    "entropy",
-    "visibility_exact",
-    "entropy_exact",
-    "interaction_residual",
-)
+#: Each observable and what it needs: "" nothing but the couplings, "t" the
+#: plan's time, "oracle" the time and oracle_enabled.
+OBSERVABLES = {
+    **dict.fromkeys(("delta_T", "omega_a", "omega_b", "gamma", "lambda_m", "lambda_M"), ""),
+    **dict.fromkeys(("visibility", "visibility_shift", "entropy"), "t"),
+    **dict.fromkeys(("visibility_exact", "entropy_exact", "interaction_residual"), "oracle"),
+}
 
 MAX_GRID = 1_000_000
 
@@ -83,7 +68,7 @@ class ScanPlan:
 
     def __post_init__(self):
         if not self.observables:
-            raise ParameterError(f"empty observable list; valid observables: {OBSERVABLES}")
+            raise ParameterError(f"empty observable list; valid observables: {tuple(OBSERVABLES)}")
         for kind, names in (("axis", [name for name, _ in self.axes]),
                             ("observable", self.observables)):
             repeated = sorted({name for name in names if names.count(name) > 1})
@@ -103,11 +88,11 @@ class ScanPlan:
         for obs in self.observables:
             if obs not in OBSERVABLES:
                 raise ParameterError(
-                    f"unknown observable {obs!r}; valid observables: {OBSERVABLES}"
+                    f"unknown observable {obs!r}; valid observables: {tuple(OBSERVABLES)}"
                 )
-            if obs in _ORACLE_OBSERVABLES and not self.oracle_enabled:
+            if OBSERVABLES[obs] == "oracle" and not self.oracle_enabled:
                 raise ParameterError(f"observable {obs!r} requires oracle_enabled = true")
-            if obs in _TIME_OBSERVABLES and self.observable_time is None:
+            if OBSERVABLES[obs] and self.observable_time is None:
                 raise ParameterError(f"observable {obs!r} requires a 't' value in the plan")
         if self.oracle_enabled and self.observable_time is None:
             raise ParameterError("oracle_enabled scans need a 't' value for diagnostics")
@@ -120,17 +105,6 @@ class ScanPlan:
         t = self.observable_time
         if t is not None and not (math.isfinite(t) and t >= 0):
             raise ParameterError(f"the plan's 't' must be finite and >= 0, got {t!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "axes": [[name, list(values)] for name, values in self.axes],
-            "observables": list(self.observables),
-            "mode": self.mode,
-            "oracle_enabled": self.oracle_enabled,
-            "seed": self.seed,
-            "observable_time": self.observable_time,
-            "n_max": self.n_max,
-        }
 
 
 @dataclass
@@ -169,7 +143,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         "entropy": lambda: analytic.linear_entropy_first_order(dc, [t]),
     }
     for obs in plan.observables:
-        if obs in ("delta_T", "omega_a", "omega_b", "gamma", "lambda_m", "lambda_M"):
+        if not OBSERVABLES[obs]:
             values[obs] = getattr(dc, obs)
         elif obs in closed_forms:
             # An overflow is reported once, as the row's error, not as a numpy warning.
@@ -181,11 +155,8 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
             values[obs] = oracle.linear_entropy_exact(psi_t)
         elif obs == "interaction_residual":
             values[obs] = float(oracle.interaction_picture_residual(dc, spec, [t])[0])
-    bad = [obs for obs, value in values.items() if not math.isfinite(value)]
-    if bad:
-        raise NumericalError(f"{', '.join(bad)} not finite at t = {t!r} s")
-    if plan.oracle_enabled or not _TIME_OBSERVABLES.isdisjoint(plan.observables):
-        analytic.require_resolved_phases(dc, [t])
+    if plan.oracle_enabled or any(OBSERVABLES[obs] for obs in plan.observables):
+        analytic.check_outputs(dc, [t], values)
     if plan.oracle_enabled:
         exact = float(gaussian.visibility(dc, 0.0, [t])[0])
         diagnostics["truncation_delta"] = abs(oracle.visibility_exact(psi_t) - exact)
@@ -222,7 +193,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     provenance = {
         "version": __version__,
         "seed": plan.seed,
-        "plan_fingerprint": fingerprint(plan.as_dict()),
+        "plan_fingerprint": fingerprint(asdict(plan)),
         "params_fingerprint": fingerprint_params(base),
     }
     return ScanResult(

@@ -122,6 +122,16 @@ class TestDerive:
         assert err.startswith(f"error: cannot write {target}:")
         assert not target.exists()
 
+    @pytest.mark.parametrize("separation", ["1e-300", "1e300"])
+    def test_coupling_arithmetic_out_of_range_is_one_error_line(self, tmp_path, separation):
+        # h**3 underflows to 0.0 (a division by zero) or overflows (OverflowError).
+        proc = run_cold("derive", "--params", str(write_config(tmp_path,
+                                                               separation_h=separation)))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: derived couplings overflow or underflow double "
+                               "precision; check the inputs\n")
+
 
 #: The one stderr line of a reference-config grid whose middle time is 5e299 s.
 UNRESOLVED_PHASE_LINE = ("numerical failure: omega*t = 1.5000005561915637e+303 exceeds 2**52 "
@@ -380,6 +390,29 @@ class TestFeasibility:
         # Width halves when the temperature quadruples (high-T regime).
         w50, w200 = float(rows[2][5]), float(rows[3][5])
         assert w50 / w200 == pytest.approx(2.0, rel=1e-4)
+
+    def test_non_finite_row_exits_numerical(self, reference_config):
+        # k_B*T/(hbar*omega_a) overflows, and with it the occupation.
+        proc = run_cold("feasibility", "--params", str(reference_config), "--q-values", "1e7",
+                        "--t-values", "0.23,1e308")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "numerical failure: Q, nbar not finite at T = 1e+308\n"
+
+    def test_underflowing_thermal_energy_is_zero_occupation(self, capsys, reference_config):
+        code, out, err = run(capsys, "feasibility", "--params", str(reference_config),
+                             "--q-values", "1e7", "--t-values", "0,1e-320")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert rows[2] == ["T", "1e-320", "0.0", "1e-320", "0.0", rows[1][5]]
+
+    def test_width_at_an_overflowing_ratio_is_not_zero(self, capsys, reference_config):
+        code, out, _ = run(capsys, "feasibility", "--params", str(reference_config),
+                           "--q-values", "1e8,1e308", "--t-values", "")
+        assert code == 0
+        _, rows = parse_csv(out)
+        # The width falls as 1/sqrt(Q): 150 decades of Q are 75 of width.
+        assert float(rows[1][5]) == pytest.approx(float(rows[0][5]) * 1e-150, rel=1e-6, abs=0.0)
 
 
 class TestScanCommand:
@@ -660,6 +693,8 @@ THERMAL_LOADS_OPENSSL = not all(importlib.util.find_spec(name) is not None
 @pytest.mark.parametrize("argv, exit_code, numpy_loaded, hashlib_loaded", [
     (("derive", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
     (("feasibility", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
+    (("feasibility", "--t-values", "1e308", "--params", str(CONFIGS / "reference.cfg")), 3,
+     False, False),
     (("--version",), 0, False, False),
     (("derive",), 1, False, False),  # --params missing
     (("figure", "--which", "fig2a", "--t-points", "8", "--params",
@@ -670,8 +705,8 @@ THERMAL_LOADS_OPENSSL = not all(importlib.util.find_spec(name) is not None
       str(CONFIGS / "reference.cfg")), 0, True, False),
     (("oracle", "--n-max", "25", "--equivalence-points", "4", "--residual-times", "1",
       "--params", str(CONFIGS / "dimensionless.cfg")), 0, True, False),
-], ids=["derive", "feasibility", "version", "missing-params", "figure", "thermal", "scan",
-        "oracle"])
+], ids=["derive", "feasibility", "feasibility-not-finite", "version", "missing-params",
+        "figure", "thermal", "scan", "oracle"])
 def test_only_the_array_commands_load_numpy(argv, exit_code, numpy_loaded, hashlib_loaded):
     code = ("import contextlib, io, sys\nfrom optograv.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ def configs():
 
 
 def example_plan():
-    return ScanPlan(**config.load_scan_plan(CONFIGS / "scan_example.cfg")).as_dict()
+    return asdict(ScanPlan(**config.load_scan_plan(CONFIGS / "scan_example.cfg")))
 
 
 def hashlib_digest(payload):

@@ -193,6 +193,43 @@ def test_thermal_occupation_is_si_only(ref_params):
         og.thermal_occupation(setups.dimensionless_params(gamma=1e-2), 0.1)
 
 
+def test_occupation_is_zero_where_the_thermal_energy_underflows(ref_params):
+    # k_B*T is 0.0 in double precision: no division by it.
+    assert K_BOLTZMANN * 1e-320 == 0.0
+    assert og.thermal_occupation(ref_params, 1e-320) == 0.0
+
+
+def test_occupation_is_infinite_where_the_exponent_underflows(ref_params):
+    # hbar*omega_a/(k_B*T) is 0.0 in double precision: expm1 of it is no divisor.
+    tiny_hbar = replace(ref_params, hbar=1e-300)
+    assert og.thermal_occupation(tiny_hbar, 1e300) == math.inf
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1e-9, 0.23, 1.0, 50.0, 1e6, 1e200])
+def test_peak_width_is_the_double_of_the_quoted_formula(ref_params, ref_couplings, temperature):
+    ratio = 4.0 * K_BOLTZMANN * temperature / (ref_params.hbar * ref_couplings.omega_a)
+    quoted = 1.0 / (ref_couplings.lambda_m * math.sqrt(ratio + 2.0))
+    assert og.revival_peak_width(ref_couplings, ref_params, temperature) == quoted
+
+
+def test_peak_width_survives_an_overflowing_ratio(ref_params, ref_couplings):
+    # At Q = 1e308 the quoted 4*k_B*T/(hbar*omega_a) = 4*Q overflows, which
+    # made the width 0.0; the width is 1/(2*lam_m*sqrt(Q + 1/2)).
+    temperature = og.feasibility_bound(ref_params, Q=1e308)
+    width = og.revival_peak_width(ref_couplings, ref_params, temperature)
+    assert width == pytest.approx(1.0 / (2.0 * ref_couplings.lambda_m * 1e154), rel=1e-12,
+                                  abs=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"separation_h": 1e-300}, {"separation_h": 1e300},
+                                    {"bare_freq_a": 1e200}],
+                         ids=["h_cubed_underflows", "h_cubed_overflows", "square_overflows"])
+def test_float_exceptions_are_parameter_errors(ref_params, kwargs):
+    with pytest.raises(ParameterError, match="^derived couplings overflow or underflow double "
+                                             "precision; check the inputs$"):
+        og.derive_couplings(replace(ref_params, **kwargs))
+
+
 def test_feasibility_bound_reference_point(ref_params):
     assert og.feasibility_bound(ref_params, Q=1e7) == pytest.approx(T_MAX_AT_Q1E7, rel=1e-12)
     assert og.feasibility_bound(ref_params, Q=1e7) == pytest.approx(0.23, rel=0.05)

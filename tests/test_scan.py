@@ -12,7 +12,7 @@ import optograv as og
 import setups
 from optograv import gaussian, oracle, scan
 from optograv.cli import SCALING_GAMMA_FACTORS
-from optograv.config import load_params
+from optograv.config import fingerprint, load_params, load_scan_plan
 from optograv.errors import DimensionLimitError, ParameterError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -84,6 +84,32 @@ class TestScanPlan:
         with pytest.raises(ParameterError, match="n_max .* oracle_enabled = true"):
             small_plan(n_max=20)
 
+    def test_unknown_observable_message_lists_every_name_in_order(self):
+        with pytest.raises(ParameterError) as info:
+            small_plan(observables=("bogus",))
+        assert str(info.value) == (
+            "unknown observable 'bogus'; valid observables: ('delta_T', 'omega_a', 'omega_b', "
+            "'gamma', 'lambda_m', 'lambda_M', 'visibility', 'visibility_shift', 'entropy', "
+            "'visibility_exact', 'entropy_exact', 'interaction_residual')")
+
+    def test_oracle_observable_message(self):
+        with pytest.raises(ParameterError) as info:
+            small_plan(observables=("entropy_exact",), observable_time=1.0)
+        assert str(info.value) == "observable 'entropy_exact' requires oracle_enabled = true"
+
+    def test_time_observable_message(self):
+        with pytest.raises(ParameterError) as info:
+            small_plan(observables=("delta_T", "visibility_shift"))
+        assert str(info.value) == "observable 'visibility_shift' requires a 't' value in the plan"
+
+    @pytest.mark.parametrize("plan_file, digest", [
+        (CONFIGS / "scan_example.cfg", "ab177280a7d61e04"),
+        (CONFIGS.parent / "bench" / "sweep_plan.cfg", "6b9e074d27f79655"),
+    ], ids=["scan_example", "sweep_plan"])
+    def test_plan_fingerprints(self, plan_file, digest):
+        plan = og.ScanPlan(**load_scan_plan(plan_file))
+        assert fingerprint(asdict(plan)) == digest
+
     def test_grid_size_guard(self):
         with pytest.raises(ParameterError, match="grid size"):
             small_plan(axes=(("separation_h", tuple(range(1, 1001))),
@@ -103,6 +129,13 @@ class TestRunScan:
         result = og.run_scan(small_plan(), ref_params)
         assert len(result.rows) == 1
         assert result.rows[0]["values"]["delta_T"] == ref_couplings.delta_T
+
+    def test_rows_without_a_time_observable_skip_the_phase_check(self, ref_params,
+                                                                 ref_couplings):
+        # omega*t exceeds 2**52 at the plan's time, but no value is read there.
+        (row,) = og.run_scan(small_plan(observable_time=1e300), ref_params).rows
+        assert row["diagnostics"]["error"] == ""
+        assert row["values"]["delta_T"] == ref_couplings.delta_T
 
     def test_zero_gravity_observables_vanish(self, ref_params):
         plan = small_plan(
@@ -156,6 +189,16 @@ class TestRunScan:
         assert result.rows[0]["diagnostics"]["error"] == ""
         assert result.rows[1]["diagnostics"]["error"].startswith("OverflowError")
         assert math.isnan(result.rows[1]["values"]["delta_T"])
+
+    @pytest.mark.parametrize("separation", [1e-300, 1e300])
+    def test_coupling_arithmetic_out_of_range_is_a_parameter_row_error(self, ref_params,
+                                                                      separation):
+        plan = small_plan(axes=(("separation_h", (separation, 1e-8)),))
+        bad, good = og.run_scan(plan, ref_params).rows
+        assert bad["diagnostics"]["error"] == ("ParameterError: derived couplings overflow or "
+                                               "underflow double precision; check the inputs")
+        assert math.isnan(bad["values"]["delta_T"])
+        assert good["diagnostics"]["error"] == ""
 
     def test_huge_amplitude_names_dimension_limit(self, ref_params):
         # |beta_m| = 1e300 has no Fock truncation for the oracle's default spec.
