@@ -164,8 +164,19 @@ def _emit(args, text: str):
             raise ConfigError(f"cannot write {args.out}: {exc}") from None
 
 
+def _json_safe(value):
+    """``value`` with every float that is not finite as None, JSON's null:
+    strict JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit_json(args, payload: dict):
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    _emit(args, text + "\n")
 
 
 def _cell(value) -> str:

@@ -145,9 +145,6 @@ _SERIES_TOL = np.finfo(float).eps
 #: round-off of the per-mode eigenvalues it is built from.
 _INTERVAL_PAD = 1e-12
 
-#: Bytes of Chebyshev vectors a ring may hold however many times its fold serves.
-_CHUNK_BYTES = 8 << 20
-
 #: (-i)^k for k mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
@@ -175,19 +172,6 @@ def _rotate(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     product = np.matmul(left[:, None, None], x.reshape(x.shape[:-2] + (-1,)))
     np.matmul(product.reshape(tall), right[None, :, None], out=x.reshape(tall))
     return x
-
-
-def _ring_slots(terms: int, times: int, size: int) -> int:
-    """Chebyshev vectors of ``size`` floats held at once by a recursion of
-    ``terms`` terms whose fold serves ``times`` times: at least 3 (a step
-    reads the two before it), at most ``terms`` and :data:`_CHUNK_BYTES`,
-    and otherwise 3*times.  A fold of c slots reads them once and adds into
-    the (times, size) output once, so c = 3*times keeps that output traffic
-    within a third of the ring's.  For one time the fold is a matrix-vector
-    product, whose arithmetic a deeper ring does not reduce (it saves only
-    fold calls), so a one-time recursion (a scan row, the scaling study's
-    family) holds 3 vectors."""
-    return max(3, min(terms, 3 * times, _CHUNK_BYTES // (8 * size)))
 
 
 def _check_norms(before: float, after: np.ndarray, times: np.ndarray):
@@ -342,19 +326,16 @@ class Propagator:
         """Real and imaginary parts (2, 2, 2, T, dim_a, K, dim_b) of exp(-i*H*t)
         x0 at each time for each of the K couplings, from the eigenbasis
         planes x0 (2, 2, dim_a, P, dim_b).  The Chebyshev vectors cycle
-        through a ring of :func:`_ring_slots` slots, at most 3*T:
-        a ring only needs to be deep beside the T rows that each fold adds
-        into, so a one-time call holds 3 vectors, not :data:`_CHUNK_BYTES`."""
+        through a ring of 3 slots, the two a step reads and the one it
+        writes, folded into every time after each third step."""
         real, imag = self._coefficients(times)
         terms, planes, count = real.shape[-1], x0.shape[3], len(self._gammas)
         shape = x0.shape[:3] + (count * planes, x0.shape[4])
         size = math.prod(shape)
-        # T_k(Ht) x0 cycles through `chunk` ring slots (a step reads the two before it); each
-        # filled chunk is folded into every time by one product per sector and part of C.
-        # Steps and folds write into one buffer.
-        chunk = _ring_slots(terms, times.size, size)
-        ring = np.empty((chunk,) + shape)
-        flat = ring.reshape(chunk, 2, 2, -1).transpose(1, 2, 0, 3)
+        # Each filled ring is folded into every time by one product per sector and part
+        # of C.  Steps and folds write into one buffer.
+        ring = np.empty((3,) + shape)
+        flat = ring.reshape(3, 2, 2, -1).transpose(1, 2, 0, 3)
         out = np.zeros((2, 2, 2, times.size, shape[2], count, shape[4]))
         buffer = np.empty(max(2, times.size) * size)
         steps = buffer[: 2 * size].reshape((2,) + shape)
@@ -363,19 +344,19 @@ class Propagator:
         # A complex state's planes interleave in `parts`, so an add from one runs through
         # numpy's iteration buffer (up to 8192 elements); one sector and plane at a time
         # keeps that buffer within half a slot.  A real state's one plane is contiguous and
-        # adds unbuffered, so it adds whole: a small ring folds often.
+        # adds unbuffered, so it adds whole.
         sectors = ([(out, parts)] if planes == 1 else
                    [(out[:, p, q], parts[:, p, q]) for p in (0, 1) for q in (0, 1)])
         ring[0].reshape(x0.shape[:3] + (count,) + x0.shape[3:])[...] = x0[:, :, :, None]
         for k in range(terms):
-            slot = k % chunk
+            slot = k % 3
             if k == 1:
                 self._apply(ring[0], ring[1], steps)
                 ring[1] *= 0.5
             elif k > 1:
-                self._apply(ring[(k - 1) % chunk], ring[slot], steps)
-                ring[slot] -= ring[(k - 2) % chunk]
-            if slot == chunk - 1 or k == terms - 1:
+                self._apply(ring[(k - 1) % 3], ring[slot], steps)
+                ring[slot] -= ring[(k - 2) % 3]
+            if slot == 2 or k == terms - 1:
                 # out += (Re C + i Im C)(plane 0 + i plane 1), one part of C at a time.
                 np.matmul(real[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
                 for sector, part in sectors:

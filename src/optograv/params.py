@@ -210,7 +210,9 @@ def _couplings(p: PhysicalParams) -> DerivedCouplings:
             Lambda_m=_optomech_coupling(light_c, p.cavity_length_d, p.mass_m, bare_a, p.hbar),
             Lambda_M=_optomech_coupling(light_d, p.cavity_length_d, p.mass_M, bare_b, p.hbar),
             gamma=gamma,
-            delta_T=TWO_PI / bare_a - TWO_PI / omega_a,
+            # 2*pi/bare_a - 2*pi/omega_a with omega_a - bare_a = shift_a / (omega_a + bare_a):
+            # no cancellation, and exactly 0 at G = 0.
+            delta_T=TWO_PI * shift_a / ((omega_a + bare_a) * bare_a * omega_a),
         )
     return dc
 

@@ -43,10 +43,11 @@ routes they replaced, as independent cross-checks:
   psi} built in the truncated Fock basis, as the library computed it
   before its closed form in a four-dimensional coherent basis;
 - ``complex_series`` and ``complex_apply``: ``oracle.Propagator``'s
-  Chebyshev recursion in complex arithmetic, on complex ring slots of shape
+  Chebyshev recursion in complex arithmetic, on complex vectors of shape
   (2, 2, dim_a, dim_b) holding eigenbasis amplitudes, with the same
-  diagonal and rotated positions and the right factor stored as complex, as
-  the library ran it before it split the vectors into real planes;
+  diagonal and rotated positions and the right factor stored as complex,
+  each term added into every time as it is made rather than folded from a
+  ring;
 - ``dyson_first_order_state``: the first-order Dyson correction contracted
   by two einsums per sector, as before it was written as matrix products;
 - ``first_order_bracket``: the first-order visibility bracket from the
@@ -437,29 +438,25 @@ def complex_coefficients(prop, times):
 
 def complex_series(prop, x0, times):
     """Eigenbasis amplitudes (2, 2, T, dim_a, dim_b) of exp(-i*H*t) x0 at each
-    time, by the complex recursion with ``prop``'s factors and tables."""
+    time, by the complex three-term recursion with ``prop``'s factors and
+    tables, each term added into every time as it is made."""
     times = np.asarray(times, dtype=float)
     x0 = np.asarray(x0, dtype=complex)
-    coefficients = complex_coefficients(prop, times)
+    coefficients = complex_coefficients(prop, times)[..., None, None]
     right = prop._x_b.astype(complex)
-    terms = coefficients.shape[-1]
-    chunk = max(3, min(terms, oracle._CHUNK_BYTES // x0.nbytes))
-    ring = np.empty((chunk,) + x0.shape, dtype=complex)
-    flat = ring.reshape(chunk, 2, 2, -1).transpose(1, 2, 0, 3)
-    out = np.zeros((2, 2, times.size, x0[0, 0].size), dtype=complex)
     steps = np.empty((2,) + x0.shape, dtype=complex)
-    ring[0] = x0
-    for k in range(terms):
-        slot = k % chunk
+    previous, current = None, x0
+    out = coefficients[..., 0, :, :] * x0[:, :, None]
+    for k in range(1, coefficients.shape[-3]):
+        following = np.empty_like(x0)
+        complex_apply(prop, current, following, steps, right)
         if k == 1:
-            complex_apply(prop, ring[0], ring[1], steps, right)
-            ring[1] *= 0.5
-        elif k > 1:
-            complex_apply(prop, ring[(k - 1) % chunk], ring[slot], steps, right)
-            ring[slot] -= ring[(k - 2) % chunk]
-        if slot == chunk - 1 or k == terms - 1:
-            out += coefficients[..., k - slot : k + 1] @ flat[:, :, : slot + 1]
-    return out.reshape((2, 2, times.size) + x0.shape[2:])
+            following *= 0.5
+        else:
+            following -= previous
+        previous, current = current, following
+        out += coefficients[..., k, :, :] * current[:, :, None]
+    return out
 
 
 def dyson_first_order_state(dc, p, spec, t):

@@ -231,24 +231,21 @@ def test_apply_allocates_no_state_sized_block(gamma, n_max, stretch):
 
 
 def assert_series_holds_only_its_ring_output_and_buffer(spec, count):
-    # No state-sized block beyond the ring of Chebyshev vectors, the output
+    # No state-sized block beyond the ring of 3 Chebyshev vectors, the output
     # planes of every time and coupling and the scratch buffer shared by the
     # steps and the folds; ring and buffer slots hold one real plane per part
-    # of the state and coupling.  The ring holds 3T slots for T times,
-    # fewer when its bytes would pass _CHUNK_BYTES.
+    # of the state and coupling.
     p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
     state = 16 * math.prod(spec.dims)  # bytes of one complex state
     times = np.linspace(1.0, 2.0, count)
     for gammas in (None, FAMILY):
         propagator = og.Propagator(og.derive_couplings(p), spec, gammas=gammas)
         members = len(propagator._gammas)
-        terms = propagator._coefficients(times).shape[-1]
+        assert propagator._coefficients(times).shape[-1] > 3  # the ring wraps
         for planes in (1, 2):
             x0 = sector_planes(spec, 6, planes)[0]
             slot = members * planes * state // 2
-            chunk = max(3, min(terms, 3 * count, oracle._CHUNK_BYTES // slot))
-            assert chunk < terms  # the ring wraps
-            held = (chunk + max(2, count)) * slot + count * members * state
+            held = (3 + max(2, count)) * slot + count * members * state
             propagator._series(x0, times)
             tracemalloc.start()
             try:
@@ -257,40 +254,11 @@ def assert_series_holds_only_its_ring_output_and_buffer(spec, count):
             finally:
                 tracemalloc.stop()
             assert held <= peak < held + slot / 2, (members, planes)
-    return chunk
 
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_series_holds_only_its_ring_output_and_buffer(count):
     assert_series_holds_only_its_ring_output_and_buffer(og.HilbertSpec(80, 80), count)
-
-
-def test_one_time_ring_holds_3_slots():
-    # The byte budget alone would give this state's ring hundreds of slots.
-    assert assert_series_holds_only_its_ring_output_and_buffer(og.HilbertSpec(28, 28), 1) == 3
-
-
-def budget_ring_slots(terms, times, size):
-    """The ring of a recursion before it was sized by its times: as many
-    slots as fit ``oracle._CHUNK_BYTES``, whatever the number of times."""
-    return max(3, min(terms, oracle._CHUNK_BYTES // (8 * size)))
-
-
-@pytest.mark.parametrize("count", [1, 2, 48])
-@pytest.mark.parametrize("gammas", [None, FAMILY])
-def test_time_sized_ring_matches_the_byte_budget_ring(gammas, count, monkeypatch):
-    # Only the order in which the fold sums the terms differs.
-    p = dimensionless_config()
-    spec = og.HilbertSpec(30, 30)
-    propagator = og.Propagator(og.derive_couplings(p), spec, gammas=gammas)
-    times = np.linspace(0.0, 1.3 * 2.0 * math.pi, count + 1)[1:]
-    # A real state (one plane) and a complex one (two).
-    for psi0 in (og.initial_state(p, spec), random_state(spec, 14)):
-        sized = propagator.evolve(psi0, times)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_ring_slots", budget_ring_slots)
-            budget = propagator.evolve(psi0, times)
-        assert np.max(np.abs(sized - budget)) <= 1e-13, psi0.imag.any()
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])

@@ -42,6 +42,14 @@ def parse_csv(text):
     return header, rows
 
 
+def strict_json(text):
+    """``text`` parsed as strict JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def write_config(tmp_path, name="params.cfg", **overrides):
     base = {
         "units": "si",
@@ -326,6 +334,15 @@ class TestOracleCommand:
         assert code == 0, capsys.readouterr().err
         assert peak < 3.0e6
 
+    def test_slope_that_is_not_finite_is_null(self, capsys):
+        # At t = 0 no residual is positive, so the entropy slope is NaN.
+        code, out, _ = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
+                           "--n-max", "25", "--equivalence-points", "4",
+                           "--residual-times", "1", "--scaling-t", "0")
+        assert code == 2
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        assert checks["entropy_residual_slope"]["measured"] is None
+
     def test_chebyshev_table_budget_exits_numerical(self, capsys):
         code, _, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
                            "--scaling-t", "1e12")
@@ -500,6 +517,16 @@ class TestScanCommand:
         assert row["error"] == ("NumericalError: omega*t = 3.0000011123831274e+303 exceeds "
                                 "2**52 at t = 1e+300 s: a double holds no phase there")
         assert row["visibility"] == row["delta_T"] == "nan"
+
+    def test_json_row_error_values_are_null(self, capsys, tmp_path, reference_config):
+        plan = self.write_plan(tmp_path, "axes = \nobservables = delta_T, visibility\n"
+                                         "t = 1e300\n")
+        code, out, _ = run(capsys, "scan", "--params", str(reference_config), "--plan",
+                           str(plan), "--format", "json")
+        assert code == 0
+        (row,) = strict_json(out)["rows"]
+        assert row["diagnostics"]["error"].startswith("NumericalError: omega*t")
+        assert row["values"] == {"delta_T": None, "visibility": None}
 
     def test_row_error_with_a_comma_is_read_back_whole(self, capsys, tmp_path):
         # The error cell is quoted; the truncation_delta after it stays in its column.
@@ -690,6 +717,10 @@ THERMAL_LOADS_OPENSSL = not all(importlib.util.find_spec(name) is not None
                                 for name in cli._BUILTIN_HASHES)
 
 
+#: The ``test`` extra's packages beside pytest, which no command may load.
+TEST_ONLY_PACKAGES = ("scipy", "mpmath", "hypothesis")
+
+
 @pytest.mark.parametrize("argv, exit_code, numpy_loaded, hashlib_loaded", [
     (("derive", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
     (("feasibility", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
@@ -714,10 +745,12 @@ def test_only_the_array_commands_load_numpy(argv, exit_code, numpy_loaded, hashl
             f"        code = main({list(argv)!r})\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
-            "print(code, 'numpy' in sys.modules, sys.modules.get('_hashlib') is not None)")
+            "print(code, 'numpy' in sys.modules, sys.modules.get('_hashlib') is not None,\n"
+            f"      sorted(m for m in {TEST_ONLY_PACKAGES!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout.split()
-    assert out == [str(exit_code), str(numpy_loaded), str(hashlib_loaded)]
+                         check=True).stdout.strip().split(maxsplit=3)
+    # No run loads a package that only the tests install.
+    assert out == [str(exit_code), str(numpy_loaded), str(hashlib_loaded), "[]"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -37,8 +37,18 @@ VISIBILITY_MINIMUM = 0.673367529965349  # exp(-2*lambda_m**2)
 def test_reference_couplings_match_frozen_values(ref_couplings):
     for name, expected in FROZEN.items():
         measured = getattr(ref_couplings, name)
-        tol = 1e-6 if name == "delta_T" else 1e-12  # delta_T loses digits to cancellation
-        assert measured == pytest.approx(expected, rel=tol), name
+        assert measured == pytest.approx(expected, rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("h", [1e-8, 1e-6, 1e-5, 1e-4, 1e-3])
+def test_period_shift_matches_60_digits_at_any_separation(ref_params, h):
+    # 2*pi/bare - 2*pi/omega_a in floats cancels: it is 12% off at 10 um and 0 at 100 um.
+    p = replace(ref_params, separation_h=h)
+    with mp.workdps(60):
+        G, M, h, bare = (mp.mpf(v) for v in (p.grav_constant_G, p.mass_M, h, p.bare_freq_a))
+        exact = 2 * mp.pi / bare - 2 * mp.pi / mp.sqrt(bare**2 + G * M / h**3)
+        measured = og.derive_couplings(p).delta_T
+        assert abs(measured - exact) <= 1e-15 * exact
 
 
 def test_period_shift_near_three_quarters_nanosecond(ref_couplings):
