@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n-max", type=int, default=None, help="Fock truncation override")
     p_oracle.add_argument("--equivalence-points", type=int, default=48)
     p_oracle.add_argument("--residual-times", type=int, default=8)
-    p_oracle.add_argument("--scaling-t", type=float, default=None,
-                          help="time for the scaling study (dimensionless parameters only)")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_feas = subs.add_parser("feasibility", help="quality-factor / temperature frontier")
@@ -273,10 +271,6 @@ def cmd_oracle(args) -> int:
     if args.residual_times < 1:
         raise ConfigError("--residual-times must be >= 1")
     p = load_params(args.params)
-    if args.scaling_t is not None and p.units != UNITS_DIMENSIONLESS:
-        raise ConfigError(f"--scaling-t applies only to units = {UNITS_DIMENSIONLESS!r} "
-                          f"parameters; {args.params} has units = {p.units!r}, "
-                          "where no scaling study runs")
     import numpy as np
 
     from . import analytic, oracle, scan as scan_mod
@@ -314,9 +308,8 @@ def cmd_oracle(args) -> int:
 
     # Boosted-coupling scaling study (resolvable only in dimensionless mode).
     if p.units == UNITS_DIMENSIONLESS:
-        t_scaling = args.scaling_t if args.scaling_t is not None else 1.3 * period
         gammas = [f * dc.omega_a for f in SCALING_GAMMA_FACTORS]
-        study = scan_mod.scaling_study(p, gammas, t_scaling, spec=spec)
+        study = scan_mod.scaling_study(p, gammas, 1.3 * period, spec=spec)
         slope_state = study["state"][0]
         slope_vis = study["visibility"][0]
         slope_ent = study["entropy"][0]

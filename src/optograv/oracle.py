@@ -9,8 +9,9 @@ the gravitational product of the two positions.  In the per-mode eigenbases
 the free part is diagonal, so a sector acts on its (dim_a, dim_b) amplitude
 matrix through one elementwise scale and two real matrix products, and no
 sector block is ever formed.  :class:`Propagator` serves a batch of times,
-and a family of couplings, with one real Chebyshev recursion; without
-gravity it applies one phase per amplitude.  :func:`visibility_exact` and
+and a family of couplings, with one real Chebyshev recursion, run once more
+for the imaginary part of a complex state; without gravity it applies one
+phase per amplitude.  :func:`visibility_exact` and
 :func:`linear_entropy_exact` read the paper's signatures from a state (the
 exact, untruncated coherence is :mod:`optograv.gaussian`), and
 :func:`interaction_picture_residual` checks the frame-rotation identity
@@ -264,10 +265,12 @@ class Propagator:
         exp(-i*H*t) = exp(-i*c*t) sum_k (2 - delta_k0) (-i)^k J_k(r*t) T_k(Ht),
 
     one recursion T_(k+1) = 2 Ht T_k - T_(k-1) of about r*t plus a few dozen
-    terms serves every time, on real planes (2, 2, dim_a, P, dim_b), P = 1
-    for a real state.  ``gammas`` replaces ``dc.gamma`` by a family whose
-    states ride on the plane axis of one recursion (on the largest |gamma|'s
-    interval): :meth:`evolve` returns (len(gammas), T) + ``spec.dims``.
+    terms serves every time, on real planes (2, 2, dim_a, K, dim_b) for K
+    couplings.  H is real, so a complex state evolves as its real part plus i
+    times its imaginary part, one recursion each.  ``gammas`` replaces
+    ``dc.gamma`` by a family whose states ride on the plane axis of one
+    recursion (on the largest |gamma|'s interval): :meth:`evolve` returns
+    (len(gammas), T) + ``spec.dims``.
     """
 
     def __init__(self, dc: DerivedCouplings, spec: HilbertSpec, gammas=None):
@@ -290,26 +293,23 @@ class Propagator:
         free = w_a[:, None, :, None] + w_b[None, :, None, :] - self._center[:, :, None, None]
         self._x_a = (self._v_a.transpose(0, 2, 1) @ x_a @ self._v_a)[:, None]
         self._x_b = scale * (self._v_b.transpose(0, 2, 1) @ x_b @ self._v_b)
-        # The diagonal and the couplings repeated over the K*P planes of a real
-        # (P = 1) or complex (P = 2) state: a product broadcast along the plane
-        # axis would take numpy's iteration buffers and about three times as long.
-        factors, self._stacked = ((scale * free)[:, :, :, None, None], gammas[:, None, None]), {}
-        for planes in (1, 2):
-            shape = (2, 2, spec.dim_a, gammas.size, planes, spec.dim_b)
-            self._stacked[gammas.size * planes] = tuple(np.ascontiguousarray(
-                np.broadcast_to(f, shape)).reshape(shape[:3] + (-1, spec.dim_b)) for f in factors)
+        # The diagonal and the couplings repeated over the K planes: a product broadcast
+        # along the plane axis would take numpy's iteration buffers and about three times
+        # as long.
+        shape = (2, 2, spec.dim_a, gammas.size, spec.dim_b)
+        self._diagonal, self._gains = (np.ascontiguousarray(np.broadcast_to(f, shape)) for f in
+                                       ((scale * free)[:, :, :, None], gammas[:, None]))
 
     def _apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-        """out = 2*Ht x for eigenbasis planes x (2, 2, dim_a, K*P, dim_b) of K
+        """out = 2*Ht x for eigenbasis planes x (2, 2, dim_a, K, dim_b) of the K
         couplings; ``scratch``, of shape (2,) + x.shape, is overwritten."""
-        diagonal, gains = self._stacked[x.shape[3]]
         wide, tall = (2, 2, x.shape[2], -1), (2, 2, -1, x.shape[4])
         product, mixed = scratch.reshape((2,) + tall)
-        np.multiply(diagonal, x, out=out)
+        np.multiply(self._diagonal, x, out=out)
         np.matmul(self._x_a, x.reshape(wide), out=mixed.reshape(wide))
         np.matmul(mixed, self._x_b, out=product)
         product = product.reshape(x.shape)
-        product *= gains
+        product *= self._gains
         out += product
 
     def _coefficients(self, times: np.ndarray) -> np.ndarray:
@@ -324,30 +324,22 @@ class Propagator:
 
     def _series(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Real and imaginary parts (2, 2, 2, T, dim_a, K, dim_b) of exp(-i*H*t)
-        x0 at each time for each of the K couplings, from the eigenbasis
-        planes x0 (2, 2, dim_a, P, dim_b).  The Chebyshev vectors cycle
+        x0 at each time for each of the K couplings, from the real eigenbasis
+        amplitudes x0 (2, 2, dim_a, dim_b).  The Chebyshev vectors cycle
         through a ring of 3 slots, the two a step reads and the one it
         writes, folded into every time after each third step."""
         real, imag = self._coefficients(times)
-        terms, planes, count = real.shape[-1], x0.shape[3], len(self._gammas)
-        shape = x0.shape[:3] + (count * planes, x0.shape[4])
+        terms, shape = real.shape[-1], self._diagonal.shape
         size = math.prod(shape)
-        # Each filled ring is folded into every time by one product per sector and part
-        # of C.  Steps and folds write into one buffer.
+        # Each filled ring is folded into every time by one product per part of C.
+        # Steps and folds write into one buffer.
         ring = np.empty((3,) + shape)
         flat = ring.reshape(3, 2, 2, -1).transpose(1, 2, 0, 3)
-        out = np.zeros((2, 2, 2, times.size, shape[2], count, shape[4]))
+        out = np.zeros((2, 2, 2, times.size) + shape[2:])
         buffer = np.empty(max(2, times.size) * size)
         steps = buffer[: 2 * size].reshape((2,) + shape)
-        folded = buffer[: times.size * size].reshape(2, 2, times.size, -1)
-        parts = np.moveaxis(folded.reshape(out.shape[1:-1] + (planes, shape[4])), -2, 0)
-        # A complex state's planes interleave in `parts`, so an add from one runs through
-        # numpy's iteration buffer (up to 8192 elements); one sector and plane at a time
-        # keeps that buffer within half a slot.  A real state's one plane is contiguous and
-        # adds unbuffered, so it adds whole.
-        sectors = ([(out, parts)] if planes == 1 else
-                   [(out[:, p, q], parts[:, p, q]) for p in (0, 1) for q in (0, 1)])
-        ring[0].reshape(x0.shape[:3] + (count,) + x0.shape[3:])[...] = x0[:, :, :, None]
+        folded = buffer[: times.size * size].reshape(out.shape[1:])
+        ring[0] = x0[:, :, :, None]
         for k in range(terms):
             slot = k % 3
             if k == 1:
@@ -357,25 +349,28 @@ class Propagator:
                 self._apply(ring[(k - 1) % 3], ring[slot], steps)
                 ring[slot] -= ring[(k - 2) % 3]
             if slot == 2 or k == terms - 1:
-                # out += (Re C + i Im C)(plane 0 + i plane 1), one part of C at a time.
-                np.matmul(real[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
-                for sector, part in sectors:
-                    for plane in range(planes):
-                        sector[plane] += part[plane]
-                np.matmul(imag[..., k - slot : k + 1], flat[:, :, : slot + 1], out=folded)
-                for sector, part in sectors:
-                    sector[1] += part[0]
-                    if planes == 2:
-                        sector[0] -= part[1]
+                # out += (Re C + i Im C) x for the real x, one part of C at a time.
+                for part, weights in zip(out, (real, imag)):
+                    np.matmul(weights[..., k - slot : k + 1], flat[:, :, : slot + 1],
+                              out=folded.reshape(2, 2, times.size, -1))
+                    part += folded
         return out
 
     def _phases(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """The planes of :meth:`_series` at gamma = 0, where each eigenbasis
+        """The parts of :meth:`_series` at gamma = 0, where each eigenbasis
         amplitude turns by exp(-i(w_a,i + w_b,j)t)."""
-        y0 = x0[:, :, :, 0] + (1j * x0[:, :, :, 1] if x0.shape[3] == 2 else 0.0)
         a, b = (np.exp(-1j * w[:, None, :] * times[:, None]) for w in (self._w_a, self._w_b))
-        y = a[:, None, :, :, None] * b[None, :, :, None, :] * y0[:, :, None]
+        y = a[:, None, :, :, None] * b[None, :, :, None, :] * x0[:, :, None]
         return np.stack((y.real, y.imag))[..., None, :]
+
+    def _evolve_real(self, x: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Real and imaginary parts (2, K, T) + ``spec.dims`` of exp(-i*H*t) x
+        for a real state x of shape ``spec.dims``."""
+        x0 = _rotate(x.copy()[:, :, None, :, None], self._v_a.transpose(0, 2, 1), self._v_b)
+        run = self._series if self._gammas.any() else self._phases
+        parts = _rotate(run(x0[:, :, 0, :, 0], times), self._v_a, self._v_b.transpose(0, 2, 1))
+        # Parts (p, q, t, i, k, j) into states (k, t, p, q, i, j).
+        return parts.transpose(0, 5, 3, 1, 2, 4, 6)
 
     def evolve(self, psi0: np.ndarray, times) -> np.ndarray:
         """Propagate a t=0 state of shape ``spec.dims`` to each of ``times``
@@ -386,14 +381,15 @@ class Propagator:
         if psi0.shape != dims:
             raise ParameterError(f"state must have shape {dims}, got {psi0.shape}")
         times = _as_times(times)
-        parts = (psi0.real, psi0.imag) if psi0.imag.any() else (psi0.real,)
-        x0 = _rotate(np.stack(parts, axis=3)[:, :, None], self._v_a.transpose(0, 2, 1), self._v_b)
-        run = self._series if self._gammas.any() else self._phases
-        planes = _rotate(run(x0[:, :, 0], times), self._v_a, self._v_b.transpose(0, 2, 1))
         out = np.empty(((count,) if self._family else ()) + (times.size,) + dims, dtype=complex)
         states = out.reshape((count, times.size) + dims)
-        # Parts (p, q, t, i, k, j) into states (k, t, p, q, i, j).
-        states.real, states.imag = (part.transpose(4, 2, 0, 1, 3, 5) for part in planes)
+        # H is real, so exp(-i*H*t)(x + iy) = exp(-i*H*t)x + i exp(-i*H*t)y: the real
+        # part runs, then the imaginary part only if it is non-zero.
+        states.real, states.imag = self._evolve_real(psi0.real, times)
+        if psi0.imag.any():
+            real, imag = self._evolve_real(psi0.imag, times)
+            states.real -= imag
+            states.imag += real
         # exp(-i*H*0) is the identity exactly; the rotations would add round-off.
         states[:, times == 0.0] = psi0
         v = states.view(float).reshape(count, times.size, -1)

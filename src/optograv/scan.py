@@ -216,10 +216,13 @@ def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> 
       entropy    |S_exact - S_perturbative|       (expected slope >= 3).
     Returns {family: (slope, monotone)}: the log-log least-squares slope of
     the family's residuals against |gamma| (NaN unless all are positive)
-    and whether they grow strictly with |gamma|.  Dimensionless mode only.
+    and whether they grow strictly with |gamma|.  Dimensionless mode only;
+    ``t`` must be finite and > 0, since at t = 0 no residual is positive.
     """
     if base.units != UNITS_DIMENSIONLESS:
         raise ParameterError("scaling_study requires dimensionless-mode parameters")
+    if not (math.isfinite(t) and t > 0):
+        raise ParameterError(f"the scaling study's t must be finite and > 0, got {t!r}")
     gammas = tuple(float(g) for g in gammas)
     if len(gammas) < 3:
         raise ParameterError("need at least 3 gamma values for a slope fit")

@@ -420,7 +420,7 @@ def complex_apply(prop, x, out, scratch, right):
     ``scratch`` holds two arrays of x's shape and ``right`` is ``prop._x_b``
     as complex."""
     product, mixed = scratch
-    np.multiply(prop._stacked[1][0][:, :, :, 0], x, out=out)
+    np.multiply(prop._diagonal[:, :, :, 0], x, out=out)
     np.matmul(prop._x_a, x.view(float), out=mixed.view(float))
     np.matmul(mixed, right, out=product)
     product *= prop._gammas.item()

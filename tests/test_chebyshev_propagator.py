@@ -5,8 +5,9 @@ eigenbases, where its free part is diagonal, and expands exp(-i*H*t) in
 Chebyshev polynomials, or applies the free phases at gamma = 0; the
 test-only ``dense_reference.EighPropagator`` diagonalises every dense sector
 block.  Both must agree to 1e-12 absolute per amplitude.  The recursion runs
-on real planes; ``dense_reference.complex_series``, the complex recursion on
-the same eigenbasis operator, must agree with it to 1e-14.  Each member of a
+on real amplitudes, a complex state's parts one at a time;
+``dense_reference.complex_series``, the complex recursion on the same
+eigenbasis operator, must agree with it to 1e-14.  Each member of a
 family of couplings must match the propagator of its single coupling to
 1e-13.
 """
@@ -183,28 +184,51 @@ def test_bessel_coefficients_against_mpmath(z):
     assert 2.0 * float(abs(mpmath.besselj(len(values), z))) < oracle._SERIES_TOL
 
 
-def sector_planes(spec, seed, planes, count=1):
-    """``count`` random sector-stacked real planes (count, 2, 2, dim_a,
-    planes, dim_b), laid out as the slots of the ring in
-    ``Propagator._series``."""
+def sector_planes(spec, seed, count=1):
+    """``count`` random sector-stacked real planes (count, 2, 2, dim_a, 1,
+    dim_b), laid out as the slots of the ring in ``Propagator._series`` for
+    one coupling."""
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(count, 2, 2, spec.dim_a, planes, spec.dim_b))
+    return rng.normal(size=(count, 2, 2, spec.dim_a, 1, spec.dim_b))
 
 
-def as_complex(x, axis):
-    """The complex amplitudes of real and imaginary parts stacked on ``axis``
-    of x: a zero imaginary part when there is one."""
-    parts = np.moveaxis(x, axis, 0)
-    return parts[0] + (1j * parts[1] if len(parts) == 2 else 0j)
+def eigenbasis_amplitudes(spec, seed):
+    """Random real eigenbasis amplitudes (2, 2, dim_a, dim_b), as
+    ``Propagator._series`` takes them."""
+    return sector_planes(spec, seed)[0, :, :, :, 0]
+
+
+def as_complex(parts):
+    """The complex amplitudes of real and imaginary parts stacked on axis 0."""
+    return parts[0] + 1j * parts[1]
 
 
 def allocating_apply(prop, x, out, scratch=None):
     """out = 2*Ht x for ``prop``'s sector-stacked eigenbasis planes x, each
     product into a fresh temporary; ``scratch`` is ignored."""
-    diagonal, gains = prop._stacked[x.shape[3]]
     wide, tall = (2, 2, x.shape[2], -1), (2, 2, -1, x.shape[4])
     coupling = (prop._x_a @ x.reshape(wide)).reshape(tall) @ prop._x_b
-    out[...] = diagonal * x + gains * coupling.reshape(x.shape)
+    out[...] = prop._diagonal * x + prop._gains * coupling.reshape(x.shape)
+
+
+def test_family_holds_one_diagonal_and_one_gain_array():
+    # The diagonal and the couplings are repeated over the family's planes once
+    # each; the rest of what a propagator holds is per-mode.
+    p = dimensionless_config()
+    dc = og.derive_couplings(p)
+    spec = og.HilbertSpec(80, 80)
+    og.Propagator(dc, spec, gammas=FAMILY)
+    tracemalloc.start()
+    try:
+        propagator = og.Propagator(dc, spec, gammas=FAMILY)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [a for a in vars(propagator).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= held < sum(a.nbytes for a in arrays) + (1 << 14)
+    shape = (2, 2, spec.dim_a, len(FAMILY), spec.dim_b)
+    assert propagator._diagonal.shape == propagator._gains.shape == shape
+    assert sum(a.shape == shape for a in arrays) == 2
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -214,46 +238,44 @@ def test_apply_allocates_no_state_sized_block(gamma, n_max, stretch):
     p = setups.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(n_max, stretch * (n_max + 1) - 1)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    for planes in (1, 2):
-        ring = sector_planes(spec, 3, planes, count=3)
-        x, out = ring[1], ring[2]
-        scratch = np.empty_like(ring[:2])
+    ring = sector_planes(spec, 3, count=3)
+    x, out = ring[1], ring[2]
+    scratch = np.empty_like(ring[:2])
+    propagator._apply(x, out, scratch)
+    tracemalloc.start()
+    try:
+        # One recursion step: the operator, then the slot two before.
         propagator._apply(x, out, scratch)
-        tracemalloc.start()
-        try:
-            # One recursion step: the operator, then the slot two before.
-            propagator._apply(x, out, scratch)
-            out -= ring[0]
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < x.nbytes / 16, planes
+        out -= ring[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 16
 
 
 def assert_series_holds_only_its_ring_output_and_buffer(spec, count):
     # No state-sized block beyond the ring of 3 Chebyshev vectors, the output
     # planes of every time and coupling and the scratch buffer shared by the
-    # steps and the folds; ring and buffer slots hold one real plane per part
-    # of the state and coupling.
+    # steps and the folds; ring and buffer slots hold one real plane per
+    # coupling.
     p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
     state = 16 * math.prod(spec.dims)  # bytes of one complex state
     times = np.linspace(1.0, 2.0, count)
+    x0 = eigenbasis_amplitudes(spec, 6)
     for gammas in (None, FAMILY):
         propagator = og.Propagator(og.derive_couplings(p), spec, gammas=gammas)
         members = len(propagator._gammas)
         assert propagator._coefficients(times).shape[-1] > 3  # the ring wraps
-        for planes in (1, 2):
-            x0 = sector_planes(spec, 6, planes)[0]
-            slot = members * planes * state // 2
-            held = (3 + max(2, count)) * slot + count * members * state
+        slot = members * state // 2
+        held = (3 + max(2, count)) * slot + count * members * state
+        propagator._series(x0, times)
+        tracemalloc.start()
+        try:
             propagator._series(x0, times)
-            tracemalloc.start()
-            try:
-                propagator._series(x0, times)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert held <= peak < held + slot / 2, (members, planes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= peak < held + slot / 2, members
 
 
 @pytest.mark.parametrize("count", [1, 2, 5])
@@ -267,36 +289,34 @@ def test_series_with_scratch_buffers_equals_allocating_steps(gamma, monkeypatch)
     spec = og.HilbertSpec(30, 30)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     times = np.array([0.3, 5.0, 17.0, 40.0])
-    for planes in (1, 2):
-        x0 = sector_planes(spec, 4, planes)[0]
-        buffered = as_complex(propagator._series(x0, times), 0)
-        with monkeypatch.context() as patch:
-            patch.setattr(propagator, "_apply", functools.partial(allocating_apply, propagator))
-            allocating = as_complex(propagator._series(x0, times), 0)
-        assert np.max(np.abs(buffered - allocating)) <= 1e-15, planes
+    x0 = eigenbasis_amplitudes(spec, 4)
+    buffered = as_complex(propagator._series(x0, times))
+    monkeypatch.setattr(propagator, "_apply", functools.partial(allocating_apply, propagator))
+    allocating = as_complex(propagator._series(x0, times))
+    assert np.max(np.abs(buffered - allocating)) <= 1e-15
 
 
-@pytest.mark.parametrize("planes", [1, 2])
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
 @pytest.mark.parametrize("n_max, stretch", [(30, 8), (30, 1)])
-def test_real_planes_match_the_complex_recursion(gamma, n_max, stretch, planes):
+def test_real_planes_match_the_complex_recursion(gamma, n_max, stretch):
     p = setups.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(n_max, stretch * (n_max + 1) - 1)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    x0 = sector_planes(spec, 8, planes)[0]
+    x0 = eigenbasis_amplitudes(spec, 8)
     x0 /= np.linalg.norm(x0)
     times = np.array([0.3, 5.0, 17.0, 40.0])
-    expected = dense_reference.complex_series(propagator, as_complex(x0, 3), times)
-    got = as_complex(propagator._series(x0, times), 0)[..., 0, :]
+    expected = dense_reference.complex_series(propagator, x0, times)
+    got = as_complex(propagator._series(x0, times))[..., 0, :]
     assert np.max(np.abs(got - expected)) <= 1e-14
 
 
-@pytest.mark.parametrize("planes", [1, 2])
-def test_family_members_match_single_couplings_and_the_reference(planes):
+@pytest.mark.parametrize("state", ["coherent", "random"])
+def test_family_members_match_single_couplings_and_the_reference(state):
+    # The random state is complex: each member evolves its real and imaginary parts.
     p = dimensionless_config()
     spec = og.HilbertSpec(20, 24)
-    psi0 = og.initial_state(p, spec) if planes == 1 else random_state(spec, 9)
-    assert psi0.imag.any() == (planes == 2)
+    psi0 = og.initial_state(p, spec) if state == "coherent" else random_state(spec, 9)
+    assert psi0.imag.any() == (state == "random")
     times = [0.0, 0.7, 1.3 * 2.0 * math.pi]
     family = og.Propagator(og.derive_couplings(p), spec, gammas=FAMILY).evolve(psi0, times)
     assert family.shape == (len(FAMILY), len(times)) + spec.dims
@@ -310,16 +330,15 @@ def test_family_members_match_single_couplings_and_the_reference(planes):
             assert np.max(np.abs(psi - reference.evolve(psi0, t))) <= ATOL, (gamma, t)
 
 
-@pytest.mark.parametrize("planes", [1, 2])
-def test_free_phases_match_the_eigenbasis_series(planes, monkeypatch):
+def test_free_phases_match_the_eigenbasis_series(monkeypatch):
     p = setups.dimensionless_params(gamma=0.0, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(24, 28)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    x0 = sector_planes(spec, 12, planes)[0]
+    x0 = eigenbasis_amplitudes(spec, 12)
     x0 /= np.linalg.norm(x0)
     times = np.array([0.3, 5.0, 17.0, 40.0])
-    series = as_complex(propagator._series(x0, times), 0)
-    assert np.max(np.abs(as_complex(propagator._phases(x0, times), 0) - series)) <= 1e-13
+    series = as_complex(propagator._series(x0, times))
+    assert np.max(np.abs(as_complex(propagator._phases(x0, times)) - series)) <= 1e-13
     # At gamma = 0, evolve runs no recursion.
     monkeypatch.setattr(propagator, "_series", None)
     psi0 = random_state(spec, 12)
@@ -339,7 +358,7 @@ def test_gammas_must_be_a_finite_one_dimensional_sequence(gammas):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(-0.05, 0.05), t=st.floats(0.0, 20.0))
 def test_evolution_is_linear_over_real_and_imaginary_parts(seed, gamma, t):
-    # A complex state runs on two real planes, its parts on one each.
+    # A complex state evolves as its real part plus i times its imaginary part.
     p = setups.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(12, 15)
     propagator = og.Propagator(og.derive_couplings(p), spec)

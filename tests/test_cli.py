@@ -298,14 +298,6 @@ class TestOracleCommand:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["interaction_picture_residual"]["measured"] < 1e-12
 
-    def test_scaling_time_is_refused_for_si_parameters(self, capsys, reference_config):
-        code, out, err = run(capsys, "oracle", "--params", str(reference_config),
-                             "--scaling-t", "5")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: --scaling-t ") and "'dimensionless'" in err
-        assert "units = 'si'" in err
-
     def test_slope_checks_are_the_scaling_study_slopes(self, capsys):
         p = load_params(CONFIGS / "dimensionless.cfg")
         code, out, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
@@ -334,20 +326,12 @@ class TestOracleCommand:
         assert code == 0, capsys.readouterr().err
         assert peak < 3.0e6
 
-    def test_slope_that_is_not_finite_is_null(self, capsys):
-        # At t = 0 no residual is positive, so the entropy slope is NaN.
-        code, out, _ = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
-                           "--n-max", "25", "--equivalence-points", "4",
-                           "--residual-times", "1", "--scaling-t", "0")
-        assert code == 2
-        checks = {c["name"]: c for c in strict_json(out)["checks"]}
-        assert checks["entropy_residual_slope"]["measured"] is None
-
-    def test_chebyshev_table_budget_exits_numerical(self, capsys):
-        code, _, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
-                           "--scaling-t", "1e12")
+    def test_dimension_guard_exits_numerical(self, capsys):
+        code, out, err = run(capsys, "oracle", "--params", str(CONFIGS / "dimensionless.cfg"),
+                             "--n-max", "200")
         assert code == 3
-        assert "largest admissible time" in err
+        assert out == ""
+        assert err == "numerical failure: total dimension 161604 exceeds the guard 65536\n"
 
     def test_passes_at_adequate_truncation(self, capsys, reference_config):
         code, out, _ = run(capsys, "oracle", "--params", str(reference_config),
@@ -527,6 +511,19 @@ class TestScanCommand:
         (row,) = strict_json(out)["rows"]
         assert row["diagnostics"]["error"].startswith("NumericalError: omega*t")
         assert row["values"] == {"delta_T": None, "visibility": None}
+
+    def test_chebyshev_table_budget_is_a_row_error(self, capsys, tmp_path):
+        plan = self.write_plan(tmp_path, "axes = \nobservables = visibility_exact\n"
+                                         "oracle_enabled = true\nn_max = 36\nt = 1e12\n")
+        code, out, _ = run(capsys, "scan", "--params", str(CONFIGS / "dimensionless.cfg"),
+                           "--plan", str(plan))
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["error"].startswith("DimensionLimitError: the Chebyshev tables of one "
+                                       "recursion over 1 time(s) up to t = 1000000000000.0 ")
+        assert "; the largest admissible time is 172395.49" in row["error"]
+        assert row["visibility_exact"] == row["truncation_delta"] == "nan"
 
     def test_row_error_with_a_comma_is_read_back_whole(self, capsys, tmp_path):
         # The error cell is quoted; the truncation_delta after it stays in its column.
@@ -769,8 +766,7 @@ OPTIONS = {
     "derive": {"--params", "--out", "--format"},
     "figure": {"--params", "--out", "--format", "--t-start", "--t-stop", "--t-points",
                "--which"},
-    "oracle": {"--params", "--out", "--n-max", "--equivalence-points", "--residual-times",
-               "--scaling-t"},
+    "oracle": {"--params", "--out", "--n-max", "--equivalence-points", "--residual-times"},
     "feasibility": {"--params", "--out", "--format", "--q-values", "--t-values"},
     "scan": {"--params", "--out", "--format", "--plan", "--seed"},
     "thermal": {"--params", "--out", "--format", "--t-start", "--t-stop", "--t-points",
@@ -785,7 +781,7 @@ def test_each_subcommand_has_exactly_its_options():
                     if action.dest != "help"}
              for name, sub in subs.choices.items()}
     assert found == OPTIONS
-    assert sum(len(options) for options in found.values()) == 35
+    assert sum(len(options) for options in found.values()) == 34
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -794,6 +790,7 @@ def test_each_subcommand_has_exactly_its_options():
     (("derive", "--seed", "3"), "--seed"),
     (("figure", "--which", "fig2a", "--seed", "3"), "--seed"),
     (("oracle", "--format", "json"), "--format"),
+    (("oracle", "--scaling-t", "5"), "--scaling-t"),
 ])
 def test_settings_that_change_no_result_are_refused(capsys, reference_config, argv, flag):
     code, out, err = run(capsys, *argv, "--params", str(reference_config))

@@ -314,6 +314,12 @@ class TestScalingStudy:
         with pytest.raises(ParameterError, match="3 gamma"):
             og.scaling_study(base, [1e-2, 1e-3], 2.0, og.HilbertSpec(20, 20))
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, float("nan"), float("inf")])
+    def test_time_must_be_finite_and_positive(self, t):
+        base = setups.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
+        with pytest.raises(ParameterError, match="finite and > 0"):
+            og.scaling_study(base, [4e-2, 2e-2, 1e-2], t, og.HilbertSpec(20, 20))
+
     def test_requires_dimensionless_mode(self, ref_params):
         with pytest.raises(ParameterError, match="dimensionless"):
             og.scaling_study(ref_params, [1e-2, 5e-3, 2.5e-3], 2.0, og.HilbertSpec(20, 20))
