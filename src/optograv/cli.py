@@ -61,11 +61,6 @@ STATE_SLOPE_TARGET = (1.9, 2.1)
 VISIBILITY_SLOPE_MIN = 1.9
 ENTROPY_SLOPE_MIN = 2.5
 SCALING_GAMMA_FACTORS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-#: Equivalence times evolved per batched call.  Without gravity, ``evolve`` runs no
-#: Chebyshev ring but holds a few temporaries of one state per time of a call, and costs
-#: the same per time at any call size, so 2 times keep what one call holds to a few
-#: states, below the command's other peaks.
-EQUIVALENCE_SLICE = 2
 
 
 def _linalg_errors() -> tuple:
@@ -291,11 +286,8 @@ def cmd_oracle(args) -> int:
     times = np.linspace(0.0, 2.0 * period, args.equivalence_points)
     closed = analytic.visibility_uncoupled(dc0, times)
     worst = 0.0
-    for start in range(0, times.size, EQUIVALENCE_SLICE):
-        stop = start + EQUIVALENCE_SLICE
-        for psi, v_closed in zip(propagator.evolve(psi0, times[start:stop]),
-                                 closed[start:stop]):
-            worst = max(worst, abs(oracle.visibility_exact(psi) - float(v_closed)))
+    for t, v_closed in zip(times.tolist(), closed.tolist()):
+        worst = max(worst, abs(oracle.visibility_exact(propagator.evolve(psi0, t)) - v_closed))
     checks = [_check("gravity_free_equivalence", worst, EQUIVALENCE_TOL,
                      worst < EQUIVALENCE_TOL)]
 

@@ -8,10 +8,10 @@ Hamiltonian is real: a Kronecker sum of one free Hamiltonian per mode plus
 the gravitational product of the two positions.  In the per-mode eigenbases
 the free part is diagonal, so a sector acts on its (dim_a, dim_b) amplitude
 matrix through one elementwise scale and two real matrix products, and no
-sector block is ever formed.  :class:`Propagator` serves a batch of times,
-and a family of couplings, with one real Chebyshev recursion, run once more
-for the imaginary part of a complex state; without gravity it applies one
-phase per amplitude.  :func:`visibility_exact` and
+sector block is ever formed.  :class:`Propagator` serves one time, for one
+coupling or a family of them, with one real Chebyshev recursion, run once
+more for the imaginary part of a complex state; without gravity it applies
+one phase per amplitude.  :func:`visibility_exact` and
 :func:`linear_entropy_exact` read the paper's signatures from a state (the
 exact, untruncated coherence is :mod:`optograv.gaussian`), and
 :func:`interaction_picture_residual` checks the frame-rotation identity
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .analytic import _as_times
+from .analytic import _as_times, _check_times
 from .errors import DimensionLimitError, NumericalError, ParameterError, TruncationError
 from .params import DerivedCouplings, PhysicalParams, derive_couplings
 
@@ -150,8 +150,8 @@ _INTERVAL_PAD = 1e-12
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 #: Budget for one recursion's Bessel and coefficient tables, at most 40 bytes per (sector,
-#: time, term) entry at once: Bessel values (8) beside their tail and temporaries (< 28)
-#: or beside complex coefficients and their Re and Im (32).
+#: term) entry at once: Bessel values (8) beside their tail and temporaries (< 28) or
+#: beside complex coefficients and their Re and Im (32).
 _TABLE_BYTES, _TABLE_ENTRY_BYTES = 1 << 30, 40
 
 
@@ -167,24 +167,23 @@ def _mode_eigh(dim: int, omega: float, lam: float):
 
 
 def _rotate(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Overwrite the contiguous real array x (..., 2, 2, M, dim_a, n, dim_b) with
+    """Overwrite the contiguous real array x (..., 2, 2, dim_a, n, dim_b) with
     left[p] X right[q] for each amplitude matrix X of sector (p, q); return x."""
     tall = x.shape[:-3] + (-1, x.shape[-1])
-    product = np.matmul(left[:, None, None], x.reshape(x.shape[:-2] + (-1,)))
-    np.matmul(product.reshape(tall), right[None, :, None], out=x.reshape(tall))
+    product = np.matmul(left[:, None], x.reshape(x.shape[:-2] + (-1,)))
+    np.matmul(product.reshape(tall), right[None], out=x.reshape(tall))
     return x
 
 
-def _check_norms(before: float, after: np.ndarray, times: np.ndarray):
-    """Raise unless every evolved norm ``after[t]`` matches ``before``."""
+def _check_norms(before: float, after: np.ndarray, t: float):
+    """Raise unless every evolved norm in ``after`` matches ``before``."""
     bad = np.flatnonzero(~(np.abs(after - before) <= _NORM_TOL))
     if bad.size:
         norm_after = float(after[bad[0]])
         raise NumericalError(
             f"propagation failed to preserve the norm to {_NORM_TOL:g}: "
             f"{before!r} before, {norm_after!r} after",
-            diagnostics={"norm_before": before, "norm_after": norm_after,
-                         "time": float(times[bad[0]])},
+            diagnostics={"norm_before": before, "norm_after": norm_after, "time": t},
         )
 
 
@@ -193,23 +192,23 @@ def _bessel_start(zmax: float) -> int:
     return int(zmax + 20.0 * zmax ** (1.0 / 3.0)) + 64
 
 
-def _check_table_bytes(rows: int, radius: float, t_max: float):
+def _check_table_bytes(radius: float, t: float):
     """Raise :class:`DimensionLimitError`, naming the largest admissible time,
-    unless the tables for ``rows`` (sector, time) pairs of spectral radius up
-    to ``radius`` and times up to ``t_max`` fit :data:`_TABLE_BYTES`."""
+    unless the tables of the four sectors, of spectral radius up to
+    ``radius``, at time ``t`` fit :data:`_TABLE_BYTES`."""
     def fits(t):
-        entries = rows * (_bessel_start(radius * t) + 1) if math.isfinite(radius * t) else math.inf
+        entries = 4 * (_bessel_start(radius * t) + 1) if math.isfinite(radius * t) else math.inf
         return entries * _TABLE_ENTRY_BYTES <= _TABLE_BYTES
 
-    if fits(t_max):
+    if fits(t):
         return
-    lo, hi = 0.0, _TABLE_BYTES / (rows * _TABLE_ENTRY_BYTES * radius)
+    lo, hi = 0.0, _TABLE_BYTES / (4 * _TABLE_ENTRY_BYTES * radius)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     raise DimensionLimitError(
-        f"the Chebyshev tables of one recursion over {rows // 4} time(s) up to t = {t_max!r} "
-        f"exceed the budget of {_TABLE_BYTES} bytes; the largest admissible time is {lo!r}"
+        f"the Chebyshev tables of one recursion up to t = {t!r} exceed the budget of "
+        f"{_TABLE_BYTES} bytes; the largest admissible time is {lo!r}"
     )
 
 
@@ -265,12 +264,12 @@ class Propagator:
         exp(-i*H*t) = exp(-i*c*t) sum_k (2 - delta_k0) (-i)^k J_k(r*t) T_k(Ht),
 
     one recursion T_(k+1) = 2 Ht T_k - T_(k-1) of about r*t plus a few dozen
-    terms serves every time, on real planes (2, 2, dim_a, K, dim_b) for K
-    couplings.  H is real, so a complex state evolves as its real part plus i
-    times its imaginary part, one recursion each.  ``gammas`` replaces
-    ``dc.gamma`` by a family whose states ride on the plane axis of one
-    recursion (on the largest |gamma|'s interval): :meth:`evolve` returns
-    (len(gammas), T) + ``spec.dims``.
+    terms, on real planes (2, 2, dim_a, K, dim_b) for K couplings.  H is
+    real, so a complex state evolves as its real part plus i times its
+    imaginary part, one recursion each.  ``gammas`` replaces ``dc.gamma`` by
+    a family whose states ride on the plane axis of one recursion (on the
+    largest |gamma|'s interval): :meth:`evolve` returns (len(gammas),) +
+    ``spec.dims``.
     """
 
     def __init__(self, dc: DerivedCouplings, spec: HilbertSpec, gammas=None):
@@ -312,33 +311,31 @@ class Propagator:
         product *= self._gains
         out += product
 
-    def _coefficients(self, times: np.ndarray) -> np.ndarray:
-        """Re and Im (2, 2, 2, T, K) of every sector's and time's coefficients."""
-        _check_table_bytes(4 * times.size, float(self._radius.max()), float(times.max()))
-        z = self._radius[:, :, None] * times
+    def _coefficients(self, t: float) -> np.ndarray:
+        """Re and Im (2, 2, 2, terms) of every sector's coefficients at time t."""
+        _check_table_bytes(float(self._radius.max()), t)
+        z = self._radius * t
         bessel = _bessel_series(z.reshape(-1)).reshape(*z.shape, -1)
         order = np.arange(bessel.shape[-1])
         weights = np.where(order == 0, 1.0, 2.0) * _MINUS_I_POWERS[order % 4] * bessel
-        weights *= np.exp(-1j * self._center[:, :, None] * times)[..., None]
+        del order  # so that the stack below peaks within _TABLE_ENTRY_BYTES per entry
+        weights *= np.exp(-1j * self._center * t)[..., None]
         return np.stack((weights.real, weights.imag))
 
-    def _series(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Real and imaginary parts (2, 2, 2, T, dim_a, K, dim_b) of exp(-i*H*t)
-        x0 at each time for each of the K couplings, from the real eigenbasis
-        amplitudes x0 (2, 2, dim_a, dim_b).  The Chebyshev vectors cycle
-        through a ring of 3 slots, the two a step reads and the one it
-        writes, folded into every time after each third step."""
-        real, imag = self._coefficients(times)
+    def _series(self, x0: np.ndarray, t: float) -> np.ndarray:
+        """Real and imaginary parts (2, 2, 2, dim_a, K, dim_b) of exp(-i*H*t) x0
+        for each of the K couplings, from the real eigenbasis amplitudes x0
+        (2, 2, dim_a, dim_b).  The Chebyshev vectors cycle through a ring of
+        3 slots, the two a step reads and the one it writes, folded into the
+        sum after each third step."""
+        real, imag = self._coefficients(t)
         terms, shape = real.shape[-1], self._diagonal.shape
-        size = math.prod(shape)
-        # Each filled ring is folded into every time by one product per part of C.
-        # Steps and folds write into one buffer.
+        # Each filled ring is folded in by one product per part of C, written into
+        # the steps' scratch.
         ring = np.empty((3,) + shape)
         flat = ring.reshape(3, 2, 2, -1).transpose(1, 2, 0, 3)
-        out = np.zeros((2, 2, 2, times.size) + shape[2:])
-        buffer = np.empty(max(2, times.size) * size)
-        steps = buffer[: 2 * size].reshape((2,) + shape)
-        folded = buffer[: times.size * size].reshape(out.shape[1:])
+        out = np.zeros((2,) + shape)
+        steps = np.empty((2,) + shape)
         ring[0] = x0[:, :, :, None]
         for k in range(terms):
             slot = k % 3
@@ -351,50 +348,54 @@ class Propagator:
             if slot == 2 or k == terms - 1:
                 # out += (Re C + i Im C) x for the real x, one part of C at a time.
                 for part, weights in zip(out, (real, imag)):
-                    np.matmul(weights[..., k - slot : k + 1], flat[:, :, : slot + 1],
-                              out=folded.reshape(2, 2, times.size, -1))
-                    part += folded
+                    np.matmul(weights[:, :, None, k - slot : k + 1], flat[:, :, : slot + 1],
+                              out=steps[0].reshape(2, 2, 1, -1))
+                    part += steps[0]
         return out
 
-    def _phases(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def _phases(self, x0: np.ndarray, t: float) -> np.ndarray:
         """The parts of :meth:`_series` at gamma = 0, where each eigenbasis
         amplitude turns by exp(-i(w_a,i + w_b,j)t)."""
-        a, b = (np.exp(-1j * w[:, None, :] * times[:, None]) for w in (self._w_a, self._w_b))
-        y = a[:, None, :, :, None] * b[None, :, :, None, :] * x0[:, :, None]
+        a, b = (np.exp(-1j * w * t) for w in (self._w_a, self._w_b))
+        y = a[:, None, :, None] * b[None, :, None, :] * x0
         return np.stack((y.real, y.imag))[..., None, :]
 
-    def _evolve_real(self, x: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Real and imaginary parts (2, K, T) + ``spec.dims`` of exp(-i*H*t) x
-        for a real state x of shape ``spec.dims``."""
-        x0 = _rotate(x.copy()[:, :, None, :, None], self._v_a.transpose(0, 2, 1), self._v_b)
+    def _evolve_real(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Real and imaginary parts (2, K) + ``spec.dims`` of exp(-i*H*t) x for
+        a real state x of shape ``spec.dims``."""
+        x0 = _rotate(x.copy()[:, :, :, None], self._v_a.transpose(0, 2, 1), self._v_b)
         run = self._series if self._gammas.any() else self._phases
-        parts = _rotate(run(x0[:, :, 0, :, 0], times), self._v_a, self._v_b.transpose(0, 2, 1))
-        # Parts (p, q, t, i, k, j) into states (k, t, p, q, i, j).
-        return parts.transpose(0, 5, 3, 1, 2, 4, 6)
+        parts = _rotate(run(x0[:, :, :, 0], t), self._v_a, self._v_b.transpose(0, 2, 1))
+        # Parts (p, q, i, k, j) into states (k, p, q, i, j).
+        return parts.transpose(0, 4, 1, 2, 3, 5)
 
-    def evolve(self, psi0: np.ndarray, times) -> np.ndarray:
-        """Propagate a t=0 state of shape ``spec.dims`` to each of ``times``
-        (a 1-D sequence, finite and >= 0): the states, shape (T,) + spec.dims,
-        or (len(gammas), T) + spec.dims for a family."""
+    def evolve(self, psi0: np.ndarray, t) -> np.ndarray:
+        """Propagate a t=0 state of shape ``spec.dims`` to one time ``t``
+        (finite and >= 0): the state, of shape spec.dims, or the states, of
+        shape (len(gammas),) + spec.dims, for a family."""
         psi0 = np.ascontiguousarray(psi0, dtype=complex)
         dims, count = self.spec.dims, len(self._gammas)
         if psi0.shape != dims:
             raise ParameterError(f"state must have shape {dims}, got {psi0.shape}")
-        times = _as_times(times)
-        out = np.empty(((count,) if self._family else ()) + (times.size,) + dims, dtype=complex)
-        states = out.reshape((count, times.size) + dims)
+        t = _check_times(t, ndmin=0)
+        if t.ndim != 0:
+            raise ParameterError(f"t must be one time, got an array of shape {t.shape}")
+        t = float(t)
+        out = np.empty(((count,) if self._family else ()) + dims, dtype=complex)
+        states = out.reshape((count,) + dims)
+        if t == 0.0:
+            # exp(-i*H*0) is the identity exactly; the rotations would add round-off.
+            states[:] = psi0
+            return out
         # H is real, so exp(-i*H*t)(x + iy) = exp(-i*H*t)x + i exp(-i*H*t)y: the real
         # part runs, then the imaginary part only if it is non-zero.
-        states.real, states.imag = self._evolve_real(psi0.real, times)
+        states.real, states.imag = self._evolve_real(psi0.real, t)
         if psi0.imag.any():
-            real, imag = self._evolve_real(psi0.imag, times)
+            real, imag = self._evolve_real(psi0.imag, t)
             states.real -= imag
             states.imag += real
-        # exp(-i*H*0) is the identity exactly; the rotations would add round-off.
-        states[:, times == 0.0] = psi0
-        v = states.view(float).reshape(count, times.size, -1)
-        for norms in np.sqrt(np.einsum("ktn,ktn->kt", v, v)):
-            _check_norms(float(np.linalg.norm(psi0)), norms, times)
+        v = states.view(float).reshape(count, -1)
+        _check_norms(float(np.linalg.norm(psi0)), np.sqrt(np.einsum("kn,kn->k", v, v)), t)
         return out
 
 

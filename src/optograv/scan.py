@@ -136,7 +136,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         spec = (oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max is not None
                 else oracle.default_spec(p, dc))
         oracle.check_adequacy(spec, dc, p)
-        psi_t = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), [t])[0]
+        psi_t = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), t)
     closed_forms = {
         "visibility": lambda: analytic.visibility_uncoupled(dc, [t]),
         "visibility_shift": lambda: analytic.visibility_shift(dc, p, [t]),
@@ -238,9 +238,9 @@ def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> 
     psi0_t = oracle.closed_form_state(dc0, base, spec, t)
     # The input state does not depend on gamma.
     psi0 = oracle.initial_state(base, spec)
-    exact = oracle.Propagator(dc0, spec, gammas=gammas).evolve(psi0, [t])
+    exact = oracle.Propagator(dc0, spec, gammas=gammas).evolve(psi0, t)
     residuals = {"state": [], "visibility": [], "entropy": []}
-    for g, (psi_exact,) in zip(gammas, exact):
+    for g, psi_exact in zip(gammas, exact):
         p_g = replace(base, direct_gamma=g)
         dc = derive_couplings(p_g)
         psi1 = oracle.dyson_first_order_state(dc, p_g, spec, t)

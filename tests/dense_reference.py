@@ -46,8 +46,9 @@ routes they replaced, as independent cross-checks:
   Chebyshev recursion in complex arithmetic, on complex vectors of shape
   (2, 2, dim_a, dim_b) holding eigenbasis amplitudes, with the same
   diagonal and rotated positions and the right factor stored as complex,
-  each term added into every time as it is made rather than folded from a
-  ring;
+  serving several times from one recursion, each term added into every
+  time as it is made, where the library runs one recursion per time and
+  folds its terms from a ring;
 - ``dyson_first_order_state``: the first-order Dyson correction contracted
   by two einsums per sector, as before it was written as matrix products;
 - ``first_order_bracket``: the first-order visibility bracket from the
@@ -214,11 +215,12 @@ def per_time_propagate(dc, spec, tensors, times):
     """Amplitudes (T, B, 2, 2, dim_a, dim_b) of exp(-i*H*t) applied to each of
     the B initial tensors (B, 2, 2, dim_a, dim_b) at each time: the layout the
     per-time reference below was written against, from one call of the
-    library's ``Propagator.evolve`` per tensor."""
+    library's ``Propagator.evolve`` per tensor and time."""
     propagator = oracle.Propagator(dc, spec)
     out = np.empty((len(times),) + tensors.shape, dtype=complex)
-    for b, tensor in enumerate(tensors):
-        out[:, b] = propagator.evolve(tensor, times)
+    for i, t in enumerate(times):
+        for b, tensor in enumerate(tensors):
+            out[i, b] = propagator.evolve(tensor, t)
     return out
 
 

@@ -81,7 +81,7 @@ class TestCoherentTrajectories:
         spec = og.HilbertSpec(24, 24)
         prop = og.Propagator(dc, spec)
         t = 0.37 * period_of(dc)
-        psi = prop.evolve(og.initial_state(p, spec), [t])[0]
+        psi = prop.evolve(og.initial_state(p, spec), t)
         lower = oracle.destroy_op(spec.dim_a)
         for p_bit, expected in enumerate(rod_m_trajectories(dc, p, t)[:2]):
             branch = psi[p_bit]

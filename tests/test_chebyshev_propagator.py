@@ -4,12 +4,13 @@
 eigenbases, where its free part is diagonal, and expands exp(-i*H*t) in
 Chebyshev polynomials, or applies the free phases at gamma = 0; the
 test-only ``dense_reference.EighPropagator`` diagonalises every dense sector
-block.  Both must agree to 1e-12 absolute per amplitude.  The recursion runs
-on real amplitudes, a complex state's parts one at a time;
+block.  Both must agree to 1e-12 absolute per amplitude.  ``evolve`` runs
+to one time, and at t = 0 returns the state itself.  The recursion runs on
+real amplitudes, a complex state's parts one at a time;
 ``dense_reference.complex_series``, the complex recursion on the same
-eigenbasis operator, must agree with it to 1e-14.  Each member of a
-family of couplings must match the propagator of its single coupling to
-1e-13.
+eigenbasis operator serving several times at once, must agree with one
+production recursion per time to 1e-14.  Each member of a family of
+couplings must match the propagator of its single coupling to 1e-13.
 """
 
 import functools
@@ -51,11 +52,11 @@ def random_state(spec, seed):
 
 def assert_matches_reference(dc, spec, psi0, times):
     reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(dc, spec))
-    states = og.Propagator(dc, spec).evolve(psi0, times)
-    assert states.shape == (len(times),) + spec.dims
-    for t, psi in zip(times, states):
-        expected = reference.evolve(psi0, float(t))
-        assert np.max(np.abs(psi - expected)) <= ATOL, t
+    propagator = og.Propagator(dc, spec)
+    for t in times:
+        psi = propagator.evolve(psi0, t)
+        assert psi.shape == spec.dims
+        assert np.max(np.abs(psi - reference.evolve(psi0, float(t)))) <= ATOL, t
 
 
 @pytest.mark.parametrize("n_max", [28, 36])
@@ -98,10 +99,11 @@ def test_lambda_zero_gives_pure_phases():
     times = [0.7, 2.31, 19.0]
     na = np.arange(spec.dim_a)[:, None]
     nb = np.arange(spec.dim_b)[None, :]
-    for t, psi in zip(times, og.Propagator(dc, spec).evolve(psi0, times)):
+    propagator = og.Propagator(dc, spec)
+    for t in times:
         phases = np.exp(-1j * (dc.omega_a * na + dc.omega_b * nb) * t)
         expected = psi0 * phases
-        assert np.max(np.abs(psi - expected)) <= ATOL
+        assert np.max(np.abs(propagator.evolve(psi0, t) - expected)) <= ATOL
     assert_matches_reference(dc, spec, psi0, times)
 
 
@@ -118,46 +120,50 @@ def test_random_couplings_and_times(gamma, lam, t):
     assert_matches_reference(dc, spec, og.initial_state(p, spec), [t])
 
 
-def test_one_batched_call_equals_one_call_per_time():
-    p = dimensionless_config()
-    dc = og.derive_couplings(p)
-    spec = og.HilbertSpec(24, 24)
-    psi0 = og.initial_state(p, spec)
-    propagator = og.Propagator(dc, spec)
-    times = [0.0, 0.4, 5.0, 12.5, 3.3]
-    batched = propagator.evolve(psi0, times)
-    for t, psi in zip(times, batched):
-        (single,) = propagator.evolve(psi0, [t])
-        assert np.max(np.abs(psi - single)) <= 1e-14
-
-
-def test_time_zero_is_the_identity():
+def test_time_zero_is_the_identity(monkeypatch):
     p = dimensionless_config()
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(20, 20)
     psi0 = random_state(spec, 11)
-    for times in ([0.0], [0.0, 9.0]):
-        psi = og.Propagator(dc, spec).evolve(psi0, times)[0]
-        assert np.array_equal(psi, psi0)
+    for gammas in (None, FAMILY):
+        propagator = og.Propagator(dc, spec, gammas=gammas)
+        # At t = 0, evolve runs no recursion.
+        monkeypatch.setattr(propagator, "_evolve_real", None)
+        states = propagator.evolve(psi0, 0.0)
+        assert states.flags.owndata
+        for psi in states.reshape((-1,) + spec.dims):
+            assert np.array_equal(psi, psi0)
 
 
 def test_lambda_m_zero_keeps_cavity_c_sectors_bitwise_equal():
     p = setups.dimensionless_params(gamma=2e-2, lambda_m=0.0, lambda_M=0.4)
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(20, 24)
-    for psi in og.Propagator(dc, spec).evolve(og.initial_state(p, spec), [1.0, 3.3, 17.0]):
+    propagator, psi0 = og.Propagator(dc, spec), og.initial_state(p, spec)
+    for t in (1.0, 3.3, 17.0):
+        psi = propagator.evolve(psi0, t)
         for q_bit in (0, 1):
             assert psi[0, q_bit].tobytes() == psi[1, q_bit].tobytes()
 
 
-@pytest.mark.parametrize("times", [[], [[1.0, 2.0]], [1.0, float("nan")], [float("inf")],
-                                   [1.0, -0.5]])
-def test_times_must_be_a_finite_one_dimensional_sequence(times):
+@pytest.mark.parametrize("t", [[1.0], np.array([1.0]), float("nan"), float("inf"), -0.5])
+def test_time_must_be_one_finite_value_at_least_zero(t):
     p = dimensionless_config()
     spec = og.HilbertSpec(4, 4)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    with pytest.raises(ParameterError, match="times"):
-        propagator.evolve(random_state(spec, 0), times)
+    with pytest.raises(ParameterError, match="t must be one time|times must be finite and >= 0"):
+        propagator.evolve(random_state(spec, 0), t)
+
+
+@pytest.mark.parametrize("form", [int, np.float64, np.array])
+def test_time_may_be_any_real_scalar(form):
+    p = dimensionless_config()
+    spec = og.HilbertSpec(6, 6)
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    psi0 = random_state(spec, 0)
+    t = form(2)
+    assert np.ndim(t) == 0
+    assert np.array_equal(propagator.evolve(psi0, t), propagator.evolve(psi0, 2.0))
 
 
 def test_evolve_returns_owned_states_and_refuses_other_shapes():
@@ -165,13 +171,14 @@ def test_evolve_returns_owned_states_and_refuses_other_shapes():
     spec = og.HilbertSpec(4, 4)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     psi0 = random_state(spec, 0)
-    states = propagator.evolve(psi0, [0.5, 1.0])
-    assert states.shape == (2,) + spec.dims
-    assert states.flags.owndata and states.flags.c_contiguous
-    assert np.array_equal(propagator.evolve(np.asfortranarray(psi0), [0.5, 1.0]), states)
+    for t in (0.0, 0.5):
+        psi = propagator.evolve(psi0, t)
+        assert psi.shape == spec.dims
+        assert psi.flags.owndata and psi.flags.c_contiguous
+        assert np.array_equal(propagator.evolve(np.asfortranarray(psi0), t), psi)
     for bad in (psi0.reshape(-1), psi0[:, :, :4]):
         with pytest.raises(ParameterError, match="shape"):
-            propagator.evolve(bad, [1.0])
+            propagator.evolve(bad, 1.0)
 
 
 @pytest.mark.parametrize("z", [1e-9, 0.3, 7.0, 140.0, 421.0])
@@ -253,34 +260,31 @@ def test_apply_allocates_no_state_sized_block(gamma, n_max, stretch):
     assert peak < x.nbytes / 16
 
 
-def assert_series_holds_only_its_ring_output_and_buffer(spec, count):
-    # No state-sized block beyond the ring of 3 Chebyshev vectors, the output
-    # planes of every time and coupling and the scratch buffer shared by the
-    # steps and the folds; ring and buffer slots hold one real plane per
-    # coupling.
+@pytest.mark.parametrize("t", [1.0, 2.5, 5.0])
+def test_series_holds_only_its_ring_output_and_scratch(t):
+    # No state-sized block beyond the ring of 3 Chebyshev vectors, the 2 slots
+    # of scratch shared by the steps and the folds, and the output planes of
+    # every coupling, besides the coefficient tables; ring and scratch slots
+    # hold one real plane per coupling, however many terms the time takes.
     p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
+    spec = og.HilbertSpec(80, 80)
     state = 16 * math.prod(spec.dims)  # bytes of one complex state
-    times = np.linspace(1.0, 2.0, count)
     x0 = eigenbasis_amplitudes(spec, 6)
     for gammas in (None, FAMILY):
         propagator = og.Propagator(og.derive_couplings(p), spec, gammas=gammas)
         members = len(propagator._gammas)
-        assert propagator._coefficients(times).shape[-1] > 3  # the ring wraps
+        tables = propagator._coefficients(t)
+        assert tables.shape[-1] > 3  # the ring wraps
         slot = members * state // 2
-        held = (3 + max(2, count)) * slot + count * members * state
-        propagator._series(x0, times)
+        held = 5 * slot + members * state + tables.nbytes
+        propagator._series(x0, t)
         tracemalloc.start()
         try:
-            propagator._series(x0, times)
+            propagator._series(x0, t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert held <= peak < held + slot / 2, members
-
-
-@pytest.mark.parametrize("count", [1, 2, 5])
-def test_series_holds_only_its_ring_output_and_buffer(count):
-    assert_series_holds_only_its_ring_output_and_buffer(og.HilbertSpec(80, 80), count)
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -288,12 +292,13 @@ def test_series_with_scratch_buffers_equals_allocating_steps(gamma, monkeypatch)
     p = setups.dimensionless_params(gamma=gamma, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(30, 30)
     propagator = og.Propagator(og.derive_couplings(p), spec)
-    times = np.array([0.3, 5.0, 17.0, 40.0])
+    times = (0.3, 5.0, 17.0, 40.0)
     x0 = eigenbasis_amplitudes(spec, 4)
-    buffered = as_complex(propagator._series(x0, times))
+    buffered = [as_complex(propagator._series(x0, t)) for t in times]
     monkeypatch.setattr(propagator, "_apply", functools.partial(allocating_apply, propagator))
-    allocating = as_complex(propagator._series(x0, times))
-    assert np.max(np.abs(buffered - allocating)) <= 1e-15
+    for t, expected in zip(times, buffered):
+        allocating = as_complex(propagator._series(x0, t))
+        assert np.max(np.abs(expected - allocating)) <= 1e-15, t
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -305,9 +310,11 @@ def test_real_planes_match_the_complex_recursion(gamma, n_max, stretch):
     x0 = eigenbasis_amplitudes(spec, 8)
     x0 /= np.linalg.norm(x0)
     times = np.array([0.3, 5.0, 17.0, 40.0])
+    # One reference recursion serves the four times.
     expected = dense_reference.complex_series(propagator, x0, times)
-    got = as_complex(propagator._series(x0, times))[..., 0, :]
-    assert np.max(np.abs(got - expected)) <= 1e-14
+    for i, t in enumerate(times):
+        got = as_complex(propagator._series(x0, t))[..., 0, :]
+        assert np.max(np.abs(got - expected[:, :, i])) <= 1e-14, t
 
 
 @pytest.mark.parametrize("state", ["coherent", "random"])
@@ -318,16 +325,18 @@ def test_family_members_match_single_couplings_and_the_reference(state):
     psi0 = og.initial_state(p, spec) if state == "coherent" else random_state(spec, 9)
     assert psi0.imag.any() == (state == "random")
     times = [0.0, 0.7, 1.3 * 2.0 * math.pi]
-    family = og.Propagator(og.derive_couplings(p), spec, gammas=FAMILY).evolve(psi0, times)
-    assert family.shape == (len(FAMILY), len(times)) + spec.dims
-    assert family.flags.owndata and family.flags.c_contiguous
-    for gamma, states in zip(FAMILY, family):
+    propagator = og.Propagator(og.derive_couplings(p), spec, gammas=FAMILY)
+    family = [propagator.evolve(psi0, t) for t in times]
+    for states in family:
+        assert states.shape == (len(FAMILY),) + spec.dims
+        assert states.flags.owndata and states.flags.c_contiguous
+    for k, gamma in enumerate(FAMILY):
         dc = og.derive_couplings(replace(p, direct_gamma=gamma))
-        single = og.Propagator(dc, spec).evolve(psi0, times)
-        assert np.max(np.abs(states - single)) <= 1e-13, gamma
+        single = og.Propagator(dc, spec)
         reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(dc, spec))
-        for t, psi in zip(times, states):
-            assert np.max(np.abs(psi - reference.evolve(psi0, t))) <= ATOL, (gamma, t)
+        for t, states in zip(times, family):
+            assert np.max(np.abs(states[k] - single.evolve(psi0, t))) <= 1e-13, (gamma, t)
+            assert np.max(np.abs(states[k] - reference.evolve(psi0, t))) <= ATOL, (gamma, t)
 
 
 def test_free_phases_match_the_eigenbasis_series(monkeypatch):
@@ -336,16 +345,17 @@ def test_free_phases_match_the_eigenbasis_series(monkeypatch):
     propagator = og.Propagator(og.derive_couplings(p), spec)
     x0 = eigenbasis_amplitudes(spec, 12)
     x0 /= np.linalg.norm(x0)
-    times = np.array([0.3, 5.0, 17.0, 40.0])
-    series = as_complex(propagator._series(x0, times))
-    assert np.max(np.abs(as_complex(propagator._phases(x0, times)) - series)) <= 1e-13
+    times = (0.3, 5.0, 17.0, 40.0)
+    for t in times:
+        series = as_complex(propagator._series(x0, t))
+        assert np.max(np.abs(as_complex(propagator._phases(x0, t)) - series)) <= 1e-13, t
     # At gamma = 0, evolve runs no recursion.
     monkeypatch.setattr(propagator, "_series", None)
     psi0 = random_state(spec, 12)
     reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(
         og.derive_couplings(p), spec))
-    for t, psi in zip(times, propagator.evolve(psi0, times)):
-        assert np.max(np.abs(psi - reference.evolve(psi0, float(t)))) <= ATOL
+    for t in times:
+        assert np.max(np.abs(propagator.evolve(psi0, t) - reference.evolve(psi0, t))) <= ATOL
 
 
 @pytest.mark.parametrize("gammas", [[], [[1e-2]], [1e-2, float("nan")], [float("inf")]])
@@ -363,21 +373,20 @@ def test_evolution_is_linear_over_real_and_imaginary_parts(seed, gamma, t):
     spec = og.HilbertSpec(12, 15)
     propagator = og.Propagator(og.derive_couplings(p), spec)
     x = random_state(spec, seed)
-    parts = propagator.evolve(x.real, [t]) + 1j * propagator.evolve(x.imag, [t])
-    assert np.max(np.abs(propagator.evolve(x, [t]) - parts)) <= 1e-14
+    parts = propagator.evolve(x.real, t) + 1j * propagator.evolve(x.imag, t)
+    assert np.max(np.abs(propagator.evolve(x, t) - parts)) <= 1e-14
 
 
 def test_table_bytes_per_entry_bound_the_tables():
-    # Many times and few levels: the Bessel and coefficient tables dominate.
+    # Long times and few levels: the Bessel and coefficient tables dominate.
     p = dimensionless_config()
     propagator = og.Propagator(og.derive_couplings(p), og.HilbertSpec(4, 4))
     radius = float(propagator._radius.max())
-    for count, t_max in ((4000, 25.0), (500, 400.0), (3, 1000.0)):
-        times = np.linspace(0.0, t_max, count)
-        entries = 4 * count * (oracle._bessel_start(radius * t_max) + 1)
+    for t in (1000.0, 2000.0, 5000.0):
+        entries = 4 * (oracle._bessel_start(radius * t) + 1)
         tracemalloc.start()
         try:
-            tables = propagator._coefficients(times)
+            tables = propagator._coefficients(t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -390,11 +399,9 @@ def test_chebyshev_tables_beyond_the_budget_name_the_largest_time():
     propagator = og.Propagator(og.derive_couplings(p), spec)
     psi0 = random_state(spec, 0)
     with pytest.raises(DimensionLimitError, match="largest admissible time") as info:
-        propagator.evolve(psi0, [1e12])
+        propagator.evolve(psi0, 1e12)
     t_max = float(str(info.value).rsplit(" ", 1)[-1])
     radius = float(propagator._radius.max())
-    oracle._check_table_bytes(4, radius, t_max)
+    oracle._check_table_bytes(radius, t_max)
     with pytest.raises(DimensionLimitError):
-        oracle._check_table_bytes(4, radius, t_max * (1.0 + 1e-9))
-    with pytest.raises(DimensionLimitError, match="largest admissible time"):
-        propagator.evolve(psi0, [0.5, 1e300])
+        oracle._check_table_bytes(radius, t_max * (1.0 + 1e-9))

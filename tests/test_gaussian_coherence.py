@@ -27,7 +27,8 @@ def test_matches_the_fock_ladder(gamma, omega_b):
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(35, 37)
     times = np.array([0.0, 0.3, 2.0, 2.0 * math.pi, 13.0, 5.0 * 2.0 * math.pi])
-    states = og.Propagator(dc, spec).evolve(og.initial_state(p, spec), times)
+    propagator, psi0 = og.Propagator(dc, spec), og.initial_state(p, spec)
+    states = np.array([propagator.evolve(psi0, t) for t in times])
     # Photon c's path-coherence element <cavity-branch| rho |bypass-branch>.
     reference = np.sum(states[:, 1] * np.conj(states[:, 0]), axis=(1, 2, 3))
     got = dense_reference.coherence(dc, [p.beta_m], p.beta_M, times)
@@ -42,10 +43,10 @@ def test_visibility_matches_the_fock_oracle_for_any_amplitudes(gamma):
     for beta_m, beta_M in ((0.7 - 0.4j, 0.3 + 0.5j), (-0.2 + 0.9j, -0.6 - 0.1j)):
         p = setups.dimensionless_params(gamma=gamma, beta_m=beta_m, beta_M=beta_M)
         dc = og.derive_couplings(p)
-        states = og.Propagator(dc, spec).evolve(og.initial_state(p, spec), times)
+        propagator, psi0 = og.Propagator(dc, spec), og.initial_state(p, spec)
         got = gaussian.visibility(dc, 0.0, times)
-        for t, psi, v in zip(times, states, got):
-            assert abs(og.visibility_exact(psi) - v) <= 1e-12, (beta_m, t)
+        for t, v in zip(times, got):
+            assert abs(og.visibility_exact(propagator.evolve(psi0, t)) - v) <= 1e-12, (beta_m, t)
 
 
 def modulus_cases():

@@ -118,14 +118,14 @@ class TestPropagation:
         p, dc, spec = small_setup(gamma=1e-2, n_max=16)
         psi0 = og.initial_state(p, spec)
         prop = og.Propagator(dc, spec)
-        assert np.allclose(prop.evolve(psi0, [0.0])[0], psi0, atol=1e-14)
+        assert np.allclose(prop.evolve(psi0, 0.0), psi0, atol=1e-14)
 
     def test_full_matrix_route_agrees_with_sector_route(self):
         p, dc, spec = small_setup(gamma=2e-2, n_max=16)
         psi0 = og.initial_state(p, spec)
         blocks = dense_reference.hamiltonian_blocks(dc, spec)
         full = dense_reference.propagate(dense_reference.full(blocks.blocks, spec), psi0, 1.7)
-        sector = og.Propagator(dc, spec).evolve(psi0, [1.7])[0]
+        sector = og.Propagator(dc, spec).evolve(psi0, 1.7)
         assert np.allclose(full, sector, atol=1e-12)
 
     def test_matches_closed_form_when_uncoupled(self, ref_params):
@@ -136,7 +136,8 @@ class TestPropagation:
         psi0 = og.initial_state(p0, spec)
         period = 2 * math.pi / dc0.omega_a
         fractions = (0.21, 0.5, 1.37)
-        for frac, exact in zip(fractions, prop.evolve(psi0, [f * period for f in fractions])):
+        for frac in fractions:
+            exact = prop.evolve(psi0, frac * period)
             closed = oracle.closed_form_state(dc0, p0, spec, frac * period)
             assert np.linalg.norm(exact - closed) < 1e-8
 
@@ -145,7 +146,7 @@ class TestPropagation:
                                   n_max=16)
         psi0 = og.initial_state(p, spec)
         t = 2.31
-        psi = og.Propagator(dc, spec).evolve(psi0, [t])[0]
+        psi = og.Propagator(dc, spec).evolve(psi0, t)
         na = np.arange(spec.dim_a)[:, None]
         nb = np.arange(spec.dim_b)[None, :]
         phases = np.exp(-1j * (dc.omega_a * na + dc.omega_b * nb) * t)
@@ -162,7 +163,7 @@ class TestPropagation:
         p, dc, spec = small_setup(gamma=gamma, lambda_m=lam, lambda_M=0.8 * lam, n_max=16)
         blocks = dense_reference.hamiltonian_blocks(dc, spec)
         psi0 = og.initial_state(p, spec)
-        psi = og.Propagator(dc, spec).evolve(psi0, [t])[0]
+        psi = og.Propagator(dc, spec).evolve(psi0, t)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
         e0 = dense_reference.expectation(blocks.blocks, spec, psi0).real
         et = dense_reference.expectation(blocks.blocks, spec, psi).real
@@ -196,7 +197,7 @@ class TestReduceAndMeasures:
         dc0 = og.derive_couplings(p0)
         spec = og.HilbertSpec(25, 25)
         t = 0.5 * 2 * math.pi / dc0.omega_a
-        psi = og.Propagator(dc0, spec).evolve(og.initial_state(p0, spec), [t])[0]
+        psi = og.Propagator(dc0, spec).evolve(og.initial_state(p0, spec), t)
         v = og.visibility_exact(psi)
         purity = float(np.sum(np.abs(photon_c_density(psi)) ** 2))
         assert purity == pytest.approx((1.0 + v * v) / 2.0, rel=1e-10)
@@ -211,8 +212,9 @@ class TestReduceAndMeasures:
     def test_entropy_zero_for_separable_dynamics(self):
         p, dc, spec = small_setup(gamma=0.0, n_max=16)
         psi0 = og.initial_state(p, spec)
-        for psi in og.Propagator(dc, spec).evolve(psi0, [0.0, 1.0, 4.0]):
-            s = og.linear_entropy_exact(psi)
+        propagator = og.Propagator(dc, spec)
+        for t in (0.0, 1.0, 4.0):
+            s = og.linear_entropy_exact(propagator.evolve(psi0, t))
             assert abs(s) < 1e-10
 
 
@@ -226,9 +228,8 @@ class TestMonogamySignature:
         for gamma in (2.5e-3, 5e-3, 1e-2):
             p = setups.dimensionless_params(gamma=gamma, lambda_m=0.3, lambda_M=0.25)
             dc = og.derive_couplings(p)
-            psi_period, psi_early = og.Propagator(dc, spec).evolve(
-                og.initial_state(p, spec), [period, 0.6 * period]
-            )
+            propagator, psi0 = og.Propagator(dc, spec), og.initial_state(p, spec)
+            psi_period, psi_early = (propagator.evolve(psi0, t) for t in (period, 0.6 * period))
             deficits.append(1.0 - og.visibility_exact(psi_period))
             entropies.append(og.linear_entropy_exact(psi_early))
         assert all(d > 0 for d in deficits)
@@ -321,7 +322,7 @@ class TestDysonCorrection:
     def test_improves_on_zeroth_order(self):
         p, dc, spec = small_setup(gamma=5e-3, lambda_m=0.3, lambda_M=0.2, n_max=18)
         t = 4.0
-        exact = og.Propagator(dc, spec).evolve(og.initial_state(p, spec), [t])[0]
+        exact = og.Propagator(dc, spec).evolve(og.initial_state(p, spec), t)
         base = oracle.closed_form_state(dc, p, spec, t)
         correction = og.dyson_first_order_state(dc, p, spec, t)
         r0 = np.linalg.norm(exact - base)
