@@ -142,17 +142,17 @@ def position_coupling(dim: int) -> np.ndarray:
 #: Chebyshev terms whose coefficient 2|J_k(r t)| falls below this are round-off.
 _SERIES_TOL = np.finfo(float).eps
 
-#: Relative widening of each sector's spectral interval, covering the
-#: round-off of the per-mode eigenvalues it is built from.
+#: Relative widening of the spectral interval, covering the round-off of the
+#: per-mode eigenvalues it is built from.
 _INTERVAL_PAD = 1e-12
 
 #: (-i)^k for k mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
-#: Budget for one recursion's Bessel and coefficient tables, at most 40 bytes per (sector,
-#: term) entry at once: Bessel values (8) beside their tail and temporaries (< 28) or
-#: beside complex coefficients and their Re and Im (32).
-_TABLE_BYTES, _TABLE_ENTRY_BYTES = 1 << 30, 40
+#: Budget for one recursion's Bessel and coefficient tables, at most 24 bytes per entry
+#: of the backward recurrence at once: its values (8) beside the Re and Im rows of the
+#: coefficients (16), or beside their moduli and a mask while the series is cut (9).
+_TABLE_BYTES, _TABLE_ENTRY_BYTES = 1 << 30, 24
 
 
 def _mode_hamiltonian(dim: int, omega: float, lam: float, bit: int) -> np.ndarray:
@@ -187,22 +187,22 @@ def _check_norms(before: float, after: np.ndarray, t: float):
         )
 
 
-def _bessel_start(zmax: float) -> int:
-    """Order at which the backward recurrence for arguments up to zmax starts."""
-    return int(zmax + 20.0 * zmax ** (1.0 / 3.0)) + 64
+def _bessel_start(z: float) -> int:
+    """Order at which the backward recurrence for the argument z starts."""
+    return int(z + 20.0 * z ** (1.0 / 3.0)) + 64
 
 
 def _check_table_bytes(radius: float, t: float):
     """Raise :class:`DimensionLimitError`, naming the largest admissible time,
-    unless the tables of the four sectors, of spectral radius up to
-    ``radius``, at time ``t`` fit :data:`_TABLE_BYTES`."""
+    unless the tables of one recursion of spectral radius ``radius`` at time
+    ``t`` fit :data:`_TABLE_BYTES`."""
     def fits(t):
-        entries = 4 * (_bessel_start(radius * t) + 1) if math.isfinite(radius * t) else math.inf
+        entries = _bessel_start(radius * t) + 1 if math.isfinite(radius * t) else math.inf
         return entries * _TABLE_ENTRY_BYTES <= _TABLE_BYTES
 
     if fits(t):
         return
-    lo, hi = 0.0, _TABLE_BYTES / (4 * _TABLE_ENTRY_BYTES * radius)
+    lo, hi = 0.0, _TABLE_BYTES / (_TABLE_ENTRY_BYTES * radius)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if fits(mid) else (lo, mid)
@@ -212,42 +212,37 @@ def _check_table_bytes(radius: float, t: float):
     )
 
 
-def _bessel_series(z: np.ndarray) -> np.ndarray:
-    """J_k(z) for each z >= 0 of a 1-D array, k from 0 up to the order past
-    max(z) beyond which every row's 2|J_k| stays below :data:`_SERIES_TOL`,
-    by Miller's backward recurrence J_(k-1) = (2k/z) J_k - J_(k+1), started
-    far enough beyond that order to be accurate to round-off there,
-    normalised by J_0 + 2 sum J_(2k) = 1 and rescaled before it overflows."""
-    zmax = float(z.max(initial=0.0))
-    start = _bessel_start(zmax)
-    values = np.zeros((z.size, start + 1))
-    # Below 1e-8, J_0 = 1 and J_1 = z/2 to round-off and the rest vanish.
-    live = z >= 1e-8
-    values[~live, 0] = 1.0
-    values[~live, 1] = 0.5 * z[~live]
-    zl = z[live]
-    tail = np.zeros((zl.size, start + 1))
-    upper, current = np.zeros(zl.size), np.full(zl.size, 1e-300)
-    tail[:, start] = current
-    for k in range(start, 0, -1):
-        upper, current = current, (2.0 * k / zl) * current - upper
-        tail[:, k - 1] = current
-        big = np.abs(current) > 1e200
-        if big.any():
-            upper[big] *= 1e-200
-            current[big] *= 1e-200
-            tail[big, k - 1 :] *= 1e-200
-    tail /= (tail[:, 0] + 2.0 * tail[:, 2::2].sum(axis=1))[:, None]
-    values[live] = tail
-    order = np.arange(start + 1)
-    below = (2.0 * np.abs(values) < _SERIES_TOL) & (order > z[:, None])
-    if not below.any(axis=1).all():
+def _bessel_series(z: float) -> np.ndarray:
+    """J_k(z) for z >= 0, k from 0 to just before the first order past z whose
+    2|J_k| falls below :data:`_SERIES_TOL`, by Miller's backward recurrence
+    J_(k-1) = (2k/z) J_k - J_(k+1), started far enough beyond that order to be
+    accurate to round-off there, normalised by J_0 + 2 sum J_(2k) = 1 and
+    rescaled before it overflows."""
+    start = _bessel_start(z)
+    values = np.zeros(start + 1)
+    if z < 1e-8:
+        # J_0 = 1 and J_1 = z/2 to round-off, and the rest vanish.
+        values[:2] = 1.0, 0.5 * z
+    else:
+        upper, current = 0.0, 1e-300
+        values[start] = current
+        for k in range(start, 0, -1):
+            upper, current = current, (2.0 * k / z) * current - upper
+            values[k - 1] = current
+            if abs(current) > 1e200:
+                upper, current = upper * 1e-200, current * 1e-200
+                values[k - 1 :] *= 1e-200
+        values /= values[0] + 2.0 * values[2::2].sum()
+    # Doubling is exact, so 2|J_k| < tol just when |J_k| < tol/2.
+    first = int(z) + 1
+    below = np.abs(values[first:]) < 0.5 * _SERIES_TOL
+    if not below.any():
         raise NumericalError(
             f"Chebyshev coefficients of exp(-i z x) did not decay below "
-            f"{_SERIES_TOL:g} within {start} terms (max z = {zmax!r})",
-            diagnostics={"max_z": zmax, "terms": start},
+            f"{_SERIES_TOL:g} within {start} terms (z = {z!r})",
+            diagnostics={"z": z, "terms": start},
         )
-    return values[:, : int(below.argmax(axis=1).max())]
+    return values[: first + int(below.argmax())]
 
 
 class Propagator:
@@ -257,9 +252,12 @@ class Propagator:
     photon bit), a sector's amplitude matrix Y = V_a^T X V_b evolves under
     (w_a,i + w_b,j) Y_ij + gamma R_a Y R_b, R = V^T x V: the free part is
     diagonal, and at gamma = 0 :meth:`evolve` applies exp(-i(w_a,i + w_b,j)t).
-    Otherwise the spectrum lies in [min w_a + min w_b - g, max w_a + max w_b
-    + g], g = |gamma| ||x_a|| ||x_b|| (Weyl), and with H = c + r*Ht
-    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984))
+    Otherwise every sector's spectrum lies in the one interval [min w_a +
+    min w_b - g, max w_a + max w_b + g] over both photon bits, g = |gamma|
+    ||x_a|| ||x_b|| (Weyl).  It is sector (1, 1)'s own and costs no terms:
+    x has a zero diagonal, so a mode's bit-1 eigenvalues span its bit-0 ones,
+    0 to omega*n_max.  With H = c + r*Ht (Tal-Ezer and Kosloff, J. Chem.
+    Phys. 81, 3967 (1984))
 
         exp(-i*H*t) = exp(-i*c*t) sum_k (2 - delta_k0) (-i)^k J_k(r*t) T_k(Ht),
 
@@ -284,12 +282,12 @@ class Propagator:
         x_a, x_b = position_coupling(spec.dim_a), position_coupling(spec.dim_b)
         coupling = np.abs(gammas).max() * np.linalg.norm(x_a, 2) * np.linalg.norm(x_b, 2)
         w_a, w_b = self._w_a, self._w_b
-        lo = w_a[:, None, 0] + w_b[None, :, 0] - coupling
-        hi = w_a[:, None, -1] + w_b[None, :, -1] + coupling
+        lo = float(w_a.min() + w_b.min() - coupling)
+        hi = float(w_a.max() + w_b.max() + coupling)
         self._center, self._radius = 0.5 * (hi + lo), 0.5 * (hi - lo) * (1.0 + _INTERVAL_PAD)
         # 2*Ht = (2/r)(H - c): the shift rides on the diagonal, the scale on it and on R_b.
-        scale = (2.0 / self._radius)[:, :, None, None]
-        free = w_a[:, None, :, None] + w_b[None, :, None, :] - self._center[:, :, None, None]
+        scale = 2.0 / self._radius
+        free = w_a[:, None, :, None] + w_b[None, :, None, :] - self._center
         self._x_a = (self._v_a.transpose(0, 2, 1) @ x_a @ self._v_a)[:, None]
         self._x_b = scale * (self._v_b.transpose(0, 2, 1) @ x_b @ self._v_b)
         # The diagonal and the couplings repeated over the K planes: a product broadcast
@@ -312,15 +310,17 @@ class Propagator:
         out += product
 
     def _coefficients(self, t: float) -> np.ndarray:
-        """Re and Im (2, 2, 2, terms) of every sector's coefficients at time t."""
-        _check_table_bytes(float(self._radius.max()), t)
-        z = self._radius * t
-        bessel = _bessel_series(z.reshape(-1)).reshape(*z.shape, -1)
-        order = np.arange(bessel.shape[-1])
-        weights = np.where(order == 0, 1.0, 2.0) * _MINUS_I_POWERS[order % 4] * bessel
-        del order  # so that the stack below peaks within _TABLE_ENTRY_BYTES per entry
-        weights *= np.exp(-1j * self._center * t)[..., None]
-        return np.stack((weights.real, weights.imag))
+        """Re and Im (2, terms) of the coefficients at time t."""
+        _check_table_bytes(self._radius, t)
+        bessel = _bessel_series(self._radius * t)
+        bessel[1:] *= 2.0
+        # (-i)^k exp(-i*c*t) repeats with period 4 in k.
+        cycle = _MINUS_I_POWERS * np.exp(-1j * self._center * t)
+        tables = np.empty((2, bessel.size))
+        for k, phase in enumerate(cycle.tolist()):
+            tables[:, k::4] = [[phase.real], [phase.imag]]
+        tables *= bessel
+        return tables
 
     def _series(self, x0: np.ndarray, t: float) -> np.ndarray:
         """Real and imaginary parts (2, 2, 2, dim_a, K, dim_b) of exp(-i*H*t) x0
@@ -328,12 +328,9 @@ class Propagator:
         (2, 2, dim_a, dim_b).  The Chebyshev vectors cycle through a ring of
         3 slots, the two a step reads and the one it writes, folded into the
         sum after each third step."""
-        real, imag = self._coefficients(t)
-        terms, shape = real.shape[-1], self._diagonal.shape
-        # Each filled ring is folded in by one product per part of C, written into
-        # the steps' scratch.
+        weights = self._coefficients(t)
+        terms, shape = weights.shape[-1], self._diagonal.shape
         ring = np.empty((3,) + shape)
-        flat = ring.reshape(3, 2, 2, -1).transpose(1, 2, 0, 3)
         out = np.zeros((2,) + shape)
         steps = np.empty((2,) + shape)
         ring[0] = x0[:, :, :, None]
@@ -346,11 +343,11 @@ class Propagator:
                 self._apply(ring[(k - 1) % 3], ring[slot], steps)
                 ring[slot] -= ring[(k - 2) % 3]
             if slot == 2 or k == terms - 1:
-                # out += (Re C + i Im C) x for the real x, one part of C at a time.
-                for part, weights in zip(out, (real, imag)):
-                    np.matmul(weights[:, :, None, k - slot : k + 1], flat[:, :, : slot + 1],
-                              out=steps[0].reshape(2, 2, 1, -1))
-                    part += steps[0]
+                # out += (Re C + i Im C) x for the real x: both parts of C in one
+                # product, written into the steps' scratch.
+                np.matmul(weights[:, k - slot : k + 1], ring[: slot + 1].reshape(slot + 1, -1),
+                          out=steps.reshape(2, -1))
+                out += steps
         return out
 
     def _phases(self, x0: np.ndarray, t: float) -> np.ndarray:

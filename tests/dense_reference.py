@@ -430,12 +430,15 @@ def complex_apply(prop, x, out, scratch, right):
 
 
 def complex_coefficients(prop, times):
-    """(2, 2, T, K) complex expansion coefficients of every sector and time."""
-    z = prop._radius[:, :, None] * times
-    bessel = oracle._bessel_series(z.reshape(-1)).reshape(*z.shape, -1)
+    """(T, K) complex expansion coefficients of each time, zero past the
+    terms of that time's own series."""
+    series = [oracle._bessel_series(prop._radius * t) for t in times]
+    bessel = np.zeros((len(series), max(values.size for values in series)))
+    for row, values in zip(bessel, series):
+        row[: values.size] = values
     order = np.arange(bessel.shape[-1])
     weights = np.where(order == 0, 1.0, 2.0) * oracle._MINUS_I_POWERS[order % 4] * bessel
-    return weights * np.exp(-1j * prop._center[:, :, None] * times)[..., None]
+    return weights * np.exp(-1j * prop._center * times)[:, None]
 
 
 def complex_series(prop, x0, times):

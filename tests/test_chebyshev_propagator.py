@@ -181,14 +181,46 @@ def test_evolve_returns_owned_states_and_refuses_other_shapes():
             propagator.evolve(bad, 1.0)
 
 
-@pytest.mark.parametrize("z", [1e-9, 0.3, 7.0, 140.0, 421.0])
+# 0 and 1e-9 take the small-argument branch; 1.2e-8 and 1e-7 rescale the recurrence
+# once, and 1.2e-8 would overflow without it.
+@pytest.mark.parametrize("z", [0.0, 1e-9, 1.2e-8, 1e-7, 0.3, 7.0, 140.0, 421.0])
 def test_bessel_coefficients_against_mpmath(z):
-    values = oracle._bessel_series(np.array([z]))[0]
+    values = oracle._bessel_series(z)
     assert z < len(values) < z + 12.0 * z ** (1.0 / 3.0) + 40
     assert 2.0 * abs(values[-1]) >= oracle._SERIES_TOL
     for k in range(0, len(values), 3):
         assert values[k] == pytest.approx(float(mpmath.besselj(k, z)), abs=1e-15)
     assert 2.0 * float(abs(mpmath.besselj(len(values), z))) < oracle._SERIES_TOL
+
+
+@pytest.mark.parametrize("case", ["positive", "negative", "lambda_m zero", "family"])
+def test_one_interval_holds_every_sector_at_the_widest_sector_radius(case):
+    # The sector blocks of every coupling the propagator serves lie in [c - r, c + r],
+    # and r is the largest per-sector Weyl half-width, so no recursion runs longer
+    # than the widest sector's.
+    gamma = -2e-2 if case == "negative" else 2e-2
+    p = setups.dimensionless_params(gamma=gamma, lambda_m=0.0 if case == "lambda_m zero"
+                                    else 0.445)
+    dc, spec = og.derive_couplings(p), og.HilbertSpec(12, 15)
+    gammas = FAMILY if case == "family" else None
+    propagator = og.Propagator(dc, spec, gammas=gammas)
+    center, radius = propagator._center, propagator._radius
+    assert isinstance(center, float) and isinstance(radius, float)
+    for g in gammas or (gamma,):
+        blocks = dense_reference.hamiltonian_blocks(replace(dc, gamma=g), spec).blocks
+        for block in blocks.values():
+            w = np.linalg.eigvalsh(block)
+            assert center - radius <= w[0] and w[-1] <= center + radius, g
+    (w_a, _), (w_b, _) = (oracle._mode_eigh(dim, omega, lam) for dim, omega, lam in
+                          ((spec.dim_a, dc.omega_a, dc.lambda_m),
+                           (spec.dim_b, dc.omega_b, dc.lambda_M)))
+    weyl = (max(abs(g) for g in gammas or (gamma,))
+            * np.linalg.norm(oracle.position_coupling(spec.dim_a), 2)
+            * np.linalg.norm(oracle.position_coupling(spec.dim_b), 2))
+    halves = [0.5 * ((w_a[p_bit, -1] + w_b[q_bit, -1] + weyl)
+                     - (w_a[p_bit, 0] + w_b[q_bit, 0] - weyl)) * (1.0 + oracle._INTERVAL_PAD)
+              for p_bit, q_bit in dense_reference.SECTORS]
+    assert radius == max(halves)
 
 
 def sector_planes(spec, seed, count=1):
@@ -378,12 +410,12 @@ def test_evolution_is_linear_over_real_and_imaginary_parts(seed, gamma, t):
 
 
 def test_table_bytes_per_entry_bound_the_tables():
-    # Long times and few levels: the Bessel and coefficient tables dominate.
+    # Long times and few levels: the Bessel and coefficient tables dominate.  An
+    # entry is one term of the backward recurrence.
     p = dimensionless_config()
     propagator = og.Propagator(og.derive_couplings(p), og.HilbertSpec(4, 4))
-    radius = float(propagator._radius.max())
     for t in (1000.0, 2000.0, 5000.0):
-        entries = 4 * (oracle._bessel_start(radius * t) + 1)
+        entries = oracle._bessel_start(propagator._radius * t) + 1
         tracemalloc.start()
         try:
             tables = propagator._coefficients(t)
@@ -401,7 +433,6 @@ def test_chebyshev_tables_beyond_the_budget_name_the_largest_time():
     with pytest.raises(DimensionLimitError, match="largest admissible time") as info:
         propagator.evolve(psi0, 1e12)
     t_max = float(str(info.value).rsplit(" ", 1)[-1])
-    radius = float(propagator._radius.max())
-    oracle._check_table_bytes(radius, t_max)
+    oracle._check_table_bytes(propagator._radius, t_max)
     with pytest.raises(DimensionLimitError):
-        oracle._check_table_bytes(radius, t_max * (1.0 + 1e-9))
+        oracle._check_table_bytes(propagator._radius, t_max * (1.0 + 1e-9))

@@ -522,7 +522,7 @@ class TestScanCommand:
         row = dict(zip(header, rows[0]))
         assert row["error"].startswith("DimensionLimitError: the Chebyshev tables of one "
                                        "recursion up to t = 1000000000000.0 ")
-        assert "; the largest admissible time is 172395.49" in row["error"]
+        assert "; the largest admissible time is 1149776.49" in row["error"]
         assert row["visibility_exact"] == row["truncation_delta"] == "nan"
 
     def test_row_error_with_a_comma_is_read_back_whole(self, capsys, tmp_path):
