@@ -10,12 +10,13 @@ One formula, :func:`coherent_trajectories`, gives every conditional
 coherent amplitude: the photon's off-diagonal element, the rod-M branches
 of the first-order bracket and the oracle's closed-form state all call it.
 
-Every first-order time integral goes through one exact integrator: each
-mode's frame-rotated coupling factor is a fixed table of coefficients over
-the operators (a^dag, a, 1) and the exponentials exp(-i*omega*s), 1,
-exp(+i*omega*s) (:func:`mode_factor_coefficients`), so an integral over
-s in [-t, 0] reduces to the closed-form exponential integrals of
-:func:`exponential_integrals`.
+Every first-order observable reads the time integral over s in [-t, 0] of
+the frame-rotated gravitational coupling, a product of one factor per rod.
+Each factor is a fixed table of coefficients over the operators (a^dag, a,
+1) and the exponentials exp(-i*omega*s), 1, exp(+i*omega*s)
+(:func:`mode_factor_coefficients`), so each observable contracts the 3x3
+closed-form exponential integrals W of :func:`exponential_integrals` with
+one vector over those exponentials per rod.
 
 Every function returns plain numpy arrays, one value per requested time;
 callers hold the time axis and label the values themselves.
@@ -37,6 +38,7 @@ from .params import (
     DerivedCouplings,
     PhysicalParams,
     derive_couplings,
+    squared_shifts,
     without_gravity,
 )
 
@@ -174,19 +176,20 @@ def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times):
     """The real bracket x(t) with V1 = V0 * |1 + i*x(t)|, to first order in gamma.
 
     x(t) = gamma * integral over s in [-t, 0] of the cavity-c path difference
-    of the coupling generator, averaged over the two rod-M branches: with K
-    the :func:`integrated_coefficients`, only the identity row of the mode-a
-    factor depends on the path, so x = gamma/2 * Re sum over (q, j) of
-    <O_j>_q * (K[(1, 1), (q, j)] - K[(0, 1), (q, j)]), O = (a^dag, a, 1) in
-    rod M's branch q.  Exact for any frequencies and any complex beta_M.
+    of the coupling generator, averaged over the two rod-M branches q.  Only
+    the identity row of the mode-a table depends on the path, and it is zero
+    at bit 0, so x = gamma * Re[lam_m*(-1, 2, -1) . W . d], with W the
+    :func:`exponential_integrals` and d = 1/2 sum_q (<a^dag>_q, <a>_q, 1) .
+    table_b(q) rod M's branch-averaged factor.  Exact for any frequencies and
+    any complex beta_M.
     """
     times = _check_times(times)
-    k = integrated_coefficients(dc, times).reshape(-1, 2, 3, 2, 3)
-    path_difference = k[:, 1, 2] - k[:, 0, 2]
     phi0, phi1, _ = coherent_trajectories(p.beta_M, dc.lambda_M, dc.omega_b, times)
-    phi = np.stack([phi0, phi1], axis=-1)
-    expectations = np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
-    x = 0.5 * np.sum(expectations * path_difference, axis=(1, 2))
+    drive = 0.5 * sum(np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
+                      @ mode_factor_coefficients(dc.lambda_M, bit)
+                      for bit, phi in enumerate((phi0, phi1)))
+    weights = exponential_integrals(dc.omega_a, dc.omega_b, times)
+    x = np.einsum("k,tkl,tl->t", mode_factor_coefficients(dc.lambda_m, 1)[2], weights, drive)
     return dc.gamma * x.real
 
 
@@ -207,12 +210,30 @@ def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> np.ndarr
     The reference V0 is the fully uncoupled pattern (couplings re-derived
     without gravity), so the shift combines the frequency-pull effect
     omega_a vs. the bare frequency with the first-order state correction.
-    In dimensionless mode there is no frequency pull and only the state
-    correction remains.
+    With V the :func:`visibility_uncoupled` at ``dc`` and x the
+    :func:`first_order_bracket`, it is written without cancellation as
+
+        V1 - V0 = V0*expm1(D) + V*x**2/(1 + hypot(1, x)),
+        D = log V - log V0 = (Lam**2 - lam**2)*2sin(bare*t/2)**2
+                             - lam**2*2sin((omega_a + bare)*t/2)*sin(pull*t/2),
+
+    pull = omega_a - bare = s/(omega_a + bare) with s = omega_a**2 - bare**2
+    recomputed from ``p`` (:func:`squared_shifts`).  Lam, the gravity-free
+    lambda_m, gives Lam**2 - lam**2 = Lam**2*pull*(omega_a**2 + omega_a*bare +
+    bare**2)/omega_a**3, as lam**2 goes as omega**-3.  In dimensionless mode
+    there is no frequency pull and only the state correction remains.
     """
     times = _check_times(times)
     dc0 = derive_couplings(without_gravity(p))
-    return visibility_first_order(dc, p, times) - visibility_uncoupled(dc0, times)
+    lam, lam0, omega, bare = dc.lambda_m, dc0.lambda_m, dc.omega_a, dc0.omega_a
+    pull = squared_shifts(p)[0] / (omega + bare)
+    gap = lam0 * lam0 * pull * (omega * omega + omega * bare + bare * bare) / omega**3
+    half = 0.5 * times
+    delta = (gap * 2.0 * np.sin(bare * half) ** 2
+             - lam * lam * 2.0 * np.sin((omega + bare) * half) * np.sin(pull * half))
+    x = first_order_bracket(dc, p, times)
+    return (visibility_uncoupled(dc0, times) * np.expm1(delta)
+            + visibility_uncoupled(dc, times) * (x * x / (1.0 + np.hypot(1.0, x))))
 
 
 def thermal_visibility(dc: DerivedCouplings, nbar: float, times) -> np.ndarray:
@@ -226,38 +247,16 @@ def thermal_visibility(dc: DerivedCouplings, nbar: float, times) -> np.ndarray:
     return np.exp(-(lam * lam) * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega * times)))
 
 
-def integrated_coefficients(dc: DerivedCouplings, times) -> np.ndarray:
-    """K[..., 3*p + i, 3*q + j], shape ``times.shape + (6, 6)``: the
-    coefficient of O_i (x) O_j, with O the operators (a^dag, a, 1), in the
-    sector-(p, q) time integral over s in [-t, 0] of the gamma-stripped
-    frame-rotated coupling generator."""
-    weights = exponential_integrals(dc.omega_a, dc.omega_b, times)
-    tables_a = np.array([mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)])
-    tables_b = np.array([mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)])
-    k = np.einsum("pik,...kl,qjl->...piqj", tables_a, weights, tables_b)
-    return k.reshape(k.shape[:-4] + (6, 6))
-
-
-def _projected_family(lam: float, omega: float, times: np.ndarray) -> np.ndarray:
-    """One system's family {a^dag psi[p], a psi[p], psi[p]} (column 3*p + i,
-    p the photon bit) projected orthogonal to its state psi, shape (T, 4, 6).
-
-    Up to phases, psi[p] = |p>|phi_p>/sqrt(2) and a^dag|phi> = phi*|phi> +
-    D(phi)|1>, so the columns lie in the orthonormal span (|0>|phi_0>,
-    |1>|phi_1>, |0>D(phi_0)|1>, |1>D(phi_1)|1>), where psi = (1, 1, 0, 0)/sqrt(2).
-    The rod's input amplitude shifts phi_0 and phi_1 alike, adding multiples
-    of the identity columns to the a^dag and a columns; the tables' a^dag and
-    a rows do not depend on the bit, so that adds a multiple of psi, which the
-    projection removes.  Hence phi_0 = 0 and phi_1 = lam*(1 - exp(-i*omega*t)).
-    """
-    phi = lam * (1.0 - np.exp(-1j * omega * times))
-    family = np.zeros((times.size, 4, 6), dtype=complex)
-    family[:, 0, 2] = 1.0
-    family[:, 1, 3], family[:, 1, 4], family[:, 1, 5] = phi.conj(), phi, 1.0
-    family[:, 2, 0] = family[:, 3, 3] = 1.0
-    family /= math.sqrt(2.0)
-    family[:, :2] -= 0.5 * (family[:, 0] + family[:, 1])[:, None]
-    return family
+def _entangling_rows(lam: float, omega: float, times: np.ndarray) -> np.ndarray:
+    """Rows (T, 2, 3) of one rod's factor components applied to its
+    gravity-free state, in the two directions orthogonal to that state that
+    they reach: the path difference (lam/2)*(e^{-i*omega*t}, -2, e^{+i*omega*t})
+    and the one-phonon row (0, 0, 1)."""
+    rot = np.exp(-1j * omega * times)
+    rows = np.zeros((times.size, 2, 3), dtype=complex)
+    rows[:, 0, 0], rows[:, 0, 1], rows[:, 0, 2] = 0.5 * lam * rot, -lam, 0.5 * lam * rot.conj()
+    rows[:, 1, 2] = 1.0
+    return rows
 
 
 def linear_entropy_first_order(dc: DerivedCouplings, times) -> np.ndarray:
@@ -269,18 +268,26 @@ def linear_entropy_first_order(dc: DerivedCouplings, times) -> np.ndarray:
     the gravity-free product state, P_k the projector onto psi_k and A the
     gamma-stripped time integral of the frame-rotated coupling generator:
     only the component of A*psi orthogonal to both factors entangles, and
-    dropping either projection overestimates S at leading order.  As
-    A*psi = sum K[(p, i), (q, j)] u_(p,i) (x) v_(q,j) with u_(p,i) =
-    |p> (x) O_i psi_1[p], O in (a^dag, a, 1), likewise v, and K the
-    :func:`integrated_coefficients`, the projected vector is U K V^T with U
-    and V from :func:`_projected_family`.
+    dropping either projection overestimates S at leading order.
+
+    1. A*psi = sum_kl W_kl u_k (x) v_l, u_k = sum_p |p> F_a[p, k] psi_1[p] with
+       F[p, k] a rod's factor component at exponential k and photon bit p.
+    2. Orthogonal to psi_1, u_k has the coordinates X[:, k] along the path
+       difference (|0>|phi_0> - |1>|phi_1>)/sqrt(2) and the one-phonon
+       direction (|0>D(phi_0)|1> + |1>D(phi_1)|1>)/sqrt(2), with X the
+       :func:`_entangling_rows`: the a^dag row of a table is the same for both
+       bits, so a rod's input amplitude adds only multiples of psi_1.
+    3. Hence S = 2*gamma**2 ||X W Y^T||_F^2, Y rod b's rows.
     """
     times = _check_times(times)
     out = np.empty(times.size)
     for first in range(0, times.size, _ENTROPY_BLOCK):
         block = times[first : first + _ENTROPY_BLOCK]
-        u = _projected_family(dc.lambda_m, dc.omega_a, block)
-        v = _projected_family(dc.lambda_M, dc.omega_b, block)
-        projected = np.einsum("tai,tij,tbj->tab", u, integrated_coefficients(dc, block), v)
+        x = _entangling_rows(dc.lambda_m, dc.omega_a, block)
+        y = _entangling_rows(dc.lambda_M, dc.omega_b, block)
+        weights = exponential_integrals(dc.omega_a, dc.omega_b, block)
+        # One einsum: as stacked matmuls, X W Y^T raised a cold fig3 process's peak
+        # RSS by 0.2 MB.
+        projected = np.einsum("tak,tkl,tbl->tab", x, weights, y)
         out[first : first + block.size] = np.sum(np.abs(projected) ** 2, axis=(1, 2))
     return 2.0 * dc.gamma**2 * out

@@ -467,11 +467,14 @@ def linear_entropy_exact(psi: np.ndarray) -> float:
     return float(1.0 - np.sum(s**4))
 
 
-def _mode_operators(dim: int) -> np.ndarray:
-    """The operators (a^dag, a, 1) that index the rows of a coefficient table
-    (:func:`analytic.mode_factor_coefficients`), stacked as (3, dim, dim)."""
+def _factor_components(dim: int, lam: float) -> np.ndarray:
+    """F[p, k], shape (2, 3, dim, dim): a mode's frame-rotated coupling factor
+    (:func:`analytic.mode_factor_coefficients`) at photon bit p is sum_k e_k
+    F[p, k] over the exponentials e = (e^{-i*omega*s}, 1, e^{+i*omega*s}), so
+    F[p] = (a - lam*p, 2*lam*p, a^dag - lam*p)."""
     a = destroy_op(dim)
-    return np.stack([a.T, a, np.eye(dim)])
+    tables = np.array([analytic.mode_factor_coefficients(lam, bit) for bit in (0, 1)])
+    return np.tensordot(tables, np.stack([a.T, a, np.eye(dim)]), ([1], [0]))
 
 
 def interaction_picture_residual(dc: DerivedCouplings, spec: HilbertSpec, times) -> np.ndarray:
@@ -500,17 +503,16 @@ def interaction_picture_residual(dc: DerivedCouplings, spec: HilbertSpec, times)
         keep, levels = n_max + 1, 2 * n_max + 21
         x = position_coupling(levels)
         w, v = _mode_eigh(levels, omega, lam)
-        tables = np.array([analytic.mode_factor_coefficients(lam, bit) for bit in (0, 1)])
-        modes.append((omega, w[:, None], v[:, :keep], v.transpose(0, 2, 1) @ x @ v, tables,
-                      _mode_operators(keep), float(np.linalg.norm(x[:keep, :keep]))))
+        modes.append((omega, w[:, None], v[:, :keep], v.transpose(0, 2, 1) @ x @ v,
+                      _factor_components(keep, lam), float(np.linalg.norm(x[:keep, :keep]))))
     out = np.zeros(times.size)
     for i, t in enumerate(times.tolist()):
-        for omega, w, v, rotated, tables, ops, norm in modes:
+        for omega, w, v, rotated, components, norm in modes:
             phases = np.exp(1j * w * t)
             phase = complex(math.cos(omega * t), math.sin(omega * t))
             exponentials = np.array([phase.conjugate(), 1.0, phase])
             numeric = (v * phases) @ rotated @ (v * phases.conj()).transpose(0, 2, 1)
-            closed = np.tensordot(tables @ exponentials, ops, 1)
+            closed = np.tensordot(exponentials, components, ([0], [1]))
             deviation = float(np.linalg.norm(numeric - closed, axis=(1, 2)).max()) / norm
             out[i] = max(out[i], deviation)
     return out
@@ -523,9 +525,9 @@ def dyson_first_order_state(dc: DerivedCouplings, p: PhysicalParams, spec: Hilbe
     coupling generator at offset t'-t applied to the gravity-free state psi0(t),
     linear in gamma and integrated exactly.  ``t`` must be finite and >= 0."""
     tensor = closed_form_state(dc, p, spec, t)
-    ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
-    coefficients = analytic.integrated_coefficients(dc, t).reshape(2, 3, 2, 3)
-    # Per sector (p, q), sum_ij K[p, i, q, j] O_i X O_j^T for its (dim_a, dim_b) amplitudes X.
-    left = np.tensordot(coefficients, ops_a, ([1], [0]))  # (p, q, j, dim_a, dim_a)
-    out = np.sum(left @ tensor[:, :, None] @ ops_b.transpose(0, 2, 1), axis=2)
+    weights = analytic.exponential_integrals(dc.omega_a, dc.omega_b, t)
+    # Per sector (p, q), sum_kl W_kl F_a[p, k] X F_b[q, l]^T for its (dim_a, dim_b) amplitudes X.
+    left = np.einsum("kl,pkab->plab", weights, _factor_components(spec.dim_a, dc.lambda_m))
+    right = _factor_components(spec.dim_b, dc.lambda_M).transpose(0, 1, 3, 2)
+    out = np.sum(left[:, None] @ tensor[:, :, None] @ right[None], axis=2)
     return (-1j * dc.gamma) * out

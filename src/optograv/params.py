@@ -192,8 +192,7 @@ def _couplings(p: PhysicalParams) -> DerivedCouplings:
         light_c, light_d = p.light_freq_c, p.light_freq_d
         G = p.grav_constant_G
         h3 = p.separation_h**3
-        shift_a = G * p.mass_M / h3
-        shift_b = G * p.mass_m / h3
+        shift_a, shift_b = squared_shifts(p)
         # Keep the G = 0 path bitwise equal to the bare constants.
         omega_a = bare_a if shift_a == 0.0 else math.sqrt(bare_a**2 + shift_a)
         omega_b = bare_b if shift_b == 0.0 else math.sqrt(bare_b**2 + shift_b)
@@ -215,6 +214,15 @@ def _couplings(p: PhysicalParams) -> DerivedCouplings:
             delta_T=TWO_PI * shift_a / ((omega_a + bare_a) * bare_a * omega_a),
         )
     return dc
+
+
+def squared_shifts(p: PhysicalParams) -> tuple[float, float]:
+    """omega**2 - bare**2 of modes a and b: G*M/h**3 and G*m/h**3 in SI mode,
+    0 in dimensionless mode."""
+    if p.units == UNITS_DIMENSIONLESS:
+        return 0.0, 0.0
+    h3 = p.separation_h**3
+    return p.grav_constant_G * p.mass_M / h3, p.grav_constant_G * p.mass_m / h3
 
 
 def without_gravity(p: PhysicalParams) -> PhysicalParams:

@@ -30,6 +30,7 @@ from .params import (
     UNITS_DIMENSIONLESS,
     PhysicalParams,
     derive_couplings,
+    without_gravity,
 )
 
 if TYPE_CHECKING:
@@ -233,7 +234,7 @@ def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> 
 
     order = np.argsort(np.abs(np.asarray(gammas)))
     gammas = tuple(gammas[i] for i in order)
-    dc0 = derive_couplings(replace(base, direct_gamma=0.0))
+    dc0 = derive_couplings(without_gravity(base))
     oracle.check_adequacy(spec, dc0, base)
     psi0_t = oracle.closed_form_state(dc0, base, spec, t)
     # The input state does not depend on gamma.

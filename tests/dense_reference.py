@@ -42,6 +42,10 @@ routes they replaced, as independent cross-checks:
   perturbation at one time, from the system families {a^dag psi, a psi,
   psi} built in the truncated Fock basis, as the library computed it
   before its closed form in a four-dimensional coherent basis;
+- ``coherent_linear_entropy``: that closed form, U K V^T with the 6x6
+  integrated sector coefficients K = tables_a W tables_b^T and the
+  projected 4x6 coherent families U and V, as the library computed it
+  before it contracted W with two rows per rod;
 - ``complex_series`` and ``complex_apply``: ``oracle.Propagator``'s
   Chebyshev recursion in complex arithmetic, on complex vectors of shape
   (2, 2, dim_a, dim_b) holding eigenbasis amplitudes, with the same
@@ -50,10 +54,11 @@ routes they replaced, as independent cross-checks:
   time as it is made, where the library runs one recursion per time and
   folds its terms from a ring;
 - ``dyson_first_order_state``: the first-order Dyson correction contracted
-  by two einsums per sector, as before it was written as matrix products;
-- ``first_order_bracket``: the first-order visibility bracket from the
-  mode tables and the exponential integrals directly, as before it was read
-  off the integrated coefficients.
+  from K by two einsums per sector, as before it was written as matrix
+  products of the factor components;
+- ``first_order_bracket``: the first-order visibility bracket read off K,
+  as the library computed it before it contracted W with the mode-a path
+  difference and rod M's branch-averaged factor.
 """
 
 import math
@@ -355,17 +360,23 @@ def _system_branches(dc, p, spec, t):
     return sys1, sys2
 
 
-def _integrated_coefficients(dc, t: float) -> dict:
-    """Per sector (p, q), the 3x3 coefficients M[i, j] of O_i (x) O_j, with O
-    the operators (a^dag, a, 1), in the time integral over s in [-t, 0] of
-    the gamma-stripped frame-rotated coupling generator."""
-    weights = analytic.exponential_integrals(dc.omega_a, dc.omega_b, t)
-    tables_a = [analytic.mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)]
-    tables_b = [analytic.mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)]
-    return {
-        (p_bit, q_bit): tables_a[p_bit] @ weights @ tables_b[q_bit].T
-        for p_bit, q_bit in SECTORS
-    }
+def _mode_operators(dim: int) -> np.ndarray:
+    """The operators (a^dag, a, 1) that index the rows of a coefficient table
+    (``analytic.mode_factor_coefficients``), stacked as (3, dim, dim)."""
+    a = oracle.destroy_op(dim)
+    return np.stack([a.T, a, np.eye(dim)])
+
+
+def _integrated_coefficients(dc, times) -> np.ndarray:
+    """K[..., 3*p + i, 3*q + j], shape ``times.shape + (6, 6)``: the
+    coefficient of O_i (x) O_j, with O the operators (a^dag, a, 1), in the
+    sector-(p, q) time integral over s in [-t, 0] of the gamma-stripped
+    frame-rotated coupling generator."""
+    weights = analytic.exponential_integrals(dc.omega_a, dc.omega_b, times)
+    tables_a = np.array([analytic.mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)])
+    tables_b = np.array([analytic.mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)])
+    k = np.einsum("pik,...kl,qjl->...piqj", tables_a, weights, tables_b)
+    return k.reshape(k.shape[:-4] + (6, 6))
 
 
 def _projected_family(branches, ops) -> np.ndarray:
@@ -395,12 +406,9 @@ def entropy_expectations(dc, p, t: float, spec=None) -> tuple[float, dict]:
     if spec is None:
         spec = oracle.default_spec(p, dc)
     sys1, sys2 = _system_branches(dc, p, spec, t)
-    coupling = np.zeros((6, 6), dtype=complex)
-    for (p_bit, q_bit), block in _integrated_coefficients(dc, t).items():
-        coupling[3 * p_bit : 3 * p_bit + 3, 3 * q_bit : 3 * q_bit + 3] = block
-    u = _projected_family(sys1, oracle._mode_operators(spec.dim_a))
-    v = _projected_family(sys2, oracle._mode_operators(spec.dim_b))
-    coefficient = float(np.linalg.norm(u @ coupling @ v.T)) ** 2
+    u = _projected_family(sys1, _mode_operators(spec.dim_a))
+    v = _projected_family(sys2, _mode_operators(spec.dim_b))
+    coefficient = float(np.linalg.norm(u @ _integrated_coefficients(dc, t) @ v.T)) ** 2
     return coefficient, {"nodes": 0}
 
 
@@ -414,6 +422,39 @@ def linear_entropy_first_order(dc, p, t: float, spec=None) -> float:
         return 0.0
     coefficient, _diag = entropy_expectations(dc, p, spec=spec, t=t)
     return 2.0 * dc.gamma**2 * coefficient
+
+
+def _coherent_family(lam: float, omega: float, times: np.ndarray) -> np.ndarray:
+    """One system's family {a^dag psi[p], a psi[p], psi[p]} (column 3*p + i,
+    p the photon bit) projected orthogonal to its state psi, shape (T, 4, 6).
+
+    Up to phases, psi[p] = |p>|phi_p>/sqrt(2) and a^dag|phi> = phi*|phi> +
+    D(phi)|1>, so the columns lie in the orthonormal span (|0>|phi_0>,
+    |1>|phi_1>, |0>D(phi_0)|1>, |1>D(phi_1)|1>), where psi = (1, 1, 0, 0)/sqrt(2).
+    The rod's input amplitude shifts phi_0 and phi_1 alike, adding multiples
+    of the identity columns to the a^dag and a columns; the tables' a^dag and
+    a rows do not depend on the bit, so that adds a multiple of psi, which the
+    projection removes.  Hence phi_0 = 0 and phi_1 = lam*(1 - exp(-i*omega*t)).
+    """
+    phi = lam * (1.0 - np.exp(-1j * omega * times))
+    family = np.zeros((times.size, 4, 6), dtype=complex)
+    family[:, 0, 2] = 1.0
+    family[:, 1, 3], family[:, 1, 4], family[:, 1, 5] = phi.conj(), phi, 1.0
+    family[:, 2, 0] = family[:, 3, 3] = 1.0
+    family /= math.sqrt(2.0)
+    family[:, :2] -= 0.5 * (family[:, 0] + family[:, 1])[:, None]
+    return family
+
+
+def coherent_linear_entropy(dc, times) -> np.ndarray:
+    """The library's former perturbative linear entropy at each of ``times``:
+    2*gamma**2 ||U K V^T||^2 with K the :func:`_integrated_coefficients` and
+    U, V the :func:`_coherent_family` of each system."""
+    times = analytic._check_times(times)
+    u = _coherent_family(dc.lambda_m, dc.omega_a, times)
+    v = _coherent_family(dc.lambda_M, dc.omega_b, times)
+    projected = np.einsum("tai,tij,tbj->tab", u, _integrated_coefficients(dc, times), v)
+    return 2.0 * dc.gamma**2 * np.sum(np.abs(projected) ** 2, axis=(1, 2))
 
 
 def complex_apply(prop, x, out, scratch, right):
@@ -465,11 +506,12 @@ def complex_series(prop, x0, times):
 
 
 def dyson_first_order_state(dc, p, spec, t):
-    """``oracle.dyson_first_order_state`` with each sector contracted by
-    einsum: sum_ij K[i, j] O_i X O_j^T for the sector's amplitudes X."""
+    """``oracle.dyson_first_order_state`` from the integrated coefficients K,
+    each sector contracted by einsum: sum_ij K[i, j] O_i X O_j^T for the
+    sector's amplitudes X."""
     tensor = oracle.closed_form_state(dc, p, spec, t)
-    ops_a, ops_b = oracle._mode_operators(spec.dim_a), oracle._mode_operators(spec.dim_b)
-    coefficients = analytic.integrated_coefficients(dc, t).reshape(2, 3, 2, 3)
+    ops_a, ops_b = _mode_operators(spec.dim_a), _mode_operators(spec.dim_b)
+    coefficients = _integrated_coefficients(dc, t).reshape(2, 3, 2, 3)
     out = np.empty(spec.dims, dtype=complex)
     for p_bit, q_bit in SECTORS:
         left = np.einsum("ij,iab,bc->jac", coefficients[p_bit, :, q_bit], ops_a,
@@ -479,21 +521,15 @@ def dyson_first_order_state(dc, p, spec, t):
 
 
 def first_order_bracket(dc, p, times):
-    """The real bracket x(t) with V1 = V0 * |1 + i*x(t)|: gamma times the
-    integral of the mode-a path difference against rod M's branch-averaged
-    mode-b factor."""
+    """The real bracket x(t) with V1 = V0 * |1 + i*x(t)| read off K: only the
+    identity row of the mode-a factor depends on the path, so x = gamma/2 *
+    Re sum over (q, j) of <O_j>_q * (K[(1, 2), (q, j)] - K[(0, 2), (q, j)]),
+    O = (a^dag, a, 1) in rod M's branch q."""
     times = analytic._check_times(times)
-    lam_M, omega_b = dc.lambda_M, dc.omega_b
-    tables_a = [analytic.mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)]
-    # The cavity-c path changes only the identity row of the mode-a factor.
-    diff_a = (tables_a[1] - tables_a[0])[2]
-    # Rod-M branch amplitudes phi_q at each time; <a^dag>, <a>, <1> in each.
-    phi0, phi1, _ = analytic.coherent_trajectories(p.beta_M, lam_M, omega_b, times)
-    drive_b = 0.5 * sum(
-        np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
-        @ analytic.mode_factor_coefficients(lam_M, bit)
-        for bit, phi in ((0, phi0), (1, phi1))
-    )
-    weights = analytic.exponential_integrals(dc.omega_a, omega_b, times)
-    x = np.einsum("k,tkl,tl->t", diff_a, weights, drive_b)
+    k = _integrated_coefficients(dc, times).reshape(-1, 2, 3, 2, 3)
+    path_difference = k[:, 1, 2] - k[:, 0, 2]
+    phi0, phi1, _ = analytic.coherent_trajectories(p.beta_M, dc.lambda_M, dc.omega_b, times)
+    phi = np.stack([phi0, phi1], axis=-1)
+    expectations = np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
+    x = 0.5 * np.sum(expectations * path_difference, axis=(1, 2))
     return dc.gamma * x.real

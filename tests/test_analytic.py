@@ -2,8 +2,10 @@
 
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from optograv.config import load_params
 from optograv.errors import ParameterError
 
 from test_params import VISIBILITY_MINIMUM
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def period_of(dc):
@@ -192,13 +196,65 @@ class TestVisibilityFirstOrder:
         assert slope == pytest.approx(2.0, abs=0.1)
 
 
+def mp_visibility_shift(p, times):
+    """V1 - V0 at each of ``times``, transcribed at 60 digits from the SI
+    parameters: V1 = exp(-lam_m^2 (1 - cos(omega_a t))) |1 + i x| with x the
+    first-order bracket gamma Re[lam_m (-1, 2, -1) . W . d], and V0 the same
+    envelope at G = 0."""
+    out = []
+    with mpmath.workdps(60):
+        f = mpmath.mpf
+        h3 = f(p.separation_h) ** 3
+        omega_a = mpmath.sqrt(f(p.bare_freq_a) ** 2 + f(p.grav_constant_G) * f(p.mass_M) / h3)
+        omega_b = mpmath.sqrt(f(p.bare_freq_b) ** 2 + f(p.grav_constant_G) * f(p.mass_m) / h3)
+
+        def coupling(light, mass, omega):
+            return f(light) / (2 * f(p.cavity_length_d) * omega) * mpmath.sqrt(
+                f(p.hbar) / (f(mass) * omega))
+
+        lam_m = coupling(p.light_freq_c, p.mass_m, omega_a)
+        lam_M = coupling(p.light_freq_d, p.mass_M, omega_b)
+        big = coupling(p.light_freq_c, p.mass_m, f(p.bare_freq_a))
+        gamma = -f(p.grav_constant_G) / (2 * h3) * mpmath.sqrt(
+            f(p.mass_M) * f(p.mass_m) / (omega_a * omega_b))
+        for t in map(f, times):
+            rot = mpmath.expj(-omega_b * t)
+            phis = (p.beta_M * rot, p.beta_M * rot + lam_M * (1 - rot))
+            # (<a^dag>, <a>, 1) against rod M's tables, averaged over its branches.
+            drive = [(phis[0] + phis[1]) / 2 - lam_M / 2, lam_M,
+                     (mpmath.conj(phis[0]) + mpmath.conj(phis[1])) / 2 - lam_M / 2]
+            x = 0
+            for k, sa in enumerate((-1, 0, 1)):
+                for l, sb in enumerate((-1, 0, 1)):
+                    z = -1j * (sa * omega_a + sb * omega_b) * t
+                    weight = t if z == 0 else t * mpmath.expm1(z) / z
+                    x += lam_m * (2 if sa == 0 else -1) * weight * drive[l]
+            x = gamma * mpmath.re(x)
+            v1 = mpmath.exp(-lam_m**2 * (1 - mpmath.cos(omega_a * t))) * mpmath.sqrt(1 + x * x)
+            v0 = mpmath.exp(-big**2 * (1 - mpmath.cos(f(p.bare_freq_a) * t)))
+            out.append(float(v1 - v0))
+    return np.array(out)
+
+
 class TestVisibilityShift:
-    def test_zero_without_gravity(self, ref_params):
-        p0 = og.without_gravity(ref_params)
+    @pytest.mark.parametrize("config", ["reference.cfg", "dimensionless.cfg"])
+    def test_zero_without_gravity(self, config):
+        p0 = og.without_gravity(load_params(CONFIGS / config))
         dc0 = og.derive_couplings(p0)
         times = np.linspace(0.0, period_of(dc0), 65)
         shift = og.visibility_shift(dc0, p0, times)
         assert np.all(shift == 0.0)
+
+    @pytest.mark.parametrize("separation", [1e-8, 1e-6, 1e-4, 1e-3])
+    def test_matches_its_60_digit_value_at_every_separation(self, ref_params, separation):
+        """The frequency pull is 3.7e-7 (10 nm/h)^3 of omega_a, so a difference of
+        the two visibility patterns would lose all of it by 100 um."""
+        p = replace(ref_params, separation_h=separation)
+        dc = og.derive_couplings(p)
+        times = np.linspace(0.0, 3 * period_of(dc), 96)
+        shift = og.visibility_shift(dc, p, times)
+        exact = mp_visibility_shift(p, times)
+        assert np.max(np.abs(shift - exact)) <= 1e-14 * np.max(np.abs(exact))
 
     def test_zero_at_time_zero(self, ref_params, ref_couplings):
         assert og.visibility_shift(ref_couplings, ref_params, [0.0])[0] == 0.0

@@ -1,12 +1,13 @@
 """The closed-form first-order entropy against the truncated-Fock route it replaced.
 
 ``analytic.linear_entropy_first_order`` evaluates ||(1 - P_1)(1 - P_2) A psi||^2
-in a four-dimensional coherent basis per system, at zero input amplitude;
-``dense_reference.linear_entropy_first_order`` builds the same families in a
-truncated Fock basis at the rods' actual amplitudes.  Both must agree to
+as ||X W Y^T||^2 with two rows per rod, independent of the input amplitudes;
+``dense_reference.linear_entropy_first_order`` builds the system families in
+a truncated Fock basis at the rods' actual amplitudes.  Both must agree to
 1e-13 relative, which also shows that the entropy does not depend on the
 input amplitudes; for random draws, which may fall near a zero of the
-entropy, the norms behind it are compared, to 5e-14 relative or 1e-15.
+entropy, the norms behind it are compared, to 5e-14 relative or 1e-15.  At
+the SI reference the closed form also meets its 60-digit transcription.
 """
 
 import math
@@ -123,3 +124,30 @@ def test_negative_times_are_refused():
     dc = og.derive_couplings(setups.reference_params())
     with pytest.raises(ParameterError, match="times"):
         analytic.linear_entropy_first_order(dc, [1e-3, -1e-3])
+
+
+def mp_entropy(dc, t):
+    """2 gamma^2 ||X W Y^T||^2 at time t, transcribed at 60 digits from the
+    couplings' doubles: X, Y each rod's path-difference and one-phonon rows,
+    W the exponential integrals over s in [-t, 0]."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(t)
+        omegas = mpmath.mpf(dc.omega_a), mpmath.mpf(dc.omega_b)
+        rows = []
+        for lam, omega in zip((dc.lambda_m, dc.lambda_M), omegas):
+            rot, half = mpmath.expj(-omega * t), mpmath.mpf(lam) / 2
+            rows.append([[half * rot, -2 * half, half * mpmath.conj(rot)], [0, 0, 1]])
+        weights = [[t if z == 0 else t * mpmath.expm1(z) / z
+                    for sb in (-1, 0, 1) for z in [-1j * (sa * omegas[0] + sb * omegas[1]) * t]]
+                   for sa in (-1, 0, 1)]
+        total = sum(abs(sum(x[k] * weights[k][l] * y[l] for k in range(3) for l in range(3))) ** 2
+                    for x in rows[0] for y in rows[1])
+        return float(2 * mpmath.mpf(dc.gamma) ** 2 * total)
+
+
+def test_si_reference_matches_its_60_digit_value():
+    dc = og.derive_couplings(SETTINGS["si_reference"]())
+    times = np.linspace(0.0, 3.0 * 2.0 * math.pi / dc.omega_a, 97)[1:]
+    entropy = analytic.linear_entropy_first_order(dc, times)
+    exact = np.array([mp_entropy(dc, t) for t in times])
+    assert np.max(np.abs(entropy - exact) / exact) <= 1e-14

@@ -95,20 +95,41 @@ def test_bracket_matches_reference(setting):
     assert np.max(np.abs(exact - reference)) <= RTOL * np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("build", [
+AGREEMENT_BUILDS = pytest.mark.parametrize("build", [
     setups.reference_params,
     lambda: setups.dimensionless_params(gamma=1e-2, beta_M=0.3 + 0.5j),
     lambda: setups.dimensionless_params(gamma=5e-3, omega_a=1.0, omega_b=1.0),
 ], ids=["si_reference", "boosted_complex_beta", "degenerate"])
+
+
+def agreement_times(dc):
+    """t = 0, a subnormal and a tiny time, then 2048 times over three periods."""
+    periods = np.linspace(0.0, 3.0 * 2.0 * math.pi / dc.omega_a, 2048)
+    return np.concatenate([[0.0, 5e-324, 1e-140], periods])
+
+
+@AGREEMENT_BUILDS
 def test_bracket_from_the_integrated_coefficients_matches_the_tables(build):
-    """The bracket read off K agrees with its direct contraction of the mode
-    tables and the exponential integrals over three periods."""
+    """The bracket contracted from W and one vector per rod agrees with the
+    bracket read off the 6x6 integrated coefficients K."""
     p = build()
     dc = og.derive_couplings(p)
-    times = np.linspace(0.0, 3.0 * 2.0 * math.pi / dc.omega_a, 2048)
+    times = agreement_times(dc)
     bracket = analytic.first_order_bracket(dc, p, times)
     reference = dense_reference.first_order_bracket(dc, p, times)
     assert np.max(np.abs(bracket - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+@AGREEMENT_BUILDS
+def test_entropy_from_the_rod_rows_matches_the_sector_tensor(build):
+    """2 gamma^2 ||X W Y^T||^2 agrees with the projected 4x6 families
+    contracted with K, and both are exactly 0 at t = 0."""
+    dc = og.derive_couplings(build())
+    times = agreement_times(dc)
+    entropy = analytic.linear_entropy_first_order(dc, times)
+    reference = dense_reference.coherent_linear_entropy(dc, times)
+    assert entropy[0] == 0.0 and reference[0] == 0.0
+    assert np.max(np.abs(entropy - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_dyson_state_matches_reference(setting):
@@ -149,12 +170,15 @@ def test_exponential_integrals_at_tiny_times():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_integrals_refuse_non_finite_times(bad):
-    dc = og.derive_couplings(setups.dimensionless_params(gamma=1e-2))
+    p = setups.dimensionless_params(gamma=1e-2)
+    dc = og.derive_couplings(p)
     for times in (bad, [0.5, bad]):
         with pytest.raises(og.ParameterError, match="times"):
             analytic.exponential_integrals(1.0, 0.9, times)
         with pytest.raises(og.ParameterError, match="times"):
-            analytic.integrated_coefficients(dc, times)
+            analytic.linear_entropy_first_order(dc, times)
+        with pytest.raises(og.ParameterError, match="times"):
+            analytic.first_order_bracket(dc, p, times)
 
 
 def test_exponential_integrals_keep_the_times_shape():
