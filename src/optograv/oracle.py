@@ -8,10 +8,10 @@ Hamiltonian is real: a Kronecker sum of one free Hamiltonian per mode plus
 the gravitational product of the two positions.  In the per-mode eigenbases
 the free part is diagonal, so a sector acts on its (dim_a, dim_b) amplitude
 matrix through one elementwise scale and two real matrix products, and no
-sector block is ever formed.  :class:`Propagator` serves one time, for one
-coupling or a family of them, with one real Chebyshev recursion, run once
-more for the imaginary part of a complex state; without gravity it applies
-one phase per amplitude.  :func:`visibility_exact` and
+sector block is ever formed.  :class:`Propagator` serves one time, with one
+coupling per propagator, by one real Chebyshev recursion, run once more
+for the imaginary part of a complex state; without gravity it applies one
+phase per amplitude.  :func:`visibility_exact` and
 :func:`linear_entropy_exact` read the paper's signatures from a state (the
 exact, untruncated coherence is :mod:`optograv.gaussian`), and
 :func:`interaction_picture_residual` checks the frame-rotation identity
@@ -166,24 +166,13 @@ def _mode_eigh(dim: int, omega: float, lam: float):
     return np.linalg.eigh([_mode_hamiltonian(dim, omega, lam, bit) for bit in (0, 1)])
 
 
-def _rotate(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Overwrite the contiguous real array x (..., 2, 2, dim_a, n, dim_b) with
-    left[p] X right[q] for each amplitude matrix X of sector (p, q); return x."""
-    tall = x.shape[:-3] + (-1, x.shape[-1])
-    product = np.matmul(left[:, None], x.reshape(x.shape[:-2] + (-1,)))
-    np.matmul(product.reshape(tall), right[None], out=x.reshape(tall))
-    return x
-
-
-def _check_norms(before: float, after: np.ndarray, t: float):
-    """Raise unless every evolved norm in ``after`` matches ``before``."""
-    bad = np.flatnonzero(~(np.abs(after - before) <= _NORM_TOL))
-    if bad.size:
-        norm_after = float(after[bad[0]])
+def _check_norm(before: float, after: float, t: float):
+    """Raise unless the evolved norm ``after`` matches ``before``."""
+    if not abs(after - before) <= _NORM_TOL:
         raise NumericalError(
             f"propagation failed to preserve the norm to {_NORM_TOL:g}: "
-            f"{before!r} before, {norm_after!r} after",
-            diagnostics={"norm_before": before, "norm_after": norm_after, "time": t},
+            f"{before!r} before, {after!r} after",
+            diagnostics={"norm_before": before, "norm_after": after, "time": t},
         )
 
 
@@ -248,65 +237,51 @@ def _bessel_series(z: float) -> np.ndarray:
 class Propagator:
     """exp(-i*H*t) on the four photon sectors, in the per-mode eigenbases.
 
-    With each mode's free Hamiltonian V diag(w) V^T (one eigh per mode and
-    photon bit), a sector's amplitude matrix Y = V_a^T X V_b evolves under
-    (w_a,i + w_b,j) Y_ij + gamma R_a Y R_b, R = V^T x V: the free part is
-    diagonal, and at gamma = 0 :meth:`evolve` applies exp(-i(w_a,i + w_b,j)t).
-    Otherwise every sector's spectrum lies in the one interval [min w_a +
-    min w_b - g, max w_a + max w_b + g] over both photon bits, g = |gamma|
-    ||x_a|| ||x_b|| (Weyl).  It is sector (1, 1)'s own and costs no terms:
-    x has a zero diagonal, so a mode's bit-1 eigenvalues span its bit-0 ones,
-    0 to omega*n_max.  With H = c + r*Ht (Tal-Ezer and Kosloff, J. Chem.
-    Phys. 81, 3967 (1984))
+    One coupling per propagator: ``dc.gamma``.  With each mode's free
+    Hamiltonian V diag(w) V^T (one eigh per mode and photon bit), a sector's
+    amplitude matrix Y = V_a^T X V_b evolves under (w_a,i + w_b,j) Y_ij +
+    gamma R_a Y R_b, R = V^T x V: the free part is diagonal, and at gamma =
+    0 :meth:`evolve` applies exp(-i(w_a,i + w_b,j)t).  Otherwise every
+    sector's spectrum lies in the one interval [min w_a + min w_b - g, max
+    w_a + max w_b + g] over both photon bits, g = |gamma| ||x_a|| ||x_b||
+    (Weyl).  It is sector (1, 1)'s own and costs no terms: x has a zero
+    diagonal, so a mode's bit-1 eigenvalues span its bit-0 ones, 0 to
+    omega*n_max.  With H = c + r*Ht (Tal-Ezer and Kosloff, J. Chem. Phys.
+    81, 3967 (1984))
 
         exp(-i*H*t) = exp(-i*c*t) sum_k (2 - delta_k0) (-i)^k J_k(r*t) T_k(Ht),
 
     one recursion T_(k+1) = 2 Ht T_k - T_(k-1) of about r*t plus a few dozen
-    terms, on real planes (2, 2, dim_a, K, dim_b) for K couplings.  H is
-    real, so a complex state evolves as its real part plus i times its
-    imaginary part, one recursion each.  ``gammas`` replaces ``dc.gamma`` by
-    a family whose states ride on the plane axis of one recursion (on the
-    largest |gamma|'s interval): :meth:`evolve` returns (len(gammas),) +
-    ``spec.dims``.
+    terms, on real amplitudes (2, 2, dim_a, dim_b).  H is real, so a complex
+    state evolves as its real part plus i times its imaginary part, one
+    recursion each.
     """
 
-    def __init__(self, dc: DerivedCouplings, spec: HilbertSpec, gammas=None):
-        self.spec, self._family = spec, gammas is not None
-        gammas = np.array([dc.gamma] if gammas is None else gammas, dtype=float)
-        if gammas.ndim != 1 or gammas.size == 0 or not np.isfinite(gammas).all():
-            raise ParameterError("gammas must be a non-empty 1-D sequence of finite values")
-        self._gammas = gammas
+    def __init__(self, dc: DerivedCouplings, spec: HilbertSpec):
+        self.spec, self._gamma = spec, dc.gamma
         (self._w_a, self._v_a), (self._w_b, self._v_b) = (
             _mode_eigh(spec.dim_a, dc.omega_a, dc.lambda_m),
             _mode_eigh(spec.dim_b, dc.omega_b, dc.lambda_M))
         x_a, x_b = position_coupling(spec.dim_a), position_coupling(spec.dim_b)
-        coupling = np.abs(gammas).max() * np.linalg.norm(x_a, 2) * np.linalg.norm(x_b, 2)
+        coupling = abs(dc.gamma) * np.linalg.norm(x_a, 2) * np.linalg.norm(x_b, 2)
         w_a, w_b = self._w_a, self._w_b
         lo = float(w_a.min() + w_b.min() - coupling)
         hi = float(w_a.max() + w_b.max() + coupling)
         self._center, self._radius = 0.5 * (hi + lo), 0.5 * (hi - lo) * (1.0 + _INTERVAL_PAD)
-        # 2*Ht = (2/r)(H - c): the shift rides on the diagonal, the scale on it and on R_b.
+        # 2*Ht = (2/r)(H - c): the shift rides on the diagonal, the scale on it and,
+        # with gamma, on R_b.
         scale = 2.0 / self._radius
-        free = w_a[:, None, :, None] + w_b[None, :, None, :] - self._center
+        self._diagonal = scale * (w_a[:, None, :, None] + w_b[None, :, None, :] - self._center)
         self._x_a = (self._v_a.transpose(0, 2, 1) @ x_a @ self._v_a)[:, None]
-        self._x_b = scale * (self._v_b.transpose(0, 2, 1) @ x_b @ self._v_b)
-        # The diagonal and the couplings repeated over the K planes: a product broadcast
-        # along the plane axis would take numpy's iteration buffers and about three times
-        # as long.
-        shape = (2, 2, spec.dim_a, gammas.size, spec.dim_b)
-        self._diagonal, self._gains = (np.ascontiguousarray(np.broadcast_to(f, shape)) for f in
-                                       ((scale * free)[:, :, :, None], gammas[:, None]))
+        self._x_b = (scale * dc.gamma) * (self._v_b.transpose(0, 2, 1) @ x_b @ self._v_b)
 
     def _apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-        """out = 2*Ht x for eigenbasis planes x (2, 2, dim_a, K, dim_b) of the K
-        couplings; ``scratch``, of shape (2,) + x.shape, is overwritten."""
-        wide, tall = (2, 2, x.shape[2], -1), (2, 2, -1, x.shape[4])
-        product, mixed = scratch.reshape((2,) + tall)
+        """out = 2*Ht x for eigenbasis amplitudes x (2, 2, dim_a, dim_b);
+        ``scratch``, of shape (2,) + x.shape, is overwritten."""
+        mixed, product = scratch
         np.multiply(self._diagonal, x, out=out)
-        np.matmul(self._x_a, x.reshape(wide), out=mixed.reshape(wide))
+        np.matmul(self._x_a, x, out=mixed)
         np.matmul(mixed, self._x_b, out=product)
-        product = product.reshape(x.shape)
-        product *= self._gains
         out += product
 
     def _coefficients(self, t: float) -> np.ndarray:
@@ -323,17 +298,17 @@ class Propagator:
         return tables
 
     def _series(self, x0: np.ndarray, t: float) -> np.ndarray:
-        """Real and imaginary parts (2, 2, 2, dim_a, K, dim_b) of exp(-i*H*t) x0
-        for each of the K couplings, from the real eigenbasis amplitudes x0
-        (2, 2, dim_a, dim_b).  The Chebyshev vectors cycle through a ring of
-        3 slots, the two a step reads and the one it writes, folded into the
-        sum after each third step."""
+        """Real and imaginary parts (2, 2, 2, dim_a, dim_b) of exp(-i*H*t) x0
+        from the real eigenbasis amplitudes x0 (2, 2, dim_a, dim_b).  The
+        Chebyshev vectors cycle through a ring of 3 slots, the two a step
+        reads and the one it writes, folded into the sum after each third
+        step."""
         weights = self._coefficients(t)
-        terms, shape = weights.shape[-1], self._diagonal.shape
+        terms, shape = weights.shape[-1], x0.shape
         ring = np.empty((3,) + shape)
         out = np.zeros((2,) + shape)
         steps = np.empty((2,) + shape)
-        ring[0] = x0[:, :, :, None]
+        ring[0] = x0
         for k in range(terms):
             slot = k % 3
             if k == 1:
@@ -355,44 +330,40 @@ class Propagator:
         amplitude turns by exp(-i(w_a,i + w_b,j)t)."""
         a, b = (np.exp(-1j * w * t) for w in (self._w_a, self._w_b))
         y = a[:, None, :, None] * b[None, :, None, :] * x0
-        return np.stack((y.real, y.imag))[..., None, :]
+        return np.stack((y.real, y.imag))
 
     def _evolve_real(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Real and imaginary parts (2, K) + ``spec.dims`` of exp(-i*H*t) x for
+        """Real and imaginary parts (2,) + ``spec.dims`` of exp(-i*H*t) x for
         a real state x of shape ``spec.dims``."""
-        x0 = _rotate(x.copy()[:, :, :, None], self._v_a.transpose(0, 2, 1), self._v_b)
-        run = self._series if self._gammas.any() else self._phases
-        parts = _rotate(run(x0[:, :, :, 0], t), self._v_a, self._v_b.transpose(0, 2, 1))
-        # Parts (p, q, i, k, j) into states (k, p, q, i, j).
-        return parts.transpose(0, 4, 1, 2, 3, 5)
+        # Sector (p, q)'s amplitude matrix X turns into V_a[p]^T X V_b[q] and back;
+        # the part of a complex state is strided, and matmul runs BLAS on contiguous rows.
+        x0 = self._v_a.transpose(0, 2, 1)[:, None] @ np.ascontiguousarray(x) @ self._v_b
+        parts = (self._series if self._gamma else self._phases)(x0, t)
+        return np.matmul(self._v_a[:, None] @ parts, self._v_b.transpose(0, 2, 1), out=parts)
 
     def evolve(self, psi0: np.ndarray, t) -> np.ndarray:
         """Propagate a t=0 state of shape ``spec.dims`` to one time ``t``
-        (finite and >= 0): the state, of shape spec.dims, or the states, of
-        shape (len(gammas),) + spec.dims, for a family."""
+        (finite and >= 0): one owned state of shape ``spec.dims``."""
         psi0 = np.ascontiguousarray(psi0, dtype=complex)
-        dims, count = self.spec.dims, len(self._gammas)
+        dims = self.spec.dims
         if psi0.shape != dims:
             raise ParameterError(f"state must have shape {dims}, got {psi0.shape}")
         t = _check_times(t, ndmin=0)
         if t.ndim != 0:
             raise ParameterError(f"t must be one time, got an array of shape {t.shape}")
         t = float(t)
-        out = np.empty(((count,) if self._family else ()) + dims, dtype=complex)
-        states = out.reshape((count,) + dims)
         if t == 0.0:
             # exp(-i*H*0) is the identity exactly; the rotations would add round-off.
-            states[:] = psi0
-            return out
+            return psi0.copy()
         # H is real, so exp(-i*H*t)(x + iy) = exp(-i*H*t)x + i exp(-i*H*t)y: the real
         # part runs, then the imaginary part only if it is non-zero.
-        states.real, states.imag = self._evolve_real(psi0.real, t)
+        out = np.empty(dims, dtype=complex)
+        out.real, out.imag = self._evolve_real(psi0.real, t)
         if psi0.imag.any():
             real, imag = self._evolve_real(psi0.imag, t)
-            states.real -= imag
-            states.imag += real
-        v = states.view(float).reshape(count, -1)
-        _check_norms(float(np.linalg.norm(psi0)), np.sqrt(np.einsum("kn,kn->k", v, v)), t)
+            out.real -= imag
+            out.imag += real
+        _check_norm(float(np.linalg.norm(psi0)), float(np.linalg.norm(out)), t)
         return out
 
 

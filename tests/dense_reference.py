@@ -461,12 +461,11 @@ def complex_apply(prop, x, out, scratch, right):
     """out = 2*Ht x for ``prop``'s sector-stacked complex eigenbasis
     amplitudes x of shape (2, 2, dim_a, dim_b) at its one coupling;
     ``scratch`` holds two arrays of x's shape and ``right`` is ``prop._x_b``
-    as complex."""
+    (which carries the coupling) as complex."""
     product, mixed = scratch
-    np.multiply(prop._diagonal[:, :, :, 0], x, out=out)
+    np.multiply(prop._diagonal, x, out=out)
     np.matmul(prop._x_a, x.view(float), out=mixed.view(float))
     np.matmul(mixed, right, out=product)
-    product *= prop._gammas.item()
     out += product
 
 

@@ -9,8 +9,9 @@ to one time, and at t = 0 returns the state itself.  The recursion runs on
 real amplitudes, a complex state's parts one at a time;
 ``dense_reference.complex_series``, the complex recursion on the same
 eigenbasis operator serving several times at once, must agree with one
-production recursion per time to 1e-14.  Each member of a family of
-couplings must match the propagator of its single coupling to 1e-13.
+production recursion per time to 1e-14.  There is one coupling per
+propagator: each of a family of couplings, a negative one included, gets
+its own and must match the reference.
 """
 
 import functools
@@ -34,7 +35,7 @@ from optograv.errors import DimensionLimitError, ParameterError
 
 ATOL = 1e-12
 
-#: A family of couplings, one of them negative.
+#: A family of couplings, one of them negative, each served by its own propagator.
 FAMILY = (1e-2, -5e-3, 2.5e-3, 1.25e-3)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -125,14 +126,12 @@ def test_time_zero_is_the_identity(monkeypatch):
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(20, 20)
     psi0 = random_state(spec, 11)
-    for gammas in (None, FAMILY):
-        propagator = og.Propagator(dc, spec, gammas=gammas)
-        # At t = 0, evolve runs no recursion.
-        monkeypatch.setattr(propagator, "_evolve_real", None)
-        states = propagator.evolve(psi0, 0.0)
-        assert states.flags.owndata
-        for psi in states.reshape((-1,) + spec.dims):
-            assert np.array_equal(psi, psi0)
+    propagator = og.Propagator(dc, spec)
+    # At t = 0, evolve runs no recursion.
+    monkeypatch.setattr(propagator, "_evolve_real", None)
+    psi = propagator.evolve(psi0, 0.0)
+    assert psi.flags.owndata
+    assert np.array_equal(psi, psi0)
 
 
 def test_lambda_m_zero_keeps_cavity_c_sectors_bitwise_equal():
@@ -193,29 +192,24 @@ def test_bessel_coefficients_against_mpmath(z):
     assert 2.0 * float(abs(mpmath.besselj(len(values), z))) < oracle._SERIES_TOL
 
 
-@pytest.mark.parametrize("case", ["positive", "negative", "lambda_m zero", "family"])
+@pytest.mark.parametrize("case", ["positive", "negative", "lambda_m zero"])
 def test_one_interval_holds_every_sector_at_the_widest_sector_radius(case):
-    # The sector blocks of every coupling the propagator serves lie in [c - r, c + r],
-    # and r is the largest per-sector Weyl half-width, so no recursion runs longer
-    # than the widest sector's.
+    # The sector blocks lie in [c - r, c + r], and r is the largest per-sector Weyl
+    # half-width, so no recursion runs longer than the widest sector's.
     gamma = -2e-2 if case == "negative" else 2e-2
     p = setups.dimensionless_params(gamma=gamma, lambda_m=0.0 if case == "lambda_m zero"
                                     else 0.445)
     dc, spec = og.derive_couplings(p), og.HilbertSpec(12, 15)
-    gammas = FAMILY if case == "family" else None
-    propagator = og.Propagator(dc, spec, gammas=gammas)
+    propagator = og.Propagator(dc, spec)
     center, radius = propagator._center, propagator._radius
     assert isinstance(center, float) and isinstance(radius, float)
-    for g in gammas or (gamma,):
-        blocks = dense_reference.hamiltonian_blocks(replace(dc, gamma=g), spec).blocks
-        for block in blocks.values():
-            w = np.linalg.eigvalsh(block)
-            assert center - radius <= w[0] and w[-1] <= center + radius, g
+    for block in dense_reference.hamiltonian_blocks(dc, spec).blocks.values():
+        w = np.linalg.eigvalsh(block)
+        assert center - radius <= w[0] and w[-1] <= center + radius
     (w_a, _), (w_b, _) = (oracle._mode_eigh(dim, omega, lam) for dim, omega, lam in
                           ((spec.dim_a, dc.omega_a, dc.lambda_m),
                            (spec.dim_b, dc.omega_b, dc.lambda_M)))
-    weyl = (max(abs(g) for g in gammas or (gamma,))
-            * np.linalg.norm(oracle.position_coupling(spec.dim_a), 2)
+    weyl = (abs(gamma) * np.linalg.norm(oracle.position_coupling(spec.dim_a), 2)
             * np.linalg.norm(oracle.position_coupling(spec.dim_b), 2))
     halves = [0.5 * ((w_a[p_bit, -1] + w_b[q_bit, -1] + weyl)
                      - (w_a[p_bit, 0] + w_b[q_bit, 0] - weyl)) * (1.0 + oracle._INTERVAL_PAD)
@@ -224,17 +218,16 @@ def test_one_interval_holds_every_sector_at_the_widest_sector_radius(case):
 
 
 def sector_planes(spec, seed, count=1):
-    """``count`` random sector-stacked real planes (count, 2, 2, dim_a, 1,
-    dim_b), laid out as the slots of the ring in ``Propagator._series`` for
-    one coupling."""
+    """``count`` random sector-stacked real amplitudes (count, 2, 2, dim_a,
+    dim_b), laid out as the slots of the ring in ``Propagator._series``."""
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(count, 2, 2, spec.dim_a, 1, spec.dim_b))
+    return rng.normal(size=(count, 2, 2, spec.dim_a, spec.dim_b))
 
 
 def eigenbasis_amplitudes(spec, seed):
     """Random real eigenbasis amplitudes (2, 2, dim_a, dim_b), as
     ``Propagator._series`` takes them."""
-    return sector_planes(spec, seed)[0, :, :, :, 0]
+    return sector_planes(spec, seed)[0]
 
 
 def as_complex(parts):
@@ -243,31 +236,9 @@ def as_complex(parts):
 
 
 def allocating_apply(prop, x, out, scratch=None):
-    """out = 2*Ht x for ``prop``'s sector-stacked eigenbasis planes x, each
-    product into a fresh temporary; ``scratch`` is ignored."""
-    wide, tall = (2, 2, x.shape[2], -1), (2, 2, -1, x.shape[4])
-    coupling = (prop._x_a @ x.reshape(wide)).reshape(tall) @ prop._x_b
-    out[...] = prop._diagonal * x + prop._gains * coupling.reshape(x.shape)
-
-
-def test_family_holds_one_diagonal_and_one_gain_array():
-    # The diagonal and the couplings are repeated over the family's planes once
-    # each; the rest of what a propagator holds is per-mode.
-    p = dimensionless_config()
-    dc = og.derive_couplings(p)
-    spec = og.HilbertSpec(80, 80)
-    og.Propagator(dc, spec, gammas=FAMILY)
-    tracemalloc.start()
-    try:
-        propagator = og.Propagator(dc, spec, gammas=FAMILY)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    arrays = [a for a in vars(propagator).values() if isinstance(a, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) <= held < sum(a.nbytes for a in arrays) + (1 << 14)
-    shape = (2, 2, spec.dim_a, len(FAMILY), spec.dim_b)
-    assert propagator._diagonal.shape == propagator._gains.shape == shape
-    assert sum(a.shape == shape for a in arrays) == 2
+    """out = 2*Ht x for ``prop``'s sector-stacked eigenbasis amplitudes x,
+    each product into a fresh temporary; ``scratch`` is ignored."""
+    out[...] = prop._diagonal * x + (prop._x_a @ x) @ prop._x_b
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -295,28 +266,24 @@ def test_apply_allocates_no_state_sized_block(gamma, n_max, stretch):
 @pytest.mark.parametrize("t", [1.0, 2.5, 5.0])
 def test_series_holds_only_its_ring_output_and_scratch(t):
     # No state-sized block beyond the ring of 3 Chebyshev vectors, the 2 slots
-    # of scratch shared by the steps and the folds, and the output planes of
-    # every coupling, besides the coefficient tables; ring and scratch slots
-    # hold one real plane per coupling, however many terms the time takes.
+    # of scratch shared by the steps and the folds, and the output planes,
+    # besides the coefficient tables, however many terms the time takes.
     p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.521)
     spec = og.HilbertSpec(80, 80)
-    state = 16 * math.prod(spec.dims)  # bytes of one complex state
+    slot = 8 * math.prod(spec.dims)  # bytes of one real plane
     x0 = eigenbasis_amplitudes(spec, 6)
-    for gammas in (None, FAMILY):
-        propagator = og.Propagator(og.derive_couplings(p), spec, gammas=gammas)
-        members = len(propagator._gammas)
-        tables = propagator._coefficients(t)
-        assert tables.shape[-1] > 3  # the ring wraps
-        slot = members * state // 2
-        held = 5 * slot + members * state + tables.nbytes
+    propagator = og.Propagator(og.derive_couplings(p), spec)
+    tables = propagator._coefficients(t)
+    assert tables.shape[-1] > 3  # the ring wraps
+    held = (3 + 2) * slot + 2 * slot + tables.nbytes  # ring, scratch and output
+    propagator._series(x0, t)
+    tracemalloc.start()
+    try:
         propagator._series(x0, t)
-        tracemalloc.start()
-        try:
-            propagator._series(x0, t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held <= peak < held + slot / 2, members
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= peak < held + slot / 2
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 0.0])
@@ -345,30 +312,25 @@ def test_real_planes_match_the_complex_recursion(gamma, n_max, stretch):
     # One reference recursion serves the four times.
     expected = dense_reference.complex_series(propagator, x0, times)
     for i, t in enumerate(times):
-        got = as_complex(propagator._series(x0, t))[..., 0, :]
+        got = as_complex(propagator._series(x0, t))
         assert np.max(np.abs(got - expected[:, :, i])) <= 1e-14, t
 
 
+@pytest.mark.parametrize("gamma", FAMILY)
 @pytest.mark.parametrize("state", ["coherent", "random"])
-def test_family_members_match_single_couplings_and_the_reference(state):
-    # The random state is complex: each member evolves its real and imaginary parts.
-    p = dimensionless_config()
-    spec = og.HilbertSpec(20, 24)
+def test_each_coupling_of_a_family_matches_the_reference(state, gamma):
+    # The random state is complex: its real and imaginary parts evolve in turn.
+    p = replace(dimensionless_config(), direct_gamma=gamma)
+    dc, spec = og.derive_couplings(p), og.HilbertSpec(20, 24)
     psi0 = og.initial_state(p, spec) if state == "coherent" else random_state(spec, 9)
     assert psi0.imag.any() == (state == "random")
-    times = [0.0, 0.7, 1.3 * 2.0 * math.pi]
-    propagator = og.Propagator(og.derive_couplings(p), spec, gammas=FAMILY)
-    family = [propagator.evolve(psi0, t) for t in times]
-    for states in family:
-        assert states.shape == (len(FAMILY),) + spec.dims
-        assert states.flags.owndata and states.flags.c_contiguous
-    for k, gamma in enumerate(FAMILY):
-        dc = og.derive_couplings(replace(p, direct_gamma=gamma))
-        single = og.Propagator(dc, spec)
-        reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(dc, spec))
-        for t, states in zip(times, family):
-            assert np.max(np.abs(states[k] - single.evolve(psi0, t))) <= 1e-13, (gamma, t)
-            assert np.max(np.abs(states[k] - reference.evolve(psi0, t))) <= ATOL, (gamma, t)
+    propagator = og.Propagator(dc, spec)
+    reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(dc, spec))
+    for t in [0.0, 0.7, 1.3 * 2.0 * math.pi]:
+        psi = propagator.evolve(psi0, t)
+        assert psi.shape == spec.dims
+        assert psi.flags.owndata and psi.flags.c_contiguous
+        assert np.max(np.abs(psi - reference.evolve(psi0, t))) <= ATOL, t
 
 
 def test_free_phases_match_the_eigenbasis_series(monkeypatch):
@@ -388,13 +350,6 @@ def test_free_phases_match_the_eigenbasis_series(monkeypatch):
         og.derive_couplings(p), spec))
     for t in times:
         assert np.max(np.abs(propagator.evolve(psi0, t) - reference.evolve(psi0, t))) <= ATOL
-
-
-@pytest.mark.parametrize("gammas", [[], [[1e-2]], [1e-2, float("nan")], [float("inf")]])
-def test_gammas_must_be_a_finite_one_dimensional_sequence(gammas):
-    with pytest.raises(ParameterError, match="gammas"):
-        og.Propagator(og.derive_couplings(dimensionless_config()), og.HilbertSpec(4, 4),
-                      gammas=gammas)
 
 
 @settings(max_examples=20, deadline=None)

@@ -295,12 +295,19 @@ class TestRunScan:
 
 
 class TestScalingStudy:
-    def test_one_time_family_holds_no_large_chebyshev_ring(self):
-        # The oracle's scaling study at n_max 30: 9.9 MB with a ring sized by bytes.
+    def test_one_time_study_holds_no_large_chebyshev_ring(self):
+        # The oracle's scaling study at n_max 30, one coupling per propagator: 0.9 MB.
         base = load_params(CONFIGS / "dimensionless.cfg")
         gammas = [f * base.bare_freq_a for f in SCALING_GAMMA_FACTORS]
         spec = og.HilbertSpec(30, 30)
         assert traced_peak(lambda: og.scaling_study(base, gammas, T_SCALING, spec)) < 5e6
+
+    def test_result_does_not_depend_on_the_order_of_the_gammas(self):
+        base = setups.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
+        gammas, spec = [4e-2, -2e-2, 1e-2, 5e-3], og.HilbertSpec(20, 20)
+        study = og.scaling_study(base, gammas, 5.0, spec)
+        assert all(math.isfinite(slope) for slope, _ in study.values())
+        assert og.scaling_study(base, gammas[::-1], 5.0, spec) == study
 
     def test_refused_for_all_zero_gamma(self):
         base = setups.dimensionless_params(gamma=0.0, lambda_m=0.2, lambda_M=0.15)
