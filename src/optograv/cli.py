@@ -33,7 +33,7 @@ import math
 import sys
 
 from ._version import __version__
-from .config import fingerprint_params, load_params, load_scan_plan
+from .config import fingerprint, fingerprint_params, load_params, load_scan_plan
 from .errors import (
     ConfigError,
     DimensionLimitError,
@@ -376,16 +376,17 @@ def cmd_scan(args) -> int:
     if plan.mode != p.units:
         raise ConfigError(f"plan mode {plan.mode!r} conflicts with params units {p.units!r}")
     result = scan_mod.run_scan(plan, p)
-    result.provenance["command"] = "scan"
+    provenance = _provenance(p, args, seed=plan.seed,
+                             plan_fingerprint=fingerprint(dataclasses.asdict(plan)))
     if args.format == "json":
-        _emit_json(args, dataclasses.asdict(result))
+        _emit_json(args, {**dataclasses.asdict(result), "provenance": provenance})
     else:
         parts = (("axes", result.axis_names), ("values", result.observable_names),
                  ("diagnostics", result.diagnostic_names))
         header = [name for _, names in parts for name in names]
         records = [[row[part][name] for part, names in parts for name in names]
                    for row in result.rows]
-        _emit(args, _csv_text(result.provenance, header, records))
+        _emit(args, _csv_text(provenance, header, records))
     return 0
 
 

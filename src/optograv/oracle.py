@@ -432,10 +432,17 @@ def visibility_exact(psi: np.ndarray) -> float:
 def linear_entropy_exact(psi: np.ndarray) -> float:
     """Linear entropy 1 - Tr(rho_1**2) of (photon c, mode a) against
     (photon d, mode b), from the Schmidt spectrum of the pure state's
-    reshaped amplitudes (stabler than forming the reduced matrix first)."""
+    reshaped amplitudes (stabler than forming the reduced matrix first).
+
+    With lambda = s**2 (lambda_1 the largest) and tau = sum_{i>1} lambda_i,
+    the entropy of psi/|psi| is (2 lambda_1 tau + tau**2 - sum_{i>1}
+    lambda_i**2) / (lambda_1 + tau)**2: every term is >= 0, so nothing
+    cancels against the 1 of 1 - sum(lambda**2) and the norm drops out."""
     mat = psi.transpose(0, 2, 1, 3).reshape(2 * psi.shape[2], -1)
-    s = np.linalg.svd(mat, compute_uv=False)
-    return float(1.0 - np.sum(s**4))
+    lam = np.linalg.svd(mat, compute_uv=False) ** 2
+    first, rest = lam[0], lam[1:]
+    tau = rest.sum()
+    return float((2.0 * first * tau + (tau**2 - np.sum(rest**2))) / (first + tau) ** 2)
 
 
 def _factor_components(dim: int, lam: float) -> np.ndarray:

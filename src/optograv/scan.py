@@ -1,8 +1,8 @@
 """Parameter sweeps and gamma-scaling studies.
 
 A sweep returns plain data: :class:`ScanResult` holds the axis, observable
-and diagnostic names, one dict per row and the provenance, and the command
-line writes it as CSV or JSON.
+and diagnostic names and one dict per row, and the command line writes it
+as CSV or JSON under its provenance header.
 
 The scaling study is the quantitative backbone of verification: the
 physical gravitational coupling is too weak for the exact propagator to
@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import analytic
-from ._version import __version__
-from .config import fingerprint, fingerprint_params
 from .errors import OptogravError, ParameterError
 from .params import (
     UNITS_DIMENSIONLESS,
@@ -110,14 +108,14 @@ class ScanPlan:
 
 @dataclass
 class ScanResult:
-    """One sweep: each row holds ``axes``, ``values`` and ``diagnostics``
-    dicts keyed by the corresponding names."""
+    """One sweep's names and rows: each row holds ``axes``, ``values`` and
+    ``diagnostics`` dicts keyed by the corresponding names.  The provenance
+    header is written by the command line, as for every subcommand."""
 
     axis_names: tuple
     observable_names: tuple
     diagnostic_names: tuple
     rows: list
-    provenance: dict
 
 
 def _apply_axis(base: PhysicalParams, name: str, value) -> PhysicalParams:
@@ -172,8 +170,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     the diagnostics instead of aborting the sweep, and the affected
     observables become NaN; any other exception propagates.  Oracle rows
     report ``truncation_delta``, the distance of the truncated visibility
-    from the exact one (:func:`gaussian.visibility`).  Identical
-    (plan, base, seed) re-runs produce byte-identical emissions.
+    from the exact one (:func:`gaussian.visibility`).
     """
     axis_names = tuple(name for name, _ in plan.axes)
     diagnostic_names = ("error",) + (("truncation_delta",) if plan.oracle_enabled else ())
@@ -191,19 +188,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
             diagnostics["error"] = f"{type(exc).__name__}: {exc}"
         rows.append({"axes": dict(zip(axis_names, combo)), "values": values,
                      "diagnostics": diagnostics})
-    provenance = {
-        "version": __version__,
-        "seed": plan.seed,
-        "plan_fingerprint": fingerprint(asdict(plan)),
-        "params_fingerprint": fingerprint_params(base),
-    }
-    return ScanResult(
-        axis_names=axis_names,
-        observable_names=tuple(plan.observables),
-        diagnostic_names=diagnostic_names,
-        rows=rows,
-        provenance=provenance,
-    )
+    return ScanResult(axis_names, tuple(plan.observables), diagnostic_names, rows)
 
 
 def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> dict:

@@ -50,9 +50,9 @@ routes they replaced, as independent cross-checks:
   Chebyshev recursion in complex arithmetic, on complex vectors of shape
   (2, 2, dim_a, dim_b) holding eigenbasis amplitudes, with the same
   diagonal and rotated positions and the right factor stored as complex,
-  serving several times from one recursion, each term added into every
-  time as it is made, where the library runs one recursion per time and
-  folds its terms from a ring;
+  serving several times from one recursion, each term added into the
+  times whose own series has it, where the library runs one recursion per
+  time and folds its terms from a ring;
 - ``dyson_first_order_state``: the first-order Dyson correction contracted
   from K by two einsums per sector, as before it was written as matrix
   products of the factor components;
@@ -471,28 +471,29 @@ def complex_apply(prop, x, out, scratch, right):
 
 def complex_coefficients(prop, times):
     """(T, K) complex expansion coefficients of each time, zero past the
-    terms of that time's own series."""
+    terms of that time's own series, and each time's count of terms."""
     series = [oracle._bessel_series(prop._radius * t) for t in times]
-    bessel = np.zeros((len(series), max(values.size for values in series)))
+    terms = np.array([values.size for values in series])
+    bessel = np.zeros((len(series), terms.max()))
     for row, values in zip(bessel, series):
         row[: values.size] = values
     order = np.arange(bessel.shape[-1])
     weights = np.where(order == 0, 1.0, 2.0) * oracle._MINUS_I_POWERS[order % 4] * bessel
-    return weights * np.exp(-1j * prop._center * times)[:, None]
+    return weights * np.exp(-1j * prop._center * times)[:, None], terms
 
 
 def complex_series(prop, x0, times):
     """Eigenbasis amplitudes (2, 2, T, dim_a, dim_b) of exp(-i*H*t) x0 at each
     time, by the complex three-term recursion with ``prop``'s factors and
-    tables, each term added into every time as it is made."""
+    tables; term k is added only into the times whose own series has it."""
     times = np.asarray(times, dtype=float)
     x0 = np.asarray(x0, dtype=complex)
-    coefficients = complex_coefficients(prop, times)[..., None, None]
+    coefficients, terms = complex_coefficients(prop, times)
     right = prop._x_b.astype(complex)
     steps = np.empty((2,) + x0.shape, dtype=complex)
     previous, current = None, x0
-    out = coefficients[..., 0, :, :] * x0[:, :, None]
-    for k in range(1, coefficients.shape[-3]):
+    out = coefficients[:, 0, None, None] * x0[:, :, None]
+    for k in range(1, coefficients.shape[-1]):
         following = np.empty_like(x0)
         complex_apply(prop, current, following, steps, right)
         if k == 1:
@@ -500,7 +501,8 @@ def complex_series(prop, x0, times):
         else:
             following -= previous
         previous, current = current, following
-        out += coefficients[..., k, :, :] * current[:, :, None]
+        for i in np.flatnonzero(terms > k):
+            out[:, :, i] += coefficients[i, k] * current
     return out
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import importlib.util
 import json
 import os
@@ -16,7 +17,8 @@ import pytest
 import optograv as og
 from optograv import analytic, cli, oracle
 from optograv.cli import main
-from optograv.config import load_params
+from optograv.config import fingerprint, fingerprint_params, load_params
+from optograv.scan import ScanPlan
 
 from test_params import T_MAX_AT_Q1E7, VISIBILITY_MINIMUM
 
@@ -454,6 +456,29 @@ class TestScanCommand:
                            "--plan", str(plan), *flag)
         assert code == 0
         assert f"# seed={expected}" in out.splitlines()
+
+    def test_csv_and_json_carry_one_provenance_header(self, capsys):
+        argv = ("scan", "--params", str(CONFIGS / "reference.cfg"),
+                "--plan", str(CONFIGS / "scan_example.cfg"), "--seed", "7")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        comments = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+        assert comments[0] == "optograv scan"
+        header = dict(line.split("=", 1) for line in comments[1:])
+        plan = ScanPlan(axes=(("separation_h", (1e-8, 2e-8, 4e-8)),),
+                        observables=("delta_T", "gamma", "visibility"), mode="si",
+                        seed=7, observable_time=1e-3)
+        assert header == {
+            "command": "scan",
+            "params_fingerprint": fingerprint_params(load_params(CONFIGS / "reference.cfg")),
+            "plan_fingerprint": fingerprint(dataclasses.asdict(plan)),
+            "seed": "7",
+            "version": og.__version__,
+        }
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        provenance = strict_json(out)["provenance"]
+        assert {key: str(value) for key, value in provenance.items()} == header
 
     def test_unknown_axis_lists_valid_keys(self, capsys, tmp_path, reference_config):
         plan = self.write_plan(

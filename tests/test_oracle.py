@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,11 +178,52 @@ def photon_c_density(psi):
     return branches @ branches.conj().T
 
 
+def schmidt_state(eps, seed):
+    """A state of ``HilbertSpec(20, 20)`` whose (photon c, mode a) |
+    (photon d, mode b) Schmidt spectrum is (1 - eps, eps*(8, 4, 2, 1)/15),
+    in random bases."""
+    rng = np.random.default_rng(seed)
+    lam = np.array([1 - eps, *(eps * np.array([8, 4, 2, 1]) / 15)])
+    c, d, a, b = og.HilbertSpec(20, 20).dims
+    left, right = (np.linalg.qr(rng.normal(size=(n, lam.size))
+                                + 1j * rng.normal(size=(n, lam.size)))[0]
+                   for n in (c * a, d * b))
+    mat = (left * np.sqrt(lam)) @ right.T
+    return mat.reshape(c, a, d, b).transpose(0, 2, 1, 3)
+
+
 class TestReduceAndMeasures:
-    def test_product_state_purity(self):
-        p, dc, spec = small_setup(beta_m=0.7, n_max=16)
-        psi = og.initial_state(p, spec)
-        assert og.linear_entropy_exact(psi) == pytest.approx(0.0, abs=1e-12)
+    @pytest.mark.parametrize("beta, n_max", [(0.7, 16), (0.3 + 0.7j, 20)])
+    def test_product_state_purity(self, beta, n_max):
+        """The initial state is a product across the cut: its entropy is the
+        square of round-off in the Schmidt tail, never negative."""
+        p, dc, spec = small_setup(beta_m=beta, beta_M=beta, n_max=n_max)
+        entropy = og.linear_entropy_exact(og.initial_state(p, spec))
+        assert 0.0 <= entropy <= 1e-25
+
+    def test_entropy_does_not_depend_on_the_norm(self):
+        psi = schmidt_state(1e-3, seed=1)
+        assert og.linear_entropy_exact(psi * (1 + 1e-7)) == pytest.approx(
+            og.linear_entropy_exact(psi), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_entropy_matches_its_60_digit_value(self, eps):
+        """Schmidt spectrum (1 - eps, eps*(8, 4, 2, 1)/15) in random bases,
+        against 1 - Tr(rho**2)/Tr(rho)**2 of the same floats in 60 digits.
+        The entropy is about 2*eps, so 1 - sum(lambda**2) would lose a
+        factor 1/eps to cancellation; the SVD's own round-off stays near
+        1e-13 relative at eps = 1e-9."""
+        psi = schmidt_state(eps, seed=2)
+        mat = psi.transpose(0, 2, 1, 3).reshape(psi.shape[0] * psi.shape[2], -1)
+        with mpmath.workdps(60):
+            m = [[mpmath.mpc(complex(x)) for x in row] for row in mat]
+            rows = range(len(m))
+            gram = [[mpmath.fsum(m[i][k] * mpmath.conj(m[j][k]) for k in rows)
+                     for j in rows] for i in rows]
+            norm = mpmath.fsum(abs(x) ** 2 for row in m for x in row)
+            purity = mpmath.fsum(abs(x) ** 2 for row in gram for x in row)
+            want = float(1 - purity / norm**2)
+        assert og.linear_entropy_exact(psi) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_bell_fixture_maximally_mixed(self):
         spec = og.HilbertSpec(1, 1)
