@@ -37,7 +37,7 @@ _LAZY = {
     "analytic": ("coherent_trajectories", "linear_entropy_first_order", "thermal_visibility",
                  "visibility_first_order", "visibility_shift", "visibility_uncoupled"),
     "oracle": ("HilbertSpec", "Propagator", "closed_form_state", "dyson_first_order_state",
-               "initial_state", "linear_entropy_exact", "visibility_exact"),
+               "linear_entropy_exact", "visibility_exact"),
     "scan": ("ScanPlan", "ScanResult", "run_scan", "scaling_study"),
     "gaussian": ("thermal_visibility_montecarlo",),
 }
@@ -75,7 +75,6 @@ __all__ = [
     "linear_entropy_first_order",
     "HilbertSpec",
     "Propagator",
-    "initial_state",
     "closed_form_state",
     "visibility_exact",
     "linear_entropy_exact",

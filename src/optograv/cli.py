@@ -271,18 +271,14 @@ def cmd_oracle(args) -> int:
     from . import analytic, oracle, scan as scan_mod
 
     dc = derive_couplings(p)
-    if args.n_max is not None:
-        spec = oracle.HilbertSpec(args.n_max, args.n_max)
-    else:
-        spec = oracle.default_spec(p, dc)
-    oracle.check_adequacy(spec, dc, p)
+    spec = oracle.default_spec(p, dc, args.n_max)
     period = 2.0 * math.pi / dc.omega_a
 
     # Gravity-free equivalence: exact propagation against the closed form.
     p0 = without_gravity(p)
     dc0 = derive_couplings(p0)
     propagator = oracle.Propagator(dc0, spec)
-    psi0 = oracle.initial_state(p0, spec)
+    psi0 = oracle.closed_form_state(dc0, p0, spec, 0.0)
     times = np.linspace(0.0, 2.0 * period, args.equivalence_points)
     closed = analytic.visibility_uncoupled(dc0, times)
     worst = 0.0

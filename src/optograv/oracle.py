@@ -32,7 +32,7 @@ import numpy as np
 from . import analytic
 from .analytic import _as_times, _check_times
 from .errors import DimensionLimitError, NumericalError, ParameterError, TruncationError
-from .params import DerivedCouplings, PhysicalParams, derive_couplings
+from .params import DerivedCouplings, PhysicalParams
 
 #: Desk-scale guard on the total Hilbert-space dimension.
 MAX_TOTAL_DIM = 2**16
@@ -75,12 +75,30 @@ class HilbertSpec:
 
 
 def coherent_tail_mass(amplitude: float, n_max: int) -> float:
-    """Probability mass of |amplitude|-coherent occupation beyond n_max."""
-    mu = float(abs(amplitude)) ** 2
-    kept = [math.exp(-mu)]
-    for n in range(1, n_max + 1):
-        kept.append(kept[-1] * (mu / n))
-    return max(0.0, 1.0 - math.fsum(kept))
+    """Probability mass of |amplitude|-coherent occupation beyond n_max.
+
+    Each Poisson term comes from its logarithm, so none underflows before
+    its own value does.  Up to the mean, the kept side holds at most about
+    half the mass and the tail is 1 minus it; past the mean, the tail's own
+    terms are summed, so a small tail never cancels against 1."""
+    magnitude = float(abs(amplitude))
+    mu = magnitude * magnitude
+    if not math.isfinite(mu):
+        return 1.0
+    if mu == 0.0:
+        return 0.0
+    log_mu = math.log(mu)
+
+    def term(n):
+        return math.exp(n * log_mu - mu - math.lgamma(n + 1))
+
+    if n_max + 1 <= mu:
+        return max(0.0, 1.0 - math.fsum(term(n) for n in range(n_max + 1)))
+    # Past the mean the terms fall with n: stop once they no longer change the sum.
+    terms = [term(n_max + 1)]
+    while terms[-1] > np.finfo(float).eps * terms[0]:
+        terms.append(term(n_max + 1 + len(terms)))
+    return math.fsum(terms)
 
 
 def suggested_n_max(beta_abs: float, lam: float) -> int:
@@ -98,28 +116,38 @@ def suggested_n_max(beta_abs: float, lam: float) -> int:
     return math.ceil(n_max)
 
 
-def default_spec(p: PhysicalParams, dc: DerivedCouplings | None = None) -> HilbertSpec:
-    if dc is None:
-        dc = derive_couplings(p)
-    return HilbertSpec(n_max_a=suggested_n_max(abs(p.beta_m), dc.lambda_m),
-                       n_max_b=suggested_n_max(abs(p.beta_M), dc.lambda_M))
+def default_spec(p: PhysicalParams, dc: DerivedCouplings,
+                 n_max: int | None = None) -> HilbertSpec:
+    """The truncation of a run: ``HilbertSpec(n_max, n_max)`` when ``n_max``
+    is given, else each mode's :func:`suggested_n_max`; either is certified
+    by :func:`check_adequacy` before it is returned."""
+    spec = (HilbertSpec(n_max, n_max) if n_max is not None
+            else HilbertSpec(suggested_n_max(abs(p.beta_m), dc.lambda_m),
+                             suggested_n_max(abs(p.beta_M), dc.lambda_M)))
+    check_adequacy(spec, dc, p)
+    return spec
+
+
+def _require_held(label: str, beta_abs: float, lam: float, n_max: int):
+    """Raise :class:`TruncationError` (with a rule-based suggestion) unless mode
+    ``label``'s n_max levels hold the amplitude |beta| + 2*lam to :data:`TAIL_TOL`."""
+    displaced = beta_abs + 2.0 * abs(lam)
+    tail = coherent_tail_mass(displaced, n_max)
+    if tail > TAIL_TOL:
+        suggestion = suggested_n_max(beta_abs, lam)
+        raise TruncationError(
+            f"mode {label}: tail mass {tail:.3e} beyond n_max={n_max} exceeds "
+            f"{TAIL_TOL:g} for displaced amplitude {displaced:.3f}; "
+            f"use n_max_{label} >= {suggestion}",
+            suggested_n_max=suggestion,
+        )
 
 
 def check_adequacy(spec: HilbertSpec, dc: DerivedCouplings, p: PhysicalParams):
     """Verify that the truncation holds the displaced amplitudes |beta|+2*lam;
     raise :class:`TruncationError` (with a rule-based suggestion) otherwise."""
-    for label, beta, lam, n_max in (("a", p.beta_m, dc.lambda_m, spec.n_max_a),
-                                    ("b", p.beta_M, dc.lambda_M, spec.n_max_b)):
-        displaced = abs(beta) + 2.0 * abs(lam)
-        tail = coherent_tail_mass(displaced, n_max)
-        if tail > TAIL_TOL:
-            suggestion = suggested_n_max(abs(beta), lam)
-            raise TruncationError(
-                f"mode {label}: tail mass {tail:.3e} beyond n_max={n_max} exceeds "
-                f"{TAIL_TOL:g} for displaced amplitude {displaced:.3f}; "
-                f"use n_max_{label} >= {suggestion}",
-                suggested_n_max=suggestion,
-            )
+    _require_held("a", abs(p.beta_m), dc.lambda_m, spec.n_max_a)
+    _require_held("b", abs(p.beta_M), dc.lambda_M, spec.n_max_b)
 
 
 def destroy_op(dim: int) -> np.ndarray:
@@ -380,47 +408,31 @@ def coherent_vector(beta: complex, dim: int) -> np.ndarray:
     return amps / math.sqrt(kept)
 
 
-def _coherent_input(label: str, beta: complex, dim: int) -> np.ndarray:
-    """Coherent amplitudes of one rod's input state, refused when more than
-    ``TAIL_TOL`` of its occupation lies beyond the truncation."""
-    tail = coherent_tail_mass(abs(beta), dim - 1)
-    if tail > TAIL_TOL:
-        suggestion = suggested_n_max(abs(beta), 0.0)
-        raise TruncationError(
-            f"mode {label}: coherent tail mass {tail:.3e} beyond n_max={dim - 1} exceeds "
-            f"{TAIL_TOL:g}; raise n_max_{label} to at least {suggestion} "
-            "(more if strong optomechanical displacement is expected)",
-            suggested_n_max=suggestion,
-        )
-    return coherent_vector(beta, dim)
-
-
-def initial_state(p: PhysicalParams, spec: HilbertSpec) -> np.ndarray:
-    """Each photon in (|no-cavity> + |cavity>)/sqrt(2), rod m in |beta_m>
-    and rod M in |beta_M> (truncated and renormalised)."""
-    coh_a = _coherent_input("a", p.beta_m, spec.dim_a)
-    coh_b = _coherent_input("b", p.beta_M, spec.dim_b)
-    qubit = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    return np.kron(np.kron(np.kron(qubit, qubit), coh_a), coh_b).reshape(spec.dims)
-
-
 def closed_form_state(dc: DerivedCouplings, p: PhysicalParams, spec: HilbertSpec,
                       t: float) -> np.ndarray:
-    """Gravity-free evolved state mapped into the truncated basis.
+    """Gravity-free evolved state mapped into the truncated basis; at t = 0
+    the input state, each photon in (|no-cavity> + |cavity>)/sqrt(2), rod m
+    in |beta_m> and rod M in |beta_M>.
 
     Each photon branch carries its conditional coherent amplitude and
     radiation-pressure phase; the global photon-energy phase is omitted to
-    match the Hamiltonians built here.  ``t`` must be finite and >= 0.
+    match the Hamiltonians built here.  ``t`` must be finite and >= 0, and
+    :class:`TruncationError` refuses an input |beta| whose tail beyond the
+    truncation exceeds :data:`TAIL_TOL` (:func:`check_adequacy` certifies
+    the displaced amplitudes).
     """
-    # Per photon bit, one branch of each system; each sector is their product.
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    # Per photon bit, one branch of each system; each sector is their product,
+    # scaled by the two qubits' amplitudes in the order of kron(q, q, coh_a, coh_b).
+    half = complex(1.0 / math.sqrt(2.0)) ** 2
     branches = []
-    for beta, lam, omega, dim in ((p.beta_m, dc.lambda_m, dc.omega_a, spec.dim_a),
-                                  (p.beta_M, dc.lambda_M, dc.omega_b, spec.dim_b)):
+    for label, beta, lam, omega, n_max in (
+            ("a", p.beta_m, dc.lambda_m, dc.omega_a, spec.n_max_a),
+            ("b", p.beta_M, dc.lambda_M, dc.omega_b, spec.n_max_b)):
         phi0, phi1, phase = analytic.coherent_trajectories(beta, lam, omega, t)
-        branches.append(np.array([inv_sqrt2 * coherent_vector(phi0, dim),
-                                  inv_sqrt2 * np.exp(1j * phase) * coherent_vector(phi1, dim)]))
-    return branches[0][:, None, :, None] * branches[1][None, :, None, :]
+        _require_held(label, abs(beta), 0.0, n_max)
+        branches.append(np.array([coherent_vector(phi0, n_max + 1),
+                                  np.exp(1j * phase) * coherent_vector(phi1, n_max + 1)]))
+    return (half * branches[0])[:, None, :, None] * branches[1][None, :, None, :]
 
 
 def visibility_exact(psi: np.ndarray) -> float:

@@ -132,10 +132,8 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     if plan.oracle_enabled:
         from . import gaussian, oracle
 
-        spec = (oracle.HilbertSpec(plan.n_max, plan.n_max) if plan.n_max is not None
-                else oracle.default_spec(p, dc))
-        oracle.check_adequacy(spec, dc, p)
-        psi_t = oracle.Propagator(dc, spec).evolve(oracle.initial_state(p, spec), t)
+        spec = oracle.default_spec(p, dc, plan.n_max)
+        psi_t = oracle.Propagator(dc, spec).evolve(oracle.closed_form_state(dc, p, spec, 0.0), t)
     closed_forms = {
         "visibility": lambda: analytic.visibility_uncoupled(dc, [t]),
         "visibility_shift": lambda: analytic.visibility_shift(dc, p, [t]),
@@ -223,7 +221,7 @@ def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> 
     oracle.check_adequacy(spec, dc0, base)
     psi0_t = oracle.closed_form_state(dc0, base, spec, t)
     # The input state does not depend on gamma.
-    psi0 = oracle.initial_state(base, spec)
+    psi0 = oracle.closed_form_state(dc0, base, spec, 0.0)
     residuals = {"state": [], "visibility": [], "entropy": []}
     for g in gammas:
         p_g = replace(base, direct_gamma=g)

@@ -69,7 +69,6 @@ import scipy.linalg
 
 from optograv import analytic, gaussian, oracle
 from optograv.errors import ParameterError
-from optograv.oracle import _coherent_input, initial_state
 
 SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -243,7 +242,9 @@ def thermal_visibility_montecarlo_per_time(
     """Monte-Carlo thermal visibility of the rod-m cavity at one time.
 
     The library's former function, kept verbatim but for its propagation
-    call, which goes through :func:`per_time_propagate`.
+    call, which goes through :func:`per_time_propagate`, and its input
+    states, which go through the library's one state builder
+    :func:`oracle.closed_form_state` at t = 0 and its input refusal.
     """
     if n_samples < 100:
         raise ParameterError(f"n_samples must be >= 100, got {n_samples}")
@@ -262,9 +263,10 @@ def thermal_visibility_montecarlo_per_time(
         # A sample's state is linear in its rod-m amplitudes c, so its
         # path-coherence element is c^T G conj(c), G[n, m] the coherence
         # between the evolved states that start with rod m in levels n and m.
-        amplitudes = np.array([_coherent_input("a", beta, spec.dim_a)
-                               for beta in betas])
-        rest = initial_state(replace(p, beta_m=0.0), spec)[:, :, :1]
+        for beta in betas:
+            oracle._require_held("a", abs(beta), 0.0, spec.n_max_a)
+        amplitudes = np.array([oracle.coherent_vector(beta, spec.dim_a) for beta in betas])
+        rest = oracle.closed_form_state(dc, replace(p, beta_m=0.0), spec, 0.0)[:, :, :1]
         levels = np.eye(spec.dim_a)[:, None, None, :, None] * rest[None]
         evolved = per_time_propagate(dc, spec, levels, np.array([float(t)]))[0]
         cavity = evolved[:, 1].reshape(spec.dim_a, -1)

@@ -54,7 +54,7 @@ def spec30():
 def uncoupled_propagator(ref_params, spec30):
     p0 = og.without_gravity(ref_params)
     dc0 = og.derive_couplings(p0)
-    return p0, dc0, og.Propagator(dc0, spec30), og.initial_state(p0, spec30)
+    return p0, dc0, og.Propagator(dc0, spec30), og.closed_form_state(dc0, p0, spec30, 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +62,7 @@ def scaling_result(boosted_params, boosted_couplings):
     base = replace(boosted_params, direct_gamma=0.0)
     gammas = [f * boosted_couplings.omega_a for f in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
     t = 1.3 * 2.0 * math.pi / boosted_couplings.omega_a
-    return og.scaling_study(base, gammas, t, oracle.default_spec(base))
+    return og.scaling_study(base, gammas, t, oracle.default_spec(base, og.derive_couplings(base)))
 
 
 def test_criterion_01_period_shift(capsys, si_config, tmp_path):
@@ -217,7 +217,7 @@ def test_criterion_09_gravitational_entanglement(capsys, boosted_params,
     p0 = og.without_gravity(boosted_params)
     dc0 = og.derive_couplings(p0)
     prop0 = og.Propagator(dc0, spec)
-    psi0 = og.initial_state(p0, spec)
+    psi0 = og.closed_form_state(dc0, p0, spec, 0.0)
     max_uncoupled = max(
         og.linear_entropy_exact(prop0.evolve(psi0, t)) for t in fractions * period
     )

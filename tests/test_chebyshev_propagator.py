@@ -66,7 +66,8 @@ def test_sweep_rows(n_max, gamma):
     p = replace(dimensionless_config(), direct_gamma=gamma)
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(n_max, n_max)
-    assert_matches_reference(dc, spec, og.initial_state(p, spec), [1.3 * 2.0 * math.pi])
+    psi0 = og.closed_form_state(dc, p, spec, 0.0)
+    assert_matches_reference(dc, spec, psi0, [1.3 * 2.0 * math.pi])
 
 
 @pytest.mark.parametrize("gravity", [True, False])
@@ -77,13 +78,14 @@ def test_oracle_equivalence_times(gravity):
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(30, 30)
     times = np.linspace(0.0, 2.0 * 2.0 * math.pi / dc.omega_a, 48)
-    assert_matches_reference(dc, spec, og.initial_state(p, spec), times)
+    assert_matches_reference(dc, spec, og.closed_form_state(dc, p, spec, 0.0), times)
 
 
 def test_si_reference_criterion_5_times(ref_params, ref_couplings):
     spec = og.HilbertSpec(30, 30)
     times = np.linspace(0.0, 2.0 * 2.0 * math.pi / ref_couplings.omega_a, 128)
-    assert_matches_reference(ref_couplings, spec, og.initial_state(ref_params, spec), times)
+    psi0 = og.closed_form_state(ref_couplings, ref_params, spec, 0.0)
+    assert_matches_reference(ref_couplings, spec, psi0, times)
 
 
 def test_asymmetric_spec_on_a_generic_state():
@@ -118,7 +120,7 @@ def test_random_couplings_and_times(gamma, lam, t):
     p = setups.dimensionless_params(gamma=gamma, lambda_m=lam, lambda_M=0.8 * lam)
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(16, 16)
-    assert_matches_reference(dc, spec, og.initial_state(p, spec), [t])
+    assert_matches_reference(dc, spec, og.closed_form_state(dc, p, spec, 0.0), [t])
 
 
 def test_time_zero_is_the_identity(monkeypatch):
@@ -138,7 +140,7 @@ def test_lambda_m_zero_keeps_cavity_c_sectors_bitwise_equal():
     p = setups.dimensionless_params(gamma=2e-2, lambda_m=0.0, lambda_M=0.4)
     dc = og.derive_couplings(p)
     spec = og.HilbertSpec(20, 24)
-    propagator, psi0 = og.Propagator(dc, spec), og.initial_state(p, spec)
+    propagator, psi0 = og.Propagator(dc, spec), og.closed_form_state(dc, p, spec, 0.0)
     for t in (1.0, 3.3, 17.0):
         psi = propagator.evolve(psi0, t)
         for q_bit in (0, 1):
@@ -322,7 +324,7 @@ def test_each_coupling_of_a_family_matches_the_reference(state, gamma):
     # The random state is complex: its real and imaginary parts evolve in turn.
     p = replace(dimensionless_config(), direct_gamma=gamma)
     dc, spec = og.derive_couplings(p), og.HilbertSpec(20, 24)
-    psi0 = og.initial_state(p, spec) if state == "coherent" else random_state(spec, 9)
+    psi0 = og.closed_form_state(dc, p, spec, 0.0) if state == "coherent" else random_state(spec, 9)
     assert psi0.imag.any() == (state == "random")
     propagator = og.Propagator(dc, spec)
     reference = dense_reference.EighPropagator(dense_reference.hamiltonian_blocks(dc, spec))

@@ -593,7 +593,7 @@ class TestThermalCommand:
         _, rows = parse_csv(out)
         period = float(rows[-1][0])
         assert len(rows) == 8
-        assert float(rows[0][0]) == pytest.approx(period / 8.0, rel=1e-12)
+        assert float(rows[0][0]) == pytest.approx(period / 8.0, rel=1e-12, abs=0.0)
 
     def test_explicit_t_points_2048_is_honoured(self, capsys, reference_config):
         code, out, _ = run(capsys, "thermal", "--params", str(reference_config),
@@ -629,7 +629,7 @@ class TestThermalCommand:
         assert code == 0
         _, rows = parse_csv(out)
         revival = rows[-1]
-        assert float(revival[5]) - float(revival[1]) == pytest.approx(-2.34e-12, rel=1e-2)
+        assert float(revival[5]) - float(revival[1]) == pytest.approx(-2.34e-12, rel=1e-2, abs=0.0)
 
     def test_overflowing_times_exit_numerical(self, reference_config):
         # omega*t overflows past about 6e304 s at the SI reference, so every

@@ -145,7 +145,7 @@ def test_entropy_coefficient_matches_reference(setting):
     entropies = analytic.linear_entropy_first_order(dc, times)
     for t, entropy in zip(times, entropies):
         reference = reference_entropy_coefficient(dc, p, spec, t)
-        assert entropy == pytest.approx(2.0 * dc.gamma**2 * reference, rel=RTOL)
+        assert entropy == pytest.approx(2.0 * dc.gamma**2 * reference, rel=RTOL, abs=0.0)
 
 
 def test_exponential_integrals_limits():

@@ -13,6 +13,7 @@ import dense_reference
 import optograv as og
 import setups
 from optograv import oracle
+from optograv.config import load_params
 from optograv.errors import (
     DimensionLimitError,
     ParameterError,
@@ -44,8 +45,27 @@ class TestHilbertSpec:
     def test_tail_mass_poisson(self):
         # mean occupation 1: tail beyond 4 is 1 - e^{-1} * sum_{0..4} 1/n!
         expected = 1.0 - math.exp(-1) * sum(1.0 / math.factorial(n) for n in range(5))
-        assert oracle.coherent_tail_mass(1.0, 4) == pytest.approx(expected, rel=1e-12)
+        assert oracle.coherent_tail_mass(1.0, 4) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert oracle.coherent_tail_mass(0.0, 4) == 0.0
+        # An amplitude past the float range holds all its mass beyond any ladder.
+        assert oracle.coherent_tail_mass(1e200, 4) == oracle.coherent_tail_mass(math.inf, 4) == 1.0
+
+    @pytest.mark.parametrize("amplitude, n_max", [(1.0, 4), (3.0, 40), (4.0, 50), (1.89, 35),
+                                                  (27.0, 1100), (28.0, 1100)])
+    def test_tail_mass_matches_its_60_digit_value(self, amplitude, n_max):
+        """Near the tolerance a tail of 1 minus the kept mass cancels, and
+        past |amplitude| ~ 27.3 exp(-|amplitude|**2) underflows."""
+        with mpmath.workdps(60):
+            want = float(mpmath.gammainc(n_max + 1, 0, mpmath.mpf(amplitude) ** 2,
+                                         regularized=True))
+        got = oracle.coherent_tail_mass(amplitude, n_max)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_large_amplitude_state_builds(self):
+        p, dc, _ = small_setup(beta_m=28.0, beta_M=0.0)
+        spec = og.HilbertSpec(1100, 13)
+        psi = oracle.closed_form_state(dc, p, spec, 0.0)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_adequacy_guard(self, ref_params, ref_couplings):
         oracle.check_adequacy(og.HilbertSpec(30, 30), ref_couplings, ref_params)
@@ -92,38 +112,40 @@ class TestHamiltonian:
 class TestInitialState:
     def test_vacuum_rods(self):
         p, dc, spec = small_setup(beta_m=0.0, beta_M=0.0, n_max=4)
-        psi = og.initial_state(p, spec)
+        psi = og.closed_form_state(dc, p, spec, 0.0)
         assert psi.shape == spec.dims
         for p_bit in (0, 1):
             for q_bit in (0, 1):
                 assert psi[p_bit, q_bit, 0, 0] == pytest.approx(0.5)
                 assert np.sum(np.abs(psi[p_bit, q_bit, 1:, 1:])) == 0.0
 
-    def test_unit_amplitude_truncation(self, ref_params):
+    def test_unit_amplitude_truncation(self, ref_params, ref_couplings):
         spec = og.HilbertSpec(30, 30)
-        psi = og.initial_state(ref_params, spec)
+        psi = og.closed_form_state(ref_couplings, ref_params, spec, 0.0)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         number = np.arange(spec.dim_a)
         weights = np.sum(np.abs(psi) ** 2, axis=(0, 1, 3))
         assert float(weights @ number) == pytest.approx(1.0, abs=1e-10)
         assert oracle.coherent_tail_mass(1.0, 30) < 1e-12
 
-    def test_truncation_error_suggests_n_max(self, ref_params):
+    @pytest.mark.parametrize("t", [0.0, 1e-3])
+    def test_truncation_error_suggests_n_max(self, ref_params, ref_couplings, t):
+        """The input |beta| = 1 is refused at every time, not only at t = 0."""
         with pytest.raises(TruncationError) as excinfo:
-            og.initial_state(ref_params, og.HilbertSpec(3, 3))
-        assert excinfo.value.suggested_n_max >= 3
+            og.closed_form_state(ref_couplings, ref_params, og.HilbertSpec(3, 3), t)
+        assert excinfo.value.suggested_n_max == 25
 
 
 class TestPropagation:
     def test_time_zero_identity(self):
         p, dc, spec = small_setup(gamma=1e-2, n_max=16)
-        psi0 = og.initial_state(p, spec)
+        psi0 = og.closed_form_state(dc, p, spec, 0.0)
         prop = og.Propagator(dc, spec)
         assert np.allclose(prop.evolve(psi0, 0.0), psi0, atol=1e-14)
 
     def test_full_matrix_route_agrees_with_sector_route(self):
         p, dc, spec = small_setup(gamma=2e-2, n_max=16)
-        psi0 = og.initial_state(p, spec)
+        psi0 = og.closed_form_state(dc, p, spec, 0.0)
         blocks = dense_reference.hamiltonian_blocks(dc, spec)
         full = dense_reference.propagate(dense_reference.full(blocks.blocks, spec), psi0, 1.7)
         sector = og.Propagator(dc, spec).evolve(psi0, 1.7)
@@ -134,7 +156,7 @@ class TestPropagation:
         dc0 = og.derive_couplings(p0)
         spec = og.HilbertSpec(25, 25)
         prop = og.Propagator(dc0, spec)
-        psi0 = og.initial_state(p0, spec)
+        psi0 = og.closed_form_state(dc0, p0, spec, 0.0)
         period = 2 * math.pi / dc0.omega_a
         fractions = (0.21, 0.5, 1.37)
         for frac in fractions:
@@ -145,7 +167,7 @@ class TestPropagation:
     def test_diagonal_hamiltonian_gives_pure_phases(self):
         p, dc, spec = small_setup(lambda_m=0.0, lambda_M=0.0, beta_m=0.9, beta_M=0.4,
                                   n_max=16)
-        psi0 = og.initial_state(p, spec)
+        psi0 = og.closed_form_state(dc, p, spec, 0.0)
         t = 2.31
         psi = og.Propagator(dc, spec).evolve(psi0, t)
         na = np.arange(spec.dim_a)[:, None]
@@ -163,7 +185,7 @@ class TestPropagation:
     def test_unitarity_and_energy_conservation(self, gamma, lam, t):
         p, dc, spec = small_setup(gamma=gamma, lambda_m=lam, lambda_M=0.8 * lam, n_max=16)
         blocks = dense_reference.hamiltonian_blocks(dc, spec)
-        psi0 = og.initial_state(p, spec)
+        psi0 = og.closed_form_state(dc, p, spec, 0.0)
         psi = og.Propagator(dc, spec).evolve(psi0, t)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
         e0 = dense_reference.expectation(blocks.blocks, spec, psi0).real
@@ -198,7 +220,7 @@ class TestReduceAndMeasures:
         """The initial state is a product across the cut: its entropy is the
         square of round-off in the Schmidt tail, never negative."""
         p, dc, spec = small_setup(beta_m=beta, beta_M=beta, n_max=n_max)
-        entropy = og.linear_entropy_exact(og.initial_state(p, spec))
+        entropy = og.linear_entropy_exact(og.closed_form_state(dc, p, spec, 0.0))
         assert 0.0 <= entropy <= 1e-25
 
     def test_entropy_does_not_depend_on_the_norm(self):
@@ -239,21 +261,21 @@ class TestReduceAndMeasures:
         dc0 = og.derive_couplings(p0)
         spec = og.HilbertSpec(25, 25)
         t = 0.5 * 2 * math.pi / dc0.omega_a
-        psi = og.Propagator(dc0, spec).evolve(og.initial_state(p0, spec), t)
+        psi = og.Propagator(dc0, spec).evolve(og.closed_form_state(dc0, p0, spec, 0.0), t)
         v = og.visibility_exact(psi)
         purity = float(np.sum(np.abs(photon_c_density(psi)) ** 2))
         assert purity == pytest.approx((1.0 + v * v) / 2.0, rel=1e-10)
 
     def test_visibility_at_time_zero(self):
         p, dc, spec = small_setup(beta_m=1.3, beta_M=0.2, n_max=22)
-        psi = og.initial_state(p, spec)
+        psi = og.closed_form_state(dc, p, spec, 0.0)
         assert og.visibility_exact(psi) == pytest.approx(1.0, abs=1e-12)
         off = photon_c_density(psi)[1, 0]
         assert og.visibility_exact(psi) == pytest.approx(2.0 * abs(off), abs=1e-15)
 
     def test_entropy_zero_for_separable_dynamics(self):
         p, dc, spec = small_setup(gamma=0.0, n_max=16)
-        psi0 = og.initial_state(p, spec)
+        psi0 = og.closed_form_state(dc, p, spec, 0.0)
         propagator = og.Propagator(dc, spec)
         for t in (0.0, 1.0, 4.0):
             s = og.linear_entropy_exact(propagator.evolve(psi0, t))
@@ -270,7 +292,7 @@ class TestMonogamySignature:
         for gamma in (2.5e-3, 5e-3, 1e-2):
             p = setups.dimensionless_params(gamma=gamma, lambda_m=0.3, lambda_M=0.25)
             dc = og.derive_couplings(p)
-            propagator, psi0 = og.Propagator(dc, spec), og.initial_state(p, spec)
+            propagator, psi0 = og.Propagator(dc, spec), og.closed_form_state(dc, p, spec, 0.0)
             psi_period, psi_early = (propagator.evolve(psi0, t) for t in (period, 0.6 * period))
             deficits.append(1.0 - og.visibility_exact(psi_period))
             entropies.append(og.linear_entropy_exact(psi_early))
@@ -338,10 +360,10 @@ class TestInteractionPicture:
 
 class TestDysonCorrection:
     def test_zero_time_and_zero_gamma(self):
-        p, dc, spec = small_setup(gamma=1e-2, n_max=10)
+        p, dc, spec = small_setup(gamma=1e-2, n_max=25)
         zero = og.dyson_first_order_state(dc, p, spec, 0.0)
         assert np.all(zero == 0.0)
-        p0, dc0, _ = small_setup(gamma=0.0, n_max=10)
+        p0, dc0, _ = small_setup(gamma=0.0, n_max=25)
         assert np.all(og.dyson_first_order_state(dc0, p0, spec, 2.0) == 0.0)
 
     def test_linear_in_gamma(self):
@@ -364,7 +386,7 @@ class TestDysonCorrection:
     def test_improves_on_zeroth_order(self):
         p, dc, spec = small_setup(gamma=5e-3, lambda_m=0.3, lambda_M=0.2, n_max=18)
         t = 4.0
-        exact = og.Propagator(dc, spec).evolve(og.initial_state(p, spec), t)
+        exact = og.Propagator(dc, spec).evolve(og.closed_form_state(dc, p, spec, 0.0), t)
         base = oracle.closed_form_state(dc, p, spec, t)
         correction = og.dyson_first_order_state(dc, p, spec, t)
         r0 = np.linalg.norm(exact - base)
@@ -412,11 +434,22 @@ class TestClosedFormState:
         with pytest.raises(ParameterError, match="times"):
             og.dyson_first_order_state(dc, p, spec, t)
 
-    def test_matches_initial_state_at_time_zero(self):
-        p, dc, spec = small_setup(beta_m=0.9, beta_M=0.5, n_max=16)
-        a = og.initial_state(p, spec)
-        b = oracle.closed_form_state(dc, p, spec, 0.0)
-        assert np.allclose(a, b, atol=1e-15)
+    @pytest.mark.parametrize("case", ["reference", "dimensionless", "complex_betas"])
+    def test_is_the_kronecker_input_state_at_time_zero(self, case):
+        """At t = 0 the state is bit for bit the Kronecker product of the two
+        photon qubits and the rods' coherent vectors, in that order."""
+        if case == "complex_betas":
+            p, _, _ = small_setup(beta_m=0.3 + 0.7j, beta_M=-0.4 + 0.2j)
+            spec = og.HilbertSpec(12, 27)
+        else:
+            p = load_params(setups.REFERENCE_CFG.with_name(f"{case}.cfg"))
+            spec = og.HilbertSpec(30, 30)
+        qubit = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        rods = (oracle.coherent_vector(p.beta_m, spec.dim_a),
+                oracle.coherent_vector(p.beta_M, spec.dim_b))
+        expected = np.kron(np.kron(np.kron(qubit, qubit), rods[0]), rods[1]).reshape(spec.dims)
+        state = oracle.closed_form_state(og.derive_couplings(p), p, spec, 0.0)
+        assert state.tobytes() == expected.tobytes()
 
     def test_normalised_at_all_times(self):
         p, dc, spec = small_setup(beta_m=1.2, n_max=18)

@@ -241,7 +241,8 @@ def test_float_exceptions_are_parameter_errors(ref_params, kwargs):
 
 
 def test_feasibility_bound_reference_point(ref_params):
-    assert og.feasibility_bound(ref_params, Q=1e7) == pytest.approx(T_MAX_AT_Q1E7, rel=1e-12)
+    assert og.feasibility_bound(ref_params, Q=1e7) == pytest.approx(T_MAX_AT_Q1E7, rel=1e-12,
+                                                                    abs=0.0)
     assert og.feasibility_bound(ref_params, Q=1e7) == pytest.approx(0.23, rel=0.05)
 
 

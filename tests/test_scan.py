@@ -262,7 +262,7 @@ class TestRunScan:
         # would leave no level of it to compare, so the residual extends each ladder.
         base = setups.dimensionless_params(gamma=1e-2, lambda_m=0.1, lambda_M=0.1,
                                            beta_m=0, beta_M=0)
-        assert oracle.default_spec(base) == og.HilbertSpec(18, 18)
+        assert oracle.default_spec(base, og.derive_couplings(base)) == og.HilbertSpec(18, 18)
         plan = small_plan(observables=("interaction_residual",), oracle_enabled=True,
                           observable_time=2.0, mode="dimensionless")
         (row,) = og.run_scan(plan, base).rows
