@@ -7,8 +7,9 @@ visibility and the perturbative linear entropy, which is exact in a
 four-dimensional coherent basis per system and needs no Fock truncation.
 
 One formula, :func:`coherent_trajectories`, gives every conditional
-coherent amplitude: the photon's off-diagonal element, the rod-M branches
-of the first-order bracket and the oracle's closed-form state all call it.
+coherent amplitude: the rod-M branches of the first-order bracket, the
+oracle's closed-form state and the Gaussian layer's photon element all call
+it.
 
 Every first-order observable reads the time integral over s in [-t, 0] of
 the frame-rotated gravitational coupling, a product of one factor per rod.
@@ -18,8 +19,13 @@ Each factor is a fixed table of coefficients over the operators (a^dag, a,
 closed-form exponential integrals W of :func:`exponential_integrals` with
 one vector over those exponentials per rod.
 
-Every function returns plain numpy arrays, one value per requested time;
-callers hold the time axis and label the values themselves.
+The module is written with ``math`` alone, so the commands that read only
+closed forms (``figure`` and a scan without oracle rows) never load numpy.
+Each closed form takes a sequence of times and returns a list with one
+float per time; callers hold the time axis and label the values
+themselves.  A phase or an exponential that leaves the range of a double
+gives a NaN or inf value, not an exception, and :func:`check_outputs`
+reports it.
 
 Conventions: the photon of each cavity is a two-path qubit; "visibility" is
 twice the magnitude of the off-diagonal element of its reduced density
@@ -31,8 +37,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import NumericalError, ParameterError
 from .params import (
     DerivedCouplings,
@@ -42,11 +46,18 @@ from .params import (
     without_gravity,
 )
 
-#: Exponents of the columns of a mode-factor coefficient table.
-_SIGMA = np.array([-1.0, 0.0, 1.0])
 
-#: Times per block of the first-order entropy, which bounds its temporaries.
-_ENTROPY_BLOCK = 64
+def _cis(angle: float) -> complex:
+    """exp(i*angle), or NaN where ``angle`` is not finite (``math.cos``
+    raises there)."""
+    if not math.isfinite(angle):
+        return complex(math.nan, math.nan)
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def _dot(u, v):
+    """Sum of the products of two 3-vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def coherent_trajectories(beta, lam: float, omega: float, t):
@@ -62,37 +73,39 @@ def coherent_trajectories(beta, lam: float, omega: float, t):
         phi1 = phi0 + lam*(1 - exp(-i*omega*t)),
         phase = lam**2*(omega*t - sin(omega*t)) + lam*Im[beta*(1 - exp(-i*omega*t))].
 
-    Broadcast over ``beta`` and ``t``; times must be finite and >= 0.
+    ``t`` is one time, finite and >= 0.  ``beta`` enters through arithmetic
+    only, so an array of amplitudes gives arrays of phi0, phi1 and phase.
     """
-    t = _check_times(t, ndmin=0)
-    beta = np.asarray(beta, dtype=complex)
-    rot = np.exp(-1j * omega * t)
+    t = _check_time(t)
+    rot = _cis(-omega * t)
     alpha = 1.0 - rot
     phi0 = beta * rot
     phi1 = phi0 + lam * alpha
-    phase = lam * lam * (omega * t - np.sin(omega * t)) + lam * (beta * alpha).imag
+    phase = lam * lam * (omega * t + rot.imag) + lam * (beta * alpha).imag
     return phi0, phi1, phase
 
 
-def photon_offdiagonal(beta, lam, omega, t):
-    """Complex off-diagonal photon matrix element for a rod in state |beta>.
-
-    Vectorised over ``beta``.  The visibility is twice its magnitude; thermal
-    averaging must average this complex element (its beta-dependent phase is
-    what produces the thermal enhancement), never the magnitude alone.
-    """
-    phi0, phi1, phase = coherent_trajectories(beta, lam, omega, t)
-    overlap = np.exp(
-        -0.5 * np.abs(phi0) ** 2 - 0.5 * np.abs(phi1) ** 2 + np.conj(phi0) * phi1
-    )
-    return 0.5 * np.exp(1j * phase) * overlap
+def _check_time(t) -> float:
+    """One time ``t`` as a float, refused unless finite and >= 0."""
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise ParameterError(f"t must be one time, got {t!r}") from None
+    if not 0.0 <= t < math.inf:
+        raise ParameterError("times must be finite and >= 0")
+    return t
 
 
-def _check_times(times, ndmin: int = 1) -> np.ndarray:
-    """``times`` as a float array of at least ``ndmin`` dimensions, refused
-    unless finite and >= 0."""
-    times = np.array(times, dtype=float, ndmin=ndmin)
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
+def _as_times(times) -> list:
+    """``times`` as a list of floats; refused unless a non-empty 1-D
+    sequence of times, each finite and >= 0."""
+    try:
+        times = [float(t) for t in times]
+    except (TypeError, ValueError):
+        raise ParameterError("times must be a non-empty 1-D sequence of numbers") from None
+    if not times:
+        raise ParameterError("times must be a non-empty 1-D sequence")
+    if not all(0.0 <= t < math.inf for t in times):
         raise ParameterError("times must be finite and >= 0")
     return times
 
@@ -102,18 +115,16 @@ def check_outputs(dc: DerivedCouplings, times, columns: dict) -> None:
     (name -> one value per time) is not finite, naming those columns; else at
     the first at which max(omega_a, omega_b)*t exceeds 2**52, where adjacent
     doubles are >= 1 rad apart."""
-    times = np.asarray(times, dtype=float)
-    finite = np.isfinite(np.array(list(columns.values()), dtype=float).reshape(-1, times.size))
-    bad = np.flatnonzero(~finite.all(axis=0))
-    if bad.size:
-        names = ", ".join(name for name, ok in zip(columns, finite[:, bad[0]]) if not ok)
-        raise NumericalError(f"{names} not finite at t = {float(times[bad[0]])!r} s")
+    for i, t in enumerate(times):
+        names = [name for name, values in columns.items() if not math.isfinite(values[i])]
+        if names:
+            raise NumericalError(f"{', '.join(names)} not finite at t = {float(t)!r} s")
     omega = max(dc.omega_a, dc.omega_b)
-    bad = np.flatnonzero(times > 2.0**52 / omega)
-    if bad.size:
-        t = float(times[bad[0]])
-        raise NumericalError(f"omega*t = {omega * t!r} exceeds 2**52 at t = {t!r} s: "
-                             "a double holds no phase there")
+    limit = 2.0**52 / omega
+    for t in times:
+        if t > limit:
+            raise NumericalError(f"omega*t = {omega * t!r} exceeds 2**52 at t = {float(t)!r} s: "
+                                 "a double holds no phase there")
 
 
 def _check_occupation(nbar: float) -> None:
@@ -122,15 +133,7 @@ def _check_occupation(nbar: float) -> None:
         raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
 
 
-def _as_times(times) -> np.ndarray:
-    """``times`` as a float array; refused unless non-empty, 1-D, finite and >= 0."""
-    times = _check_times(times, ndmin=0)
-    if times.ndim != 1 or times.size == 0:
-        raise ParameterError("times must be a non-empty 1-D sequence")
-    return times
-
-
-def visibility_uncoupled(dc: DerivedCouplings, times) -> np.ndarray:
+def visibility_uncoupled(dc: DerivedCouplings, times) -> list:
     """Visibility of the rod-m cavity's photon with gravity absent from the
     state dynamics: V(t) = exp(-lam_m**2 * (1 - cos(omega_a*t))), the
     :func:`thermal_visibility` at nbar = 0.
@@ -141,7 +144,7 @@ def visibility_uncoupled(dc: DerivedCouplings, times) -> np.ndarray:
     return thermal_visibility(dc, 0.0, times)
 
 
-def mode_factor_coefficients(lam: float, bit: int) -> np.ndarray:
+def mode_factor_coefficients(lam: float, bit: int) -> tuple:
     """Coefficient table of one mode's frame-rotated coupling factor
 
         e^{i*omega*s} a^dag + e^{-i*omega*s} a + 2*lam*bit*(1 - cos(omega*s)).
@@ -150,29 +153,42 @@ def mode_factor_coefficients(lam: float, bit: int) -> np.ndarray:
     e^{-i*omega*s}, 1, e^{+i*omega*s}.  ``bit`` is the photon occupation of
     the mode's cavity path.
     """
-    table = np.zeros((3, 3))
-    table[0, 2] = 1.0
-    table[1, 0] = 1.0
-    table[2] = lam * bit * np.array([-1.0, 2.0, -1.0])
-    return table
+    scale = lam * bit
+    return (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (-scale, 2.0 * scale, -scale)
 
 
-def exponential_integrals(omega_a: float, omega_b: float, times) -> np.ndarray:
-    """W[..., k, l] = integral over s in [-t, 0] of
-    exp(i*(sigma_k*omega_a + sigma_l*omega_b)*s), sigma = (-1, 0, +1).
+def _exponential_integral(x: float, t: float) -> complex:
+    """t*expm1(-i*x)/(-i*x) = t*sin(x)/x - 2i*t*sin(x/2)**2/x at the phase x
+    = rate*t: the half-angle sine keeps small phases from cancelling.  It is
+    t where |x| < 1e-150 (the ratio rounds to 1 there), NaN where x is not
+    finite."""
+    if abs(x) < 1e-150:
+        return complex(t)
+    if not math.isfinite(x):
+        return complex(math.nan, math.nan)
+    half = math.sin(0.5 * x)
+    return complex(t * (math.sin(x) / x), t * (-2.0 * half * half / x))
 
-    Evaluated as t*(expm1(z)/z) with z = -i*(sigma_k*omega_a + sigma_l*omega_b)*t,
-    the ratio taken as 1 where |z| < 1e-150 (it rounds to 1 there), so
-    equal or near-equal mode frequencies and tiny times need no special
-    case.  Shape ``times.shape + (3, 3)``; times must be finite and >= 0.
+
+def exponential_integrals(omega_a: float, omega_b: float, t) -> tuple:
+    """W[k][l] = integral over s in [-t, 0] of
+    exp(i*(sigma_k*omega_a + sigma_l*omega_b)*s), sigma = (-1, 0, +1), at
+    one time ``t`` (finite and >= 0), as a 3x3 nested tuple.
+
+    Equal or near-equal mode frequencies and tiny times need no special
+    case (:func:`_exponential_integral`).  Flipping both exponents
+    conjugates the integral, so W[2 - k][2 - l] is the conjugate of W[k][l].
     """
-    t = _check_times(times, ndmin=0)[..., None, None]
-    z = -1j * (_SIGMA[:, None] * omega_a + _SIGMA[None, :] * omega_b) * t
-    small = np.abs(z) < 1e-150
-    return t * np.where(small, 1.0, np.expm1(z) / np.where(small, 1.0, z))
+    t = _check_time(t)
+    w00 = _exponential_integral((-omega_a - omega_b) * t, t)
+    w01 = _exponential_integral(-omega_a * t, t)
+    w02 = _exponential_integral((-omega_a + omega_b) * t, t)
+    w10 = _exponential_integral(-omega_b * t, t)
+    return ((w00, w01, w02), (w10, complex(t), w10.conjugate()),
+            (w02.conjugate(), w01.conjugate(), w00.conjugate()))
 
 
-def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times):
+def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times) -> list:
     """The real bracket x(t) with V1 = V0 * |1 + i*x(t)|, to first order in gamma.
 
     x(t) = gamma * integral over s in [-t, 0] of the cavity-c path difference
@@ -180,31 +196,37 @@ def first_order_bracket(dc: DerivedCouplings, p: PhysicalParams, times):
     the identity row of the mode-a table depends on the path, and it is zero
     at bit 0, so x = gamma * Re[lam_m*(-1, 2, -1) . W . d], with W the
     :func:`exponential_integrals` and d = 1/2 sum_q (<a^dag>_q, <a>_q, 1) .
-    table_b(q) rod M's branch-averaged factor.  Exact for any frequencies and
-    any complex beta_M.
+    table_b(q) rod M's branch-averaged factor.  Branch q's row is
+    (phi_q - lam_M*q, 2*lam_M*q, conj(phi_q) - lam_M*q), so d = (delta, lam_M,
+    conj(delta)) with delta = (phi_0 + phi_1 - lam_M)/2.  Exact for any
+    frequencies and any complex beta_M.
     """
-    times = _check_times(times)
-    phi0, phi1, _ = coherent_trajectories(p.beta_M, dc.lambda_M, dc.omega_b, times)
-    drive = 0.5 * sum(np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
-                      @ mode_factor_coefficients(dc.lambda_M, bit)
-                      for bit, phi in enumerate((phi0, phi1)))
-    weights = exponential_integrals(dc.omega_a, dc.omega_b, times)
-    x = np.einsum("k,tkl,tl->t", mode_factor_coefficients(dc.lambda_m, 1)[2], weights, drive)
-    return dc.gamma * x.real
+    times = _as_times(times)
+    path = mode_factor_coefficients(dc.lambda_m, 1)[2]
+    lam = dc.lambda_M
+    out = []
+    for t in times:
+        phi0, phi1, _ = coherent_trajectories(p.beta_M, lam, dc.omega_b, t)
+        delta = 0.5 * (phi0 + (phi1 - lam))
+        drive = delta, lam, delta.conjugate()
+        weights = exponential_integrals(dc.omega_a, dc.omega_b, t)
+        out.append(dc.gamma * _dot(path, [_dot(row, drive) for row in weights]).real)
+    return out
 
 
-def visibility_first_order(dc: DerivedCouplings, p: PhysicalParams, times) -> np.ndarray:
+def visibility_first_order(dc: DerivedCouplings, p: PhysicalParams, times) -> list:
     """Visibility of the rod-m cavity with the gravitational coupling treated
     to first order: V1(t) = exp(-lam_m**2*(1-cos(omega_a*t))) * |1 + i*x(t)|.
 
     The modulus makes the magnitude shift second order in gamma even though
     the state correction is first order.
     """
-    times = _check_times(times)
-    return visibility_uncoupled(dc, times) * np.hypot(1.0, first_order_bracket(dc, p, times))
+    times = _as_times(times)
+    return [v * math.hypot(1.0, x) for v, x in
+            zip(visibility_uncoupled(dc, times), first_order_bracket(dc, p, times))]
 
 
-def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> np.ndarray:
+def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> list:
     """Gravitational change of the rod-m visibility pattern, V1 - V0.
 
     The reference V0 is the fully uncoupled pattern (couplings re-derived
@@ -223,43 +245,46 @@ def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> np.ndarr
     bare**2)/omega_a**3, as lam**2 goes as omega**-3.  In dimensionless mode
     there is no frequency pull and only the state correction remains.
     """
-    times = _check_times(times)
+    times = _as_times(times)
     dc0 = derive_couplings(without_gravity(p))
     lam, lam0, omega, bare = dc.lambda_m, dc0.lambda_m, dc.omega_a, dc0.omega_a
     pull = squared_shifts(p)[0] / (omega + bare)
     gap = lam0 * lam0 * pull * (omega * omega + omega * bare + bare * bare) / omega**3
-    half = 0.5 * times
-    delta = (gap * 2.0 * np.sin(bare * half) ** 2
-             - lam * lam * 2.0 * np.sin((omega + bare) * half) * np.sin(pull * half))
-    x = first_order_bracket(dc, p, times)
-    return (visibility_uncoupled(dc0, times) * np.expm1(delta)
-            + visibility_uncoupled(dc, times) * (x * x / (1.0 + np.hypot(1.0, x))))
+    out = []
+    for t, v0, v, x in zip(times, visibility_uncoupled(dc0, times),
+                           visibility_uncoupled(dc, times), first_order_bracket(dc, p, times)):
+        half = 0.5 * t
+        sine = _cis(bare * half).imag
+        delta = (gap * 2.0 * (sine * sine)
+                 - lam * lam * 2.0 * _cis((omega + bare) * half).imag * _cis(pull * half).imag)
+        try:
+            growth = math.expm1(delta)
+        except OverflowError:  # past about 709.78 the double is inf
+            growth = math.inf
+        out.append(v0 * growth + v * (x * x / (1.0 + math.hypot(1.0, x))))
+    return out
 
 
-def thermal_visibility(dc: DerivedCouplings, nbar: float, times) -> np.ndarray:
+def thermal_visibility(dc: DerivedCouplings, nbar: float, times) -> list:
     """Rod-m visibility when the rod starts in a thermal coherent-state
     mixture with mean occupation nbar:
     V(t) = exp(-lam_m**2 * (2*nbar + 1) * (1 - cos(omega_a*t))).
     """
     _check_occupation(nbar)
-    times = _check_times(times)
+    times = _as_times(times)
     lam, omega = dc.lambda_m, dc.omega_a
-    return np.exp(-(lam * lam) * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega * times)))
+    exponent = -(lam * lam) * (2.0 * nbar + 1.0)
+    return [math.exp(exponent * (1.0 - _cis(omega * t).real)) for t in times]
 
 
-def _entangling_rows(lam: float, omega: float, times: np.ndarray) -> np.ndarray:
-    """Rows (T, 2, 3) of one rod's factor components applied to its
-    gravity-free state, in the two directions orthogonal to that state that
-    they reach: the path difference (lam/2)*(e^{-i*omega*t}, -2, e^{+i*omega*t})
-    and the one-phonon row (0, 0, 1)."""
-    rot = np.exp(-1j * omega * times)
-    rows = np.zeros((times.size, 2, 3), dtype=complex)
-    rows[:, 0, 0], rows[:, 0, 1], rows[:, 0, 2] = 0.5 * lam * rot, -lam, 0.5 * lam * rot.conj()
-    rows[:, 1, 2] = 1.0
-    return rows
+def _path_row(lam: float, omega: float, t: float) -> tuple:
+    """One rod's factor components applied to its gravity-free state, along
+    the path difference: (lam/2)*(e^{-i*omega*t}, -2, e^{+i*omega*t})."""
+    half = 0.5 * lam * _cis(-omega * t)
+    return half, -lam, half.conjugate()
 
 
-def linear_entropy_first_order(dc: DerivedCouplings, times) -> np.ndarray:
+def linear_entropy_first_order(dc: DerivedCouplings, times) -> list:
     """Perturbative linear entropy between the two rod-cavity systems at each
     of ``times``; exact, non-negative and independent of the rods' input
     amplitudes.
@@ -274,20 +299,22 @@ def linear_entropy_first_order(dc: DerivedCouplings, times) -> np.ndarray:
        F[p, k] a rod's factor component at exponential k and photon bit p.
     2. Orthogonal to psi_1, u_k has the coordinates X[:, k] along the path
        difference (|0>|phi_0> - |1>|phi_1>)/sqrt(2) and the one-phonon
-       direction (|0>D(phi_0)|1> + |1>D(phi_1)|1>)/sqrt(2), with X the
-       :func:`_entangling_rows`: the a^dag row of a table is the same for both
-       bits, so a rod's input amplitude adds only multiples of psi_1.
-    3. Hence S = 2*gamma**2 ||X W Y^T||_F^2, Y rod b's rows.
+       direction (|0>D(phi_0)|1> + |1>D(phi_1)|1>)/sqrt(2): X's rows are the
+       :func:`_path_row` x and (0, 0, 1), since the a^dag row of a table is
+       the same for both bits, so a rod's input amplitude adds only
+       multiples of psi_1.
+    3. Hence S = 2*gamma**2 ||X W Y^T||_F^2, Y rod b's rows (y, (0, 0, 1)):
+       the entries of X W Y^T are x W y, x W[:, 2], W[2] y and W[2][2].
     """
-    times = _check_times(times)
-    out = np.empty(times.size)
-    for first in range(0, times.size, _ENTROPY_BLOCK):
-        block = times[first : first + _ENTROPY_BLOCK]
-        x = _entangling_rows(dc.lambda_m, dc.omega_a, block)
-        y = _entangling_rows(dc.lambda_M, dc.omega_b, block)
-        weights = exponential_integrals(dc.omega_a, dc.omega_b, block)
-        # One einsum: as stacked matmuls, X W Y^T raised a cold fig3 process's peak
-        # RSS by 0.2 MB.
-        projected = np.einsum("tak,tkl,tbl->tab", x, weights, y)
-        out[first : first + block.size] = np.sum(np.abs(projected) ** 2, axis=(1, 2))
-    return 2.0 * dc.gamma**2 * out
+    times = _as_times(times)
+    scale = 2.0 * dc.gamma**2
+    out = []
+    for t in times:
+        x = _path_row(dc.lambda_m, dc.omega_a, t)
+        y = _path_row(dc.lambda_M, dc.omega_b, t)
+        weights = exponential_integrals(dc.omega_a, dc.omega_b, t)
+        weighted_y = [_dot(row, y) for row in weights]
+        entries = (_dot(x, weighted_y), _dot(x, [row[2] for row in weights]),
+                   weighted_y[2], weights[2][2])
+        out.append(scale * sum(z.real * z.real + z.imag * z.imag for z in entries))
+    return out

@@ -16,9 +16,11 @@ omega*t > 2**52 included).  Every output embeds a provenance header
 random numbers, and ``scan``, whose plan carries a seed, add the seed) and
 identical inputs reproduce byte-identical files.
 
-numpy is imported by the commands that compute arrays (``figure``,
-``oracle``, ``scan``, ``thermal``) when they start, never at import, so
-``derive`` and ``feasibility`` run without it.  Fingerprints use the
+numpy is imported only by the commands that run the Fock or Gaussian
+layers (``oracle``, ``thermal`` and a scan with oracle rows) when they
+start, never at import: ``derive`` and ``feasibility`` compute scalars, and
+``figure`` and a closed-form scan evaluate the pure-``math`` closed forms,
+so they run without it.  Fingerprints use the
 interpreter's built-in SHA-256, not ``hashlib``, and ``thermal`` keeps
 ``numpy.random`` from loading OpenSSL's ``_hashlib`` when the built-in hash
 modules are all present, so no command loads OpenSSL's libcrypto.
@@ -41,6 +43,7 @@ from .errors import (
     ParameterError,
     ToleranceError,
     TruncationError,
+    linalg_errors,
 )
 from .params import (
     UNITS_DIMENSIONLESS,
@@ -61,13 +64,6 @@ STATE_SLOPE_TARGET = (1.9, 2.1)
 VISIBILITY_SLOPE_MIN = 1.9
 ENTROPY_SLOPE_MIN = 2.5
 SCALING_GAMMA_FACTORS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-
-
-def _linalg_errors() -> tuple:
-    """numpy's ``LinAlgError`` if numpy is loaded: only a command that loaded
-    numpy can raise it, so the scalar commands need not import numpy for it."""
-    numpy = sys.modules.get("numpy")
-    return () if numpy is None else (numpy.linalg.LinAlgError,)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,9 +194,9 @@ def _emit_table(args, provenance: dict, header: list, records: list):
         _emit(args, _csv_text(provenance, header, records))
 
 
-def _time_grid(args, dc):
-    import numpy as np
-
+def _time_grid(args, dc) -> list:
+    """The --t-start, --t-stop and --t-points grid, the same doubles as
+    ``numpy.linspace``: time i is i*step + start and the last is t-stop."""
     period = 2.0 * math.pi / dc.omega_a
     start = args.t_start if args.t_start is not None else 0.0
     stop = args.t_stop if args.t_stop is not None else 3.0 * period
@@ -209,7 +205,12 @@ def _time_grid(args, dc):
         raise ConfigError("--t-points must be >= 2")
     if not (math.isfinite(stop) and stop > start >= 0.0):
         raise ConfigError("time grid must satisfy 0 <= t-start < t-stop, both finite")
-    return np.linspace(start, stop, points)
+    step = (stop - start) / (points - 1)
+    if step == 0.0:  # linspace scales by the span where the step underflows
+        times = [i / (points - 1) * (stop - start) + start for i in range(points - 1)]
+    else:
+        times = [i * step + start for i in range(points - 1)]
+    return times + [stop]
 
 
 def cmd_derive(args) -> int:
@@ -228,32 +229,28 @@ def cmd_derive(args) -> int:
 
 def cmd_figure(args) -> int:
     from . import analytic
-    # After analytic, which loads numpy itself: imported first, numpy raised the
-    # cold fig3 process's peak RSS from 34.3 to 34.6 MB.
-    import numpy as np
 
     p = load_params(args.params)
     dc = derive_couplings(p)
     times = _time_grid(args, dc)
     axis, column, key = times, "t_seconds", "times"
-    # An overflow is reported once, by check_outputs, not also as a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.which == "fig2a":
-            values, method = analytic.visibility_uncoupled(dc, times), "uncoupled"
-        elif args.which == "fig2b":
-            values, method = analytic.visibility_shift(dc, p, times), "shift_closed"
-        else:  # fig3: entanglement growth, time in revival periods
-            values, method = analytic.linear_entropy_first_order(dc, times), "first_order_entropy"
-            axis, column, key = times / (2.0 * math.pi / dc.omega_a), "t_periods", "times_periods"
+    if args.which == "fig2a":
+        values, method = analytic.visibility_uncoupled(dc, times), "uncoupled"
+    elif args.which == "fig2b":
+        values, method = analytic.visibility_shift(dc, p, times), "shift_closed"
+    else:  # fig3: entanglement growth, time in revival periods
+        values, method = analytic.linear_entropy_first_order(dc, times), "first_order_entropy"
+        period = 2.0 * math.pi / dc.omega_a
+        axis, column, key = [t / period for t in times], "t_periods", "times_periods"
     analytic.check_outputs(dc, times, {method: values})
     provenance = _provenance(
         p, args, which=args.which,
-        t_start=repr(float(times[0])), t_stop=repr(float(times[-1])),
+        t_start=repr(times[0]), t_stop=repr(times[-1]),
         t_points=len(times),
     )
     if args.format == "json":
-        _emit_json(args, {key: [float(t) for t in axis], "values": [float(v) for v in values],
-                          "method": method, "provenance": provenance})
+        _emit_json(args, {key: axis, "values": values, "method": method,
+                          "provenance": provenance})
     else:
         rows = [(t, v, method) for t, v in zip(axis, values)]
         _emit(args, _csv_text(provenance, [column, "value", "method"], rows))
@@ -282,7 +279,7 @@ def cmd_oracle(args) -> int:
     times = np.linspace(0.0, 2.0 * period, args.equivalence_points)
     closed = analytic.visibility_uncoupled(dc0, times)
     worst = 0.0
-    for t, v_closed in zip(times.tolist(), closed.tolist()):
+    for t, v_closed in zip(times.tolist(), closed):
         worst = max(worst, abs(oracle.visibility_exact(propagator.evolve(psi0, t)) - v_closed))
     checks = [_check("gravity_free_equivalence", worst, EQUIVALENCE_TOL,
                      worst < EQUIVALENCE_TOL)]
@@ -418,22 +415,22 @@ def cmd_thermal(args) -> int:
     if args.t_start is None and args.t_stop is None and args.t_points is None:
         # No time flag given: 8 samples across one revival period.
         period = 2.0 * math.pi / dc.omega_a
-        times = np.linspace(period / 8.0, period, 8)
+        times = np.linspace(period / 8.0, period, 8).tolist()
     else:
         times = _time_grid(args, dc)
     nbar = args.nbar
+    law = analytic.thermal_visibility(dc, nbar, times)
     # An overflow is reported once, by check_outputs, not also as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        law = analytic.thermal_visibility(dc, nbar, times)
         coupled = gaussian.visibility(dc, nbar, times)
         means, errors = gaussian.thermal_visibility_montecarlo(dc, nbar, times,
                                                                args.mc_samples, args.seed)
-    analytic.check_outputs(dc, times, {"thermal_law": law, "mc_mean": means,
-                                       "mc_std_error": errors, "coupled_exact": coupled})
+    columns = {"thermal_law": law, "mc_mean": means.tolist(), "mc_std_error": errors.tolist(),
+               "coupled_exact": coupled.tolist()}
+    analytic.check_outputs(dc, times, columns)
     records = [
         (t, expected, mean, err, abs(mean - expected) / err if err > 0 else 0.0, exact)
-        for t, expected, mean, err, exact
-        in zip(times.tolist(), law.tolist(), means.tolist(), errors.tolist(), coupled.tolist())
+        for t, expected, mean, err, exact in zip(times, *columns.values())
     ]
     provenance = _provenance(p, args, nbar=repr(float(nbar)), mc_samples=args.mc_samples,
                              seed=args.seed)
@@ -454,7 +451,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 2
-    except (*_NUMERICAL_ERRORS, *_linalg_errors()) as exc:
+    except (*_NUMERICAL_ERRORS, *linalg_errors()) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

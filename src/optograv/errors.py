@@ -6,6 +6,8 @@ failures (inadequate truncation, dimension guard, lost norm, eigensolver)
 -> 3.
 """
 
+import sys
+
 
 class OptogravError(Exception):
     """Base class for all package-specific errors."""
@@ -43,3 +45,11 @@ class NumericalError(OptogravError):
 
 class ToleranceError(OptogravError):
     """A verification run measured a value outside its allowed tolerance."""
+
+
+def linalg_errors() -> tuple:
+    """numpy's ``LinAlgError`` if numpy is loaded: only code that loaded
+    numpy can raise it, so the commands that evaluate closed forms alone
+    need not import numpy to catch it."""
+    numpy = sys.modules.get("numpy")
+    return () if numpy is None else (numpy.linalg.LinAlgError,)

@@ -22,6 +22,21 @@ from .errors import ParameterError
 from .params import DerivedCouplings
 
 
+def photon_offdiagonal(beta, lam, omega, t):
+    """Complex off-diagonal photon matrix element for a rod in state |beta>
+    at one time ``t``, without gravity (:func:`analytic.coherent_trajectories`).
+
+    Vectorised over ``beta``.  The visibility is twice its magnitude; thermal
+    averaging must average this complex element (its beta-dependent phase is
+    what produces the thermal enhancement), never the magnitude alone.
+    """
+    phi0, phi1, phase = analytic.coherent_trajectories(beta, lam, omega, t)
+    overlap = np.exp(
+        -0.5 * np.abs(phi0) ** 2 - 0.5 * np.abs(phi1) ** 2 + np.conj(phi0) * phi1
+    )
+    return 0.5 * np.exp(1j * phase) * overlap
+
+
 def _flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
     """Photon c's path coherence at each of ``times`` (a non-empty 1-D
     sequence, finite and >= 0) as ``common[:, None] * exp(1j * (k @ b.T))``
@@ -56,7 +71,7 @@ def _flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
     if not omega_a * omega_b > 4.0 * gamma * gamma:
         raise ParameterError(f"unstable coupled modes: omega_a*omega_b = {omega_a * omega_b!r} "
                              f"must exceed 4*gamma**2 = {4.0 * gamma * gamma!r}")
-    times = _as_times(times)
+    times = np.asarray(_as_times(times))
     det_g = omega_a * omega_b - 4.0 * gamma * gamma
     # u and v are the centres' q parts (their p parts are 0), from G's explicit
     # inverse: G u = (drive_a, 0) and G v = (0, drive_b).
@@ -139,12 +154,12 @@ def thermal_visibility_montecarlo(
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
     after_samples = rng.bit_generator.state
-    elements = np.empty((min(_TIME_BLOCK, times.size), n_samples), dtype=complex)
+    elements = np.empty((min(_TIME_BLOCK, len(times)), n_samples), dtype=complex)
     means, std_errors = [], []
-    for first in range(0, times.size, _TIME_BLOCK):
-        block = times[first : first + _TIME_BLOCK].tolist()
+    for first in range(0, len(times), _TIME_BLOCK):
+        block = times[first : first + _TIME_BLOCK]
         for row, t in zip(elements, block):
-            row[:] = analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
+            row[:] = photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
         rng.bit_generator.state = after_samples
         block_means, block_errors = _bootstrap_visibility(elements[: len(block)], rng)
         means.append(block_means)

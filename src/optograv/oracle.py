@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .analytic import _as_times, _check_times
+from .analytic import _as_times, _check_time
 from .errors import DimensionLimitError, NumericalError, ParameterError, TruncationError
 from .params import DerivedCouplings, PhysicalParams
 
@@ -376,10 +376,10 @@ class Propagator:
         dims = self.spec.dims
         if psi0.shape != dims:
             raise ParameterError(f"state must have shape {dims}, got {psi0.shape}")
-        t = _check_times(t, ndmin=0)
+        t = np.asarray(t, dtype=float)
         if t.ndim != 0:
             raise ParameterError(f"t must be one time, got an array of shape {t.shape}")
-        t = float(t)
+        t = _check_time(t)
         if t == 0.0:
             # exp(-i*H*0) is the identity exactly; the rotations would add round-off.
             return psi0.copy()
@@ -495,8 +495,8 @@ def interaction_picture_residual(dc: DerivedCouplings, spec: HilbertSpec, times)
         w, v = _mode_eigh(levels, omega, lam)
         modes.append((omega, w[:, None], v[:, :keep], v.transpose(0, 2, 1) @ x @ v,
                       _factor_components(keep, lam), float(np.linalg.norm(x[:keep, :keep]))))
-    out = np.zeros(times.size)
-    for i, t in enumerate(times.tolist()):
+    out = np.zeros(len(times))
+    for i, t in enumerate(times):
         for omega, w, v, rotated, components, norm in modes:
             phases = np.exp(1j * w * t)
             phase = complex(math.cos(omega * t), math.sin(omega * t))
@@ -515,7 +515,7 @@ def dyson_first_order_state(dc: DerivedCouplings, p: PhysicalParams, spec: Hilbe
     coupling generator at offset t'-t applied to the gravity-free state psi0(t),
     linear in gamma and integrated exactly.  ``t`` must be finite and >= 0."""
     tensor = closed_form_state(dc, p, spec, t)
-    weights = analytic.exponential_integrals(dc.omega_a, dc.omega_b, t)
+    weights = np.array(analytic.exponential_integrals(dc.omega_a, dc.omega_b, t))
     # Per sector (p, q), sum_kl W_kl F_a[p, k] X F_b[q, l]^T for its (dim_a, dim_b) amplitudes X.
     left = np.einsum("kl,pkab->plab", weights, _factor_components(spec.dim_a, dc.lambda_m))
     right = _factor_components(spec.dim_b, dc.lambda_M).transpose(0, 1, 3, 2)

@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import analytic
-from .errors import OptogravError, ParameterError
+from .errors import OptogravError, ParameterError, linalg_errors
 from .params import (
     UNITS_DIMENSIONLESS,
     PhysicalParams,
@@ -143,9 +141,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         if not OBSERVABLES[obs]:
             values[obs] = getattr(dc, obs)
         elif obs in closed_forms:
-            # An overflow is reported once, as the row's error, not as a numpy warning.
-            with np.errstate(over="ignore", invalid="ignore"):
-                values[obs] = float(closed_forms[obs]()[0])
+            values[obs] = closed_forms[obs]()[0]
         elif obs == "visibility_exact":
             values[obs] = oracle.visibility_exact(psi_t)
         elif obs == "entropy_exact":
@@ -153,7 +149,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
         elif obs == "interaction_residual":
             values[obs] = float(oracle.interaction_picture_residual(dc, spec, [t])[0])
     if plan.oracle_enabled or any(OBSERVABLES[obs] for obs in plan.observables):
-        analytic.check_outputs(dc, [t], values)
+        analytic.check_outputs(dc, [t], {name: [value] for name, value in values.items()})
     if plan.oracle_enabled:
         exact = float(gaussian.visibility(dc, 0.0, [t])[0])
         diagnostics["truncation_delta"] = abs(oracle.visibility_exact(psi_t) - exact)
@@ -179,7 +175,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
             for name, value in zip(axis_names, combo):
                 p_row = _apply_axis(p_row, name, value)
             values, diagnostics = _row_values(plan, p_row)
-        except (OptogravError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (OptogravError, ArithmeticError, *linalg_errors()) as exc:
             # A row's bad inputs or numerics never abort the sweep; bugs propagate.
             values = {obs: float("nan") for obs in plan.observables}
             diagnostics = {name: float("nan") for name in diagnostic_names}
@@ -214,6 +210,8 @@ def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> 
     magnitudes = sorted(abs(g) for g in gammas)
     if magnitudes[0] <= 0 or magnitudes[-1] / magnitudes[0] < 4.0:
         raise ParameterError("gamma values must be nonzero and span at least a factor of 4")
+    import numpy as np
+
     from . import oracle
 
     gammas = sorted(gammas, key=abs)
@@ -229,9 +227,9 @@ def scaling_study(base: PhysicalParams, gammas, t: float, spec: HilbertSpec) -> 
         psi_exact = oracle.Propagator(dc, spec).evolve(psi0, t)
         psi1 = oracle.dyson_first_order_state(dc, p_g, spec, t)
         residuals["state"].append(float(np.linalg.norm(psi_exact - psi0_t - psi1)))
-        v_formula = float(analytic.visibility_first_order(dc, p_g, [t])[0])
+        v_formula = analytic.visibility_first_order(dc, p_g, [t])[0]
         residuals["visibility"].append(abs(oracle.visibility_exact(psi_exact) - v_formula))
-        s_pert = float(analytic.linear_entropy_first_order(dc, [t])[0])
+        s_pert = analytic.linear_entropy_first_order(dc, [t])[0]
         residuals["entropy"].append(abs(oracle.linear_entropy_exact(psi_exact) - s_pert))
     log_magnitudes = np.log([abs(g) for g in gammas])
     study = {}

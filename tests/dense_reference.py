@@ -58,7 +58,12 @@ routes they replaced, as independent cross-checks:
   products of the factor components;
 - ``first_order_bracket``: the first-order visibility bracket read off K,
   as the library computed it before it contracted W with the mode-a path
-  difference and rod M's branch-averaged factor.
+  difference and rod M's branch-averaged factor;
+- ``vectorised_*``: the closed forms as numpy evaluated them, vectorised
+  over times (and over amplitudes in ``vectorised_coherent_trajectories``),
+  before ``analytic`` was written with ``math`` alone so that ``figure``
+  and closed-form scans load no numpy; ``vectorised_photon_offdiagonal`` is
+  the Monte Carlo's photon element from those trajectories.
 """
 
 import math
@@ -69,6 +74,7 @@ import scipy.linalg
 
 from optograv import analytic, gaussian, oracle
 from optograv.errors import ParameterError
+from optograv.params import derive_couplings, squared_shifts, without_gravity
 
 SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -256,7 +262,7 @@ def thermal_visibility_montecarlo_per_time(
     sigma = math.sqrt(nbar / 2.0)
     betas = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
     if method == "closedform":
-        elements = analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
+        elements = vectorised_photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
     elif method == "oracle":
         if spec is None:
             raise ParameterError("method='oracle' requires a HilbertSpec")
@@ -374,9 +380,9 @@ def _integrated_coefficients(dc, times) -> np.ndarray:
     coefficient of O_i (x) O_j, with O the operators (a^dag, a, 1), in the
     sector-(p, q) time integral over s in [-t, 0] of the gamma-stripped
     frame-rotated coupling generator."""
-    weights = analytic.exponential_integrals(dc.omega_a, dc.omega_b, times)
-    tables_a = np.array([analytic.mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)])
-    tables_b = np.array([analytic.mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)])
+    weights = vectorised_exponential_integrals(dc.omega_a, dc.omega_b, times)
+    tables_a = np.array([vectorised_mode_factor_coefficients(dc.lambda_m, bit) for bit in (0, 1)])
+    tables_b = np.array([vectorised_mode_factor_coefficients(dc.lambda_M, bit) for bit in (0, 1)])
     k = np.einsum("pik,...kl,qjl->...piqj", tables_a, weights, tables_b)
     return k.reshape(k.shape[:-4] + (6, 6))
 
@@ -452,7 +458,7 @@ def coherent_linear_entropy(dc, times) -> np.ndarray:
     """The library's former perturbative linear entropy at each of ``times``:
     2*gamma**2 ||U K V^T||^2 with K the :func:`_integrated_coefficients` and
     U, V the :func:`_coherent_family` of each system."""
-    times = analytic._check_times(times)
+    times = _check_times(times)
     u = _coherent_family(dc.lambda_m, dc.omega_a, times)
     v = _coherent_family(dc.lambda_M, dc.omega_b, times)
     projected = np.einsum("tai,tij,tbj->tab", u, _integrated_coefficients(dc, times), v)
@@ -528,11 +534,133 @@ def first_order_bracket(dc, p, times):
     identity row of the mode-a factor depends on the path, so x = gamma/2 *
     Re sum over (q, j) of <O_j>_q * (K[(1, 2), (q, j)] - K[(0, 2), (q, j)]),
     O = (a^dag, a, 1) in rod M's branch q."""
-    times = analytic._check_times(times)
+    times = _check_times(times)
     k = _integrated_coefficients(dc, times).reshape(-1, 2, 3, 2, 3)
     path_difference = k[:, 1, 2] - k[:, 0, 2]
-    phi0, phi1, _ = analytic.coherent_trajectories(p.beta_M, dc.lambda_M, dc.omega_b, times)
+    phi0, phi1, _ = vectorised_coherent_trajectories(p.beta_M, dc.lambda_M, dc.omega_b, times)
     phi = np.stack([phi0, phi1], axis=-1)
     expectations = np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
     x = 0.5 * np.sum(expectations * path_difference, axis=(1, 2))
     return dc.gamma * x.real
+
+
+#: Exponents of the columns of a mode-factor coefficient table.
+_SIGMA = np.array([-1.0, 0.0, 1.0])
+
+
+def _check_times(times, ndmin: int = 1) -> np.ndarray:
+    """``times`` as a float array of at least ``ndmin`` dimensions, refused
+    unless finite and >= 0."""
+    times = np.array(times, dtype=float, ndmin=ndmin)
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ParameterError("times must be finite and >= 0")
+    return times
+
+
+def vectorised_coherent_trajectories(beta, lam: float, omega: float, t):
+    """(phi0, phi1, phase) of ``analytic.coherent_trajectories``, broadcast
+    over ``beta`` and ``t``."""
+    t = _check_times(t, ndmin=0)
+    beta = np.asarray(beta, dtype=complex)
+    rot = np.exp(-1j * omega * t)
+    alpha = 1.0 - rot
+    phi0 = beta * rot
+    phi1 = phi0 + lam * alpha
+    phase = lam * lam * (omega * t - np.sin(omega * t)) + lam * (beta * alpha).imag
+    return phi0, phi1, phase
+
+
+def vectorised_photon_offdiagonal(beta, lam, omega, t):
+    """``gaussian.photon_offdiagonal`` from :func:`vectorised_coherent_trajectories`."""
+    phi0, phi1, phase = vectorised_coherent_trajectories(beta, lam, omega, t)
+    overlap = np.exp(
+        -0.5 * np.abs(phi0) ** 2 - 0.5 * np.abs(phi1) ** 2 + np.conj(phi0) * phi1
+    )
+    return 0.5 * np.exp(1j * phase) * overlap
+
+
+def vectorised_thermal_visibility(dc, nbar: float, times) -> np.ndarray:
+    """exp(-lam_m**2 * (2*nbar + 1) * (1 - cos(omega_a*t))) at each of ``times``."""
+    times = _check_times(times)
+    lam, omega = dc.lambda_m, dc.omega_a
+    return np.exp(-(lam * lam) * (2.0 * nbar + 1.0) * (1.0 - np.cos(omega * times)))
+
+
+def vectorised_visibility_uncoupled(dc, times) -> np.ndarray:
+    """:func:`vectorised_thermal_visibility` at nbar = 0."""
+    return vectorised_thermal_visibility(dc, 0.0, times)
+
+
+def vectorised_mode_factor_coefficients(lam: float, bit: int) -> np.ndarray:
+    """``analytic.mode_factor_coefficients`` as a (3, 3) array."""
+    table = np.zeros((3, 3))
+    table[0, 2] = 1.0
+    table[1, 0] = 1.0
+    table[2] = lam * bit * np.array([-1.0, 2.0, -1.0])
+    return table
+
+
+def vectorised_exponential_integrals(omega_a: float, omega_b: float, times) -> np.ndarray:
+    """``analytic.exponential_integrals`` at every time, shape
+    ``times.shape + (3, 3)``, as t*(expm1(z)/z) with
+    z = -i*(sigma_k*omega_a + sigma_l*omega_b)*t, the ratio taken as 1 where
+    |z| < 1e-150."""
+    t = _check_times(times, ndmin=0)[..., None, None]
+    z = -1j * (_SIGMA[:, None] * omega_a + _SIGMA[None, :] * omega_b) * t
+    small = np.abs(z) < 1e-150
+    return t * np.where(small, 1.0, np.expm1(z) / np.where(small, 1.0, z))
+
+
+def vectorised_first_order_bracket(dc, p, times) -> np.ndarray:
+    """``analytic.first_order_bracket`` by one einsum over the times."""
+    times = _check_times(times)
+    phi0, phi1, _ = vectorised_coherent_trajectories(p.beta_M, dc.lambda_M, dc.omega_b, times)
+    drive = 0.5 * sum(np.stack([np.conj(phi), phi, np.ones_like(phi)], axis=-1)
+                      @ vectorised_mode_factor_coefficients(dc.lambda_M, bit)
+                      for bit, phi in enumerate((phi0, phi1)))
+    weights = vectorised_exponential_integrals(dc.omega_a, dc.omega_b, times)
+    x = np.einsum("k,tkl,tl->t", vectorised_mode_factor_coefficients(dc.lambda_m, 1)[2],
+                  weights, drive)
+    return dc.gamma * x.real
+
+
+def vectorised_visibility_first_order(dc, p, times) -> np.ndarray:
+    """The uncoupled pattern times hypot(1, x), x the vectorised bracket."""
+    times = _check_times(times)
+    return (vectorised_visibility_uncoupled(dc, times)
+            * np.hypot(1.0, vectorised_first_order_bracket(dc, p, times)))
+
+
+def vectorised_visibility_shift(dc, p, times) -> np.ndarray:
+    """``analytic.visibility_shift`` with numpy's sines and expm1."""
+    times = _check_times(times)
+    dc0 = derive_couplings(without_gravity(p))
+    lam, lam0, omega, bare = dc.lambda_m, dc0.lambda_m, dc.omega_a, dc0.omega_a
+    pull = squared_shifts(p)[0] / (omega + bare)
+    gap = lam0 * lam0 * pull * (omega * omega + omega * bare + bare * bare) / omega**3
+    half = 0.5 * times
+    delta = (gap * 2.0 * np.sin(bare * half) ** 2
+             - lam * lam * 2.0 * np.sin((omega + bare) * half) * np.sin(pull * half))
+    x = vectorised_first_order_bracket(dc, p, times)
+    return (vectorised_visibility_uncoupled(dc0, times) * np.expm1(delta)
+            + vectorised_visibility_uncoupled(dc, times) * (x * x / (1.0 + np.hypot(1.0, x))))
+
+
+def _entangling_rows(lam: float, omega: float, times: np.ndarray) -> np.ndarray:
+    """Rows (T, 2, 3): the path difference (lam/2)*(e^{-i*omega*t}, -2,
+    e^{+i*omega*t}) and the one-phonon row (0, 0, 1)."""
+    rot = np.exp(-1j * omega * times)
+    rows = np.zeros((times.size, 2, 3), dtype=complex)
+    rows[:, 0, 0], rows[:, 0, 1], rows[:, 0, 2] = 0.5 * lam * rot, -lam, 0.5 * lam * rot.conj()
+    rows[:, 1, 2] = 1.0
+    return rows
+
+
+def vectorised_linear_entropy_first_order(dc, times) -> np.ndarray:
+    """2*gamma**2 ||X W Y^T||_F^2 by one einsum over the times."""
+    times = _check_times(times)
+    x = _entangling_rows(dc.lambda_m, dc.omega_a, times)
+    y = _entangling_rows(dc.lambda_M, dc.omega_b, times)
+    weights = vectorised_exponential_integrals(dc.omega_a, dc.omega_b, times)
+    projected = np.einsum("tak,tkl,tbl->tab", x, weights, y)
+    return 2.0 * dc.gamma**2 * np.sum(np.abs(projected) ** 2, axis=(1, 2))

@@ -67,15 +67,14 @@ class TestCoherentTrajectories:
         phi0, phi1, _ = rod_m_trajectories(ref_couplings, ref_params, t)
         assert abs(phi1 - phi0) == pytest.approx(2.0 * ref_couplings.lambda_m, rel=1e-12)
 
-    def test_broadcasts_over_amplitudes_and_times(self):
-        betas = np.array([0.3 - 0.2j, 1.1j])[:, None]
-        times = np.array([0.0, 0.7, 2.9])
-        phi0, phi1, phase = og.coherent_trajectories(betas, 0.4, 1.3, times)
-        assert phi0.shape == phi1.shape == phase.shape == (2, 3)
-        for n, beta in enumerate(betas[:, 0]):
-            for k, t in enumerate(times):
+    def test_broadcasts_over_amplitudes(self):
+        betas = np.array([0.3 - 0.2j, 1.1j, -2.0])
+        for t in (0.0, 0.7, 2.9):
+            phi0, phi1, phase = og.coherent_trajectories(betas, 0.4, 1.3, t)
+            assert phi0.shape == phi1.shape == phase.shape == (3,)
+            for n, beta in enumerate(betas.tolist()):
                 one = og.coherent_trajectories(beta, 0.4, 1.3, t)
-                assert [phi0[n, k], phi1[n, k], phase[n, k]] == pytest.approx(one, abs=1e-15)
+                assert [phi0[n], phi1[n], phase[n]] == pytest.approx(one, abs=1e-15)
 
     def test_conditional_oracle_amplitudes_match(self):
         """<a> conditioned on the cavity path reproduces phi0/phi1."""
@@ -95,9 +94,12 @@ class TestCoherentTrajectories:
 
     def test_rejects_negative_time(self, ref_params, ref_couplings):
         for bad in (-1.0, math.nan, math.inf, -math.inf):
-            for times in (bad, [1e-3, bad]):
-                with pytest.raises(ParameterError, match="times"):
-                    rod_m_trajectories(ref_couplings, ref_params, times)
+            with pytest.raises(ParameterError, match="times"):
+                rod_m_trajectories(ref_couplings, ref_params, bad)
+
+    def test_takes_one_time(self, ref_params, ref_couplings):
+        with pytest.raises(ParameterError, match="one time"):
+            rod_m_trajectories(ref_couplings, ref_params, [1e-3, 2e-3])
 
 
 class TestVisibilityUncoupled:
@@ -118,7 +120,7 @@ class TestVisibilityUncoupled:
 
     def test_bounds(self, ref_params, ref_couplings):
         times = np.linspace(0.0, 3 * period_of(ref_couplings), 1001)
-        values = og.visibility_uncoupled(ref_couplings, times)
+        values = np.array(og.visibility_uncoupled(ref_couplings, times))
         floor = math.exp(-2.0 * ref_couplings.lambda_m**2)
         assert np.all(values <= 1.0 + 1e-15)
         assert np.all(values >= floor - 1e-15)
@@ -243,7 +245,7 @@ class TestVisibilityShift:
         dc0 = og.derive_couplings(p0)
         times = np.linspace(0.0, period_of(dc0), 65)
         shift = og.visibility_shift(dc0, p0, times)
-        assert np.all(shift == 0.0)
+        assert all(value == 0.0 for value in shift)
 
     @pytest.mark.parametrize("separation", [1e-8, 1e-6, 1e-4, 1e-3])
     def test_matches_its_60_digit_value_at_every_separation(self, ref_params, separation):
@@ -300,14 +302,14 @@ class TestThermalVisibility:
 def test_one_visibility_envelope_is_bitwise_the_written_out_formula(config):
     p = load_params(Path(__file__).resolve().parent.parent / "configs" / config)
     dc = og.derive_couplings(p)
-    times = np.linspace(0.0, 3 * period_of(dc), 2048)
+    times = np.linspace(0.0, 3 * period_of(dc), 2048).tolist()
     lam = dc.lambda_m
-    envelope = np.exp(-(lam * lam) * (1.0 - np.cos(dc.omega_a * times)))
+    envelope = [math.exp(-(lam * lam) * (1.0 - math.cos(dc.omega_a * t))) for t in times]
     bracket = og.analytic.first_order_bracket(dc, p, times)
-    assert np.array_equal(og.visibility_uncoupled(dc, times), envelope)
-    assert np.array_equal(og.thermal_visibility(dc, 0.0, times), envelope)
-    assert np.array_equal(og.visibility_first_order(dc, p, times),
-                          envelope * np.hypot(1.0, bracket))
+    assert og.visibility_uncoupled(dc, times) == envelope
+    assert og.thermal_visibility(dc, 0.0, times) == envelope
+    assert og.visibility_first_order(dc, p, times) == [
+        v * math.hypot(1.0, x) for v, x in zip(envelope, bracket)]
 
 
 class TestRevivalPeakWidth:

@@ -78,7 +78,7 @@ class TestDerive:
         assert code == 0
         payload = json.loads(out)
         assert payload["delta_T_ns"] == pytest.approx(0.78, rel=0.02)
-        assert payload["delta_T"] == pytest.approx(payload["delta_T_ns"] * 1e-9)
+        assert payload["delta_T"] == pytest.approx(payload["delta_T_ns"] * 1e-9, abs=0.0)
         assert "params_fingerprint" in payload["provenance"]
 
     def test_zero_gravity_config(self, capsys, tmp_path):
@@ -181,10 +181,10 @@ class TestFigure:
         assert code == 0
         payload = json.loads(out)
         times = np.array(payload["times"])
-        assert payload["values"] == analytic.visibility_shift(dc, p, times).tolist()
+        assert payload["values"] == analytic.visibility_shift(dc, p, times)
         reference = dc if p.units == "dimensionless" else og.derive_couplings(
             og.without_gravity(p))
-        subtracted = (analytic.visibility_first_order(dc, p, times)
+        subtracted = (np.array(analytic.visibility_first_order(dc, p, times))
                       - analytic.visibility_uncoupled(reference, times))
         error = np.max(np.abs(np.array(payload["values"]) - subtracted))
         assert error <= 1e-9 * np.max(np.abs(subtracted))
@@ -747,6 +747,11 @@ THERMAL_LOADS_OPENSSL = not all(importlib.util.find_spec(name) is not None
 #: The ``test`` extra's packages beside pytest, which no command may load.
 TEST_ONLY_PACKAGES = ("scipy", "mpmath", "hypothesis")
 
+#: An oracle-enabled scan plan, written to the test's directory in place of
+#: the ``ORACLE_PLAN`` argument: one row at a truncation that holds it.
+ORACLE_PLAN_TEXT = ("axes = \nobservables = visibility_exact\noracle_enabled = true\n"
+                    "t = 1.0\nn_max = 36\n")
+
 
 @pytest.mark.parametrize("argv, exit_code, numpy_loaded, hashlib_loaded", [
     (("derive", "--params", str(CONFIGS / "reference.cfg")), 0, False, False),
@@ -756,16 +761,28 @@ TEST_ONLY_PACKAGES = ("scipy", "mpmath", "hypothesis")
     (("--version",), 0, False, False),
     (("derive",), 1, False, False),  # --params missing
     (("figure", "--which", "fig2a", "--t-points", "8", "--params",
-      str(CONFIGS / "reference.cfg")), 0, True, False),
+      str(CONFIGS / "reference.cfg")), 0, False, False),
+    (("figure", "--which", "fig2b", "--t-points", "8", "--params",
+      str(CONFIGS / "reference.cfg")), 0, False, False),
+    (("figure", "--which", "fig3", "--t-points", "8", "--params",
+      str(CONFIGS / "reference.cfg")), 0, False, False),
     (("thermal", "--mc-samples", "100", "--params", str(CONFIGS / "reference.cfg")), 0, True,
      THERMAL_LOADS_OPENSSL),
     (("scan", "--plan", str(CONFIGS / "scan_example.cfg"), "--params",
-      str(CONFIGS / "reference.cfg")), 0, True, False),
+      str(CONFIGS / "reference.cfg")), 0, False, False),
+    (("scan", "--plan", "ORACLE_PLAN", "--params", str(CONFIGS / "dimensionless.cfg")), 0,
+     True, False),
     (("oracle", "--n-max", "25", "--equivalence-points", "4", "--residual-times", "1",
       "--params", str(CONFIGS / "dimensionless.cfg")), 0, True, False),
 ], ids=["derive", "feasibility", "feasibility-not-finite", "version", "missing-params",
-        "figure", "thermal", "scan", "oracle"])
-def test_only_the_array_commands_load_numpy(argv, exit_code, numpy_loaded, hashlib_loaded):
+        "fig2a", "fig2b", "fig3", "thermal", "scan", "scan-oracle", "oracle"])
+def test_only_the_array_commands_load_numpy(tmp_path, argv, exit_code, numpy_loaded,
+                                            hashlib_loaded):
+    # The closed forms are pure math: figure and a scan without oracle rows
+    # load no numpy; the Fock and Gaussian layers do.
+    plan = tmp_path / "oracle_plan.cfg"
+    plan.write_text(ORACLE_PLAN_TEXT)
+    argv = [str(plan) if arg == "ORACLE_PLAN" else arg for arg in argv]
     code = ("import contextlib, io, sys\nfrom optograv.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"

@@ -104,19 +104,19 @@ def test_near_a_zero_the_closed_form_matches_its_40_digit_value():
 
 
 def test_batched_times_equal_one_call_per_time():
-    # More times than one block of the evaluation, in no particular order.
+    # Times in no particular order.
     dc = og.derive_couplings(SETTINGS["dimensionless_config"]())
-    times = np.random.default_rng(5).uniform(0.0, 30.0, 2 * analytic._ENTROPY_BLOCK + 3)
+    times = np.random.default_rng(5).uniform(0.0, 30.0, 131)
     batched = analytic.linear_entropy_first_order(dc, times)
-    assert batched.shape == times.shape
+    assert len(batched) == len(times)
     for t, s in zip(times, batched):
-        assert s == pytest.approx(analytic.linear_entropy_first_order(dc, [t])[0], rel=1e-15)
+        assert s == analytic.linear_entropy_first_order(dc, [t])[0]
 
 
 def test_zero_gamma_and_zero_time_are_exactly_zero():
     p = SETTINGS["dimensionless_config"]()
     dc0 = og.derive_couplings(og.without_gravity(p))
-    assert np.all(analytic.linear_entropy_first_order(dc0, [0.0, 1.0, 30.0]) == 0.0)
+    assert analytic.linear_entropy_first_order(dc0, [0.0, 1.0, 30.0]) == [0.0, 0.0, 0.0]
     assert analytic.linear_entropy_first_order(og.derive_couplings(p), [0.0])[0] == 0.0
 
 

@@ -81,7 +81,7 @@ def test_gravity_free_equals_the_closed_form(config):
     betas = (rng.normal(size=200) + 1j * rng.normal(size=200)) / math.sqrt(2.0)
     times = np.linspace(0.0, 5.0 * 2.0 * math.pi / dc.omega_a, 41)
     got = dense_reference.coherence(dc, betas, 0.3 - 0.8j, times)
-    expected = np.array([analytic.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
+    expected = np.array([gaussian.photon_offdiagonal(betas, dc.lambda_m, dc.omega_a, t)
                          for t in times])
     assert np.max(np.abs(got - expected)) <= 1e-14
 

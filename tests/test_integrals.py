@@ -10,6 +10,7 @@ agree with it to 1e-12 relative.
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -151,20 +152,36 @@ def test_entropy_coefficient_matches_reference(setting):
 def test_exponential_integrals_limits():
     """Zero frequency integrates to t, zero time to 0, and a tiny frequency
     splitting stays continuous with the degenerate value."""
-    w = analytic.exponential_integrals(1.0, 1.0, [0.0, 2.5])
-    assert np.all(w[0] == 0.0)
-    assert w[1, 0, 2] == 2.5 and w[1, 2, 0] == 2.5 and w[1, 1, 1] == 2.5
+    assert np.all(np.array(analytic.exponential_integrals(1.0, 1.0, 0.0)) == 0.0)
+    w = analytic.exponential_integrals(1.0, 1.0, 2.5)
+    assert w[0][2] == 2.5 and w[2][0] == 2.5 and w[1][1] == 2.5
     near = analytic.exponential_integrals(1.0, 1.0 + 1e-9, 2.5)
-    assert near[0, 2] == pytest.approx(2.5, rel=1e-8)
+    assert near[0][2] == pytest.approx(2.5, rel=1e-8)
+
+
+@pytest.mark.parametrize("omega_b, t", [(1.0 + 1e-9, 2.5), (1.0 - 3e-13, 40.0), (0.9, 1e-6),
+                                        (0.9, 7.3), (1.0, 2.5)])
+def test_exponential_integrals_match_their_40_digit_values(omega_b, t):
+    """Near-equal frequencies leave a phase of 1e-9 or less, where 1 - cos
+    rounds to 0: the imaginary part must still be t*x/2 to double precision.
+    |W| <= t, and the rounding of each phase x = rate*t alone moves W by up
+    to about 2e-16*t."""
+    got = analytic.exponential_integrals(1.0, omega_b, t)
+    with mpmath.workdps(40):
+        for k, sa in enumerate((-1, 0, 1)):
+            for l, sb in enumerate((-1, 0, 1)):
+                z = -1j * (sa * mpmath.mpf(1.0) + sb * mpmath.mpf(omega_b)) * mpmath.mpf(t)
+                exact = complex(t if z == 0 else t * mpmath.expm1(z) / z)
+                assert abs(got[k][l] - exact) <= 1e-15 * t, (k, l)
 
 
 def test_exponential_integrals_at_tiny_times():
     """Below |z| = 1e-150 the integral is t to double precision; subnormal
     times must not turn into 0 or nan through an underflowing product."""
     for t in (5e-324, 2.2e-311, 1e-300, 1e-200, 1e-160):
-        w = analytic.exponential_integrals(1.0, 0.9, t)
+        w = np.array(analytic.exponential_integrals(1.0, 0.9, t))
         assert np.all(w == t)
-    w = analytic.exponential_integrals(1.0, 0.9, 1e-140)
+    w = np.array(analytic.exponential_integrals(1.0, 0.9, 1e-140))
     assert np.allclose(w, 1e-140, rtol=1e-15, atol=0.0)
 
 
@@ -172,15 +189,16 @@ def test_exponential_integrals_at_tiny_times():
 def test_integrals_refuse_non_finite_times(bad):
     p = setups.dimensionless_params(gamma=1e-2)
     dc = og.derive_couplings(p)
+    with pytest.raises(og.ParameterError, match="times"):
+        analytic.exponential_integrals(1.0, 0.9, bad)
     for times in (bad, [0.5, bad]):
-        with pytest.raises(og.ParameterError, match="times"):
-            analytic.exponential_integrals(1.0, 0.9, times)
         with pytest.raises(og.ParameterError, match="times"):
             analytic.linear_entropy_first_order(dc, times)
         with pytest.raises(og.ParameterError, match="times"):
             analytic.first_order_bracket(dc, p, times)
 
 
-def test_exponential_integrals_keep_the_times_shape():
-    assert analytic.exponential_integrals(1.0, 0.9, 0.5).shape == (3, 3)
-    assert analytic.exponential_integrals(1.0, 0.9, np.full((2, 4), 0.5)).shape == (2, 4, 3, 3)
+def test_exponential_integrals_take_one_time():
+    assert np.array(analytic.exponential_integrals(1.0, 0.9, 0.5)).shape == (3, 3)
+    with pytest.raises(og.ParameterError, match="one time"):
+        analytic.exponential_integrals(1.0, 0.9, [0.5, 0.5])
