@@ -29,11 +29,11 @@ from .params import (
     without_gravity,
 )
 
-#: Names of the closed forms, the Fock layer, the sweeps and the Gaussian
-#: layer, each loaded on first use (PEP 562), so ``import optograv`` and the
-#: scalar commands ``derive`` and ``feasibility`` load none of them.  The
-#: closed forms are pure ``math``; the sweeps import numpy only for oracle
-#: rows and the scaling study, and the Fock and Gaussian layers import it.
+#: Names of the closed forms, the Fock layer, the sweeps and the thermal
+#: Monte Carlo, each loaded on first use (PEP 562), so ``import optograv``
+#: and the scalar commands ``derive`` and ``feasibility`` load none of them.
+#: The closed forms are pure ``math``; the sweeps import numpy only for oracle
+#: rows and the scaling study, and the Fock layer and the Monte Carlo import it.
 _LAZY = {
     "analytic": ("coherent_trajectories", "linear_entropy_first_order", "thermal_visibility",
                  "visibility_first_order", "visibility_shift", "visibility_uncoupled"),

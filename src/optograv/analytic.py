@@ -3,13 +3,14 @@
 Covers the exactly solvable gravity-free evolution (conditional coherent
 trajectories of each rod and the resulting interference visibility), the
 first-order-in-gamma visibility of the coupled system, the thermal-mixture
-visibility and the perturbative linear entropy, which is exact in a
-four-dimensional coherent basis per system and needs no Fock truncation.
+visibility, the perturbative linear entropy, which is exact in a
+four-dimensional coherent basis per system and needs no Fock truncation,
+and the exact coupled visibility of the Gaussian flow (:func:`visibility`).
 
 One formula, :func:`coherent_trajectories`, gives every conditional
 coherent amplitude: the rod-M branches of the first-order bracket, the
-oracle's closed-form state and the Gaussian layer's photon element all call
-it.
+oracle's closed-form state and the thermal Monte Carlo's photon element all
+call it.
 
 Every first-order observable reads the time integral over s in [-t, 0] of
 the frame-rotated gravitational coupling, a product of one factor per rod.
@@ -318,3 +319,83 @@ def linear_entropy_first_order(dc: DerivedCouplings, times) -> list:
                    weighted_y[2], weights[2][2])
         out.append(scale * sum(z.real * z.real + z.imag * z.imag for z in entries))
     return out
+
+
+def _flow(dc: DerivedCouplings, times) -> list:
+    """Photon c's path coherence, common * exp(i k.b) for an input of mean
+    quadratures b: one pair (common, complex; k = J w, a 4-tuple) per time.
+
+    In the quadratures r = (q_a, p_a, q_b, p_b), x = sqrt(2)*q, the sector
+    with cavity-path bits (p, q) has the Hamiltonian r^T M r / 2 +
+    (p*u + q*v)^T M r (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)):
+    one quadratic form about the centre -(p*u + q*v).  Each sector turns its
+    displaced input by the common flow S(t) = exp(J M t) about its own
+    centre, so the element is a sum of displacement overlaps, in which the
+    flow of the common vacuum and its phase cancel:
+
+        1/4 exp(-|w|^2/4 + i b^T J w)
+            sum_q exp(i (u/2 + q v)^T (M u t - J S^-1 u)),
+
+    with w = (1 - S^-1) u; k comes from w, not from phases, which wrap.
+    b and k are real, so :func:`visibility` reads only ``common`` and k_a.
+
+    The flow's normal modes are in closed form.  With W = diag(omega_a,
+    omega_b) and G = [[omega_a, 2 gamma], [2 gamma, omega_b]] the q-block of
+    M, dq/dt = W p and dp/dt = -G q, so y = W^-1/2 q obeys y'' = -K y with
+    K = W^1/2 G W^1/2, symmetric; one rotation by theta diagonalises it,
+    to Omega_+^2 and Omega_-^2 = det K / Omega_+^2 (not mean - half, which
+    cancels near the stability edge).  u has no p part, so with R the
+    rotation and a = R^T W^-1/2 u its normal-mode amplitudes, S^-1(t) u has
+    q part W^1/2 R cos(Omega t) a and p part W^-1/2 R Omega sin(Omega t) a.
+    The modes are stable only while M is positive definite.
+    """
+    omega_a, omega_b, gamma = dc.omega_a, dc.omega_b, dc.gamma
+    if not omega_a * omega_b > 4.0 * gamma * gamma:
+        raise ParameterError(f"unstable coupled modes: omega_a*omega_b = {omega_a * omega_b!r} "
+                             f"must exceed 4*gamma**2 = {4.0 * gamma * gamma!r}")
+    times = _as_times(times)
+    det_g = omega_a * omega_b - 4.0 * gamma * gamma
+    # u and v are the centres' q parts (their p parts are 0), from G's explicit
+    # inverse: G u = (drive_a, 0) and G v = (0, drive_b).
+    drive_a = -math.sqrt(2.0) * dc.lambda_m * omega_a
+    drive_b = -math.sqrt(2.0) * dc.lambda_M * omega_b
+    u_a, u_b = omega_b * (drive_a / det_g), -2.0 * gamma * (drive_a / det_g)
+    v_a, v_b = -2.0 * gamma * (drive_b / det_g), omega_a * (drive_b / det_g)
+    root_a, root_b = math.sqrt(omega_a), math.sqrt(omega_b)  # W^1/2
+    coupling = 2.0 * gamma * math.sqrt(omega_a * omega_b)  # K's off-diagonal
+    half = math.hypot(0.5 * (omega_a * omega_a - omega_b * omega_b), coupling)
+    plus = 0.5 * (omega_a * omega_a + omega_b * omega_b) + half
+    fast, slow = math.sqrt(plus), math.sqrt(omega_a * omega_b * det_g / plus)
+    theta = 0.5 * math.atan2(2.0 * coupling, omega_a * omega_a - omega_b * omega_b)
+    c, s = math.cos(theta), math.sin(theta)  # R = [[c, -s], [s, c]]: K's eigenvectors
+    mode_fast = u_a / root_a * c + u_b / root_b * s  # a = R^T W^-1/2 u
+    mode_slow = u_b / root_b * c - u_a / root_a * s
+    # Sector phases (u/2 + q v)^T (M u t - J S^-1 u), with M u = (drive_a, 0) in q.
+    sectors = [(h_a * drive_a, h_a, h_b)
+               for h_a, h_b in ((0.5 * u_a, 0.5 * u_b), (0.5 * u_a + v_a, 0.5 * u_b + v_b))]
+    out = []
+    for t in times:
+        # S^-1(t) u: q part W^1/2 R cos(Omega t) a, p part W^-1/2 R Omega sin(Omega t) a.
+        turn_fast, turn_slow = _cis(fast * t), _cis(slow * t)
+        x, y = turn_fast.real * mode_fast, turn_slow.real * mode_slow
+        q_a, q_b = (x * c - y * s) * root_a, (x * s + y * c) * root_b
+        x, y = turn_fast.imag * (fast * mode_fast), turn_slow.imag * (slow * mode_slow)
+        p_a, p_b = (x * c - y * s) / root_a, (x * s + y * c) / root_b
+        w_a, w_b = u_a - q_a, u_b - q_b  # w = (1 - S^-1) u; its p part is -(p_a, p_b)
+        turns = sum(_cis(t * pull - (p_a * h_a + p_b * h_b)) for pull, h_a, h_b in sectors)
+        squared = (w_a * w_a + w_b * w_b) + (p_a * p_a + p_b * p_b)
+        out.append((0.25 * turns * math.exp(-0.25 * squared),
+                    (-p_a, -w_a, -p_b, -w_b)))  # k = J w = (w_pa, -w_qa, w_pb, -w_qb)
+    return out
+
+
+def visibility(dc: DerivedCouplings, nbar: float, times) -> list:
+    """Exact visibility of photon c with rod m thermal at mean occupation
+    ``nbar`` (0: coherent) and any coherent amplitudes.  A thermal rod m is
+    a Gaussian mixture of coherent states whose rod-m mean quadratures have
+    covariance nbar per quadrature, so the element of :func:`_flow` averages
+    to a modulus of 2 |common| exp(-nbar |k_a|^2 / 2), k = (k_a, k_b).
+    """
+    _check_occupation(nbar)
+    return [2.0 * abs(common) * math.exp(-0.5 * nbar * (k[0] * k[0] + k[1] * k[1]))
+            for common, k in _flow(dc, times)]

@@ -16,8 +16,8 @@ omega*t > 2**52 included).  Every output embeds a provenance header
 random numbers, and ``scan``, whose plan carries a seed, add the seed) and
 identical inputs reproduce byte-identical files.
 
-numpy is imported only by the commands that run the Fock or Gaussian
-layers (``oracle``, ``thermal`` and a scan with oracle rows) when they
+numpy is imported only by the commands that run the Fock layer or the
+Monte Carlo (``oracle``, ``thermal`` and a scan with oracle rows) when they
 start, never at import: ``derive`` and ``feasibility`` compute scalars, and
 ``figure`` and a closed-form scan evaluate the pure-``math`` closed forms,
 so they run without it.  Fingerprints use the
@@ -422,11 +422,10 @@ def cmd_thermal(args) -> int:
     law = analytic.thermal_visibility(dc, nbar, times)
     # An overflow is reported once, by check_outputs, not also as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        coupled = gaussian.visibility(dc, nbar, times)
         means, errors = gaussian.thermal_visibility_montecarlo(dc, nbar, times,
                                                                args.mc_samples, args.seed)
     columns = {"thermal_law": law, "mc_mean": means.tolist(), "mc_std_error": errors.tolist(),
-               "coupled_exact": coupled.tolist()}
+               "coupled_exact": analytic.visibility(dc, nbar, times)}
     analytic.check_outputs(dc, times, columns)
     records = [
         (t, expected, mean, err, abs(mean - expected) / err if err > 0 else 0.0, exact)
@@ -452,7 +451,8 @@ def main(argv=None) -> int:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 2
     except (*_NUMERICAL_ERRORS, *linalg_errors()) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # Python's own MemoryError carries no text: name the exception then.
+        print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

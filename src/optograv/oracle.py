@@ -13,7 +13,7 @@ coupling per propagator, by one real Chebyshev recursion, run once more
 for the imaginary part of a complex state; without gravity it applies one
 phase per amplitude.  :func:`visibility_exact` and
 :func:`linear_entropy_exact` read the paper's signatures from a state (the
-exact, untruncated coherence is :mod:`optograv.gaussian`), and
+exact, untruncated visibility is :func:`optograv.analytic.visibility`), and
 :func:`interaction_picture_residual` checks the frame-rotation identity
 behind the first-order formulas mode by mode.
 

@@ -128,7 +128,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     values: dict = {}
     diagnostics: dict = {"error": ""}
     if plan.oracle_enabled:
-        from . import gaussian, oracle
+        from . import oracle
 
         spec = oracle.default_spec(p, dc, plan.n_max)
         psi_t = oracle.Propagator(dc, spec).evolve(oracle.closed_form_state(dc, p, spec, 0.0), t)
@@ -151,7 +151,7 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     if plan.oracle_enabled or any(OBSERVABLES[obs] for obs in plan.observables):
         analytic.check_outputs(dc, [t], {name: [value] for name, value in values.items()})
     if plan.oracle_enabled:
-        exact = float(gaussian.visibility(dc, 0.0, [t])[0])
+        exact = analytic.visibility(dc, 0.0, [t])[0]
         diagnostics["truncation_delta"] = abs(oracle.visibility_exact(psi_t) - exact)
     return values, diagnostics
 
@@ -164,7 +164,7 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     the diagnostics instead of aborting the sweep, and the affected
     observables become NaN; any other exception propagates.  Oracle rows
     report ``truncation_delta``, the distance of the truncated visibility
-    from the exact one (:func:`gaussian.visibility`).
+    from the exact, untruncated closed form (:func:`analytic.visibility`).
     """
     axis_names = tuple(name for name, _ in plan.axes)
     diagnostic_names = ("error",) + (("truncation_delta",) if plan.oracle_enabled else ())

@@ -24,13 +24,18 @@ routes they replaced, as independent cross-checks:
   as the library did before it served every time from one draw; its
   oracle method propagates every Fock level of rod m, the truncated
   reference for the library's exact Gaussian coherence;
-- ``eig_flow``: ``gaussian._flow``'s common factor and k from a numerical
-  inverse of M and eigendecomposition of J M, as the library computed them
-  before it wrote the normal modes in closed form;
+- ``vectorised_flow``: the coupled flow's common factor and k as numpy
+  evaluated them, vectorised over times, before ``analytic._flow`` wrote
+  them with ``math`` one time after another;
+- ``flow_arrays``: ``analytic._flow``'s pairs as the arrays the two above
+  return;
+- ``eig_flow``: the same from a numerical inverse of M and
+  eigendecomposition of J M, as the library computed them before it wrote
+  the normal modes in closed form;
 - ``coherence``: photon c's complex path-coherence element for coherent
-  rod inputs, ``common * exp(i b.k)`` from ``gaussian._flow``, as the
-  library returned it before ``gaussian.visibility`` dropped the phase
-  that no modulus reads;
+  rod inputs, ``common * exp(i b.k)`` from ``vectorised_flow``, as the
+  library returned it before its exact visibility dropped the phase that
+  no modulus reads;
 - ``thermal_coherence``: its closed-form average over a thermal rod m,
   ``common * exp(i b_M.k_b) * exp(-nbar |k_a|^2 / 2)``, the library's
   former coupled thermal element;
@@ -288,8 +293,56 @@ def thermal_visibility_montecarlo_per_time(
     return float(mean_vis), std_error
 
 
+def vectorised_flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
+    """``analytic._flow`` as numpy evaluated it, vectorised over times:
+    photon c's path coherence at each of ``times`` (a non-empty 1-D
+    sequence, finite and >= 0) as ``common[:, None] * exp(1j * (k @ b.T))``
+    for inputs of mean quadratures b (N, 4): returns ``common``, shape (T,),
+    and ``k`` = J w, shape (T, 4).  The derivation is ``analytic._flow``'s.
+    """
+    omega_a, omega_b, gamma = dc.omega_a, dc.omega_b, dc.gamma
+    if not omega_a * omega_b > 4.0 * gamma * gamma:
+        raise ParameterError(f"unstable coupled modes: omega_a*omega_b = {omega_a * omega_b!r} "
+                             f"must exceed 4*gamma**2 = {4.0 * gamma * gamma!r}")
+    times = np.asarray(analytic._as_times(times))
+    det_g = omega_a * omega_b - 4.0 * gamma * gamma
+    # u and v are the centres' q parts (their p parts are 0), from G's explicit
+    # inverse: G u = (drive_a, 0) and G v = (0, drive_b).
+    drive_a = -math.sqrt(2.0) * dc.lambda_m * omega_a
+    drive_b = -math.sqrt(2.0) * dc.lambda_M * omega_b
+    u = np.array([omega_b, -2.0 * gamma]) * (drive_a / det_g)
+    v = np.array([-2.0 * gamma, omega_a]) * (drive_b / det_g)
+    root = np.sqrt([omega_a, omega_b])  # W^1/2
+    coupling = 2.0 * gamma * math.sqrt(omega_a * omega_b)  # K's off-diagonal
+    half = math.hypot(0.5 * (omega_a * omega_a - omega_b * omega_b), coupling)
+    plus = 0.5 * (omega_a * omega_a + omega_b * omega_b) + half
+    omegas = np.sqrt([plus, omega_a * omega_b * det_g / plus])
+    theta = 0.5 * math.atan2(2.0 * coupling, omega_a * omega_a - omega_b * omega_b)
+    c, s = math.cos(theta), math.sin(theta)
+    rotation = np.array([[c, -s], [s, c]])  # columns: K's eigenvectors for omegas**2
+    modes = (u / root) @ rotation  # a = R^T W^-1/2 u
+    angles = np.multiply.outer(times, omegas)
+    back_q = (np.cos(angles) * modes) @ rotation.T * root  # S^-1(t) u, q part (T, 2)
+    back_p = (np.sin(angles) * (omegas * modes)) @ rotation.T / root  # and p part
+    # Sector phases (u/2 + q v)^T (M u t - J S^-1 u), with M u = (drive_a, 0) in q.
+    halves = np.stack([0.5 * u, 0.5 * u + v])
+    phases = np.multiply.outer(times, halves[:, 0] * drive_a) - back_p @ halves.T
+    w_q = u - back_q  # w = (1 - S^-1) u; its p part is -back_p
+    common = (0.25 * np.exp(1j * phases).sum(axis=1)
+              * np.exp(-0.25 * (np.sum(w_q * w_q, axis=1) + np.sum(back_p * back_p, axis=1))))
+    # k = J w = (w_pa, -w_qa, w_pb, -w_qb).
+    k = np.stack([-back_p[:, 0], -w_q[:, 0], -back_p[:, 1], -w_q[:, 1]], axis=1)
+    return common, k
+
+
+def flow_arrays(dc, times) -> tuple[np.ndarray, np.ndarray]:
+    """``analytic._flow``'s pairs as arrays: common (T,) and k (T, 4)."""
+    commons, ks = zip(*analytic._flow(dc, times))
+    return np.array(commons), np.array(ks)
+
+
 def eig_flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
-    """``gaussian._flow``'s (common, k) at each of ``times``, with S^-1(t) u
+    """``analytic._flow``'s (common, k) at each of ``times``, with S^-1(t) u
     from one eigendecomposition of J M and u, v from M's numerical inverse."""
     omega_a, omega_b, gamma = dc.omega_a, dc.omega_b, dc.gamma
     times = np.asarray(times, dtype=float)
@@ -312,12 +365,12 @@ def eig_flow(dc, times) -> tuple[np.ndarray, np.ndarray]:
 def coherence(dc, betas_m, beta_M, times) -> np.ndarray:
     """Exact photon-c path-coherence element, shape (T, N), with rod m in
     each coherent state |betas_m[n]> (a non-empty 1-D sequence) and rod M in
-    |beta_M>, at each of ``times``; see ``gaussian._flow``.
+    |beta_M>, at each of ``times``; see ``analytic._flow``.
     """
     betas_m = np.asarray(betas_m, dtype=complex)
     if betas_m.ndim != 1 or betas_m.size == 0:
         raise ParameterError("betas_m must be a non-empty 1-D sequence")
-    common, k = gaussian._flow(dc, times)
+    common, k = vectorised_flow(dc, times)
     inputs = np.stack(np.broadcast_arrays(betas_m, complex(beta_M)), -1)
     b = math.sqrt(2.0) * inputs.view(float)  # (N, 4) mean quadratures
     return common[:, None] * np.exp(1j * (k @ b.T))
@@ -332,7 +385,7 @@ def thermal_coherence(dc, nbar: float, beta_M, times) -> np.ndarray:
         raise ParameterError(f"nbar must be >= 0, got {nbar!r}")
     beta_M = complex(beta_M)
     b = math.sqrt(2.0) * np.array([0.0, 0.0, beta_M.real, beta_M.imag])
-    common, k = gaussian._flow(dc, times)
+    common, k = vectorised_flow(dc, times)
     envelope = np.exp(-0.5 * nbar * np.sum(k[:, :2] * k[:, :2], axis=1))
     return common * np.exp(1j * (k @ b)) * envelope
 

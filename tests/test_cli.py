@@ -206,16 +206,24 @@ class TestFigure:
         assert len(payload["values"]) == 8
         assert payload["provenance"]["which"] == "fig2a"
 
-    def test_out_of_memory_exits_numerical(self, capsys, monkeypatch, reference_config):
+    # numpy's MemoryError names the allocation; Python's own carries no text,
+    # so the exception's name stands in for it.
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "numerical failure: Unable to allocate 7.28 TiB for an array\n"),
+        (MemoryError(), "numerical failure: MemoryError\n"),
+    ])
+    def test_out_of_memory_exits_numerical(self, capsys, monkeypatch, reference_config, error,
+                                           line):
         def exhausted(*args):
-            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+            raise error
 
         monkeypatch.setattr(analytic, "visibility_uncoupled", exhausted)
         code, out, err = run(capsys, "figure", "--params", str(reference_config),
                              "--which", "fig2a", "--t-points", "8")
         assert code == 3
         assert out == ""
-        assert err.startswith("numerical failure: Unable to allocate")
+        assert err == line
 
     def test_linalg_error_exits_numerical(self, capsys, monkeypatch, reference_config):
         def singular(*args):
@@ -778,8 +786,9 @@ ORACLE_PLAN_TEXT = ("axes = \nobservables = visibility_exact\noracle_enabled = t
         "fig2a", "fig2b", "fig3", "thermal", "scan", "scan-oracle", "oracle"])
 def test_only_the_array_commands_load_numpy(tmp_path, argv, exit_code, numpy_loaded,
                                             hashlib_loaded):
-    # The closed forms are pure math: figure and a scan without oracle rows
-    # load no numpy; the Fock and Gaussian layers do.
+    # The closed forms, the exact coupled visibility among them, are pure
+    # math: figure and a scan without oracle rows load no numpy; the Fock
+    # layer and the thermal Monte Carlo do.
     plan = tmp_path / "oracle_plan.cfg"
     plan.write_text(ORACLE_PLAN_TEXT)
     argv = [str(plan) if arg == "ORACLE_PLAN" else arg for arg in argv]

@@ -5,7 +5,9 @@
 ``dense_reference`` keeps the numpy forms, vectorised over times.  On both
 configs and at omega_a = omega_b, over 2048 times across three periods from
 t = 0, each rewritten function agrees with its numpy form to 1e-14 of the
-largest magnitude of each output column.  The command line's time grid is
+largest magnitude of each output column, and the exact coupled flow agrees
+with its numpy form to 1e-15 of the scales of its outputs.  The command
+line's time grid is
 ``numpy.linspace`` bit for bit, and the thermal Monte Carlo, which reads the
 same trajectories with an array of amplitudes, is bit-identical to the one
 built on the numpy trajectories.
@@ -109,12 +111,32 @@ def test_mode_factor_tables_equal_their_numpy_form(lam, bit):
     assert table.tobytes() == dense_reference.vectorised_mode_factor_coefficients(lam, bit).tobytes()
 
 
+#: The exact flow's settings: both configs, omega_a = omega_b and the SI
+#: config without gravity.
+FLOW_BUILDS = (*sorted(BUILDS), "reference,gamma=0")
+
+
+@pytest.mark.parametrize("build", FLOW_BUILDS)
+def test_flow_matches_its_numpy_form_and_the_eigendecomposition(build):
+    p, dc, times = setting(build.split(",")[0])
+    if build.endswith("gamma=0"):
+        dc = replace(dc, gamma=0.0)
+    common, k = dense_reference.flow_arrays(dc, times)
+    # The eigendecomposition's own round-off is about 3e-15 of these scales.
+    for reference, rtol in ((dense_reference.vectorised_flow, 1e-15),
+                            (dense_reference.eig_flow, 1e-14)):
+        want_common, want_k = reference(dc, times)
+        assert np.max(np.abs(common - want_common)) <= rtol * np.max(np.abs(want_common))
+        assert np.max(np.abs(k - want_k)) <= rtol * np.max(np.abs(want_k))
+
+
 def test_phases_past_double_range_give_nan_not_an_exception(ref_params, ref_couplings):
     # omega_a*t overflows at t = 1e306 s, where math.cos raises; numpy gave NaN.
     times = [0.0, 1e306]
     for name, (function, _) in SERIES.items():
         value = function(ref_couplings, ref_params, times)[1]
         assert math.isnan(value), name
+    assert math.isnan(analytic.visibility(ref_couplings, 0.0, times)[1])
     phi0, phi1, phase = analytic.coherent_trajectories(1.0, 0.5, ref_couplings.omega_a, 1e306)
     assert all(math.isnan(abs(v)) for v in (phi0, phi1, phase))
 

@@ -10,7 +10,7 @@ import pytest
 
 import optograv as og
 import setups
-from optograv import gaussian, oracle, scan
+from optograv import analytic, oracle, scan
 from optograv.cli import SCALING_GAMMA_FACTORS
 from optograv.config import fingerprint, load_params, load_scan_plan
 from optograv.errors import DimensionLimitError, ParameterError
@@ -252,7 +252,7 @@ class TestRunScan:
                           mode="dimensionless")
         for gamma, row in zip(gammas, og.run_scan(plan, base).rows):
             dc = og.derive_couplings(replace(base, direct_gamma=gamma))
-            exact = float(gaussian.visibility(dc, 0.0, [t])[0])
+            exact = analytic.visibility(dc, 0.0, [t])[0]
             delta = row["diagnostics"]["truncation_delta"]
             assert delta == abs(row["values"]["visibility_exact"] - exact)
             assert delta <= 1e-12
