@@ -67,22 +67,6 @@ __all__ = [
     "without_gravity",
     "thermal_occupation",
     "feasibility_bound",
-    "coherent_trajectories",
-    "visibility_uncoupled",
-    "visibility_first_order",
-    "visibility_shift",
-    "thermal_visibility",
     "revival_peak_width",
-    "linear_entropy_first_order",
-    "HilbertSpec",
-    "Propagator",
-    "closed_form_state",
-    "visibility_exact",
-    "linear_entropy_exact",
-    "dyson_first_order_state",
-    "thermal_visibility_montecarlo",
-    "ScanPlan",
-    "ScanResult",
-    "run_scan",
-    "scaling_study",
+    *(name for names in _LAZY.values() for name in names),
 ]

@@ -39,13 +39,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericalError, ParameterError
-from .params import (
-    DerivedCouplings,
-    PhysicalParams,
-    derive_couplings,
-    squared_shifts,
-    without_gravity,
-)
+from .params import DerivedCouplings, PhysicalParams, squared_shifts
 
 
 def _cis(angle: float) -> complex:
@@ -230,29 +224,32 @@ def visibility_first_order(dc: DerivedCouplings, p: PhysicalParams, times) -> li
 def visibility_shift(dc: DerivedCouplings, p: PhysicalParams, times) -> list:
     """Gravitational change of the rod-m visibility pattern, V1 - V0.
 
-    The reference V0 is the fully uncoupled pattern (couplings re-derived
-    without gravity), so the shift combines the frequency-pull effect
-    omega_a vs. the bare frequency with the first-order state correction.
-    With V the :func:`visibility_uncoupled` at ``dc`` and x the
-    :func:`first_order_bracket`, it is written without cancellation as
+    The reference V0 is the fully uncoupled pattern, the
+    :func:`visibility_uncoupled` of the gravity-free coupling Lam =
+    ``dc.Lambda_m`` at the bare frequency ``p.bare_freq_a`` (what
+    re-deriving the couplings at G = 0 gives), so the shift combines the
+    frequency-pull effect omega_a vs. the bare frequency with the
+    first-order state correction.  With V the :func:`visibility_uncoupled`
+    at ``dc`` and x the :func:`first_order_bracket`, it is written without
+    cancellation as
 
         V1 - V0 = V0*expm1(D) + V*x**2/(1 + hypot(1, x)),
         D = log V - log V0 = (Lam**2 - lam**2)*2sin(bare*t/2)**2
                              - lam**2*2sin((omega_a + bare)*t/2)*sin(pull*t/2),
 
     pull = omega_a - bare = s/(omega_a + bare) with s = omega_a**2 - bare**2
-    recomputed from ``p`` (:func:`squared_shifts`).  Lam, the gravity-free
-    lambda_m, gives Lam**2 - lam**2 = Lam**2*pull*(omega_a**2 + omega_a*bare +
-    bare**2)/omega_a**3, as lam**2 goes as omega**-3.  In dimensionless mode
+    recomputed from ``p`` (:func:`squared_shifts`).  Lam gives Lam**2 -
+    lam**2 = Lam**2*pull*(omega_a**2 + omega_a*bare + bare**2)/omega_a**3, as
+    lam**2 goes as omega**-3.  In dimensionless mode
     there is no frequency pull and only the state correction remains.
     """
     times = _as_times(times)
-    dc0 = derive_couplings(without_gravity(p))
-    lam, lam0, omega, bare = dc.lambda_m, dc0.lambda_m, dc.omega_a, dc0.omega_a
+    lam, lam0, omega, bare = dc.lambda_m, dc.Lambda_m, dc.omega_a, p.bare_freq_a
     pull = squared_shifts(p)[0] / (omega + bare)
     gap = lam0 * lam0 * pull * (omega * omega + omega * bare + bare * bare) / omega**3
+    uncoupled = DerivedCouplings(**{**dc.as_dict(), "omega_a": bare, "lambda_m": lam0})
     out = []
-    for t, v0, v, x in zip(times, visibility_uncoupled(dc0, times),
+    for t, v0, v, x in zip(times, visibility_uncoupled(uncoupled, times),
                            visibility_uncoupled(dc, times), first_order_bracket(dc, p, times)):
         half = 0.5 * t
         sine = _cis(bare * half).imag

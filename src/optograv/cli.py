@@ -176,7 +176,7 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _csv_text(provenance: dict, header: list, records: list) -> str:
+def _csv_text(provenance: dict, header: list, records) -> str:
     lines = [f"# optograv {provenance.get('command', '')}".rstrip()]
     for key in sorted(provenance):
         lines.append(f"# {key}={provenance[key]}")
@@ -185,26 +185,24 @@ def _csv_text(provenance: dict, header: list, records: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_table(args, provenance: dict, header: list, records: list):
-    """Records (tuples of strings and floats) as JSON rows or CSV lines."""
-    if args.format == "json":
-        _emit_json(args, {"rows": [dict(zip(header, r)) for r in records],
-                          "provenance": provenance})
+def _emit_table(args, provenance: dict, header: list, records, body=None, default="csv"):
+    """Records (tuples of strings and floats) as CSV lines, or as JSON where
+    ``args.format``, else ``default``, says so: ``body`` with the provenance
+    added, or the records as rows where there is no ``body``."""
+    if (args.format or default) == "json":
+        if body is None:
+            body = {"rows": [dict(zip(header, r)) for r in records]}
+        _emit_json(args, {**body, "provenance": provenance})
     else:
         _emit(args, _csv_text(provenance, header, records))
 
 
-def _time_grid(args, dc) -> list:
-    """The --t-start, --t-stop and --t-points grid, the same doubles as
-    ``numpy.linspace``: time i is i*step + start and the last is t-stop."""
-    period = 2.0 * math.pi / dc.omega_a
-    start = args.t_start if args.t_start is not None else 0.0
-    stop = args.t_stop if args.t_stop is not None else 3.0 * period
-    points = args.t_points if args.t_points is not None else 2048
-    if points < 2:
-        raise ConfigError("--t-points must be >= 2")
-    if not (math.isfinite(stop) and stop > start >= 0.0):
-        raise ConfigError("time grid must satisfy 0 <= t-start < t-stop, both finite")
+def _grid(start: float, stop: float, points: int) -> list:
+    """``points`` times from ``start`` to ``stop``, the same doubles as
+    ``numpy.linspace``: time i is i*step + start, the last is ``stop``, and
+    one point is ``[start]``."""
+    if points == 1:
+        return [start]
     step = (stop - start) / (points - 1)
     if step == 0.0:  # linspace scales by the span where the step underflows
         times = [i / (points - 1) * (stop - start) + start for i in range(points - 1)]
@@ -213,17 +211,26 @@ def _time_grid(args, dc) -> list:
     return times + [stop]
 
 
+def _time_grid(args, dc) -> list:
+    """The --t-start, --t-stop and --t-points grid (default: 0 to 3 periods
+    in 2048 points)."""
+    period = 2.0 * math.pi / dc.omega_a
+    start = args.t_start if args.t_start is not None else 0.0
+    stop = args.t_stop if args.t_stop is not None else 3.0 * period
+    points = args.t_points if args.t_points is not None else 2048
+    if points < 2:
+        raise ConfigError("--t-points must be >= 2")
+    if not (math.isfinite(stop) and stop > start >= 0.0):
+        raise ConfigError("time grid must satisfy 0 <= t-start < t-stop, both finite")
+    return _grid(start, stop, points)
+
+
 def cmd_derive(args) -> int:
     p = load_params(args.params)
     dc = derive_couplings(p)
-    payload = dict(dc.as_dict())
-    payload["delta_T_ns"] = dc.delta_T * 1e9
-    payload["provenance"] = _provenance(p, args)
-    if args.format == "csv":
-        rows = [(key, value) for key, value in sorted(payload.items()) if key != "provenance"]
-        _emit(args, _csv_text(payload["provenance"], ["quantity", "value"], rows))
-    else:
-        _emit_json(args, payload)
+    body = {**dc.as_dict(), "delta_T_ns": dc.delta_T * 1e9}
+    _emit_table(args, _provenance(p, args), ["quantity", "value"], sorted(body.items()), body,
+                default="json")
     return 0
 
 
@@ -248,12 +255,9 @@ def cmd_figure(args) -> int:
         t_start=repr(times[0]), t_stop=repr(times[-1]),
         t_points=len(times),
     )
-    if args.format == "json":
-        _emit_json(args, {key: axis, "values": values, "method": method,
-                          "provenance": provenance})
-    else:
-        rows = [(t, v, method) for t, v in zip(axis, values)]
-        _emit(args, _csv_text(provenance, [column, "value", "method"], rows))
+    records = ((t, v, method) for t, v in zip(axis, values))
+    _emit_table(args, provenance, [column, "value", "method"], records,
+                {key: axis, "values": values, "method": method})
     return 0
 
 
@@ -263,8 +267,6 @@ def cmd_oracle(args) -> int:
     if args.residual_times < 1:
         raise ConfigError("--residual-times must be >= 1")
     p = load_params(args.params)
-    import numpy as np
-
     from . import analytic, oracle, scan as scan_mod
 
     dc = derive_couplings(p)
@@ -276,17 +278,16 @@ def cmd_oracle(args) -> int:
     dc0 = derive_couplings(p0)
     propagator = oracle.Propagator(dc0, spec)
     psi0 = oracle.closed_form_state(dc0, p0, spec, 0.0)
-    times = np.linspace(0.0, 2.0 * period, args.equivalence_points)
+    times = _grid(0.0, 2.0 * period, args.equivalence_points)
     closed = analytic.visibility_uncoupled(dc0, times)
     worst = 0.0
-    for t, v_closed in zip(times.tolist(), closed):
+    for t, v_closed in zip(times, closed):
         worst = max(worst, abs(oracle.visibility_exact(propagator.evolve(psi0, t)) - v_closed))
     checks = [_check("gravity_free_equivalence", worst, EQUIVALENCE_TOL,
                      worst < EQUIVALENCE_TOL)]
 
     # Frame-rotation identity on every level the propagator uses.
-    residual_times = np.linspace(period / args.residual_times, 2.0 * period,
-                                 args.residual_times)
+    residual_times = _grid(period / args.residual_times, 2.0 * period, args.residual_times)
     residual = float(oracle.interaction_picture_residual(dc, spec, residual_times).max())
     checks.append(_check("interaction_picture_residual", residual, RESIDUAL_TOL,
                          residual < RESIDUAL_TOL))
@@ -358,28 +359,19 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from . import scan as scan_mod
+    from .scan import run_scan
 
     p = load_params(args.params)
-    plan_dict = load_scan_plan(args.plan)
-    if args.seed is not None:
-        plan_dict["seed"] = args.seed
-    plan_dict.setdefault("mode", p.units)
-    plan = scan_mod.ScanPlan(**plan_dict)
-    if plan.mode != p.units:
-        raise ConfigError(f"plan mode {plan.mode!r} conflicts with params units {p.units!r}")
-    result = scan_mod.run_scan(plan, p)
+    plan = load_scan_plan(args.plan, p.units, args.seed)
+    result = run_scan(plan, p)
     provenance = _provenance(p, args, seed=plan.seed,
                              plan_fingerprint=fingerprint(dataclasses.asdict(plan)))
-    if args.format == "json":
-        _emit_json(args, {**dataclasses.asdict(result), "provenance": provenance})
-    else:
-        parts = (("axes", result.axis_names), ("values", result.observable_names),
-                 ("diagnostics", result.diagnostic_names))
-        header = [name for _, names in parts for name in names]
-        records = [[row[part][name] for part, names in parts for name in names]
-                   for row in result.rows]
-        _emit(args, _csv_text(provenance, header, records))
+    parts = (("axes", result.axis_names), ("values", result.observable_names),
+             ("diagnostics", result.diagnostic_names))
+    header = [name for _, names in parts for name in names]
+    records = ([row[part][name] for part, names in parts for name in names]
+               for row in result.rows)
+    _emit_table(args, provenance, header, records, vars(result))
     return 0
 
 
@@ -415,7 +407,7 @@ def cmd_thermal(args) -> int:
     if args.t_start is None and args.t_stop is None and args.t_points is None:
         # No time flag given: 8 samples across one revival period.
         period = 2.0 * math.pi / dc.omega_a
-        times = np.linspace(period / 8.0, period, 8).tolist()
+        times = _grid(period / 8.0, period, 8)
     else:
         times = _time_grid(args, dc)
     nbar = args.nbar

@@ -4,7 +4,8 @@ Parameter files use one ``key = value`` pair per line, ``#`` comments, and
 keys that match the :class:`~optograv.params.PhysicalParams` field names.
 A ``units`` key ("si", the default, or "dimensionless") selects the mode.
 Scan plans use the same syntax with their own key set (see
-:func:`load_scan_plan`).
+:func:`plan_from_text`); :func:`load_scan_plan` builds the plan that a scan
+runs.
 """
 
 from __future__ import annotations
@@ -175,13 +176,24 @@ def plan_from_text(text: str, label: str = "<plan>") -> dict:
     return plan
 
 
-def load_scan_plan(path) -> dict:
+def load_scan_plan(path, units: str, seed: int | None = None):
+    """The :class:`~optograv.scan.ScanPlan` of a plan file, for parameters in
+    ``units``: ``seed``, when given, overrides the plan's ``seed`` key, the
+    mode defaults to ``units``, and a plan whose mode differs is refused."""
+    from .scan import ScanPlan  # here, so that loading parameters loads no closed form
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read scan plan {path}: {exc}") from None
-    return plan_from_text(text, label=str(path))
+    settings = plan_from_text(text, label=str(path))
+    if seed is not None:
+        settings["seed"] = seed
+    plan = ScanPlan(**{"mode": units, **settings})
+    if plan.mode != units:
+        raise ConfigError(f"plan mode {plan.mode!r} conflicts with params units {units!r}")
+    return plan
 
 
 def fingerprint(payload: dict) -> str:

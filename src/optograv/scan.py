@@ -116,12 +116,6 @@ class ScanResult:
     rows: list
 
 
-def _apply_axis(base: PhysicalParams, name: str, value) -> PhysicalParams:
-    if name in ("beta_m", "beta_M"):
-        return replace(base, **{name: complex(value)})
-    return replace(base, **{name: float(value)})
-
-
 def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
     dc = derive_couplings(p)
     t = plan.observable_time
@@ -132,34 +126,37 @@ def _row_values(plan: ScanPlan, p: PhysicalParams) -> tuple[dict, dict]:
 
         spec = oracle.default_spec(p, dc, plan.n_max)
         psi_t = oracle.Propagator(dc, spec).evolve(oracle.closed_form_state(dc, p, spec, 0.0), t)
-    closed_forms = {
-        "visibility": lambda: analytic.visibility_uncoupled(dc, [t]),
-        "visibility_shift": lambda: analytic.visibility_shift(dc, p, [t]),
-        "entropy": lambda: analytic.linear_entropy_first_order(dc, [t]),
-    }
+        truncated = oracle.visibility_exact(psi_t)
     for obs in plan.observables:
         if not OBSERVABLES[obs]:
             values[obs] = getattr(dc, obs)
-        elif obs in closed_forms:
-            values[obs] = closed_forms[obs]()[0]
+        elif obs == "visibility":
+            values[obs] = analytic.visibility_uncoupled(dc, [t])[0]
+        elif obs == "visibility_shift":
+            values[obs] = analytic.visibility_shift(dc, p, [t])[0]
+        elif obs == "entropy":
+            values[obs] = analytic.linear_entropy_first_order(dc, [t])[0]
         elif obs == "visibility_exact":
-            values[obs] = oracle.visibility_exact(psi_t)
+            values[obs] = truncated
         elif obs == "entropy_exact":
             values[obs] = oracle.linear_entropy_exact(psi_t)
-        elif obs == "interaction_residual":
+        else:  # interaction_residual
             values[obs] = float(oracle.interaction_picture_residual(dc, spec, [t])[0])
     if plan.oracle_enabled or any(OBSERVABLES[obs] for obs in plan.observables):
         analytic.check_outputs(dc, [t], {name: [value] for name, value in values.items()})
     if plan.oracle_enabled:
         exact = analytic.visibility(dc, 0.0, [t])[0]
-        diagnostics["truncation_delta"] = abs(oracle.visibility_exact(psi_t) - exact)
+        diagnostics["truncation_delta"] = abs(truncated - exact)
     return values, diagnostics
 
 
 def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     """Evaluate the plan's observables on the Cartesian grid.
 
-    Rows keep the axis iteration order (last axis fastest).  Per-row
+    Rows keep the axis iteration order (last axis fastest).  Each row is one
+    ``replace`` of ``base`` with all its axis values (complex for the beta
+    axes, float for the others), so a row with several invalid values names
+    the first in :class:`PhysicalParams`' own check order.  Per-row
     parameter, truncation, numerical and arithmetic errors are captured in
     the diagnostics instead of aborting the sweep, and the affected
     observables become NaN; any other exception propagates.  Oracle rows
@@ -170,18 +167,17 @@ def run_scan(plan: ScanPlan, base: PhysicalParams) -> ScanResult:
     diagnostic_names = ("error",) + (("truncation_delta",) if plan.oracle_enabled else ())
     rows = []
     for combo in itertools.product(*(values for _, values in plan.axes)):
+        row = dict(zip(axis_names, combo))
         try:
-            p_row = base
-            for name, value in zip(axis_names, combo):
-                p_row = _apply_axis(p_row, name, value)
+            p_row = replace(base, **{name: complex(value) if name in ("beta_m", "beta_M")
+                                     else float(value) for name, value in row.items()})
             values, diagnostics = _row_values(plan, p_row)
         except (OptogravError, ArithmeticError, *linalg_errors()) as exc:
             # A row's bad inputs or numerics never abort the sweep; bugs propagate.
             values = {obs: float("nan") for obs in plan.observables}
             diagnostics = {name: float("nan") for name in diagnostic_names}
             diagnostics["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append({"axes": dict(zip(axis_names, combo)), "values": values,
-                     "diagnostics": diagnostics})
+        rows.append({"axes": row, "values": values, "diagnostics": diagnostics})
     return ScanResult(axis_names, tuple(plan.observables), diagnostic_names, rows)
 
 

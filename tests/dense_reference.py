@@ -64,6 +64,10 @@ routes they replaced, as independent cross-checks:
 - ``first_order_bracket``: the first-order visibility bracket read off K,
   as the library computed it before it contracted W with the mode-a path
   difference and rod M's branch-averaged factor;
+- ``rederived_visibility_shift``: ``analytic.visibility_shift`` with V0
+  and the bare frequency read from couplings re-derived without gravity,
+  as the library computed them before it read ``dc.Lambda_m`` and
+  ``p.bare_freq_a``;
 - ``vectorised_*``: the closed forms as numpy evaluated them, vectorised
   over times (and over amplitudes in ``vectorised_coherent_trajectories``),
   before ``analytic`` was written with ``math`` alone so that ``figure``
@@ -599,6 +603,30 @@ def first_order_bracket(dc, p, times):
 
 #: Exponents of the columns of a mode-factor coefficient table.
 _SIGMA = np.array([-1.0, 0.0, 1.0])
+
+
+def rederived_visibility_shift(dc, p, times) -> list:
+    """V1 - V0 as ``analytic.visibility_shift`` writes it, from dc0 =
+    ``derive_couplings(without_gravity(p))``: V0 at dc0, Lam = dc0.lambda_m
+    and bare = dc0.omega_a."""
+    dc0 = derive_couplings(without_gravity(p))
+    lam, lam0, omega, bare = dc.lambda_m, dc0.lambda_m, dc.omega_a, dc0.omega_a
+    pull = squared_shifts(p)[0] / (omega + bare)
+    gap = lam0 * lam0 * pull * (omega * omega + omega * bare + bare * bare) / omega**3
+    out = []
+    for t, v0, v, x in zip(times, analytic.visibility_uncoupled(dc0, times),
+                           analytic.visibility_uncoupled(dc, times),
+                           analytic.first_order_bracket(dc, p, times)):
+        half = 0.5 * t
+        sine = analytic._cis(bare * half).imag
+        delta = (gap * 2.0 * (sine * sine) - lam * lam * 2.0
+                 * analytic._cis((omega + bare) * half).imag * analytic._cis(pull * half).imag)
+        try:
+            growth = math.expm1(delta)
+        except OverflowError:
+            growth = math.inf
+        out.append(v0 * growth + v * (x * x / (1.0 + math.hypot(1.0, x))))
+    return out
 
 
 def _check_times(times, ndmin: int = 1) -> np.ndarray:

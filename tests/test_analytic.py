@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference
 import optograv as og
 import setups
 from optograv import oracle
@@ -260,6 +261,22 @@ class TestVisibilityShift:
 
     def test_zero_at_time_zero(self, ref_params, ref_couplings):
         assert og.visibility_shift(ref_couplings, ref_params, [0.0])[0] == 0.0
+
+    @pytest.mark.parametrize("build", [
+        *(lambda h=h: replace(load_params(CONFIGS / "reference.cfg"), separation_h=h)
+          for h in (1e-8, 1e-6, 1e-4, 1e-3)),
+        lambda: og.without_gravity(load_params(CONFIGS / "reference.cfg")),
+        lambda: load_params(CONFIGS / "dimensionless.cfg"),
+    ], ids=["h_1e-8", "h_1e-6", "h_1e-4", "h_1e-3", "G_0", "dimensionless"])
+    def test_gravity_free_couplings_read_from_dc_are_the_rederived_ones(self, build):
+        # dc.Lambda_m and p.bare_freq_a are bit for bit what re-deriving the
+        # couplings at G = 0 gives, so the shift is too.
+        p = build()
+        dc = og.derive_couplings(p)
+        times = [i * (3 * period_of(dc) / 2047) for i in range(2048)]
+        shift = og.visibility_shift(dc, p, times)
+        reference = dense_reference.rederived_visibility_shift(dc, p, times)
+        assert [v.hex() for v in shift] == [v.hex() for v in reference]
 
     def test_survives_zero_readout_coupling(self):
         p = setups.dimensionless_params(gamma=1e-2, lambda_m=0.445, lambda_M=0.0)

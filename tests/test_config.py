@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from optograv import config
-from optograv.scan import ScanPlan
+from optograv.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -20,7 +20,7 @@ def configs():
 
 
 def example_plan():
-    return asdict(ScanPlan(**config.load_scan_plan(CONFIGS / "scan_example.cfg")))
+    return asdict(config.load_scan_plan(CONFIGS / "scan_example.cfg", "si"))
 
 
 def hashlib_digest(payload):
@@ -52,3 +52,20 @@ def test_hashlib_fallback_gives_the_same_digests(config_without_builtin_sha256):
     for p in configs():
         assert fallback.fingerprint_params(p) == hashlib_digest(p.as_dict())
     assert fallback.fingerprint(example_plan()) == hashlib_digest(example_plan())
+
+
+@pytest.mark.parametrize("units, seed, expected", [
+    ("si", None, (1234, "si")),
+    ("si", 0, (0, "si")),
+    ("si", 3, (3, "si")),
+    ("dimensionless", None, (1234, "dimensionless")),
+])
+def test_scan_plan_takes_the_seed_override_and_the_params_units(units, seed, expected):
+    plan = config.load_scan_plan(CONFIGS / "scan_example.cfg", units, seed)
+    assert (plan.seed, plan.mode) == expected
+
+
+def test_scan_plan_refuses_a_mode_other_than_the_params_units():
+    with pytest.raises(ConfigError) as info:
+        config.load_scan_plan(CONFIGS.parent / "bench" / "sweep_plan.cfg", "si")
+    assert str(info.value) == "plan mode 'dimensionless' conflicts with params units 'si'"

@@ -177,6 +177,21 @@ def test_time_grid_is_numpy_linspace_bit_for_bit(ref_couplings, start, stop, poi
     assert np.array(times).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("config", ["reference.cfg", "dimensionless.cfg"])
+@pytest.mark.parametrize("start, stop, points", [
+    (1 / 8, 1.0, 8),  # thermal's default grid, in periods
+    (0.0, 2.0, 48),  # oracle's equivalence grid
+    (1 / 30, 2.0, 30),  # oracle's residual grid
+    (1 / 8, 2.0, 8),
+    (2.0, 2.0, 1),  # --residual-times 1
+])
+def test_every_grid_is_numpy_linspace_bit_for_bit(config, start, stop, points):
+    period = 2.0 * math.pi / og.derive_couplings(load_params(CONFIGS / config)).omega_a
+    times = cli._grid(start * period, stop * period, points)
+    expected = np.linspace(start * period, stop * period, points)
+    assert np.array(times).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_thermal_montecarlo_is_bit_identical_on_numpy_trajectories(monkeypatch, ref_couplings,
                                                                    seed):

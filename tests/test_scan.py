@@ -102,12 +102,12 @@ class TestScanPlan:
             small_plan(observables=("delta_T", "visibility_shift"))
         assert str(info.value) == "observable 'visibility_shift' requires a 't' value in the plan"
 
-    @pytest.mark.parametrize("plan_file, digest", [
-        (CONFIGS / "scan_example.cfg", "ab177280a7d61e04"),
-        (CONFIGS.parent / "bench" / "sweep_plan.cfg", "6b9e074d27f79655"),
+    @pytest.mark.parametrize("plan_file, units, digest", [
+        (CONFIGS / "scan_example.cfg", "si", "ab177280a7d61e04"),
+        (CONFIGS.parent / "bench" / "sweep_plan.cfg", "dimensionless", "6b9e074d27f79655"),
     ], ids=["scan_example", "sweep_plan"])
-    def test_plan_fingerprints(self, plan_file, digest):
-        plan = og.ScanPlan(**load_scan_plan(plan_file))
+    def test_plan_fingerprints(self, plan_file, units, digest):
+        plan = load_scan_plan(plan_file, units)
         assert fingerprint(asdict(plan)) == digest
 
     def test_grid_size_guard(self):
@@ -174,6 +174,39 @@ class TestRunScan:
         assert "ParameterError" in result.rows[1]["diagnostics"]["error"]
         assert math.isnan(result.rows[1]["values"]["delta_T"])
         assert result.rows[2]["diagnostics"]["error"] == ""
+
+    @pytest.mark.parametrize("axes, error", [
+        ((("separation_h", (-1.0,)),),
+         "ParameterError: separation_h must be a finite positive number, got -1.0"),
+        ((("beta_m", (math.inf,)),), "ParameterError: beta_m must be finite, got (inf+0j)"),
+        # A row's values go into one replace, so with two invalid values the row
+        # names the first that PhysicalParams checks, not the first axis.
+        ((("separation_h", (-1.0,)), ("mass_m", (-2.0,))),
+         "ParameterError: mass_m must be a finite positive number, got -2.0"),
+    ], ids=["separation", "beta", "two_invalid_values"])
+    def test_row_error_text(self, ref_params, axes, error):
+        (row,) = og.run_scan(small_plan(axes=axes), ref_params).rows
+        assert row["diagnostics"]["error"] == error
+
+    def test_each_row_replaces_the_parameters_once(self, ref_params, monkeypatch):
+        calls = []
+
+        def counted(p, **changes):
+            calls.append(changes)
+            return replace(p, **changes)
+
+        def refused(p, **changes):
+            raise AssertionError("the gravity-free couplings are re-derived")
+
+        monkeypatch.setattr(scan, "replace", counted)
+        monkeypatch.setattr(og.params, "replace", refused)
+        plan = small_plan(axes=(("separation_h", (1e-8, 2e-8, 4e-8)), ("beta_m", (1.0, 0.5))),
+                          observables=("delta_T", "visibility_shift", "entropy"),
+                          observable_time=1e-3)
+        rows = og.run_scan(plan, ref_params).rows
+        assert [row["diagnostics"]["error"] for row in rows] == [""] * 6
+        assert [{name: type(value) for name, value in c.items()} for c in calls] == (
+            [{"separation_h": float, "beta_m": complex}] * 6)
 
     def test_arithmetic_row_errors_are_captured(self, ref_params, monkeypatch):
         derive = scan.derive_couplings
